@@ -255,12 +255,13 @@ def write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _dump_artifacts(name, runs, extra, out_dir, formats) -> None:
+def _dump_artifacts(name, runs, extra, out_dir, formats, per_run=lambda run: {}) -> None:
+    """Write <name>.csv and <name>.jsonl; per_run adds fields to each run's summary."""
     if "csv" in formats:
         records = [rec for run in runs for rec in run.records]
         write_atomic(out_dir / f"{name}.csv", records_csv(records))
     if "jsonl" in formats:
-        lines = [json.dumps(run_summary(r), sort_keys=True) for r in runs]
+        lines = [json.dumps({**run_summary(r), **per_run(r)}, sort_keys=True) for r in runs]
         lines.append(json.dumps({"experiment": name, **extra}, sort_keys=True))
         write_atomic(out_dir / f"{name}.jsonl", "\n".join(lines) + "\n")
 
@@ -360,20 +361,10 @@ def cmd_lrsweep(cfg: RunConfig, args) -> int:
         "argmin": {str(w): e for w, e in result.argmin.items()},
         "drift_octaves": result.drift_octaves,
     }
-    runs = result.runs
-    out_dir = _out_dir(cfg, args)
-    formats = _formats(cfg, args)
-    if "csv" in formats:
-        records = [rec for run in runs for rec in run.records]
-        write_atomic(out_dir / "lrsweep.csv", records_csv(records))
-    if "jsonl" in formats:
-        lines = []
-        for run in runs:
-            summary = run_summary(run)
-            summary["argmin_eta"] = result.argmin[run.width]
-            lines.append(json.dumps(summary, sort_keys=True))
-        lines.append(json.dumps({"experiment": "lrsweep", **extra}, sort_keys=True))
-        write_atomic(out_dir / "lrsweep.jsonl", "\n".join(lines) + "\n")
+    _dump_artifacts(
+        "lrsweep", result.runs, extra, _out_dir(cfg, args), _formats(cfg, args),
+        per_run=lambda run: {"argmin_eta": result.argmin[run.width]},
+    )
     print(f"argmin per width: {result.argmin}")
     print(f"optimum drift: {result.drift_octaves:+.3f} octaves")
     checks = cfg.sections["checks"]
@@ -555,6 +546,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         cfg = load_config(args.config)
+        if cfg.sections["scaling"]["overrides"] and args.command != "plan":
+            raise cfg.error(
+                "scaling.overrides",
+                f"only `mupre plan` applies overrides; `mupre {args.command}` "
+                "trains with the plan the scaling rules derive",
+            )
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.interpolate import interp1d
 
-from .linalg import NS_DEFAULT_EPS, NS_POLISH_STEPS, NS_QUINTIC, PowerIterState, mat_inv_power, sym_eig
+from .linalg import NS_DEFAULT_EPS, NS_QUINTIC, PowerIterState, mat_inv_power, ns_schedule, sym_eig
 from .models import (
     MlpModel,
     ResMlpModel,
@@ -26,6 +25,7 @@ from .models import (
     synth_batch,
 )
 from .optim import (
+    BlockPartition,
     LayerState,
     OptimizerConfig,
     UpdateReport,
@@ -37,11 +37,9 @@ from .optim import (
 from .scaling import (
     LayerHyper,
     LayerSpec,
+    ModelManifest,
     ScalingPlan,
-    _graft_ref_eps_scale,
-    _rule_eps_scale,
     build_plan,
-    eps_scale,
     lr_multiplier,
 )
 
@@ -169,19 +167,6 @@ class ExponentCheck:
     r2: float
 
 
-def _layer_config(spec: LayerSpec, opt: OptimizerConfig, plan: ScalingPlan) -> OptimizerConfig:
-    """The optimizer config with every damping knob scaled for this layer."""
-    eps = opt.eps * _rule_eps_scale(spec, opt, plan)
-    if opt.graft_rule is None:
-        return replace(opt, eps=eps)
-    return replace(
-        opt,
-        eps=eps,
-        graft_eps=opt.graft_eps * eps_scale(spec, opt, plan),
-        graft_ref_eps=opt.graft_ref_eps * _graft_ref_eps_scale(spec, opt, plan),
-    )
-
-
 def _opt_tag(opt: OptimizerConfig) -> str:
     if opt.graft_rule is None:
         return opt.rule
@@ -209,7 +194,7 @@ def run_training(
     model_cls = MlpModel if cfg.arch == "mlp" else ResMlpModel
     model = model_cls.build(manifest, table, seed=seed, activation=cfg.activation)
 
-    layer_cfgs = {n: _layer_config(specs[n], cfg.opt, plan) for n in specs}
+    layer_cfgs = {n: table[n].optimizer(cfg.opt) for n in specs}
     states = {n: LayerState() for n in specs}
     pi_states = {
         n: PowerIterState(v=np.ones(specs[n].d_in) / math.sqrt(specs[n].d_in))
@@ -414,20 +399,20 @@ def _ns_scalar(s: float, iters: int, eps: float) -> float:
     recursion collapses to this recursion on its single singular value.
     """
     a, b, c = NS_QUINTIC
-    polish_from = max(iters - NS_POLISH_STEPS, 1) if iters > NS_POLISH_STEPS else iters
     y = s / (s + eps)
-    for k in range(iters):
+    for polish in ns_schedule(iters):
         g = y * y
-        if k < polish_from:
-            y = a * y + b * y * g + c * y * g * g
-        else:
+        if polish:
             y = 1.5 * y - 0.5 * y * g
+        else:
+            y = a * y + b * y * g + c * y * g * g
     return y
 
 
-def _chunk_edges(n: int, b: int | None) -> list[tuple[int, int]]:
-    size = n if b is None else min(b, n)
-    return [(i, min(i + size, n)) for i in range(0, n, size)]
+def _tiles(opt: OptimizerConfig, delta: np.ndarray, x: np.ndarray) -> BlockPartition:
+    """The optimizer's tiling of the d_out x d_in gradient delta x^T."""
+    rows, cols = delta.shape[0], x.shape[0]
+    return BlockPartition(rows, cols, opt.block_out or rows, opt.block_in or cols)
 
 
 def _elementwise_adam(delta, x, x_probe, eps):
@@ -440,13 +425,14 @@ def _rank1_shampoo(opt, delta, x, x_probe, eps):
     s = opt.e_l + opt.e_r
     out = np.zeros_like(delta)
     frob2 = 0.0
-    for r0, r1 in _chunk_edges(delta.shape[0], opt.block_out):
+    tiles = _tiles(opt, delta, x)
+    for r0, r1 in tiles.row_spans:
         di = delta[r0:r1]
         ndi = float(di @ di)
         if ndi == 0.0:
             continue
         acc = 0.0
-        for c0, c1 in _chunk_edges(x.shape[0], opt.block_in):
+        for c0, c1 in tiles.col_spans:
             xj = x[c0:c1]
             lam = ndi * float(xj @ xj)
             if lam == 0.0:
@@ -463,10 +449,11 @@ def _rank1_soap(opt, delta, x, x_probe, eps):
     out = np.zeros_like(delta)
     frob2 = 0.0
     two_sided = opt.e_l == 1.0 and opt.e_r == 1.0
-    for r0, r1 in _chunk_edges(delta.shape[0], opt.block_out):
+    tiles = _tiles(opt, delta, x)
+    for r0, r1 in tiles.row_spans:
         di = delta[r0:r1]
         ndi = float(np.linalg.norm(di))
-        for c0, c1 in _chunk_edges(x.shape[0], opt.block_in):
+        for c0, c1 in tiles.col_spans:
             xj = x[c0:c1]
             xpj = x_probe[c0:c1]
             nxj = float(np.linalg.norm(xj))
@@ -531,7 +518,8 @@ def rank1_oracle(
     """Analytic eta * Q(delta x^T) @ x_probe from inner products and scalars.
 
     Evaluates the update rule at step 1 with zero momentum constants, the
-    regime where the single-sample gradient is exactly rank 1.
+    regime where the single-sample gradient is exactly rank 1. opt supplies
+    the rule and its shape; every damping value comes from hyper.
     """
     delta = np.asarray(delta, dtype=np.float64).ravel()
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -543,10 +531,10 @@ def rank1_oracle(
     out, frob = _rank1_direction(opt, opt.rule, delta, x, x_probe, hyper.eps)
     if opt.graft_rule is None:
         return hyper.eta * out
-    _, ref_frob = _rank1_direction(opt, opt.graft_rule, delta, x, x_probe, opt.graft_ref_eps)
+    _, ref_frob = _rank1_direction(opt, opt.graft_rule, delta, x, x_probe, hyper.graft_ref_eps)
     if frob == 0.0:
         return np.zeros_like(out)
-    return hyper.eta * (ref_frob / (frob + opt.graft_eps)) * out
+    return hyper.eta * (ref_frob / (frob + hyper.graft_eps)) * out
 
 
 def _pseudo_sqrt(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -639,10 +627,12 @@ def compute_multiplier(
     log_c = np.log([c for c, _ in envelope])
     log_l = np.log([l for _, l in envelope])
     # losses fall as compute grows; reverse for an ascending interpolation axis
-    f = interp1d(log_l[::-1], log_c[::-1], kind="linear", fill_value="extrapolate",
-                 assume_sorted=True)
+    xs, ys = log_l[::-1], log_c[::-1]
     target = math.log(cand_l)
-    base_c = float(np.exp(f(target)))
+    # the segment holding target, or the end segment nearest it
+    i = min(max(int(np.searchsorted(xs, target)), 1), len(xs) - 1)
+    slope = (ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1])
+    base_c = float(np.exp(slope * (target - xs[i - 1]) + ys[i - 1]))
     extrapolated = bool(target < log_l[-1] or target > log_l[0])
     return MultiplierEstimate(value=base_c / cand_c, flagged=flagged,
                               extrapolated=extrapolated)
@@ -669,17 +659,15 @@ def mup_exponent_check(
             "probe", "hidden", d_in=width, d_out=width,
             base_d_in=plan.base_width, base_d_out=plan.base_width,
         )
-        cfg = _layer_config(spec, opt, plan)
-        hyper = LayerHyper(
-            eta=1.0, eps=cfg.eps, sigma_init=0.0, residual_mult=1.0, lambda_wd=0.0
-        )
+        manifest = ModelManifest(width=width, depth=1, layers=(spec,))
+        hyper = replace(build_plan(manifest, opt, plan)["probe"], eta=1.0)
         vals = []
         for _ in range(n_draws):
             delta = rng.standard_normal(width) / width
             x = rng.standard_normal(width)
             z = rng.standard_normal(width)
             x_probe = 0.5 * x + math.sqrt(1.0 - 0.25) * z
-            v = rank1_oracle(cfg, delta, x, x_probe, hyper)
+            v = rank1_oracle(opt, delta, x, x_probe, hyper)
             vals.append(float(np.linalg.norm(v)) / math.sqrt(width))
         rms_means.append(float(np.mean(vals)))
         mults.append(lr_multiplier(spec, opt, plan))
@@ -710,9 +698,10 @@ def oracle_agreement(
         eta = 10.0 ** rng.uniform(-1, 1)
         eps = 10.0 ** rng.uniform(-5, -2)
         hyper = LayerHyper(eta=eta, eps=eps, sigma_init=0.0, residual_mult=1.0,
-                           lambda_wd=0.0)
+                           lambda_wd=0.0, graft_eps=opt.graft_eps,
+                           graft_ref_eps=opt.graft_ref_eps)
         analytic = rank1_oracle(opt, delta, x, x_probe, hyper)
-        cfg = replace(opt, beta1=0.0, beta2=0.0, eps=eps)
+        cfg = replace(hyper.optimizer(opt), beta1=0.0, beta2=0.0)
         report = optimizer_step(LayerState(), np.outer(delta, x), cfg)
         full = eta * (report.update @ x_probe)
         scale = max(float(np.linalg.norm(full)), 1e-30)

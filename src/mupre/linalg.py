@@ -37,18 +37,6 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
     return m
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    a = as_matrix(a, "matmul lhs")
-    b = as_matrix(b, "matmul rhs")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def frob_norm(a: Matrix) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
-
-
 @dataclass
 class EigDecomp:
     """Symmetric eigendecomposition, eigenvalues sorted descending.
@@ -120,6 +108,17 @@ def mat_inv_power(a: Matrix, e: float, eps: float, neg_tol: float = 1e-6) -> Mat
     return (v * powered) @ v.T
 
 
+def ns_schedule(iters: int) -> tuple[bool, ...]:
+    """Per iteration of the orthogonalization, whether it is a polish step.
+
+    The trailing NS_POLISH_STEPS iterations polish with the convergent cubic
+    and the rest use the quintic; a run of at most NS_POLISH_STEPS
+    iterations is all quintic, so it still lifts small singular values.
+    """
+    quintic = iters - NS_POLISH_STEPS if iters > NS_POLISH_STEPS else iters
+    return (False,) * quintic + (True,) * (iters - quintic)
+
+
 def newton_schulz(m: Matrix, iters: int = 5, eps: float = NS_DEFAULT_EPS) -> Matrix:
     """Approximate msign(M) = U V^T from the reduced SVD M = U S V^T.
 
@@ -141,13 +140,12 @@ def newton_schulz(m: Matrix, iters: int = 5, eps: float = NS_DEFAULT_EPS) -> Mat
     if transposed:
         x = x.T
     a, b, c = NS_QUINTIC
-    polish_from = max(iters - NS_POLISH_STEPS, 1) if iters > NS_POLISH_STEPS else iters
-    for k in range(iters):
+    for polish in ns_schedule(iters):
         g = x.T @ x
-        if k < polish_from:
-            x = a * x + x @ (b * g + c * (g @ g))
-        else:
+        if polish:
             x = 1.5 * x - 0.5 * (x @ g)
+        else:
+            x = a * x + x @ (b * g + c * (g @ g))
     return x.T if transposed else x
 
 
@@ -175,16 +173,6 @@ def power_iter_step(a: Matrix, state: PowerIterState, eps: float = 1e-8) -> Powe
     else:
         new_v = z / norm_z
     return PowerIterState(v=new_v, sigma_hat=sigma_hat)
-
-
-def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm start vector for power iteration."""
-    v = rng.standard_normal(n)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:  # astronomically unlikely; retry deterministically
-        v = np.ones(n)
-        norm = float(np.linalg.norm(v))
-    return v / norm
 
 
 def spectral_norm_exact(a: Matrix) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -191,14 +192,17 @@ class BlockPartition:
     def __len__(self) -> int:
         return self.n_out * self.n_in
 
+    @property
+    def row_spans(self) -> list[tuple[int, int]]:
+        return list(zip(self.row_edges, self.row_edges[1:]))
+
+    @property
+    def col_spans(self) -> list[tuple[int, int]]:
+        return list(zip(self.col_edges, self.col_edges[1:]))
+
     def spans(self):
         """Yield ((r0, r1), (c0, c1)) tile bounds in row-major tile order."""
-        for i in range(self.n_out):
-            for j in range(self.n_in):
-                yield (
-                    (self.row_edges[i], self.row_edges[i + 1]),
-                    (self.col_edges[j], self.col_edges[j + 1]),
-                )
+        return product(self.row_spans, self.col_spans)
 
     def split(self, g: Matrix) -> list[Matrix]:
         g = as_matrix(g, "block split input")

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
-from .optim import GRAFT_RULES, OptimizerConfig
+from .optim import BlockPartition, OptimizerConfig
 
 ROLES = ("embedding", "hidden", "readout", "bias")
 PARAMS = (
@@ -25,7 +25,7 @@ PARAMS = (
     "muon_adamexp",
 )
 ALT_MUON_PARAMS = ("muon_kimi_theta1", "muon_kimi_adamexp", "muon_adamexp")
-WD_MODES = ("constant", "inv_width")
+WD_SCALINGS = ("constant", "inv_width")
 
 # Hidden layers initialize at c/sqrt(d_in); embeddings at a fixed scale.
 HIDDEN_INIT_C = 1.0
@@ -78,16 +78,12 @@ class LayerSpec:
         return self.d_out if self.b_out is None else min(self.b_out, self.d_out)
 
     @property
-    def n_in(self) -> int:
-        return math.ceil(self.d_in / self.b_in_eff)
-
-    @property
-    def n_out(self) -> int:
-        return math.ceil(self.d_out / self.b_out_eff)
+    def tiles(self) -> BlockPartition:
+        return BlockPartition(self.d_out, self.d_in, self.b_out_eff, self.b_in_eff)
 
     @property
     def n_blk(self) -> int:
-        return self.n_in * self.n_out
+        return len(self.tiles)
 
     def base_shape(self, base_width: int | None = None) -> tuple[int, int]:
         """Return (base_d_in, base_d_out), deriving unset dims from base_width."""
@@ -140,7 +136,7 @@ class ScalingPlan:
             raise ValueError("eta_base must be positive")
         if self.wd_base < 0:
             raise ValueError("wd_base must be >= 0")
-        if self.wd_mode not in WD_MODES:
+        if self.wd_mode not in WD_SCALINGS:
             raise ValueError(f"unknown wd_mode {self.wd_mode!r}")
         if not 0.0 <= self.alpha_depth <= 1.0:
             raise ValueError("alpha_depth must lie in [0, 1]")
@@ -150,21 +146,36 @@ class ScalingPlan:
 
 @dataclass(frozen=True)
 class LayerHyper:
+    """One layer's row of the plan: everything per-layer that training uses.
+
+    eps is the update rule's own damping, graft_eps the guard on the
+    direction norm in the graft ratio and graft_ref_eps the damping inside
+    the graft reference rule; the graft fields default to OptimizerConfig's
+    defaults and are unused by ungrafted optimizers.
+    """
+
     eta: float
     eps: float
     sigma_init: float
     residual_mult: float
     lambda_wd: float
+    graft_eps: float = 0.0
+    graft_ref_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        for field_name in ("eta", "eps", "sigma_init", "residual_mult", "lambda_wd"):
-            v = getattr(self, field_name)
+        for field_name, v in asdict(self).items():
             if not math.isfinite(v):
                 raise ValueError(f"{field_name} must be finite, got {v!r}")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
-        if self.eps < 0 or self.sigma_init < 0 or self.lambda_wd < 0:
-            raise ValueError("eps, sigma_init and lambda_wd must be >= 0")
+        if min(self.eps, self.graft_eps, self.graft_ref_eps, self.sigma_init, self.lambda_wd) < 0:
+            raise ValueError("eps values, sigma_init and lambda_wd must be >= 0")
+
+    def optimizer(self, opt: OptimizerConfig) -> OptimizerConfig:
+        """opt with every damping value taken from this row."""
+        return replace(
+            opt, eps=self.eps, graft_eps=self.graft_eps, graft_ref_eps=self.graft_ref_eps
+        )
 
 
 @dataclass(frozen=True)
@@ -251,14 +262,19 @@ def _eps_formula(rule: str, e_l: float, e_r: float, spec: LayerSpec) -> float:
     raise ValueError(f"no damping rule for {rule!r}")
 
 
-def _lr_column(opt: OptimizerConfig, role: str) -> tuple[str, float, float]:
-    """Pick (rule, e_l, e_r) governing the learning-rate column."""
+def _rule_column(opt: OptimizerConfig, role: str) -> tuple[str, float, float]:
+    """(rule, e_l, e_r) of the update rule itself; biases follow adam."""
     if role == "bias":
         return "adam", 0.0, 0.0
-    if opt.graft_rule is not None:
+    return opt.rule, opt.e_l, opt.e_r
+
+
+def _lr_column(opt: OptimizerConfig, role: str) -> tuple[str, float, float]:
+    """Pick (rule, e_l, e_r) governing the learning-rate column."""
+    if opt.graft_rule is not None and role != "bias":
         # norm comes from the reference optimizer, so its rule sets the lr
         return opt.graft_rule, 0.0, 0.0
-    return opt.rule, opt.e_l, opt.e_r
+    return _rule_column(opt, role)
 
 
 def _ratio(formula, rule: str, e_l: float, e_r: float, spec: LayerSpec, plan: ScalingPlan) -> float:
@@ -287,42 +303,33 @@ def lr_multiplier(spec: LayerSpec, opt: OptimizerConfig, plan: ScalingPlan) -> f
     return _ratio(_lr_formula, rule, e_l, e_r, _resolve_blocks(spec, opt), plan)
 
 
-def eps_scale(spec: LayerSpec, opt: OptimizerConfig, plan: ScalingPlan) -> float:
-    """Damping factor relative to the base shape.
+def _guard_formula(rule: str, e_l: float, e_r: float, spec: LayerSpec) -> float:
+    """Graft guard on the direction norm: sqrt(d_out/d_in) / lr_formula(Q2)."""
+    return math.sqrt(spec.d_out / spec.d_in) / _lr_formula(rule, e_l, e_r, spec)
 
-    For grafted configs this is the guard on the direction norm,
-    (1/lr_formula(Q2)) * sqrt(d_out/d_in); for relative-mode Shampoo the
-    damping already tracks the factor spectrum, so the factor is 1.
+
+def _damping(spec: LayerSpec, opt: OptimizerConfig, plan: ScalingPlan) -> dict[str, float]:
+    """The layer's eps, graft_eps and graft_ref_eps: opt's values times their
+    ratio to the base shape.
+
+    Every ratio is 1 under sp and spectral_norm. Relative-mode Shampoo damping
+    already tracks the factor spectrum, so its eps ratio is 1 too, and
+    ungrafted configs leave the graft values at ratio 1.
     """
-    _check_pair(opt, plan)
-    if plan.param in ("sp", "spectral_norm"):
-        return 1.0
-    if opt.graft_rule is not None:
-
-        def guard(rule: str, e_l: float, e_r: float, s: LayerSpec) -> float:
-            return math.sqrt(s.d_out / s.d_in) / _lr_formula(rule, e_l, e_r, s)
-
-        return _ratio(guard, opt.rule, opt.e_l, opt.e_r, _resolve_blocks(spec, opt), plan)
-    return _rule_eps_scale(spec, opt, plan)
-
-
-def _rule_eps_scale(spec: LayerSpec, opt: OptimizerConfig, plan: ScalingPlan) -> float:
-    """Damping factor for the main rule's own eps, ignoring any graft."""
-    if plan.param in ("sp", "spectral_norm"):
-        return 1.0
-    if opt.rule == "shampoo" and opt.eps_mode == "relative":
-        return 1.0
-    rule, e_l, e_r = (opt.rule, opt.e_l, opt.e_r)
-    if spec.role == "bias":
-        rule, e_l, e_r = "adam", 0.0, 0.0
-    return _ratio(_eps_formula, rule, e_l, e_r, _resolve_blocks(spec, opt), plan)
-
-
-def _graft_ref_eps_scale(spec: LayerSpec, opt: OptimizerConfig, plan: ScalingPlan) -> float:
-    """Damping factor for the grafting reference optimizer's eps."""
-    if plan.param in ("sp", "spectral_norm") or opt.graft_rule is None:
-        return 1.0
-    return _ratio(_eps_formula, opt.graft_rule, 0.0, 0.0, spec, plan)
+    scale = {"eps": 1.0, "graft_eps": 1.0, "graft_ref_eps": 1.0}
+    if plan.param not in ("sp", "spectral_norm"):
+        blocked = _resolve_blocks(spec, opt)
+        if not (opt.rule == "shampoo" and opt.eps_mode == "relative"):
+            rule, e_l, e_r = _rule_column(opt, spec.role)
+            scale["eps"] = _ratio(_eps_formula, rule, e_l, e_r, blocked, plan)
+        if opt.graft_rule is not None:
+            scale["graft_eps"] = _ratio(
+                _guard_formula, opt.rule, opt.e_l, opt.e_r, blocked, plan
+            )
+            scale["graft_ref_eps"] = _ratio(
+                _eps_formula, opt.graft_rule, 0.0, 0.0, spec, plan
+            )
+    return {name: getattr(opt, name) * ratio for name, ratio in scale.items()}
 
 
 def init_sigma(spec: LayerSpec, plan: ScalingPlan) -> float:
@@ -341,7 +348,7 @@ def residual_multiplier(depth: int, alpha: float) -> float:
 
 
 def wd_scale(width: int, base_width: int, mode: str) -> float:
-    if mode not in WD_MODES:
+    if mode not in WD_SCALINGS:
         raise ValueError(f"unknown wd_mode {mode!r}")
     if width < 1 or base_width < 1:
         raise ValueError("widths must be positive")
@@ -382,10 +389,9 @@ def build_plan(
     lam = plan.wd_base * wd_scale(manifest.width, plan.base_width, plan.wd_mode)
     table: dict[str, LayerHyper] = {}
     for spec in manifest.layers:
-        eps_base = opt.graft_eps if opt.graft_rule is not None else opt.eps
         fields = {
             "eta": plan.eta_base * lr_multiplier(spec, opt, plan),
-            "eps": eps_base * eps_scale(spec, opt, plan),
+            **_damping(spec, opt, plan),
             "sigma_init": init_sigma(spec, plan),
             "residual_mult": (
                 residual_multiplier(spec.depth_l, plan.alpha_depth)
@@ -407,17 +413,7 @@ def build_plan(
 
 
 def plan_to_json(table: dict[str, LayerHyper]) -> str:
-    doc = {
-        name: {
-            "eta": h.eta,
-            "eps": h.eps,
-            "sigma_init": h.sigma_init,
-            "residual_mult": h.residual_mult,
-            "lambda_wd": h.lambda_wd,
-        }
-        for name, h in table.items()
-    }
-    return json.dumps(doc, indent=2)
+    return json.dumps({name: asdict(h) for name, h in table.items()}, indent=2)
 
 
 def plan_from_json(text: str) -> dict[str, LayerHyper]:

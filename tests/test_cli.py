@@ -110,6 +110,16 @@ class TestPlanCommand:
         assert main(["plan", "--config", path]) == 2
         assert "scaling.overrides" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", ["coordcheck", "depthcheck", "lrsweep", "rankscan", "oracle"]
+    )
+    def test_overrides_rejected_where_training_ignores_them(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, scaling={"overrides": {"fc2": {"eta": 1.0}}})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert "scaling.overrides" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCoordcheckCommand:
     def test_artifacts_and_exit_zero(self, tmp_path, capsys):

@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mupre import harness
 from mupre.harness import (
     CSV_HEADER,
     ExponentCheck,
     MetricRecord,
     SweepConfig,
-    _layer_config,
     compute_multiplier,
     coord_check,
     dense_shampoo,
@@ -25,8 +25,9 @@ from mupre.harness import (
     run_summary,
     run_training,
 )
+from mupre.models import mlp_manifest
 from mupre.optim import OptimizerConfig
-from mupre.scaling import LayerHyper, LayerSpec, ScalingPlan
+from mupre.scaling import LayerHyper, LayerSpec, ModelManifest, ScalingPlan, build_plan
 
 
 def hyper(eta=1.0, eps=1e-8):
@@ -207,12 +208,17 @@ class TestComputeMultiplier:
         assert est.value == pytest.approx(1.4, rel=1e-10)
 
 
+def plan_row(spec, opt, plan):
+    manifest = ModelManifest(width=spec.d_in, depth=1, layers=(spec,))
+    return build_plan(manifest, opt, plan)[spec.name]
+
+
 class TestLayerConfig:
     def test_eps_scales_with_rule_column(self):
         opt = OptimizerConfig("adam", eps=1e-8)
         spec = LayerSpec("h", "hidden", d_in=16, d_out=16, base_d_in=8, base_d_out=8)
-        cfg = _layer_config(spec, opt, mup())
-        assert cfg.eps == pytest.approx(1e-8 * 0.5, rel=1e-12)
+        row = plan_row(spec, opt, mup())
+        assert row.eps == pytest.approx(1e-8 * 0.5, rel=1e-12)
 
     def test_graft_knobs_scale_independently(self):
         opt = OptimizerConfig(
@@ -220,12 +226,41 @@ class TestLayerConfig:
             graft_rule="adam", graft_eps=1e-10, graft_ref_eps=1e-8,
         )
         spec = LayerSpec("h", "hidden", d_in=16, d_out=16, base_d_in=8, base_d_out=8)
-        cfg = _layer_config(spec, opt, mup())
+        row = plan_row(spec, opt, mup())
         # relative shampoo eps rides along unscaled
-        assert cfg.eps == pytest.approx(1e-8, rel=1e-12)
+        assert row.eps == pytest.approx(1e-8, rel=1e-12)
         # guard column: sqrt(d_out/d_in) / lr formula, ratio vs base is 1 here
-        assert cfg.graft_eps == pytest.approx(1e-10, rel=1e-12)
-        assert cfg.graft_ref_eps == pytest.approx(1e-8 * 0.5, rel=1e-12)
+        assert row.graft_eps == pytest.approx(1e-10, rel=1e-12)
+        assert row.graft_ref_eps == pytest.approx(1e-8 * 0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("opt", [
+        OptimizerConfig("adam", eps=1e-8),
+        OptimizerConfig(
+            "shampoo", e_l=0.5, e_r=0.5, eps=1e-5, eps_mode="absolute",
+            graft_rule="adam", graft_eps=1e-10, graft_ref_eps=1e-7,
+            block_in=4, block_out=4,
+        ),
+    ], ids=["adam", "adam_graft_on_blocked_shampoo"])
+    def test_training_runs_the_printed_plan(self, opt, monkeypatch):
+        seen = []
+        step = harness.optimizer_step
+
+        def spy(state, g, cfg):
+            seen.append(cfg)
+            return step(state, g, cfg)
+
+        monkeypatch.setattr(harness, "optimizer_step", spy)
+        cfg = smoke_cfg(opt=opt, steps=2, probe_steps=(1,))
+        res = run_training(cfg, 16, 1, 0.05, seed=0)
+        table = build_plan(mlp_manifest(16, 8), opt, mup())
+        assert len(seen) == 2 * len(res.layer_names)
+        for name, used in zip(res.layer_names * 2, seen):
+            row = table[name]
+            assert (used.eps, used.graft_eps, used.graft_ref_eps) == (
+                row.eps, row.graft_eps, row.graft_ref_eps
+            )
+            assert replace(used, eps=opt.eps, graft_eps=opt.graft_eps,
+                           graft_ref_eps=opt.graft_ref_eps) == opt
 
 
 class TestSweepConfigValidation:

@@ -1,16 +1,22 @@
 import math
+from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mupre.optim import OptimizerConfig
+from mupre.models import resmlp_manifest
+from mupre.optim import EPS_MODES, GRAFT_RULES, RULES, OptimizerConfig
 from mupre.scaling import (
+    ALT_MUON_PARAMS,
+    PARAMS,
+    WD_SCALINGS,
     LayerHyper,
     LayerSpec,
     ModelManifest,
     ScalingPlan,
     alt_muon_multiplier,
     build_plan,
-    eps_scale,
     init_sigma,
     lr_multiplier,
     plan_from_json,
@@ -32,11 +38,21 @@ def opt(rule, **kw):
     return OptimizerConfig(rule=rule, **kw)
 
 
+def plan_eps(spec, c, plan):
+    """The plan's eps for this one layer relative to a unit configured eps."""
+    return plan_row(spec, replace(c, eps=1.0), plan).eps
+
+
+def plan_row(spec, c, plan):
+    manifest = ModelManifest(width=spec.d_in, depth=1, layers=(spec,))
+    return build_plan(manifest, c, plan)[spec.name]
+
+
 class TestLayerSpec:
     def test_block_counts(self):
         s = LayerSpec("w", "hidden", d_in=70, d_out=33, b_in=32, b_out=32)
         assert (s.b_in_eff, s.b_out_eff) == (32, 32)
-        assert (s.n_in, s.n_out, s.n_blk) == (3, 2, 6)
+        assert (s.tiles.n_in, s.tiles.n_out, s.n_blk) == (3, 2, 6)
 
     def test_block_capped_at_dim(self):
         s = LayerSpec("w", "hidden", d_in=16, d_out=16, b_in=32, b_out=32)
@@ -197,45 +213,45 @@ class TestLrMultiplier:
 class TestEpsScale:
     def test_muon_depth_halving(self):
         s = hidden(64, 64, base_in=64, base_out=64, in_residual=True, depth_l=2)
-        assert eps_scale(s, opt("muon"), mk_plan()) == pytest.approx(0.5)
+        assert plan_eps(s, opt("muon"), mk_plan()) == pytest.approx(0.5)
 
     def test_adamuon_width_halving(self):
         s = hidden(128, 128, base_in=64, base_out=64)
-        assert eps_scale(s, opt("adamuon"), mk_plan()) == pytest.approx(0.5)
+        assert plan_eps(s, opt("adamuon"), mk_plan()) == pytest.approx(0.5)
 
     def test_shampoo_absolute_square_invariant(self):
         s = hidden(128, 128, base_in=64, base_out=64)
         c = opt("shampoo", e_l=0.5, e_r=0.5, eps_mode="absolute")
-        assert eps_scale(s, c, mk_plan()) == pytest.approx(1.0)
+        assert plan_eps(s, c, mk_plan()) == pytest.approx(1.0)
 
     def test_shampoo_relative_always_one(self):
         s = hidden(512, 128, base_in=64, base_out=64, b_in=32, b_out=32)
         c = opt("shampoo", e_l=0.5, e_r=0.5, eps_mode="relative")
-        assert eps_scale(s, c, mk_plan()) == 1.0
+        assert plan_eps(s, c, mk_plan()) == 1.0
 
     def test_adam_column(self):
         s = hidden(64, 128, base_in=64, base_out=64)
-        assert eps_scale(s, opt("adam"), mk_plan()) == pytest.approx(0.5)
+        assert plan_eps(s, opt("adam"), mk_plan()) == pytest.approx(0.5)
 
     def test_soap_blocked_column(self):
         s = hidden(128, 128, base_in=64, base_out=64, b_in=4, b_out=4)
         c = opt("soap", e_l=1.0, e_r=1.0)
         # blocked factor stays 4, 1/d_out halves
-        assert eps_scale(s, c, mk_plan()) == pytest.approx(0.5)
+        assert plan_eps(s, c, mk_plan()) == pytest.approx(0.5)
 
     def test_graft_guard_column(self):
         s = hidden(64, 64, base_in=32, base_out=32, b_in=32, b_out=32)
-        c = opt("shampoo", e_l=0.5, e_r=0.5, graft_rule="adam")
+        c = opt("shampoo", e_l=0.5, e_r=0.5, graft_rule="adam", graft_eps=1.0)
         # guard = sqrt(d_out/d_in) / lr_formula(shampoo); n_blk grows 1 -> 4
-        assert eps_scale(s, c, mk_plan(base_width=32)) == pytest.approx(4.0)
+        assert plan_row(s, c, mk_plan(base_width=32)).graft_eps == pytest.approx(4.0)
 
     def test_sgd_flat(self):
         s = hidden(512, 64, base_in=64, base_out=64)
-        assert eps_scale(s, opt("sgd"), mk_plan()) == 1.0
+        assert plan_eps(s, opt("sgd"), mk_plan()) == 1.0
 
     def test_sp_flat(self):
         s = hidden(512, 512, base_in=64, base_out=64)
-        assert eps_scale(s, opt("adamuon"), mk_plan(param="sp")) == 1.0
+        assert plan_eps(s, opt("adamuon"), mk_plan(param="sp")) == 1.0
 
 
 class TestInitSigma:
@@ -346,7 +362,10 @@ class TestBuildPlan:
     def test_grafted_eps_base_is_guard(self):
         c = opt("shampoo", e_l=0.5, e_r=0.5, graft_rule="adam", graft_eps=1e-10)
         table = build_plan(self.manifest(d=64), c, mk_plan())
-        assert table["fc2"].eps == pytest.approx(1e-10)
+        # graft_eps starts from the guard; eps stays the rule's own damping
+        assert table["fc2"].graft_eps == pytest.approx(1e-10)
+        assert table["fc2"].graft_ref_eps == pytest.approx(1e-8)
+        assert table["fc2"].eps == 1e-8
 
     def test_override_applies(self):
         table = build_plan(
@@ -373,18 +392,15 @@ class TestBuildPlan:
         assert again == table
 
     def test_round_trip_as_overrides_is_identity(self):
-        table = build_plan(self.manifest(), opt("muon"), mk_plan(eta_base=0.2))
-        doc = plan_from_json(plan_to_json(table))
-        overrides = {
-            name: {
-                "eta": h.eta, "eps": h.eps, "sigma_init": h.sigma_init,
-                "residual_mult": h.residual_mult, "lambda_wd": h.lambda_wd,
-            }
-            for name, h in doc.items()
-        }
-        rebuilt = build_plan(self.manifest(), opt("muon"), mk_plan(eta_base=0.2),
-                             overrides=overrides)
-        assert rebuilt == table
+        grafted = opt("shampoo", eps_mode="absolute", graft_rule="adam", graft_eps=1e-10)
+        for c in (opt("muon"), grafted):
+            table = build_plan(self.manifest(), c, mk_plan(eta_base=0.2))
+            doc = plan_from_json(plan_to_json(table))
+            overrides = {name: asdict(h) for name, h in doc.items()}
+            assert set(overrides["fc2"]) >= {"eps", "graft_eps", "graft_ref_eps"}
+            rebuilt = build_plan(self.manifest(), c, mk_plan(eta_base=0.2),
+                                 overrides=overrides)
+            assert rebuilt == table
 
     def test_duplicate_layer_names_rejected(self):
         layers = (hidden(8, 8), hidden(8, 8))
@@ -402,3 +418,77 @@ class TestLayerHyper:
         with pytest.raises(ValueError, match="eta"):
             LayerHyper(eta=0.0, eps=0.0, sigma_init=0.0,
                        residual_mult=1.0, lambda_wd=0.0)
+
+
+unit_floats = st.floats(0.0, 1.0)
+blocks = st.one_of(st.none(), st.integers(1, 16))
+
+
+@st.composite
+def optimizer_configs(draw):
+    rule = draw(st.sampled_from(RULES))
+    sides = st.sampled_from((0.0, 1.0)) if rule == "soap" else st.floats(0.0, 2.0)
+    blocked = rule in ("shampoo", "soap")
+    return OptimizerConfig(
+        rule,
+        e_l=draw(sides),
+        e_r=draw(sides),
+        eps=draw(unit_floats),
+        eps_mode=draw(st.sampled_from(EPS_MODES)),
+        graft_rule=draw(st.sampled_from((None, *GRAFT_RULES))),
+        graft_eps=draw(unit_floats),
+        graft_ref_eps=draw(unit_floats),
+        block_in=draw(blocks) if blocked else None,
+        block_out=draw(blocks) if blocked else None,
+    )
+
+
+@st.composite
+def scaling_plans(draw):
+    param = draw(st.sampled_from(PARAMS))
+    return ScalingPlan(
+        param,
+        base_width=draw(st.integers(1, 64)),
+        eta_base=draw(st.floats(1e-6, 10.0)),
+        base_depth=draw(st.integers(1, 4)),
+        wd_base=draw(st.floats(0.0, 0.1)),
+        wd_mode=draw(st.sampled_from(WD_SCALINGS)),
+        alpha_depth=0.0 if param == "sp" else draw(unit_floats),
+    )
+
+
+layer_hypers = st.builds(
+    LayerHyper,
+    eta=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    eps=st.floats(min_value=0.0, allow_infinity=False),
+    sigma_init=st.floats(min_value=0.0, allow_infinity=False),
+    residual_mult=st.floats(allow_nan=False, allow_infinity=False),
+    lambda_wd=st.floats(min_value=0.0, allow_infinity=False),
+    graft_eps=st.floats(min_value=0.0, allow_infinity=False),
+    graft_ref_eps=st.floats(min_value=0.0, allow_infinity=False),
+)
+
+
+class TestPlanProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(c=optimizer_configs(), plan=scaling_plans())
+    def test_every_multiplier_is_one_at_base_shape(self, c, plan):
+        assume(plan.param not in ALT_MUON_PARAMS or (c.rule == "muon" and not c.graft_rule))
+        w = plan.base_width
+        extra = (
+            LayerSpec("fc1", "hidden", d_in=1, d_out=w, base_d_out=w),
+            LayerSpec("bias", "bias", d_in=1, d_out=w),
+        )
+        model = resmlp_manifest(w, plan.base_depth, w, plan.base_depth)
+        manifest = replace(model, layers=model.layers + extra)
+        for name, row in build_plan(manifest, c, plan).items():
+            assert row.eta == plan.eta_base, name
+            assert (row.eps, row.graft_eps, row.graft_ref_eps) == (
+                c.eps, c.graft_eps, c.graft_ref_eps
+            ), name
+            assert row.lambda_wd == plan.wd_base, name
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=st.dictionaries(st.text(max_size=8), layer_hypers, max_size=4))
+    def test_json_round_trip(self, table):
+        assert plan_from_json(plan_to_json(table)) == table
