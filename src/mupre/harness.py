@@ -603,7 +603,8 @@ def compute_multiplier(
     Interpolates the baseline (compute, loss) series linearly in log-log
     space; outside the observed range the two nearest points extrapolate.
     Non-monotone series are reduced to their strictly-improving envelope
-    and the estimate is flagged.
+    and the estimate is flagged. A baseline compute that overflows or
+    underflows float64 raises ValueError.
     """
     if len(baseline) < 2:
         raise ValueError("baseline series needs at least two points")
@@ -632,7 +633,12 @@ def compute_multiplier(
     # the segment holding target, or the end segment nearest it
     i = min(max(int(np.searchsorted(xs, target)), 1), len(xs) - 1)
     slope = (ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1])
-    base_c = float(np.exp(slope * (target - xs[i - 1]) + ys[i - 1]))
+    with np.errstate(over="ignore"):
+        base_c = float(np.exp(slope * (target - xs[i - 1]) + ys[i - 1]))
+    if not 0.0 < base_c < math.inf:
+        raise ValueError(
+            f"baseline compute extrapolated to loss {cand_l!r} is outside float64 range"
+        )
     extrapolated = bool(target < log_l[-1] or target > log_l[0])
     return MultiplierEstimate(value=base_c / cand_c, flagged=flagged,
                               extrapolated=extrapolated)

@@ -80,20 +80,26 @@ def sym_eig(a: Matrix, sym_tol: float = 1e-10) -> EigDecomp:
     return EigDecomp(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
 
 
-def mat_inv_power(a: Matrix, e: float, eps: float, neg_tol: float = 1e-6) -> Matrix:
+def mat_inv_power(
+    a: Matrix | EigDecomp, e: float, eps: float, neg_tol: float = 1e-6
+) -> Matrix:
     """(A + eps I)^(-e) for symmetric PSD A via eigendecomposition.
 
-    Eigenvalues that are slightly negative from accumulated round-off are
-    clamped to 0 before the inverse power; anything below -neg_tol * lambda_max
-    means the accumulator was corrupted and raises. e == 0 returns the exact
-    identity. eps == 0 with a clamped zero eigenvalue and e > 0 is singular.
+    A is either the matrix or its EigDecomp from sym_eig; a caller that has
+    already decomposed A passes the decomposition, and the result is the same
+    bits as for the matrix. Eigenvalues that are slightly negative from
+    accumulated round-off are clamped to 0 before the inverse power; anything
+    below -neg_tol * lambda_max means the accumulator was corrupted and
+    raises. e == 0 returns the exact identity. eps == 0 with a clamped zero
+    eigenvalue and e > 0 is singular.
     """
     if e < 0:
         raise ValueError(f"mat_inv_power exponent must be >= 0, got {e}")
-    a = as_matrix(a, "mat_inv_power input")
+    given = isinstance(a, EigDecomp)
     if e == 0:
-        return np.eye(a.shape[0])
-    dec = sym_eig(a)
+        n = a.eigenvalues.size if given else as_matrix(a, "mat_inv_power input").shape[0]
+        return np.eye(n)
+    dec = a if given else sym_eig(a)
     lam = dec.eigenvalues
     lam_max = float(lam[0]) if lam.size else 0.0
     if lam.size and float(lam[-1]) < -neg_tol * max(abs(lam_max), 1e-300):

@@ -36,6 +36,8 @@ from .linalg import (
 
 RULES = ("sgd", "adam", "shampoo", "soap", "muon", "adamuon")
 GRAFT_RULES = ("sgd", "adam")
+# rules whose own step keeps LayerState.v, the slot an adam graft reference uses
+SECOND_MOMENT_RULES = ("adam", "adamuon")
 NORMALIZE_MODES = ("none", "spectral", "rms")
 EPS_MODES = ("absolute", "relative")
 WD_MODES = ("independent", "coupled")
@@ -52,7 +54,9 @@ class OptimizerConfig:
     eps          damping; for shampoo interpreted per eps_mode, either an
                  absolute shift or a fraction of the factor's top eigenvalue
     graft_rule   optional reference rule whose update norm is grafted onto
-                 this rule's direction (full-matrix norms)
+                 this rule's direction (full-matrix norms); an adam reference
+                 is rejected for the adam and adamuon rules, which own the
+                 same second-moment slot
     graft_eps    guard added to the direction norm in the graft ratio
     graft_ref_eps damping used inside the reference rule's own step
     block_in/out tile sizes for blocked preconditioning (shampoo/soap only)
@@ -97,6 +101,11 @@ class OptimizerConfig:
             raise ValueError(f"eps_mode must be one of {EPS_MODES}")
         if self.graft_rule is not None and self.graft_rule not in GRAFT_RULES:
             raise ValueError(f"graft_rule must be one of {GRAFT_RULES}")
+        if self.graft_rule == "adam" and self.rule in SECOND_MOMENT_RULES:
+            raise ValueError(
+                f"graft_rule 'adam' cannot graft onto rule {self.rule!r}: both "
+                "would advance the layer's one second-moment slot"
+            )
         if (self.block_in or self.block_out) and self.rule not in ("shampoo", "soap"):
             raise ValueError("blocking is only defined for shampoo and soap")
         for b in (self.block_in, self.block_out):
@@ -288,12 +297,14 @@ def _shampoo_factor(acc: Matrix, e: float, eps: float, eps_mode: str) -> Matrix 
     input, which can only pair with a zero momentum block."""
     if e == 0.0:
         return None  # exact identity, skip the multiply entirely
-    if eps_mode == "relative":
-        top = float(sym_eig(acc).eigenvalues[0])
-        if top <= 0.0:
-            return None
-        eps = eps * top
-    return mat_inv_power(acc, e, eps)
+    if eps_mode == "absolute":
+        return mat_inv_power(acc, e, eps)
+    # one decomposition gives both the top eigenvalue and the inverse root
+    dec = sym_eig(acc)
+    top = float(dec.eigenvalues[0])
+    if top <= 0.0:
+        return None
+    return mat_inv_power(dec, e, eps * top)
 
 
 def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -453,7 +464,8 @@ def optimizer_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> Update
 
     The graft reference rule shares the layer's first moment (both rules use
     the same beta1 EMA of the gradient) and owns the spare second-moment slot,
-    so a single LayerState carries the whole grafted pair.
+    so a single LayerState carries the whole grafted pair. The slot is spare
+    because OptimizerConfig rejects an adam reference for SECOND_MOMENT_RULES.
     """
     if cfg.graft_rule is None:
         return _STEP_FNS[cfg.rule](state, g, cfg)

@@ -296,3 +296,13 @@ class TestMultiplierCommand:
         short.write_text("compute,loss\n1e15,3.3\n")
         _, cand = self.write_series(tmp_path)
         assert main(["multiplier", str(short), cand]) == 2
+
+    def test_overflowing_extrapolation_exits_2(self, tmp_path, capsys):
+        base = tmp_path / "base.csv"
+        base.write_text("compute,loss\n1e10,10.0\n1e20,0.1\n")
+        cand = tmp_path / "cand.csv"
+        cand.write_text("compute,loss\n1.0,1e-300\n")
+        out = tmp_path / "out"
+        assert main(["multiplier", str(base), str(cand), "--out", str(out)]) == 2
+        assert "outside float64 range" in capsys.readouterr().err
+        assert not out.exists()

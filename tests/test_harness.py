@@ -200,6 +200,11 @@ class TestComputeMultiplier:
         with pytest.raises(ValueError):
             compute_multiplier([(1e15, 3.3), (2e15, 3.3)], (1e15, 3.3))
 
+    @pytest.mark.parametrize("cand_l", [1e-300, 1e300])
+    def test_unrepresentable_extrapolation_rejected(self, cand_l):
+        with pytest.raises(ValueError, match="outside float64 range"):
+            compute_multiplier([(1e10, 10.0), (1e20, 0.1)], (1.0, cand_l))
+
     def test_log_log_exactness(self):
         # points on loss = C^-0.1: multiplier for a 1.4x-cheaper curve is 1.4
         base = [(c, c**-0.1) for c in (1e14, 1e15, 1e16)]

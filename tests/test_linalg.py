@@ -97,6 +97,18 @@ class TestMatInvPower:
         with pytest.raises(ValueError, match="PSD"):
             mat_inv_power(np.diag([1.0, -1.0]), 0.5, 1.0)
 
+    @pytest.mark.parametrize("e,eps", [(0.25, 1e-3), (0.5, 0.0), (1.0, 1e-2)])
+    def test_decomposition_input_matches_matrix_bits(self, e, eps):
+        a = rand_psd(9, 14)
+        assert np.array_equal(mat_inv_power(sym_eig(a), e, eps), mat_inv_power(a, e, eps))
+
+    def test_decomposition_input_keeps_checks(self):
+        assert np.array_equal(mat_inv_power(sym_eig(rand_psd(4, 15)), 0.0, 0.5), np.eye(4))
+        with pytest.raises(ValueError, match="singular"):
+            mat_inv_power(sym_eig(np.diag([1.0, 0.0])), 0.5, 0.0)
+        with pytest.raises(ValueError, match="PSD"):
+            mat_inv_power(sym_eig(np.diag([1.0, -1.0])), 0.5, 1.0)
+
 
 class TestNewtonSchulz:
     def test_identity_maps_near_identity(self):

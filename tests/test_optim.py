@@ -1,10 +1,17 @@
 import copy
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mupre.linalg import PowerIterState, mat_inv_power, spectral_norm_exact
+import mupre.linalg
+import mupre.optim
+from mupre.linalg import PowerIterState, mat_inv_power, spectral_norm_exact, sym_eig
 from mupre.optim import (
+    GRAFT_RULES,
+    RULES,
     BlockPartition,
     LayerState,
     OptimizerConfig,
@@ -32,6 +39,22 @@ def rank1(delta, x):
     return np.outer(np.asarray(delta, float), np.asarray(x, float))
 
 
+# per-rule settings OptimizerConfig needs beyond its defaults
+RULE_KW = {"soap": {"e_l": 1.0, "e_r": 1.0}}
+
+
+def accepted_graft_pairs():
+    """Every (rule, graft_rule) pair OptimizerConfig builds without error."""
+    pairs = []
+    for rule, graft_rule in product(RULES, GRAFT_RULES):
+        try:
+            cfg(rule, graft_rule=graft_rule, **RULE_KW.get(rule, {}))
+        except ValueError:
+            continue
+        pairs.append((rule, graft_rule))
+    return pairs
+
+
 class TestConfigValidation:
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="unknown rule"):
@@ -54,6 +77,13 @@ class TestConfigValidation:
     def test_graft_rule_vocabulary(self):
         with pytest.raises(ValueError, match="graft_rule"):
             cfg("shampoo", graft_rule="soap")
+
+    def test_adam_graft_rejected_where_the_rule_owns_the_second_moment(self):
+        rejected = set(product(RULES, GRAFT_RULES)) - set(accepted_graft_pairs())
+        assert rejected == {("adam", "adam"), ("adamuon", "adam")}
+        for rule in ("adam", "adamuon"):
+            with pytest.raises(ValueError, match="second-moment slot"):
+                cfg(rule, graft_rule="adam")
 
 
 class TestAdam:
@@ -165,6 +195,105 @@ class TestShampoo:
         c = cfg("shampoo", e_l=0.5, e_r=0.5, eps=1e-5)
         out = shampoo_step(LayerState(), np.zeros((3, 2)), c)
         assert np.array_equal(out.update, np.zeros((3, 2)))
+
+
+def two_decomposition_shampoo(g_seq, c):
+    """Relative-damping Shampoo updates by the two-decomposition route: each
+    factor is decomposed once for its top eigenvalue and again inside
+    mat_inv_power, with the step's arithmetic written out in the same order."""
+    m, acc, updates = 0.0, {}, []
+    for t, g in enumerate(g_seq, start=1):
+        m = c.beta1 * m + (1.0 - c.beta1) * g
+        part = block_partition(g, c.block_out, c.block_in)
+        corr1, corr2 = 1.0 - c.beta1**t, 1.0 - c.beta2**t
+        out_blocks = []
+        for i, (gb, mb) in enumerate(zip(part.split(g), part.split(m))):
+            l, r = acc.get(i, (0.0, 0.0))
+            l = c.beta2 * l + (1.0 - c.beta2) * (gb @ gb.T)
+            r = c.beta2 * r + (1.0 - c.beta2) * (gb.T @ gb)
+            l, r = (l + l.T) / 2.0, (r + r.T) / 2.0
+            acc[i] = (l, r)
+            upd = mb / corr1
+            for side, a, e in (("l", l / corr2, c.e_l), ("r", r / corr2, c.e_r)):
+                if e == 0.0:
+                    continue
+                top = float(sym_eig(a).eigenvalues[0])
+                if top <= 0.0:
+                    upd = np.zeros_like(mb)
+                    break
+                p = mat_inv_power(a, e, c.eps * top)
+                upd = p @ upd if side == "l" else upd @ p
+            out_blocks.append(upd)
+        updates.append(part.join(out_blocks))
+    return updates
+
+
+class TestRelativeDamping:
+    """Relative mode takes a factor's top eigenvalue and its inverse root from
+    one eigendecomposition."""
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return sym_eig(a, *args, **kwargs)
+
+        monkeypatch.setattr(mupre.optim, "sym_eig", counting)
+        monkeypatch.setattr(mupre.linalg, "sym_eig", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "blocks,e_r,per_step",
+        [((None, None), 0.5, 2), ((3, 4), 0.5, 8), ((3, 4), 0.0, 4)],
+        ids=["unblocked", "blocked-2x2", "blocked-2x2-left-only"],
+    )
+    def test_one_decomposition_per_factor_per_tile(self, eig_calls, blocks, e_r, per_step):
+        b_out, b_in = blocks
+        c = cfg("shampoo", e_l=0.25, e_r=e_r, eps=1e-3, block_out=b_out, block_in=b_in)
+        rng = np.random.default_rng(16)
+        state = LayerState()
+        for step in range(1, 4):
+            shampoo_step(state, rng.standard_normal((6, 8)), c)
+            assert len(eig_calls) == per_step * step
+
+    @pytest.mark.parametrize("e_l,e_r", [(0.25, 0.25), (0.5, 0.0), (0.0, 1.0)])
+    def test_bits_match_two_decomposition_route(self, e_l, e_r):
+        rng = np.random.default_rng(17)
+        g_seq = []
+        for _ in range(5):
+            g = rng.standard_normal((6, 8))
+            g[:3, :4] = 0.0  # one tile whose gradient stays zero
+            g_seq.append(g)
+        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, block_out=3, block_in=4)
+        state = LayerState()
+        for g, want in zip(g_seq, two_decomposition_shampoo(g_seq, c)):
+            got = shampoo_step(state, g, c).update
+            assert np.array_equal(got, want)
+        assert not np.any(got[:3, :4])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scale=st.floats(1e-3, 1e3),
+        e_l=st.sampled_from((0.0, 0.25, 0.5)),
+        e_r=st.sampled_from((0.0, 0.25, 0.5)),
+        eps=st.sampled_from((1e-4, 1e-2)),
+        block=st.sampled_from((None, 3)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_direction_invariant_to_gradient_scale(self, scale, e_l, e_r, eps, block, seed):
+        # relative damping scales with the factors: (c^2 (L + eps' I))^(-e)
+        # = c^(-2e) (L + eps' I)^(-e), so the update scales by c^(1-2e_l-2e_r)
+        rng = np.random.default_rng(seed)
+        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=eps, block_out=block, block_in=block)
+        state, scaled_state = LayerState(), LayerState()
+        factor = scale ** (1.0 - 2.0 * e_l - 2.0 * e_r)
+        for _ in range(3):
+            g = rng.standard_normal((5, 4))
+            out = shampoo_step(state, g, c).update
+            scaled = shampoo_step(scaled_state, scale * g, c).update / factor
+            assert np.max(np.abs(scaled - out)) <= 1e-8 * np.max(np.abs(out))
 
 
 class TestSoap:
@@ -311,6 +440,22 @@ class TestGraft:
         out = optimizer_step(LayerState(), g, c)
         cos = np.sum(out.update * base.update) / (out.frob * base.frob)
         assert cos == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("rule,graft_rule", accepted_graft_pairs())
+    def test_grafted_update_is_positive_multiple_of_ungrafted(self, rule, graft_rule):
+        # the graft reference must not disturb the rule's own state: over
+        # several steps the grafted update stays a positive scalar multiple
+        rng = np.random.default_rng(15)
+        c_base = cfg(rule, **RULE_KW.get(rule, {}))
+        c_graft = cfg(rule, graft_rule=graft_rule, **RULE_KW.get(rule, {}))
+        state, base_state = LayerState(), LayerState()
+        for _ in range(6):
+            g = rng.standard_normal((6, 5))
+            out = optimizer_step(state, g, c_graft).update
+            base = optimizer_step(base_state, g, c_base).update
+            scale = np.sum(out * base) / np.sum(base * base)
+            assert scale > 0.0
+            assert np.max(np.abs(out - scale * base)) <= 1e-12 * np.max(np.abs(out))
 
 
 class TestBlocking:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mupre.models import resmlp_manifest
-from mupre.optim import EPS_MODES, GRAFT_RULES, RULES, OptimizerConfig
+from mupre.optim import EPS_MODES, GRAFT_RULES, RULES, SECOND_MOMENT_RULES, OptimizerConfig
 from mupre.scaling import (
     ALT_MUON_PARAMS,
     PARAMS,
@@ -429,13 +429,15 @@ def optimizer_configs(draw):
     rule = draw(st.sampled_from(RULES))
     sides = st.sampled_from((0.0, 1.0)) if rule == "soap" else st.floats(0.0, 2.0)
     blocked = rule in ("shampoo", "soap")
+    # an adam reference would share the second-moment slot these rules own
+    grafts = (None, "sgd") if rule in SECOND_MOMENT_RULES else (None, *GRAFT_RULES)
     return OptimizerConfig(
         rule,
         e_l=draw(sides),
         e_r=draw(sides),
         eps=draw(unit_floats),
         eps_mode=draw(st.sampled_from(EPS_MODES)),
-        graft_rule=draw(st.sampled_from((None, *GRAFT_RULES))),
+        graft_rule=draw(st.sampled_from(grafts)),
         graft_eps=draw(unit_floats),
         graft_ref_eps=draw(unit_floats),
         block_in=draw(blocks) if blocked else None,
