@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .harness import (
@@ -27,7 +28,6 @@ from .harness import (
     records_csv,
     run_summary,
 )
-from .models import mlp_manifest, resmlp_manifest
 from .optim import OptimizerConfig
 from .scaling import ScalingPlan, build_plan, plan_to_json
 
@@ -36,57 +36,22 @@ class ConfigError(Exception):
     pass
 
 
-# section -> key -> (required, default). Values construct dataclasses whose
-# own validation produces the semantic errors; here we gate names and shapes.
+_MODEL_KEYS = ("arch", "widths", "depths", "n_layers", "activation", "seeds")
+
+
+def _defaults(cls, where=lambda name: True) -> dict:
+    """key -> default of the dataclass fields that where(name) selects;
+    MISSING marks a field without a default, which the config must give."""
+    return {f.name: f.default for f in fields(cls) if where(f.name)}
+
+
+# section -> key -> default. Values construct dataclasses whose own
+# validation produces the semantic errors; here we gate names and shapes.
 _SCHEMA = {
-    "model": {
-        "arch": "mlp",
-        "widths": None,
-        "depths": [1],
-        "n_layers": 3,
-        "activation": "tanh",
-        "seeds": [0],
-    },
-    "optimizer": {
-        "rule": None,
-        "e_l": 0.5,
-        "e_r": 0.5,
-        "beta1": 0.9,
-        "beta2": 0.95,
-        "eps": 1e-8,
-        "eps_mode": "relative",
-        "graft_rule": None,
-        "graft_eps": 0.0,
-        "graft_ref_eps": 1e-8,
-        "block_in": None,
-        "block_out": None,
-        "normalize": "none",
-        "precond_freq": 1,
-        "ns_iters": 5,
-        "rms_align": False,
-    },
-    "scaling": {
-        "param": None,
-        "base_width": None,
-        "eta_base": None,
-        "base_depth": 1,
-        "wd_base": 0.0,
-        "wd_mode": "constant",
-        "alpha_depth": 0.0,
-        "overrides": {},
-    },
-    "sweep": {
-        "steps": 300,
-        "batch_size": 32,
-        "lr_grid": [1.0],
-        "probe_steps": [10, 200],
-        "probe_batch": 16,
-        "teacher_seed": 7,
-        "probe_seed": 9999,
-        "record_every": 0,
-        "divergence_factor": 1e4,
-        "wd_variant": "independent",
-    },
+    "model": _defaults(SweepConfig, lambda name: name in _MODEL_KEYS),
+    "optimizer": _defaults(OptimizerConfig),
+    "scaling": {**_defaults(ScalingPlan), "overrides": {}},
+    "sweep": _defaults(SweepConfig, lambda name: name not in ("opt", "plan", *_MODEL_KEYS)),
     "output": {
         "directory": ".",
         "formats": ["csv", "jsonl"],
@@ -165,7 +130,7 @@ def load_config(path: str) -> RunConfig:
         for key, default in schema.items():
             if key in given:
                 merged[key] = given[key]
-            elif default is None and key in ("widths", "rule", "param", "base_width", "eta_base"):
+            elif default is MISSING:
                 raise ConfigError(f"{path}: {name}.{key}: required key is missing")
             else:
                 merged[key] = default
@@ -196,34 +161,19 @@ def build_objects(
         plan = ScalingPlan(**scale_kw)
     except (ValueError, TypeError) as exc:
         raise cfg.error("scaling", str(exc))
-    model = cfg.sections["model"]
+    model = dict(cfg.sections["model"])
+    if seed is not None:
+        model["seeds"] = (seed,)
     sweep = cfg.sections["sweep"]
-    for dotted in ("widths", "depths"):
-        for v in _as_tuple(cfg, f"model.{dotted}", model[dotted]):
+    for key in ("widths", "depths"):
+        for v in _as_tuple(cfg, f"model.{key}", model[key]):
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise cfg.error(f"model.{dotted}", f"entry {v!r} must be a positive integer")
-    seeds = (seed,) if seed is not None else _as_tuple(cfg, "model.seeds", model["seeds"])
+                raise cfg.error(f"model.{key}", f"entry {v!r} must be a positive integer")
+    _as_tuple(cfg, "model.seeds", model["seeds"])
+    _as_tuple(cfg, "sweep.lr_grid", sweep["lr_grid"])
+    _as_tuple(cfg, "sweep.probe_steps", sweep["probe_steps"])
     try:
-        sweep_cfg = SweepConfig(
-            opt=opt,
-            plan=plan,
-            widths=_as_tuple(cfg, "model.widths", model["widths"]),
-            depths=_as_tuple(cfg, "model.depths", model["depths"]),
-            arch=model["arch"],
-            n_layers=model["n_layers"],
-            activation=model["activation"],
-            steps=sweep["steps"],
-            batch_size=sweep["batch_size"],
-            lr_grid=_as_tuple(cfg, "sweep.lr_grid", sweep["lr_grid"]),
-            seeds=seeds,
-            probe_steps=_as_tuple(cfg, "sweep.probe_steps", sweep["probe_steps"]),
-            probe_batch=sweep["probe_batch"],
-            teacher_seed=sweep["teacher_seed"],
-            probe_seed=sweep["probe_seed"],
-            record_every=sweep["record_every"],
-            divergence_factor=sweep["divergence_factor"],
-            wd_variant=sweep["wd_variant"],
-        )
+        sweep_cfg = SweepConfig(opt=opt, plan=plan, **model, **sweep)
     except (ValueError, TypeError) as exc:
         raise cfg.error("sweep", str(exc))
     return opt, plan, sweep_cfg
@@ -277,10 +227,6 @@ def _run_experiment(fn, sweep_cfg: SweepConfig, jobs: int):
         raise ConfigError(str(exc))
 
 
-class CheckFailure(Exception):
-    pass
-
-
 def _check(name: str, value: float, bound: float, *, upper: bool = True) -> bool:
     rel = "<=" if upper else ">="
     ok = value <= bound if upper else value >= bound
@@ -315,12 +261,7 @@ def _slopes_json(result) -> dict:
 
 def cmd_plan(cfg: RunConfig, args) -> int:
     opt, plan, sweep_cfg = build_objects(cfg, args.seed)
-    width = sweep_cfg.widths[0]
-    depth = sweep_cfg.depths[0]
-    if sweep_cfg.arch == "mlp":
-        manifest = mlp_manifest(width, plan.base_width, sweep_cfg.n_layers)
-    else:
-        manifest = resmlp_manifest(width, depth, plan.base_width, plan.base_depth)
+    manifest = sweep_cfg.manifest(sweep_cfg.widths[0], sweep_cfg.depths[0])
     overrides = cfg.sections["scaling"]["overrides"]
     try:
         table = build_plan(manifest, opt, plan, overrides or None)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import NS_DEFAULT_EPS, NS_QUINTIC, PowerIterState, mat_inv_power, ns_schedule, sym_eig
 from .models import (
+    ACTIVATIONS,
     MlpModel,
     ResMlpModel,
     coord_probe,
@@ -25,6 +26,7 @@ from .models import (
     synth_batch,
 )
 from .optim import (
+    WD_MODES,
     BlockPartition,
     LayerState,
     OptimizerConfig,
@@ -75,6 +77,14 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.arch not in ARCHS:
             raise ValueError(f"unknown arch {self.arch!r}; expected one of {ARCHS}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(
+                f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}"
+            )
+        if self.wd_variant not in WD_MODES:
+            raise ValueError(
+                f"unknown wd_variant {self.wd_variant!r}; expected one of {WD_MODES}"
+            )
         for name in ("widths", "depths", "lr_grid", "seeds", "probe_steps"):
             vals = getattr(self, name)
             object.__setattr__(self, name, tuple(vals))
@@ -98,6 +108,12 @@ class SweepConfig:
             raise ValueError("need at least two layers")
         if self.divergence_factor <= 1:
             raise ValueError("divergence_factor must exceed 1")
+
+    def manifest(self, width: int, depth: int) -> ModelManifest:
+        """The model of one grid cell; an mlp ignores depth."""
+        if self.arch == "mlp":
+            return mlp_manifest(width, self.plan.base_width, self.n_layers)
+        return resmlp_manifest(width, depth, self.plan.base_width, self.plan.base_depth)
 
 
 @dataclass(frozen=True)
@@ -185,10 +201,7 @@ def run_training(
 ) -> RunResult:
     """Train one model, recording probes; stops early on divergence."""
     plan = replace(cfg.plan, eta_base=eta_base)
-    if cfg.arch == "mlp":
-        manifest = mlp_manifest(width, plan.base_width, cfg.n_layers)
-    else:
-        manifest = resmlp_manifest(width, depth, plan.base_width, plan.base_depth)
+    manifest = cfg.manifest(width, depth)
     table = build_plan(manifest, cfg.opt, plan)
     specs = {s.name: s for s in manifest.layers}
     model_cls = MlpModel if cfg.arch == "mlp" else ResMlpModel

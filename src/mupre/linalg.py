@@ -192,12 +192,3 @@ def spectral_norm_exact(a: Matrix) -> float:
     top = float(lam[0]) if lam.size else 0.0
     return float(np.sqrt(max(top, 0.0)))
 
-
-def stable_rank(a: Matrix) -> float:
-    """|A|_F^2 / |A|_2^2; always within [1, min(shape)] up to round-off."""
-    a = as_matrix(a, "stable_rank input")
-    fro2 = float(np.sum(a * a))
-    if fro2 == 0.0:
-        raise ValueError("stable_rank is undefined for the zero matrix")
-    spec = spectral_norm_exact(a)
-    return fro2 / (spec * spec)

@@ -56,7 +56,8 @@ class OptimizerConfig:
     graft_rule   optional reference rule whose update norm is grafted onto
                  this rule's direction (full-matrix norms); an adam reference
                  is rejected for the adam and adamuon rules, which own the
-                 same second-moment slot
+                 same second-moment slot, and adamuon takes no graft at all,
+                 since its first moment is not the gradient's
     graft_eps    guard added to the direction norm in the graft ratio
     graft_ref_eps damping used inside the reference rule's own step
     block_in/out tile sizes for blocked preconditioning (shampoo/soap only)
@@ -105,6 +106,11 @@ class OptimizerConfig:
             raise ValueError(
                 f"graft_rule 'adam' cannot graft onto rule {self.rule!r}: both "
                 "would advance the layer's one second-moment slot"
+            )
+        if self.graft_rule is not None and self.rule == "adamuon":
+            raise ValueError(
+                "rule 'adamuon' takes no graft_rule: its first moment holds the "
+                "orthogonalized gradient, not the gradient a graft reference reads"
             )
         if (self.block_in or self.block_out) and self.rule not in ("shampoo", "soap"):
             raise ValueError("blocking is only defined for shampoo and soap")
@@ -162,15 +168,13 @@ class LayerState:
 
     t counts completed steps. m/v are full-matrix first/second moments
     (v doubles as the graft reference's second moment). blocks holds the
-    per-tile factor state for shampoo/soap. pi carries the power-iteration
-    state when spectral normalization is on.
+    per-tile factor state for shampoo/soap.
     """
 
     t: int = 0
     m: Matrix | None = None
     v: Matrix | None = None
     blocks: list[BlockState] = field(default_factory=list)
-    pi: PowerIterState | None = None
 
 
 @dataclass
@@ -465,7 +469,8 @@ def optimizer_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> Update
     The graft reference rule shares the layer's first moment (both rules use
     the same beta1 EMA of the gradient) and owns the spare second-moment slot,
     so a single LayerState carries the whole grafted pair. The slot is spare
-    because OptimizerConfig rejects an adam reference for SECOND_MOMENT_RULES.
+    because OptimizerConfig rejects an adam reference for SECOND_MOMENT_RULES,
+    and the moment is shared because it rejects every graft on adamuon.
     """
     if cfg.graft_rule is None:
         return _STEP_FNS[cfg.rule](state, g, cfg)

@@ -1,15 +1,35 @@
 import json
 import re
+from dataclasses import fields
 
 import pytest
 
-from mupre.cli import load_config, main
+from mupre.cli import build_objects, load_config, main
+from mupre.harness import SweepConfig
+from mupre.optim import OptimizerConfig
+from mupre.scaling import ScalingPlan
 
 BASE_CONFIG = {
     "model": {"arch": "mlp", "widths": [8, 16, 32], "seeds": [0]},
     "optimizer": {"rule": "muon"},
     "scaling": {"param": "mup", "base_width": 8, "eta_base": 0.05},
     "sweep": {"steps": 12, "batch_size": 8, "probe_steps": [5, 10], "probe_batch": 8},
+}
+
+# a value for every dataclass field, none of them the field's default
+FULL_CONFIG = {
+    "model": {"arch": "resmlp", "widths": [8, 16], "depths": [1, 2], "n_layers": 4,
+              "activation": "relu", "seeds": [3, 4]},
+    "optimizer": {"rule": "shampoo", "e_l": 0.25, "e_r": 0.75, "beta1": 0.8, "beta2": 0.9,
+                  "eps": 1e-6, "eps_mode": "absolute", "graft_rule": "adam",
+                  "graft_eps": 1e-12, "graft_ref_eps": 1e-7, "block_in": 4, "block_out": 8,
+                  "normalize": "spectral", "precond_freq": 2, "ns_iters": 3,
+                  "rms_align": True},
+    "scaling": {"param": "mup", "base_width": 8, "eta_base": 0.05, "base_depth": 2,
+                "wd_base": 0.01, "wd_mode": "inv_width", "alpha_depth": 0.5},
+    "sweep": {"steps": 7, "batch_size": 4, "lr_grid": [0.5, 1.0], "probe_steps": [2, 5],
+              "probe_batch": 4, "teacher_seed": 1, "probe_seed": 2, "record_every": 1,
+              "divergence_factor": 100.0, "wd_variant": "coupled"},
 }
 
 CSV_HEADER = "run_id,width,depth,step,eta_base,loss,layer,delta_h_rms,srank,spec_norm"
@@ -82,6 +102,47 @@ class TestConfigValidation:
     def test_jobs_must_be_positive(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["coordcheck", "--config", path, "--jobs", "0"]) == 2
+
+    def test_required_keys_alone_build_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "model": {"widths": [8, 16]},
+            "optimizer": {"rule": "muon"},
+            "scaling": {"param": "mup", "base_width": 8, "eta_base": 0.05},
+        }))
+        opt, plan, sweep = build_objects(load_config(str(path)), seed=None)
+        assert opt == OptimizerConfig("muon")
+        assert plan == ScalingPlan("mup", base_width=8, eta_base=0.05)
+        assert sweep == SweepConfig(opt=opt, plan=plan, widths=(8, 16))
+
+    def test_every_dataclass_field_is_a_config_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(FULL_CONFIG))
+        opt, plan, sweep = build_objects(load_config(str(path)), seed=None)
+        sweep_keys = {**FULL_CONFIG["model"], **FULL_CONFIG["sweep"]}
+        for obj, given in ((opt, FULL_CONFIG["optimizer"]), (plan, FULL_CONFIG["scaling"]),
+                           (sweep, sweep_keys)):
+            names = {f.name for f in fields(obj)} - {"opt", "plan"}
+            assert names == set(given)
+            for name in names:
+                value = given[name]
+                assert getattr(obj, name) == (tuple(value) if isinstance(value, list) else value)
+
+    @pytest.mark.parametrize("command", ["plan", "coordcheck"])
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "activation", "gelu"),
+        ("sweep", "wd_variant", "bogus"),
+    ])
+    def test_unknown_activation_or_wd_variant_rejected(
+        self, tmp_path, capsys, command, section, key, value
+    ):
+        # wd_base is 0, so a bad wd_variant would never reach the decay step
+        path = write_config(tmp_path, **{section: {key: value}})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown {key} {value!r}" in err
+        assert not out.exists()
 
 
 class TestPlanCommand:

@@ -25,7 +25,7 @@ from mupre.harness import (
     run_summary,
     run_training,
 )
-from mupre.models import mlp_manifest
+from mupre.models import mlp_manifest, resmlp_manifest
 from mupre.optim import OptimizerConfig
 from mupre.scaling import LayerHyper, LayerSpec, ModelManifest, ScalingPlan, build_plan
 
@@ -299,11 +299,20 @@ class TestSweepConfigValidation:
             {"steps": 0},
             {"divergence_factor": 1.0},
             {"n_layers": 1},
+            {"activation": "gelu"},
+            {"wd_variant": "bogus"},
         ],
     )
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ValueError):
             self.base(**kw)
+
+    def test_manifest_follows_arch(self):
+        plan = mup(base_depth=2)
+        mlp = self.base(plan=plan, n_layers=4)
+        assert mlp.manifest(16, 3) == mlp_manifest(16, 8, 4)
+        res = self.base(plan=plan, arch="resmlp")
+        assert res.manifest(16, 3) == resmlp_manifest(16, 3, 8, 2)
 
 
 def smoke_cfg(**kw):

@@ -9,7 +9,6 @@ from mupre.linalg import (
     ns_schedule,
     power_iter_step,
     spectral_norm_exact,
-    stable_rank,
     sym_eig,
 )
 
@@ -201,27 +200,6 @@ class TestPowerIter:
 
 
 class TestNorms:
-    def test_stable_rank_frozen(self):
-        assert stable_rank(np.diag([2.0, 1.0, 1.0])) == pytest.approx(1.5, abs=1e-12)
-
-    def test_stable_rank_rank_one(self):
-        rng = np.random.default_rng(2)
-        a = np.outer(rng.standard_normal(5), rng.standard_normal(7))
-        assert stable_rank(a) == pytest.approx(1.0, abs=1e-8)
-
-    def test_stable_rank_scale_invariant(self):
-        a = np.random.default_rng(3).standard_normal((6, 4))
-        assert stable_rank(a) == pytest.approx(stable_rank(37.5 * a), rel=1e-10)
-
-    def test_stable_rank_bounds(self):
-        a = np.random.default_rng(4).standard_normal((6, 9))
-        sr = stable_rank(a)
-        assert 1.0 - 1e-12 <= sr <= 6.0 + 1e-12
-
-    def test_stable_rank_zero_matrix_raises(self):
-        with pytest.raises(ValueError, match="zero"):
-            stable_rank(np.zeros((3, 3)))
-
     def test_spectral_norm_matches_svd(self):
         a = np.random.default_rng(5).standard_normal((7, 4))
         assert spectral_norm_exact(a) == pytest.approx(

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mupre.linalg import stable_rank
 from mupre.models import (
     Batch,
     MlpModel,
@@ -12,7 +11,7 @@ from mupre.models import (
     resmlp_manifest,
     synth_batch,
 )
-from mupre.optim import OptimizerConfig
+from mupre.optim import OptimizerConfig, UpdateReport
 from mupre.scaling import ScalingPlan, build_plan
 
 
@@ -95,7 +94,7 @@ class TestBackward:
         batch = Batch(np.array([0.8]), np.array([1.5]), seed=0)
         _, cache = model.forward(batch)
         for g in model.backward(cache).values():
-            assert stable_rank(g) == pytest.approx(1.0, abs=1e-8)
+            assert UpdateReport(g).srank == pytest.approx(1.0, abs=1e-8)
 
     def test_finite_difference_mlp(self):
         model = random_mlp(width=8, seed=1)

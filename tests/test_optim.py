@@ -80,10 +80,15 @@ class TestConfigValidation:
 
     def test_adam_graft_rejected_where_the_rule_owns_the_second_moment(self):
         rejected = set(product(RULES, GRAFT_RULES)) - set(accepted_graft_pairs())
-        assert rejected == {("adam", "adam"), ("adamuon", "adam")}
+        assert rejected == {("adam", "adam"), ("adamuon", "adam"), ("adamuon", "sgd")}
         for rule in ("adam", "adamuon"):
             with pytest.raises(ValueError, match="second-moment slot"):
                 cfg(rule, graft_rule="adam")
+
+    def test_adamuon_takes_no_graft(self):
+        # its first moment is the EMA of newton_schulz(g), not of g
+        with pytest.raises(ValueError, match="adamuon' takes no graft_rule"):
+            cfg("adamuon", graft_rule="sgd")
 
 
 class TestAdam:
@@ -442,6 +447,21 @@ class TestGraft:
         assert cos == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("rule,graft_rule", accepted_graft_pairs())
+    def test_grafted_norm_is_reference_rule_norm(self, rule, graft_rule):
+        # the graft takes its norm from the reference rule run on its own
+        rng = np.random.default_rng(16)
+        c_graft = cfg(rule, graft_rule=graft_rule, graft_ref_eps=1e-6, **RULE_KW.get(rule, {}))
+        if graft_rule == "adam":
+            ref_step, c_ref = adam_step, cfg("adam", eps=c_graft.graft_ref_eps)
+        else:
+            ref_step, c_ref = sgd_step, cfg("sgd")
+        state, ref_state = LayerState(), LayerState()
+        for _ in range(6):
+            g = rng.standard_normal((6, 5))
+            out = optimizer_step(state, g, c_graft)
+            assert out.frob == pytest.approx(ref_step(ref_state, g, c_ref).frob, rel=1e-10)
+
+    @pytest.mark.parametrize("rule,graft_rule", accepted_graft_pairs())
     def test_grafted_update_is_positive_multiple_of_ungrafted(self, rule, graft_rule):
         # the graft reference must not disturb the rule's own state: over
         # several steps the grafted update stays a positive scalar multiple
@@ -589,6 +609,22 @@ class TestReports:
     def test_rank1_srank_is_one(self):
         rep = UpdateReport(rank1([1.0, 2.0], [3.0, 4.0, 5.0]))
         assert rep.srank == pytest.approx(1.0, abs=1e-10)
+
+    def test_srank_frozen(self):
+        assert UpdateReport(np.diag([2.0, 1.0, 1.0])).srank == pytest.approx(1.5, abs=1e-12)
+
+    def test_srank_rank_one(self):
+        rng = np.random.default_rng(2)
+        a = np.outer(rng.standard_normal(5), rng.standard_normal(7))
+        assert UpdateReport(a).srank == pytest.approx(1.0, abs=1e-8)
+
+    def test_srank_scale_invariant(self):
+        a = np.random.default_rng(3).standard_normal((6, 4))
+        assert UpdateReport(a).srank == pytest.approx(UpdateReport(37.5 * a).srank, rel=1e-10)
+
+    def test_srank_bounds(self):
+        sr = UpdateReport(np.random.default_rng(4).standard_normal((6, 9))).srank
+        assert 1.0 - 1e-12 <= sr <= 6.0 + 1e-12
 
 
 class TestDeterminism:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mupre.models import resmlp_manifest
-from mupre.optim import EPS_MODES, GRAFT_RULES, RULES, SECOND_MOMENT_RULES, OptimizerConfig
+from mupre.optim import EPS_MODES, GRAFT_RULES, RULES, OptimizerConfig
 from mupre.scaling import (
     ALT_MUON_PARAMS,
     PARAMS,
@@ -429,8 +429,9 @@ def optimizer_configs(draw):
     rule = draw(st.sampled_from(RULES))
     sides = st.sampled_from((0.0, 1.0)) if rule == "soap" else st.floats(0.0, 2.0)
     blocked = rule in ("shampoo", "soap")
-    # an adam reference would share the second-moment slot these rules own
-    grafts = (None, "sgd") if rule in SECOND_MOMENT_RULES else (None, *GRAFT_RULES)
+    # an adam reference would share adam's second-moment slot, and adamuon's
+    # first moment is not the gradient a graft reference reads
+    grafts = {"adam": (None, "sgd"), "adamuon": (None,)}.get(rule, (None, *GRAFT_RULES))
     return OptimizerConfig(
         rule,
         e_l=draw(sides),
