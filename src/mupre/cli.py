@@ -16,6 +16,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .harness import (
+    FieldError,
     SweepConfig,
     compute_multiplier,
     coord_check,
@@ -174,6 +175,9 @@ def build_objects(
     _as_tuple(cfg, "sweep.probe_steps", sweep["probe_steps"])
     try:
         sweep_cfg = SweepConfig(opt=opt, plan=plan, **model, **sweep)
+    except FieldError as exc:
+        section = "model" if exc.field in _MODEL_KEYS else "sweep"
+        raise cfg.error(f"{section}.{exc.field}", str(exc))
     except (ValueError, TypeError) as exc:
         raise cfg.error("sweep", str(exc))
     return opt, plan, sweep_cfg
@@ -307,12 +311,20 @@ def cmd_lrsweep(cfg: RunConfig, args) -> int:
         per_run=lambda run: {"argmin_eta": result.argmin[run.width]},
     )
     print(f"argmin per width: {result.argmin}")
-    print(f"optimum drift: {result.drift_octaves:+.3f} octaves")
+    diverged = [w for w, eta in result.argmin.items() if eta is None]
+    if diverged:
+        print(f"optimum drift: undefined (every eta diverged at widths {diverged})")
+    else:
+        print(f"optimum drift: {result.drift_octaves:+.3f} octaves")
     checks = cfg.sections["checks"]
     ok = True
     if checks["max_drift_octaves"] is not None:
-        ok = _check("max_drift_octaves", abs(result.drift_octaves),
-                    checks["max_drift_octaves"])
+        if diverged:
+            print("CHECK max_drift_octaves: FAIL (drift undefined)")
+            ok = False
+        else:
+            ok = _check("max_drift_octaves", abs(result.drift_octaves),
+                        checks["max_drift_octaves"])
     return 0 if ok else 1
 
 

@@ -53,6 +53,14 @@ ARCHS = ("mlp", "resmlp")
 _SEED_STRIDE = 1_000_003
 
 
+class FieldError(ValueError):
+    """A SweepConfig value that fails validation; field names its owner."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     opt: OptimizerConfig
@@ -76,38 +84,40 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         if self.arch not in ARCHS:
-            raise ValueError(f"unknown arch {self.arch!r}; expected one of {ARCHS}")
+            raise FieldError("arch", f"unknown arch {self.arch!r}; expected one of {ARCHS}")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}"
+            raise FieldError(
+                "activation",
+                f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}",
             )
         if self.wd_variant not in WD_MODES:
-            raise ValueError(
-                f"unknown wd_variant {self.wd_variant!r}; expected one of {WD_MODES}"
+            raise FieldError(
+                "wd_variant",
+                f"unknown wd_variant {self.wd_variant!r}; expected one of {WD_MODES}",
             )
         for name in ("widths", "depths", "lr_grid", "seeds", "probe_steps"):
             vals = getattr(self, name)
             object.__setattr__(self, name, tuple(vals))
             if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
-        if list(self.widths) != sorted(self.widths):
-            raise ValueError("widths must be ascending")
-        if list(self.depths) != sorted(self.depths):
-            raise ValueError("depths must be ascending")
-        if min(self.widths) < 1 or min(self.depths) < 1:
-            raise ValueError("widths and depths must be positive")
-        if self.steps < 1 or self.batch_size < 1 or self.probe_batch < 1:
-            raise ValueError("steps and batch sizes must be positive")
+                raise FieldError(name, f"{name} must be nonempty")
+        for name in ("widths", "depths"):
+            if list(getattr(self, name)) != sorted(getattr(self, name)):
+                raise FieldError(name, f"{name} must be ascending")
+            if min(getattr(self, name)) < 1:
+                raise FieldError(name, f"{name} must be positive")
+        for name in ("steps", "batch_size", "probe_batch"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, f"{name} must be positive")
         if min(self.probe_steps) < 1:
-            raise ValueError("probe steps count from 1")
+            raise FieldError("probe_steps", "probe steps count from 1")
         if min(self.lr_grid) <= 0:
-            raise ValueError("lr grid entries must be positive")
+            raise FieldError("lr_grid", "lr grid entries must be positive")
         if self.record_every < 0:
-            raise ValueError("record_every must be >= 0")
+            raise FieldError("record_every", "record_every must be >= 0")
         if self.n_layers < 2:
-            raise ValueError("need at least two layers")
+            raise FieldError("n_layers", "need at least two layers")
         if self.divergence_factor <= 1:
-            raise ValueError("divergence_factor must exceed 1")
+            raise FieldError("divergence_factor", "divergence_factor must exceed 1")
 
     def manifest(self, width: int, depth: int) -> ModelManifest:
         """The model of one grid cell; an mlp ignores depth."""
@@ -157,9 +167,12 @@ class CoordCheckResult:
 
 @dataclass(frozen=True)
 class LrSweepResult:
+    """argmin is None at a width where every eta diverged; drift_octaves is
+    None when any width has no argmin."""
+
     losses: dict[int, dict[float, float]]
-    argmin: dict[int, float]
-    drift_octaves: float
+    argmin: dict[int, float | None]
+    drift_octaves: float | None
     runs: list[RunResult]
 
 
@@ -370,11 +383,15 @@ def lr_sweep(cfg: SweepConfig, mapper=None) -> LrSweepResult:
         for width in cfg.widths
     }
     argmin = {
-        width: min(row, key=lambda eta: (row[eta], eta))
+        width: (
+            min(row, key=lambda eta: (row[eta], eta))
+            if any(math.isfinite(loss) for loss in row.values())
+            else None
+        )
         for width, row in losses.items()
     }
-    low, high = cfg.widths[0], cfg.widths[-1]
-    drift = math.log2(argmin[high]) - math.log2(argmin[low])
+    low, high = argmin[cfg.widths[0]], argmin[cfg.widths[-1]]
+    drift = None if None in argmin.values() else math.log2(high) - math.log2(low)
     return LrSweepResult(losses=losses, argmin=argmin, drift_octaves=drift, runs=runs)
 
 

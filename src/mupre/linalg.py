@@ -42,7 +42,8 @@ class EigDecomp:
     """Symmetric eigendecomposition, eigenvalues sorted descending.
 
     eigenvectors[:, i] is the unit eigenvector for eigenvalues[i]; the
-    column set is orthonormal.
+    column set is orthonormal. For a stack, both arrays carry the stack's
+    leading axes: eigenvectors[..., :, i] belongs to eigenvalues[..., i].
     """
 
     eigenvalues: np.ndarray
@@ -76,42 +77,63 @@ def sym_eig(a: Matrix, sym_tol: float = 1e-10) -> EigDecomp:
     if n and float(np.abs(a - a.T).max()) > sym_tol * scale:
         raise ValueError("sym_eig input is not symmetric within tolerance")
     # Symmetrize to kill representable round-off before factorizing.
-    w, v = np.linalg.eigh((a + a.T) / 2.0)
-    return EigDecomp(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
+    dec = sym_eig_stack(((a + a.T) / 2.0)[np.newaxis])
+    return EigDecomp(eigenvalues=dec.eigenvalues[0], eigenvectors=dec.eigenvectors[0])
 
 
-def mat_inv_power(
-    a: Matrix | EigDecomp, e: float, eps: float, neg_tol: float = 1e-6
-) -> Matrix:
-    """(A + eps I)^(-e) for symmetric PSD A via eigendecomposition.
+def sym_eig_stack(a: np.ndarray) -> EigDecomp:
+    """Eigendecompositions of a (..., n, n) stack of symmetric matrices in one
+    LAPACK call, eigenvalues descending along the last axis.
 
-    A is either the matrix or its EigDecomp from sym_eig; a caller that has
-    already decomposed A passes the decomposition, and the result is the same
-    bits as for the matrix. Eigenvalues that are slightly negative from
-    accumulated round-off are clamped to 0 before the inverse power; anything
-    below -neg_tol * lambda_max means the accumulator was corrupted and
-    raises. e == 0 returns the exact identity. eps == 0 with a clamped zero
+    There is no symmetry check and no symmetrizing copy: LAPACK reads one
+    triangle only, so the caller passes matrices that are exactly symmetric
+    by construction. Non-finite entries raise ValueError; non-convergence
+    propagates as numpy.linalg.LinAlgError.
+    """
+    if not np.all(np.isfinite(a)):
+        raise ValueError("sym_eig_stack input contains non-finite entries")
+    w, v = np.linalg.eigh(a)
+    return EigDecomp(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
+
+
+def inv_power(dec: EigDecomp, e: float, eps, neg_tol: float = 1e-6) -> np.ndarray:
+    """(A + eps I)^(-e) for each symmetric PSD A of a stack, from its
+    descending decomposition; eps is one shift or one per matrix, e > 0.
+
+    Eigenvalues that are slightly negative from accumulated round-off are
+    clamped to 0 before the inverse power; anything below
+    -neg_tol * lambda_max means the accumulator was corrupted and raises.
+    A zero shift with a clamped zero eigenvalue is singular and raises.
+    """
+    lam = dec.eigenvalues
+    n = lam.shape[-1]
+    if n:
+        low, top = lam[..., -1], lam[..., 0]
+        bad = low < -neg_tol * np.maximum(np.abs(top), 1e-300)
+        if np.any(bad):
+            raise ValueError(
+                f"mat_inv_power input is not PSD (min eigenvalue {low[bad].flat[0]:.3e})"
+            )
+    lam = np.maximum(lam, 0.0)
+    eps = np.asarray(eps, dtype=float)
+    if n and np.any((eps == 0.0) & (lam[..., -1] == 0.0)):
+        raise ValueError("mat_inv_power is singular: zero eigenvalue with eps=0")
+    powered = (lam + eps[..., np.newaxis]) ** (-e)
+    v = dec.eigenvectors
+    return (v * powered[..., np.newaxis, :]) @ v.swapaxes(-1, -2)
+
+
+def mat_inv_power(a: Matrix, e: float, eps: float, neg_tol: float = 1e-6) -> Matrix:
+    """(A + eps I)^(-e) for symmetric PSD A via sym_eig and inv_power.
+
+    e == 0 returns the exact identity. eps == 0 with a clamped zero
     eigenvalue and e > 0 is singular.
     """
     if e < 0:
         raise ValueError(f"mat_inv_power exponent must be >= 0, got {e}")
-    given = isinstance(a, EigDecomp)
     if e == 0:
-        n = a.eigenvalues.size if given else as_matrix(a, "mat_inv_power input").shape[0]
-        return np.eye(n)
-    dec = a if given else sym_eig(a)
-    lam = dec.eigenvalues
-    lam_max = float(lam[0]) if lam.size else 0.0
-    if lam.size and float(lam[-1]) < -neg_tol * max(abs(lam_max), 1e-300):
-        raise ValueError(
-            f"mat_inv_power input is not PSD (min eigenvalue {lam[-1]:.3e})"
-        )
-    lam = np.maximum(lam, 0.0)
-    if eps == 0.0 and lam.size and lam[-1] == 0.0:
-        raise ValueError("mat_inv_power is singular: zero eigenvalue with eps=0")
-    powered = (lam + eps) ** (-e)
-    v = dec.eigenvectors
-    return (v * powered) @ v.T
+        return np.eye(as_matrix(a, "mat_inv_power input").shape[0])
+    return inv_power(sym_eig(a), e, eps, neg_tol)
 
 
 def ns_schedule(iters: int) -> tuple[bool, ...]:

@@ -203,12 +203,6 @@ class ResMlpModel:
         }
         return cls(_init_weights(manifest, table, seed), mults, activation)
 
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        x = self.weights[self.embed] @ np.asarray(inputs, dtype=np.float64).reshape(1, -1)
-        for name in self.block_names:
-            x = x + self.residual_mults[name] * _phi(self.weights[name] @ x, self.activation)
-        return (self.weights[self.readout] @ x).ravel()
-
     def forward(self, batch: Batch) -> tuple[float, ForwardCache]:
         x0 = batch.inputs.reshape(1, -1)
         y = batch.targets.reshape(1, -1)

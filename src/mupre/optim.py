@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -27,11 +26,11 @@ from .linalg import (
     Matrix,
     PowerIterState,
     as_matrix,
-    mat_inv_power,
+    inv_power,
     newton_schulz,
     power_iter_step,
     spectral_norm_exact,
-    sym_eig,
+    sym_eig_stack,
 )
 
 RULES = ("sgd", "adam", "shampoo", "soap", "muon", "adamuon")
@@ -153,7 +152,12 @@ class UpdateReport:
 
 @dataclass
 class BlockState:
-    """Per-tile preconditioner accumulators."""
+    """Per-tile preconditioner accumulators.
+
+    The step functions keep the tiles of one shape in one stack per field
+    and set each tile's field to its view of that stack, so a step updates
+    every tile of a shape at once and in place.
+    """
 
     l: Matrix | None = None
     r: Matrix | None = None
@@ -213,25 +217,47 @@ class BlockPartition:
     def col_spans(self) -> list[tuple[int, int]]:
         return list(zip(self.col_edges, self.col_edges[1:]))
 
-    def spans(self):
-        """Yield ((r0, r1), (c0, c1)) tile bounds in row-major tile order."""
-        return product(self.row_spans, self.col_spans)
+    def groups(self) -> list[TileGroup]:
+        """The tiles split by shape: full tiles, the trailing column, the
+        trailing row and the corner, each group in row-major tile order."""
 
-    def split(self, g: Matrix) -> list[Matrix]:
-        g = as_matrix(g, "block split input")
-        if g.shape != (self.rows, self.cols):
-            raise ValueError(f"expected shape {(self.rows, self.cols)}, got {g.shape}")
-        return [g[r0:r1, c0:c1] for (r0, r1), (c0, c1) in self.spans()]
+        def runs(n: int, b: int) -> list[tuple[int, int, int]]:
+            # (first block, block count, block size) per run of equal blocks
+            full, rest = divmod(n, b)
+            out = [(0, full, b)] if full else []
+            if rest:
+                out.append((full, 1, rest))
+            return out
 
-    def join(self, blocks: list[Matrix]) -> Matrix:
-        if len(blocks) != len(self):
-            raise ValueError(f"expected {len(self)} blocks, got {len(blocks)}")
-        out = np.empty((self.rows, self.cols))
-        for block, ((r0, r1), (c0, c1)) in zip(blocks, self.spans()):
-            if block.shape != (r1 - r0, c1 - c0):
-                raise ValueError("block shape does not match its tile")
-            out[r0:r1, c0:c1] = block
-        return out
+        groups = []
+        for i0, n_down, b_out in runs(self.rows, self.b_out):
+            for j0, n_across, b_in in runs(self.cols, self.b_in):
+                indices = tuple(
+                    (i0 + i) * self.n_in + j0 + j
+                    for i in range(n_down)
+                    for j in range(n_across)
+                )
+                groups.append(TileGroup(
+                    i0 * self.b_out, j0 * self.b_in, (n_down, n_across), (b_out, b_in), indices
+                ))
+        return groups
+
+
+@dataclass(frozen=True)
+class TileGroup:
+    """A grid of equal-shape tiles with its top-left corner at (row, col)."""
+
+    row: int
+    col: int
+    grid: tuple[int, int]  # tiles down, tiles across
+    shape: tuple[int, int]  # rows, cols of one tile
+    indices: tuple[int, ...]  # row-major tile indices in the partition
+
+    def view(self, a: np.ndarray) -> np.ndarray:
+        """The grid + shape view of a's tiles in this group; writes go to a."""
+        (n_down, n_across), (b_out, b_in) = self.grid, self.shape
+        block = a[self.row:self.row + n_down * b_out, self.col:self.col + n_across * b_in]
+        return block.reshape(n_down, b_out, n_across, b_in).swapaxes(1, 2)
 
 
 def block_partition(g: Matrix, b_out: int | None, b_in: int | None) -> BlockPartition:
@@ -296,19 +322,72 @@ def _ensure_blocks(state: LayerState, n: int) -> list[BlockState]:
     return state.blocks
 
 
-def _shampoo_factor(acc: Matrix, e: float, eps: float, eps_mode: str) -> Matrix | None:
-    """(acc + eps I)^(-e) with eps resolved per mode; None means zero factor
-    input, which can only pair with a zero momentum block."""
-    if e == 0.0:
-        return None  # exact identity, skip the multiply entirely
-    if eps_mode == "absolute":
-        return mat_inv_power(acc, e, eps)
-    # one decomposition gives both the top eigenvalue and the inverse root
-    dec = sym_eig(acc)
-    top = float(dec.eigenvalues[0])
-    if top <= 0.0:
-        return None
-    return mat_inv_power(dec, e, eps * top)
+def _group_stack(
+    blocks: list[BlockState], group: TileGroup, name: str, tile_shape=None
+) -> np.ndarray | None:
+    """The stack of the group's tiles whose views the blocks hold in field
+    `name`. An unset field gets a seated stack of zeros of tile_shape, or
+    None without one. Tiles that are not views of one stack (a deep copy, a
+    hand-built state) are copied into one first."""
+    tiles = [getattr(blocks[i], name) for i in group.indices]
+    if tiles[0] is None:
+        if tile_shape is None:
+            return None
+        stack = np.zeros(group.grid + tile_shape)
+        _seat(blocks, group, name, stack)
+        return stack
+    stack = tiles[0].base
+    if (
+        stack is not None
+        and stack.shape == group.grid + tiles[0].shape
+        and all(tile.base is stack for tile in tiles)
+    ):
+        return stack
+    stack = np.empty(group.grid + tiles[0].shape)
+    stack.reshape(-1, *tiles[0].shape)[...] = tiles
+    _seat(blocks, group, name, stack)
+    return stack
+
+
+def _seat(blocks: list[BlockState], group: TileGroup, name: str, stack: np.ndarray) -> None:
+    """Set each tile's field `name` to its view of the group's stack."""
+    for i, tile in zip(group.indices, stack.reshape(-1, *stack.shape[-2:])):
+        setattr(blocks[i], name, tile)
+
+
+def _factor_ema(
+    blocks: list[BlockState], group: TileGroup, side: str, gb: np.ndarray, beta2: float
+) -> np.ndarray:
+    """Advance the group's factor EMA on one side in place, symmetrize it
+    and return the stack: L <- beta2 L + (1 - beta2) G G^T on side "l",
+    R <- beta2 R + (1 - beta2) G^T G on side "r"."""
+    gram = gb @ gb.swapaxes(-1, -2) if side == "l" else gb.swapaxes(-1, -2) @ gb
+    acc = _group_stack(blocks, group, side, gram.shape[-2:])
+    acc *= beta2
+    gram *= 1.0 - beta2
+    acc += gram
+    del gram  # before the symmetrizing temporary: one full-size temporary at a time
+    # symmetrize accumulated round-off before factorizing
+    np.add(acc, acc.swapaxes(-1, -2), out=acc)
+    acc /= 2.0
+    return acc
+
+
+def _inverse_roots(acc: np.ndarray, corr2: float, e: float, eps: float, eps_mode: str):
+    """(A + eps' I)^(-e) for each bias-corrected factor A = acc / corr2 of a
+    stack.
+
+    In absolute mode eps' = eps. In relative mode eps' is eps times the
+    factor's top eigenvalue. A top eigenvalue <= 0 means a zero factor, a
+    zero gradient history and so a zero momentum tile, whose update is zero
+    under any root; such a factor gets eps' = 1 to keep it off the singular
+    check.
+    """
+    dec = sym_eig_stack(acc / corr2)
+    if eps_mode == "relative":
+        top = dec.eigenvalues[..., 0]
+        eps = np.where(top > 0.0, eps * top, 1.0)
+    return inv_power(dec, e, eps)
 
 
 def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -317,6 +396,7 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     Per tile: L += GG^T and R += G^T G EMAs (beta2, bias-corrected), then
     update = (L^ + eps I)^(-e_l) M (R^ + eps I)^(-e_r). In relative mode the
     eps shift for each factor is eps times that factor's top eigenvalue.
+    The tiles of one shape go through every stage as one stack.
     """
     g = as_matrix(g, "gradient")
     state.t += 1
@@ -325,31 +405,41 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     blocks = _ensure_blocks(state, len(part))
     corr1 = _bias_correction(cfg.beta1, state.t)
     corr2 = _bias_correction(cfg.beta2, state.t)
-    g_blocks = part.split(g)
-    m_blocks = part.split(m)
-    out_blocks = []
-    for bs, gb, mb in zip(blocks, g_blocks, m_blocks):
-        if bs.l is None:
-            bs.l = np.zeros((gb.shape[0], gb.shape[0]))
-            bs.r = np.zeros((gb.shape[1], gb.shape[1]))
-        bs.l = cfg.beta2 * bs.l + (1.0 - cfg.beta2) * (gb @ gb.T)
-        bs.r = cfg.beta2 * bs.r + (1.0 - cfg.beta2) * (gb.T @ gb)
-        # symmetrize accumulated round-off before factorizing
-        bs.l = (bs.l + bs.l.T) / 2.0
-        bs.r = (bs.r + bs.r.T) / 2.0
-        upd = mb / corr1
-        p_l = _shampoo_factor(bs.l / corr2, cfg.e_l, cfg.eps, cfg.eps_mode)
-        p_r = _shampoo_factor(bs.r / corr2, cfg.e_r, cfg.eps, cfg.eps_mode)
-        if (p_l is None and cfg.e_l > 0.0) or (p_r is None and cfg.e_r > 0.0):
-            # zero factor input implies a zero gradient history for the tile
-            out_blocks.append(np.zeros_like(mb))
-            continue
-        if p_l is not None:
-            upd = p_l @ upd
-        if p_r is not None:
-            upd = upd @ p_r
-        out_blocks.append(upd)
-    return UpdateReport(part.join(out_blocks))
+    out = np.empty_like(g)
+    for group in part.groups():
+        gb = group.view(g)
+        l = _factor_ema(blocks, group, "l", gb, cfg.beta2)
+        r = _factor_ema(blocks, group, "r", gb, cfg.beta2)
+        upd = group.view(m) / corr1
+        if cfg.e_l > 0.0:  # e == 0 is the exact identity: skip the multiply
+            upd = _inverse_roots(l, corr2, cfg.e_l, cfg.eps, cfg.eps_mode) @ upd
+        if cfg.e_r > 0.0:
+            upd = upd @ _inverse_roots(r, corr2, cfg.e_r, cfg.eps, cfg.eps_mode)
+        group.view(out)[...] = upd
+    return UpdateReport(out)
+
+
+def _rotate(a: np.ndarray, q_l: np.ndarray | None, q_r: np.ndarray | None) -> np.ndarray:
+    """Q_l^T A Q_r, skipping a side without a basis."""
+    if q_l is not None:
+        a = q_l.swapaxes(-1, -2) @ a
+    if q_r is not None:
+        a = a @ q_r
+    return a
+
+
+def _soap_basis(
+    blocks: list[BlockState], group: TileGroup, side: str, gb: np.ndarray,
+    beta2: float, corr2: float, refresh: bool,
+) -> np.ndarray:
+    """Advance the group's factor EMA on one side and return its eigenbasis
+    stack, refreshed from the bias-corrected factor when due."""
+    acc = _factor_ema(blocks, group, side, gb, beta2)
+    q = _group_stack(blocks, group, "q_" + side)
+    if refresh or q is None:
+        q = sym_eig_stack(acc / corr2).eigenvectors
+        _seat(blocks, group, "q_" + side, q)
+    return q
 
 
 def soap_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -357,7 +447,8 @@ def soap_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
 
     Side indicators e_l / e_r pick which bases are tracked; an indicator of
     0 leaves that side in the coordinate basis, so e_l = e_r = 0 is exactly
-    adam_step. Second moments live in the rotated space per tile.
+    adam_step. Second moments live in the rotated space per tile. The tiles
+    of one shape go through every stage as one stack.
     """
     g = as_matrix(g, "gradient")
     state.t += 1
@@ -367,42 +458,24 @@ def soap_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
     corr1 = _bias_correction(cfg.beta1, state.t)
     corr2 = _bias_correction(cfg.beta2, state.t)
     refresh = state.t == 1 or (state.t - 1) % cfg.precond_freq == 0
-    g_blocks = part.split(g)
-    m_blocks = part.split(m)
-    out_blocks = []
-    for bs, gb, mb in zip(blocks, g_blocks, m_blocks):
+    out = np.empty_like(g)
+    for group in part.groups():
+        gb = group.view(g)
+        q_l = q_r = None  # an untracked side stays in the coordinate basis
         if cfg.e_l == 1.0:
-            if bs.l is None:
-                bs.l = np.zeros((gb.shape[0], gb.shape[0]))
-            bs.l = cfg.beta2 * bs.l + (1.0 - cfg.beta2) * (gb @ gb.T)
-            bs.l = (bs.l + bs.l.T) / 2.0
-            if refresh or bs.q_l is None:
-                bs.q_l = sym_eig(bs.l / corr2).eigenvectors
+            q_l = _soap_basis(blocks, group, "l", gb, cfg.beta2, corr2, refresh)
         if cfg.e_r == 1.0:
-            if bs.r is None:
-                bs.r = np.zeros((gb.shape[1], gb.shape[1]))
-            bs.r = cfg.beta2 * bs.r + (1.0 - cfg.beta2) * (gb.T @ gb)
-            bs.r = (bs.r + bs.r.T) / 2.0
-            if refresh or bs.q_r is None:
-                bs.q_r = sym_eig(bs.r / corr2).eigenvectors
-        g_rot = gb
-        m_rot = mb
-        if bs.q_l is not None:
-            g_rot = bs.q_l.T @ g_rot
-            m_rot = bs.q_l.T @ m_rot
-        if bs.q_r is not None:
-            g_rot = g_rot @ bs.q_r
-            m_rot = m_rot @ bs.q_r
-        if bs.v is None:
-            bs.v = np.zeros_like(gb)
-        bs.v = cfg.beta2 * bs.v + (1.0 - cfg.beta2) * (g_rot * g_rot)
-        upd = _adam_ratio(m_rot / corr1, bs.v / corr2, cfg.eps)
-        if bs.q_l is not None:
-            upd = bs.q_l @ upd
-        if bs.q_r is not None:
-            upd = upd @ bs.q_r.T
-        out_blocks.append(upd)
-    return UpdateReport(part.join(out_blocks))
+            q_r = _soap_basis(blocks, group, "r", gb, cfg.beta2, corr2, refresh)
+        v = _group_stack(blocks, group, "v", group.shape)
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * np.square(_rotate(gb, q_l, q_r))
+        upd = _adam_ratio(_rotate(group.view(m), q_l, q_r) / corr1, v / corr2, cfg.eps)
+        if q_l is not None:
+            upd = q_l @ upd
+        if q_r is not None:
+            upd = upd @ q_r.swapaxes(-1, -2)
+        group.view(out)[...] = upd
+    return UpdateReport(out)
 
 
 def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:

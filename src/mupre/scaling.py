@@ -414,10 +414,3 @@ def build_plan(
 
 def plan_to_json(table: dict[str, LayerHyper]) -> str:
     return json.dumps({name: asdict(h) for name, h in table.items()}, indent=2)
-
-
-def plan_from_json(text: str) -> dict[str, LayerHyper]:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("plan document must be a JSON object")
-    return {name: LayerHyper(**fields) for name, fields in doc.items()}

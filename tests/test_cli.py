@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +146,21 @@ class TestConfigValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("model", "activation", "gelu", "unknown activation 'gelu'"),
+        ("model", "widths", [64, 32, 16], "widths must be ascending"),
+        ("sweep", "steps", 0, "steps must be positive"),
+    ])
+    def test_sweep_config_error_names_the_owning_key(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        path = write_config(tmp_path, **{section: {key: value}})
+        assert main(["plan", "--config", path]) == 2
+        lines = Path(path).read_text().splitlines()
+        line = next(i for i, text in enumerate(lines, 1) if f'"{key}"' in text)
+        assert f"cfg.json:{line}: {section}.{key}: {message}" in capsys.readouterr().err
+
+
 class TestPlanCommand:
     def test_emits_table_and_file(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -271,6 +287,28 @@ class TestLrSweepCommand:
         drift = [l for l in out.splitlines() if l.startswith("optimum drift")]
         assert drift
         assert code in (0, 1)
+
+
+    @pytest.mark.parametrize("checks,code", [({}, 0), ({"max_drift_octaves": 1.0}, 1)])
+    def test_width_where_every_eta_diverged_has_no_argmin(self, tmp_path, capsys, checks, code):
+        path = write_config(
+            tmp_path,
+            model={"widths": [16, 32]},
+            sweep={"lr_grid": [1e3, 1e4]},
+            checks=checks,
+        )
+        out = tmp_path / "out"
+        assert main(["lrsweep", "--config", path, "--out", str(out)]) == code
+        printed = capsys.readouterr().out
+        assert "argmin per width: {16: None, 32: None}" in printed
+        assert "optimum drift: undefined" in printed
+        assert ("CHECK max_drift_octaves: FAIL" in printed) == bool(checks)
+        lines = (out / "lrsweep.jsonl").read_text().splitlines()
+        runs = [json.loads(l) for l in lines[:-1]]
+        assert runs and all(r["diverged"] and r["argmin_eta"] is None for r in runs)
+        tail = json.loads(lines[-1])
+        assert tail["argmin"] == {"16": None, "32": None}
+        assert tail["drift_octaves"] is None
 
 
 class TestRankScanCommand:

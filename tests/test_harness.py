@@ -452,6 +452,14 @@ class TestLrSweep:
             assert result.argmin[width] == 0.05
         assert result.drift_octaves == 0.0
 
+    def test_width_where_every_eta_diverged_has_no_argmin(self):
+        cfg = smoke_cfg(
+            opt=OptimizerConfig("sgd"), widths=(8, 16), lr_grid=(1e5, 1e6), steps=10
+        )
+        result = lr_sweep(cfg)
+        assert result.argmin == {8: None, 16: None}
+        assert result.drift_octaves is None
+
 
 class TestRankScan:
     def test_summary_covers_probes(self):

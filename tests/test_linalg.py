@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from mupre.linalg import (
-    EigDecomp,
     PowerIterState,
+    inv_power,
     mat_inv_power,
     newton_schulz,
     ns_schedule,
     power_iter_step,
     spectral_norm_exact,
     sym_eig,
+    sym_eig_stack,
 )
 
 
@@ -96,17 +97,50 @@ class TestMatInvPower:
         with pytest.raises(ValueError, match="PSD"):
             mat_inv_power(np.diag([1.0, -1.0]), 0.5, 1.0)
 
+
+
+def psd_stack(n=6):
+    """A 2 x 2 stack of n x n PSD matrices."""
+    return np.stack([rand_psd(n, seed) for seed in range(4)]).reshape(2, 2, n, n)
+
+
+class TestSymEigStack:
+    def test_matches_sym_eig_bits(self):
+        a = psd_stack()
+        dec = sym_eig_stack(a)
+        for i, j in np.ndindex(2, 2):
+            one = sym_eig(a[i, j])
+            assert np.array_equal(dec.eigenvalues[i, j], one.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[i, j], one.eigenvectors)
+
+    def test_rejects_non_finite(self):
+        a = psd_stack()
+        a[1, 0, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_eig_stack(a)
+
+
+class TestInvPower:
+    """inv_power takes the decompositions of a stack, with one shift per
+    matrix; each matrix gets mat_inv_power's bits and checks."""
+
     @pytest.mark.parametrize("e,eps", [(0.25, 1e-3), (0.5, 0.0), (1.0, 1e-2)])
     def test_decomposition_input_matches_matrix_bits(self, e, eps):
-        a = rand_psd(9, 14)
-        assert np.array_equal(mat_inv_power(sym_eig(a), e, eps), mat_inv_power(a, e, eps))
+        a = psd_stack()
+        shifts = eps * np.array([[1.0, 2.0], [3.0, 4.0]])
+        out = inv_power(sym_eig_stack(a), e, shifts)
+        for i, j in np.ndindex(2, 2):
+            assert np.array_equal(out[i, j], mat_inv_power(a[i, j], e, shifts[i, j]))
 
     def test_decomposition_input_keeps_checks(self):
-        assert np.array_equal(mat_inv_power(sym_eig(rand_psd(4, 15)), 0.0, 0.5), np.eye(4))
+        singular = np.stack([rand_psd(3, 1), np.diag([1.0, 0.0, 0.0])])
         with pytest.raises(ValueError, match="singular"):
-            mat_inv_power(sym_eig(np.diag([1.0, 0.0])), 0.5, 0.0)
+            inv_power(sym_eig_stack(singular), 0.5, np.array([1e-3, 0.0]))
+        # a zero shift is fine at full rank
+        inv_power(sym_eig_stack(singular), 0.5, np.array([0.0, 1e-3]))
+        indefinite = np.stack([rand_psd(2, 2), np.diag([1.0, -1.0])])
         with pytest.raises(ValueError, match="PSD"):
-            mat_inv_power(sym_eig(np.diag([1.0, -1.0])), 0.5, 1.0)
+            inv_power(sym_eig_stack(indefinite), 0.5, 1.0)
 
 
 class TestNewtonSchulz:

@@ -1,4 +1,5 @@
 import copy
+import math
 from itertools import product
 
 import numpy as np
@@ -8,8 +9,15 @@ from hypothesis import strategies as st
 
 import mupre.linalg
 import mupre.optim
-from mupre.linalg import PowerIterState, mat_inv_power, spectral_norm_exact, sym_eig
+from mupre.linalg import (
+    PowerIterState,
+    mat_inv_power,
+    spectral_norm_exact,
+    sym_eig,
+    sym_eig_stack,
+)
 from mupre.optim import (
+    EPS_MODES,
     GRAFT_RULES,
     RULES,
     BlockPartition,
@@ -202,17 +210,24 @@ class TestShampoo:
         assert np.array_equal(out.update, np.zeros((3, 2)))
 
 
-def two_decomposition_shampoo(g_seq, c):
-    """Relative-damping Shampoo updates by the two-decomposition route: each
-    factor is decomposed once for its top eigenvalue and again inside
-    mat_inv_power, with the step's arithmetic written out in the same order."""
+def tile_spans(g, c):
+    """((r0, r1), (c0, c1)) bounds of the config's tiles in row-major order."""
+    part = block_partition(g, c.block_out, c.block_in)
+    return list(product(part.row_spans, part.col_spans))
+
+
+def per_tile_shampoo(g_seq, c):
+    """Shampoo updates and final per-tile (L, R) by a tile-by-tile route:
+    each factor is decomposed by the checked sym_eig, once for its top
+    eigenvalue in relative mode and again inside mat_inv_power, with the
+    step's arithmetic written out in the same order."""
     m, acc, updates = 0.0, {}, []
     for t, g in enumerate(g_seq, start=1):
         m = c.beta1 * m + (1.0 - c.beta1) * g
-        part = block_partition(g, c.block_out, c.block_in)
         corr1, corr2 = 1.0 - c.beta1**t, 1.0 - c.beta2**t
-        out_blocks = []
-        for i, (gb, mb) in enumerate(zip(part.split(g), part.split(m))):
+        out = np.empty_like(g)
+        for i, ((r0, r1), (c0, c1)) in enumerate(tile_spans(g, c)):
+            gb, mb = g[r0:r1, c0:c1], m[r0:r1, c0:c1]
             l, r = acc.get(i, (0.0, 0.0))
             l = c.beta2 * l + (1.0 - c.beta2) * (gb @ gb.T)
             r = c.beta2 * r + (1.0 - c.beta2) * (gb.T @ gb)
@@ -222,15 +237,76 @@ def two_decomposition_shampoo(g_seq, c):
             for side, a, e in (("l", l / corr2, c.e_l), ("r", r / corr2, c.e_r)):
                 if e == 0.0:
                     continue
-                top = float(sym_eig(a).eigenvalues[0])
-                if top <= 0.0:
-                    upd = np.zeros_like(mb)
-                    break
-                p = mat_inv_power(a, e, c.eps * top)
+                eps = c.eps
+                if c.eps_mode == "relative":
+                    top = float(sym_eig(a).eigenvalues[0])
+                    if top <= 0.0:
+                        upd = np.zeros_like(mb)
+                        break
+                    eps = c.eps * top
+                p = mat_inv_power(a, e, eps)
                 upd = p @ upd if side == "l" else upd @ p
-            out_blocks.append(upd)
-        updates.append(part.join(out_blocks))
+            out[r0:r1, c0:c1] = upd
+        updates.append(out)
+    return updates, acc
+
+
+def per_tile_soap(g_seq, c):
+    """SOAP updates by a tile-by-tile route with the checked sym_eig and the
+    step's arithmetic written out in the same order."""
+    m, tiles, updates = 0.0, {}, []
+    for t, g in enumerate(g_seq, start=1):
+        m = c.beta1 * m + (1.0 - c.beta1) * g
+        corr1, corr2 = 1.0 - c.beta1**t, 1.0 - c.beta2**t
+        refresh = t == 1 or (t - 1) % c.precond_freq == 0
+        out = np.empty_like(g)
+        for i, ((r0, r1), (c0, c1)) in enumerate(tile_spans(g, c)):
+            gb, mb = g[r0:r1, c0:c1], m[r0:r1, c0:c1]
+            tile = tiles.setdefault(i, {"l": 0.0, "r": 0.0, "v": 0.0})
+            for side, e, gram in (("l", c.e_l, gb @ gb.T), ("r", c.e_r, gb.T @ gb)):
+                if e == 1.0:
+                    acc = c.beta2 * tile[side] + (1.0 - c.beta2) * gram
+                    tile[side] = (acc + acc.T) / 2.0
+                    if refresh:
+                        tile["q_" + side] = sym_eig(tile[side] / corr2).eigenvectors
+            q_l, q_r = tile.get("q_l"), tile.get("q_r")
+            g_rot, m_rot = gb, mb
+            if q_l is not None:
+                g_rot, m_rot = q_l.T @ g_rot, q_l.T @ m_rot
+            if q_r is not None:
+                g_rot, m_rot = g_rot @ q_r, m_rot @ q_r
+            tile["v"] = c.beta2 * tile["v"] + (1.0 - c.beta2) * (g_rot * g_rot)
+            m_hat, v_hat = m_rot / corr1, tile["v"] / corr2
+            denom = np.sqrt(v_hat) + c.eps
+            upd = np.where(denom > 0.0, m_hat / np.where(denom > 0.0, denom, 1.0), 0.0)
+            if q_l is not None:
+                upd = q_l @ upd
+            if q_r is not None:
+                upd = upd @ q_r.T
+            out[r0:r1, c0:c1] = upd
+        updates.append(out)
     return updates
+
+
+@st.composite
+def uneven_tilings(draw):
+    """(rows, cols, b_out, b_in) with a trailing row of tiles and possibly a
+    trailing column, so the tiles come in two or four shapes."""
+    b_out, b_in = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rows = b_out * draw(st.integers(1, 3)) + draw(st.integers(1, b_out - 1))
+    cols = b_in * draw(st.integers(1, 3)) + draw(st.integers(0, b_in - 1))
+    return rows, cols, b_out, b_in
+
+
+def gradients_with_zero_tile(rng, shape, span, steps):
+    """Random gradients whose entries in one tile stay zero at every step."""
+    (r0, r1), (c0, c1) = span
+    g_seq = []
+    for _ in range(steps):
+        g = rng.standard_normal(shape)
+        g[r0:r1, c0:c1] = 0.0
+        g_seq.append(g)
+    return g_seq
 
 
 class TestRelativeDamping:
@@ -243,25 +319,34 @@ class TestRelativeDamping:
 
         def counting(a, *args, **kwargs):
             calls.append(np.shape(a))
-            return sym_eig(a, *args, **kwargs)
+            return sym_eig_stack(a, *args, **kwargs)
 
-        monkeypatch.setattr(mupre.optim, "sym_eig", counting)
-        monkeypatch.setattr(mupre.linalg, "sym_eig", counting)
+        monkeypatch.setattr(mupre.optim, "sym_eig_stack", counting)
         return calls
 
     @pytest.mark.parametrize(
-        "blocks,e_r,per_step",
-        [((None, None), 0.5, 2), ((3, 4), 0.5, 8), ((3, 4), 0.0, 4)],
-        ids=["unblocked", "blocked-2x2", "blocked-2x2-left-only"],
+        "shape,blocks,e_r,groups",
+        [
+            ((6, 8), (None, None), 0.5, 1),
+            ((6, 8), (3, 4), 0.5, 1),
+            ((6, 8), (3, 4), 0.0, 1),
+            ((7, 9), (3, 4), 0.5, 4),
+        ],
+        ids=["unblocked", "blocked-2x2", "blocked-2x2-left-only", "blocked-uneven"],
     )
-    def test_one_decomposition_per_factor_per_tile(self, eig_calls, blocks, e_r, per_step):
+    def test_one_decomposition_per_factor_per_tile(self, eig_calls, shape, blocks, e_r, groups):
+        # one stacked call per factor side and tile shape, one stack entry
+        # per factor side and tile
         b_out, b_in = blocks
         c = cfg("shampoo", e_l=0.25, e_r=e_r, eps=1e-3, block_out=b_out, block_in=b_in)
+        tiles = len(block_partition(np.zeros(shape), b_out, b_in))
+        sides = 2 if e_r > 0.0 else 1
         rng = np.random.default_rng(16)
         state = LayerState()
         for step in range(1, 4):
-            shampoo_step(state, rng.standard_normal((6, 8)), c)
-            assert len(eig_calls) == per_step * step
+            shampoo_step(state, rng.standard_normal(shape), c)
+            assert len(eig_calls) == sides * groups * step
+            assert sum(math.prod(s[:-2]) for s in eig_calls) == sides * tiles * step
 
     @pytest.mark.parametrize("e_l,e_r", [(0.25, 0.25), (0.5, 0.0), (0.0, 1.0)])
     def test_bits_match_two_decomposition_route(self, e_l, e_r):
@@ -273,7 +358,7 @@ class TestRelativeDamping:
             g_seq.append(g)
         c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, block_out=3, block_in=4)
         state = LayerState()
-        for g, want in zip(g_seq, two_decomposition_shampoo(g_seq, c)):
+        for g, want in zip(g_seq, per_tile_shampoo(g_seq, c)[0]):
             got = shampoo_step(state, g, c).update
             assert np.array_equal(got, want)
         assert not np.any(got[:3, :4])
@@ -299,6 +384,114 @@ class TestRelativeDamping:
             out = shampoo_step(state, g, c).update
             scaled = shampoo_step(scaled_state, scale * g, c).update / factor
             assert np.max(np.abs(scaled - out)) <= 1e-8 * np.max(np.abs(out))
+
+
+class TestStackedTiles:
+    """Shampoo and SOAP run the tiles of each shape as one stack; every
+    tile gets the bits the tile-by-tile route gives it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tiling=uneven_tilings(),
+        e_l=st.sampled_from((0.0, 0.25, 0.5)),
+        e_r=st.sampled_from((0.0, 0.25, 0.5)),
+        eps_mode=st.sampled_from(EPS_MODES),
+        zero_tile=st.integers(0, 63),
+        seed=st.integers(0, 2**16),
+    )
+    def test_shampoo_matches_per_tile_route(self, tiling, e_l, e_r, eps_mode, zero_tile, seed):
+        rows, cols, b_out, b_in = tiling
+        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode,
+                block_out=b_out, block_in=b_in)
+        part = block_partition(np.zeros((rows, cols)), b_out, b_in)
+        assert 2 <= len(part.groups()) <= 4
+        spans = tile_spans(np.zeros((rows, cols)), c)
+        zero = zero_tile % len(spans)
+        g_seq = gradients_with_zero_tile(np.random.default_rng(seed), (rows, cols), spans[zero], 4)
+        want, acc = per_tile_shampoo(g_seq, c)
+        state = LayerState()
+        for g, expected in zip(g_seq, want):
+            # bytes, so a zero tile's signed zeros count too
+            assert shampoo_step(state, g, c).update.tobytes() == expected.tobytes()
+        # the per-tile factors stay readable in row-major tile order
+        for block, (l, r) in zip(state.blocks, (acc[i] for i in range(len(spans)))):
+            assert np.array_equal(block.l, l) and np.array_equal(block.r, r)
+        (r0, r1), (c0, c1) = spans[zero]
+        assert not np.any(expected[r0:r1, c0:c1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tiling=uneven_tilings(),
+        sides=st.sampled_from(((1.0, 1.0), (0.0, 1.0), (1.0, 0.0))),
+        precond_freq=st.sampled_from((1, 3)),
+        zero_tile=st.integers(0, 63),
+        seed=st.integers(0, 2**16),
+    )
+    def test_soap_matches_per_tile_route(self, tiling, sides, precond_freq, zero_tile, seed):
+        rows, cols, b_out, b_in = tiling
+        c = cfg("soap", e_l=sides[0], e_r=sides[1], eps=1e-8, precond_freq=precond_freq,
+                block_out=b_out, block_in=b_in)
+        spans = tile_spans(np.zeros((rows, cols)), c)
+        span = spans[zero_tile % len(spans)]
+        g_seq = gradients_with_zero_tile(np.random.default_rng(seed), (rows, cols), span, 5)
+        state = LayerState()
+        for g, expected in zip(g_seq, per_tile_soap(g_seq, c)):
+            assert soap_step(state, g, c).update.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        blocks=st.sampled_from(((None, None), (2, 3), (4, 4))),
+        beta1=st.sampled_from((0.0, 0.9)),
+        beta2=st.sampled_from((0.0, 0.95, 0.999)),
+        eps=st.sampled_from((1e-8, 1e-3)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_soap_without_bases_is_adam_bits(self, shape, blocks, beta1, beta2, eps, seed):
+        kw = dict(beta1=beta1, beta2=beta2, eps=eps)
+        c_soap = cfg("soap", e_l=0.0, e_r=0.0, block_out=blocks[0], block_in=blocks[1], **kw)
+        rng = np.random.default_rng(seed)
+        s_soap, s_adam = LayerState(), LayerState()
+        for _ in range(4):
+            g = rng.standard_normal(shape)
+            want = adam_step(s_adam, g, cfg("adam", **kw)).update
+            assert soap_step(s_soap, g, c_soap).update.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            cfg("shampoo", e_l=0.25, e_r=0.25),
+            cfg("shampoo", e_l=0.5, e_r=0.0, eps_mode="absolute", block_out=3, block_in=4),
+            cfg("soap", e_l=1.0, e_r=1.0, block_out=3, block_in=4),
+        ],
+        ids=["shampoo", "shampoo-blocked-absolute", "soap-blocked"],
+    )
+    def test_overflowing_accumulator_raises_non_finite(self, c):
+        g = np.full((7, 9), 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                optimizer_step(LayerState(), g, c)
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            cfg("shampoo", e_l=0.5, e_r=0.25, eps=1e-4, block_out=3, block_in=4),
+            cfg("soap", e_l=1.0, e_r=1.0, precond_freq=3, block_out=3, block_in=4),
+        ],
+        ids=["shampoo", "soap"],
+    )
+    def test_deep_copied_state_continues_bit_identically(self, c):
+        # a copy's tiles are no longer views of one stack; its next step
+        # stacks them again
+        rng = np.random.default_rng(27)
+        state = LayerState()
+        for _ in range(2):
+            optimizer_step(state, rng.standard_normal((7, 9)), c)
+        snap = copy.deepcopy(state)
+        for _ in range(3):
+            g = rng.standard_normal((7, 9))
+            assert np.array_equal(optimizer_step(state, g, c).update,
+                                  optimizer_step(snap, g, c).update)
 
 
 class TestSoap:
@@ -482,16 +675,21 @@ class TestBlocking:
     def test_partition_counts_and_trailing_blocks(self):
         part = block_partition(np.zeros((70, 33)), b_out=32, b_in=32)
         assert (part.n_out, part.n_in) == (3, 2)
-        shapes = [b.shape for b in part.split(np.zeros((70, 33)))]
-        assert shapes[0] == (32, 32)
-        assert shapes[1] == (32, 1)  # trailing column block keeps real width
-        assert shapes[-1] == (6, 1)
+        shapes = {grp.shape: grp.indices for grp in part.groups()}
+        assert shapes[(32, 32)] == (0, 2)
+        assert shapes[(32, 1)] == (1, 3)  # trailing column block keeps real width
+        assert shapes[(6, 32)] == (4,)
+        assert shapes[(6, 1)] == (5,)
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(15)
         g = rng.standard_normal((37, 21))
         part = block_partition(g, 8, 5)
-        assert np.array_equal(part.join(part.split(g)), g)
+        out = np.full_like(g, np.nan)
+        for grp in part.groups():
+            grp.view(out)[...] = grp.view(g)
+        assert np.array_equal(out, g)
+        assert sorted(i for grp in part.groups() for i in grp.indices) == list(range(len(part)))
 
     def test_full_block_matches_unblocked(self):
         rng = np.random.default_rng(16)
