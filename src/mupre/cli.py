@@ -311,15 +311,15 @@ def cmd_lrsweep(cfg: RunConfig, args) -> int:
         per_run=lambda run: {"argmin_eta": result.argmin[run.width]},
     )
     print(f"argmin per width: {result.argmin}")
-    diverged = [w for w, eta in result.argmin.items() if eta is None]
-    if diverged:
+    if result.drift_octaves is None:
+        diverged = [w for w, eta in result.argmin.items() if eta is None]
         print(f"optimum drift: undefined (every eta diverged at widths {diverged})")
     else:
         print(f"optimum drift: {result.drift_octaves:+.3f} octaves")
     checks = cfg.sections["checks"]
     ok = True
     if checks["max_drift_octaves"] is not None:
-        if diverged:
+        if result.drift_octaves is None:
             print("CHECK max_drift_octaves: FAIL (drift undefined)")
             ok = False
         else:

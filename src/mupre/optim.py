@@ -280,15 +280,20 @@ def _update_first_moment(state: LayerState, g: Matrix, beta1: float) -> Matrix:
 
 
 def _adam_ratio(m_hat: Matrix, v_hat: Matrix, eps: float) -> Matrix:
-    """Entrywise m_hat / (sqrt(v_hat) + eps).
+    """Entrywise m_hat / (sqrt(v_hat) + eps), computed in place: both inputs
+    are fresh arrays the caller gives up, and the result is m_hat.
 
     Entries with a zero denominator necessarily have a zero numerator (the
     second moment majorizes the first along the history), so they map to 0.
     """
-    denom = np.sqrt(v_hat) + eps
+    denom = np.sqrt(v_hat, out=v_hat)
+    denom += eps
+    zero = ~(denom > 0.0)
+    denom[zero] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(denom > 0.0, m_hat / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return out
+        m_hat /= denom
+    m_hat[zero] = 0.0
+    return m_hat
 
 
 def adam_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -373,21 +378,25 @@ def _factor_ema(
     return acc
 
 
-def _inverse_roots(acc: np.ndarray, corr2: float, e: float, eps: float, eps_mode: str):
+def _inverse_roots(
+    acc: np.ndarray, corr2: float, e: float, eps: float, eps_mode: str
+) -> tuple[np.ndarray, np.ndarray]:
     """(A + eps' I)^(-e) for each bias-corrected factor A = acc / corr2 of a
-    stack.
+    stack, and the mask of factors whose tile update is zero.
 
-    In absolute mode eps' = eps. In relative mode eps' is eps times the
-    factor's top eigenvalue. A top eigenvalue <= 0 means a zero factor, a
-    zero gradient history and so a zero momentum tile, whose update is zero
-    under any root; such a factor gets eps' = 1 to keep it off the singular
-    check.
+    In absolute mode eps' = eps and the mask is all False. In relative mode
+    eps' is eps times the factor's top eigenvalue, and a top eigenvalue
+    <= 0 (a zero factor) has no relative shift: the mask marks the tile,
+    whose update is zero, and its root is computed with eps' = 1 only to
+    keep the stack off the singular check.
     """
     dec = sym_eig_stack(acc / corr2)
+    zero = np.zeros(acc.shape[:-2], dtype=bool)
     if eps_mode == "relative":
         top = dec.eigenvalues[..., 0]
-        eps = np.where(top > 0.0, eps * top, 1.0)
-    return inv_power(dec, e, eps)
+        zero = top <= 0.0
+        eps = np.where(zero, 1.0, eps * top)
+    return inv_power(dec, e, eps), zero
 
 
 def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -395,8 +404,9 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
 
     Per tile: L += GG^T and R += G^T G EMAs (beta2, bias-corrected), then
     update = (L^ + eps I)^(-e_l) M (R^ + eps I)^(-e_r). In relative mode the
-    eps shift for each factor is eps times that factor's top eigenvalue.
-    The tiles of one shape go through every stage as one stack.
+    eps shift for each factor is eps times that factor's top eigenvalue,
+    and a tile with a zero factor (e > 0) gets a zero update. The tiles of
+    one shape go through every stage as one stack.
     """
     g = as_matrix(g, "gradient")
     state.t += 1
@@ -411,10 +421,17 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
         l = _factor_ema(blocks, group, "l", gb, cfg.beta2)
         r = _factor_ema(blocks, group, "r", gb, cfg.beta2)
         upd = group.view(m) / corr1
+        zero = np.zeros(group.grid, dtype=bool)
         if cfg.e_l > 0.0:  # e == 0 is the exact identity: skip the multiply
-            upd = _inverse_roots(l, corr2, cfg.e_l, cfg.eps, cfg.eps_mode) @ upd
+            p_l, zero_l = _inverse_roots(l, corr2, cfg.e_l, cfg.eps, cfg.eps_mode)
+            upd = p_l @ upd
+            zero |= zero_l
+            del p_l  # before the right root: one full-size root at a time
         if cfg.e_r > 0.0:
-            upd = upd @ _inverse_roots(r, corr2, cfg.e_r, cfg.eps, cfg.eps_mode)
+            p_r, zero_r = _inverse_roots(r, corr2, cfg.e_r, cfg.eps, cfg.eps_mode)
+            upd = upd @ p_r
+            zero |= zero_r
+        upd[zero] = 0.0
         group.view(out)[...] = upd
     return UpdateReport(out)
 
@@ -468,7 +485,12 @@ def soap_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
             q_r = _soap_basis(blocks, group, "r", gb, cfg.beta2, corr2, refresh)
         v = _group_stack(blocks, group, "v", group.shape)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * np.square(_rotate(gb, q_l, q_r))
+        rot = _rotate(gb, q_l, q_r)
+        # square in place unless rot is the caller's gradient (no basis)
+        rot = np.square(rot, out=None if rot is gb else rot)
+        rot *= 1.0 - cfg.beta2
+        v += rot
+        del rot
         upd = _adam_ratio(_rotate(group.view(m), q_l, q_r) / corr1, v / corr2, cfg.eps)
         if q_l is not None:
             upd = q_l @ upd

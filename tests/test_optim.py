@@ -115,6 +115,23 @@ class TestAdam:
         out = adam_step(LayerState(), np.zeros((2, 3)), cfg("adam", eps=1e-8))
         assert np.array_equal(out.update, np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    def test_zero_entries_map_to_zero_bits(self, eps):
+        # entries whose history is zero divide by a zero denominator at
+        # eps = 0; they map to +0.0, every other entry is m^ / (sqrt(v^) + eps)
+        rng = np.random.default_rng(19)
+        c = cfg("adam", beta1=0.9, beta2=0.95, eps=eps)
+        state, m, v = LayerState(), 0.0, 0.0
+        for t in range(1, 4):
+            g = rng.standard_normal((4, 5))
+            g[:, 1] = 0.0
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.95 * v + (1.0 - 0.95) * (g * g)
+            denom = np.sqrt(v / (1.0 - 0.95**t)) + eps
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = np.where(denom > 0.0, (m / (1.0 - 0.9**t)) / denom, 0.0)
+            assert adam_step(state, g, c).update.tobytes() == want.tobytes()
+
     def test_zero_history_zero_eps_raises(self):
         with pytest.raises(ZeroDivisionError):
             adam_step(LayerState(), np.zeros((2, 2)), cfg("adam", beta1=0, beta2=0, eps=0))
@@ -129,7 +146,7 @@ class TestAdam:
         for t in range(1, 6):
             g = rng.standard_normal((3, 2))
             out = adam_step(state, g, c)
-            m = 0.9 * m + 0.1 * g
+            m = 0.9 * m + (1.0 - 0.9) * g
             v = 0.95 * v + 0.05 * g * g
             ref = (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.95**t)) + 1e-8)
             assert np.max(np.abs(out.update - ref)) < 1e-14
@@ -193,7 +210,7 @@ class TestShampoo:
         for t in range(1, 4):
             g = rng.standard_normal((3, 3))
             out = shampoo_step(state, g, c)
-            m = 0.9 * m + 0.1 * g
+            m = 0.9 * m + (1.0 - 0.9) * g
             l = 0.95 * l + 0.05 * g @ g.T
             r = 0.95 * r + 0.05 * g.T @ g
             c2 = 1 - 0.95**t
@@ -298,13 +315,15 @@ def uneven_tilings(draw):
     return rows, cols, b_out, b_in
 
 
-def gradients_with_zero_tile(rng, shape, span, steps):
-    """Random gradients whose entries in one tile stay zero at every step."""
+def gradients_with_zero_tile(rng, shape, span, steps, from_step=1):
+    """Random gradients whose entries in one tile are zero at every step
+    from from_step on."""
     (r0, r1), (c0, c1) = span
     g_seq = []
-    for _ in range(steps):
+    for t in range(1, steps + 1):
         g = rng.standard_normal(shape)
-        g[r0:r1, c0:c1] = 0.0
+        if t >= from_step:
+            g[r0:r1, c0:c1] = 0.0
         g_seq.append(g)
     return g_seq
 
@@ -396,18 +415,26 @@ class TestStackedTiles:
         e_l=st.sampled_from((0.0, 0.25, 0.5)),
         e_r=st.sampled_from((0.0, 0.25, 0.5)),
         eps_mode=st.sampled_from(EPS_MODES),
+        beta2=st.sampled_from((0.0, 0.95)),
         zero_tile=st.integers(0, 63),
+        zero_from=st.sampled_from((1, 2)),
         seed=st.integers(0, 2**16),
     )
-    def test_shampoo_matches_per_tile_route(self, tiling, e_l, e_r, eps_mode, zero_tile, seed):
+    def test_shampoo_matches_per_tile_route(
+        self, tiling, e_l, e_r, eps_mode, beta2, zero_tile, zero_from, seed
+    ):
+        # with beta2 = 0 a tile whose gradient goes zero after step 1 has
+        # zero factors but nonzero momentum
         rows, cols, b_out, b_in = tiling
-        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode,
+        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode, beta2=beta2,
                 block_out=b_out, block_in=b_in)
         part = block_partition(np.zeros((rows, cols)), b_out, b_in)
         assert 2 <= len(part.groups()) <= 4
         spans = tile_spans(np.zeros((rows, cols)), c)
         zero = zero_tile % len(spans)
-        g_seq = gradients_with_zero_tile(np.random.default_rng(seed), (rows, cols), spans[zero], 4)
+        g_seq = gradients_with_zero_tile(
+            np.random.default_rng(seed), (rows, cols), spans[zero], 4, zero_from
+        )
         want, acc = per_tile_shampoo(g_seq, c)
         state = LayerState()
         for g, expected in zip(g_seq, want):
@@ -416,8 +443,9 @@ class TestStackedTiles:
         # the per-tile factors stay readable in row-major tile order
         for block, (l, r) in zip(state.blocks, (acc[i] for i in range(len(spans)))):
             assert np.array_equal(block.l, l) and np.array_equal(block.r, r)
-        (r0, r1), (c0, c1) = spans[zero]
-        assert not np.any(expected[r0:r1, c0:c1])
+        if zero_from == 1:
+            (r0, r1), (c0, c1) = spans[zero]
+            assert not np.any(expected[r0:r1, c0:c1])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -564,7 +592,7 @@ class TestMuon:
         for _ in range(3):
             g = rng.standard_normal((4, 4))
             muon_step(state, g, c)
-            m = 0.9 * m + 0.1 * g
+            m = 0.9 * m + (1.0 - 0.9) * g
         assert np.max(np.abs(state.m - m)) < 1e-14
 
 
