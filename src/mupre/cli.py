@@ -3,6 +3,10 @@
 Parses a JSON run config, dispatches the harness experiments, and writes
 plan files and metric artifacts. Exit codes: 0 success, 1 a configured
 check failed its threshold, 2 usage or config error.
+
+At import this module loads only the NumPy-free config layer (`config`,
+`scaling`), so `mupre plan`, `--help` and config errors never load NumPy;
+the experiment commands import `harness` when they run.
 """
 
 from __future__ import annotations
@@ -11,26 +15,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
 
-from .harness import (
-    FieldError,
-    SweepConfig,
-    compute_multiplier,
-    coord_check,
-    depth_check,
-    lr_sweep,
-    mup_exponent_check,
-    muon_svd_error,
-    oracle_agreement,
-    rank_scan,
-    records_csv,
-    run_summary,
-)
-from .optim import OptimizerConfig
-from .scaling import ScalingPlan, build_plan, plan_to_json
+from .config import FieldError, OptimizerConfig, SweepConfig
+from .scaling import ScalingPlan, build_plan, check_pair, plan_to_json
 
 
 class ConfigError(Exception):
@@ -162,6 +152,10 @@ def build_objects(
         plan = ScalingPlan(**scale_kw)
     except (ValueError, TypeError) as exc:
         raise cfg.error("scaling", str(exc))
+    try:
+        check_pair(opt, plan)
+    except ValueError as exc:
+        raise cfg.error("scaling.param", str(exc))
     model = dict(cfg.sections["model"])
     if seed is not None:
         model["seeds"] = (seed,)
@@ -176,11 +170,16 @@ def build_objects(
     try:
         sweep_cfg = SweepConfig(opt=opt, plan=plan, **model, **sweep)
     except FieldError as exc:
-        section = "model" if exc.field in _MODEL_KEYS else "sweep"
-        raise cfg.error(f"{section}.{exc.field}", str(exc))
+        raise _field_error(cfg, exc)
     except (ValueError, TypeError) as exc:
         raise cfg.error("sweep", str(exc))
     return opt, plan, sweep_cfg
+
+
+def _field_error(cfg: RunConfig, exc: FieldError) -> ConfigError:
+    """The config error for a SweepConfig field, at the key that owns it."""
+    section = "model" if exc.field in _MODEL_KEYS else "sweep"
+    return cfg.error(f"{section}.{exc.field}", str(exc))
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:
@@ -209,26 +208,46 @@ def write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _dump_artifacts(name, runs, extra, out_dir, formats, per_run=lambda run: {}) -> None:
+def _harness():
+    """mupre.harness, imported on first use: it loads NumPy and the numeric
+    layers, which `mupre plan` and config validation never need."""
+    from . import harness
+
+    return harness
+
+
+def _dump_artifacts(name, runs, extra, per_run=lambda run: {}, *, out_dir, formats) -> None:
     """Write <name>.csv and <name>.jsonl; per_run adds fields to each run's summary."""
+    harness = _harness()
     if "csv" in formats:
         records = [rec for run in runs for rec in run.records]
-        write_atomic(out_dir / f"{name}.csv", records_csv(records))
+        write_atomic(out_dir / f"{name}.csv", harness.records_csv(records))
     if "jsonl" in formats:
-        lines = [json.dumps({**run_summary(r), **per_run(r)}, sort_keys=True) for r in runs]
+        lines = [
+            json.dumps({**harness.run_summary(r), **per_run(r)}, sort_keys=True) for r in runs
+        ]
         lines.append(json.dumps({"experiment": name, **extra}, sort_keys=True))
         write_atomic(out_dir / f"{name}.jsonl", "\n".join(lines) + "\n")
 
 
-def _run_experiment(fn, sweep_cfg: SweepConfig, jobs: int):
+def _run_experiment(cfg: RunConfig, args, name: str):
+    """(sweep config, result, artifact writer) of the harness experiment
+    `name`. Its preconditions (architecture, axis sizes) and the output
+    formats are config errors, checked before any cell runs or NumPy loads;
+    a run that fails numerically is recorded as diverged by the harness."""
+    _, _, sweep_cfg = build_objects(cfg, args.seed)
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return fn(sweep_cfg, mapper=pool.map)
-        return fn(sweep_cfg)
-    except ValueError as exc:
-        # experiment preconditions (architecture, axis sizes) are config errors
-        raise ConfigError(str(exc))
+        sweep_cfg.require(name)
+    except FieldError as exc:
+        raise _field_error(cfg, exc)
+    write = partial(_dump_artifacts, out_dir=_out_dir(cfg, args), formats=_formats(cfg, args))
+    fn = getattr(_harness(), name)
+    if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            return sweep_cfg, fn(sweep_cfg, mapper=pool.map), write
+    return sweep_cfg, fn(sweep_cfg), write
 
 
 def _check(name: str, value: float, bound: float, *, upper: bool = True) -> bool:
@@ -278,11 +297,10 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_slope_experiment(cfg: RunConfig, args, fn, name: str) -> int:
-    _, _, sweep_cfg = build_objects(cfg, args.seed)
-    result = _run_experiment(fn, sweep_cfg, args.jobs)
+def _cmd_slope_experiment(cfg: RunConfig, args, fn: str, name: str) -> int:
+    sweep_cfg, result, write = _run_experiment(cfg, args, fn)
     extra = {"slopes": _slopes_json(result), "excluded": result.excluded}
-    _dump_artifacts(name, result.runs, extra, _out_dir(cfg, args), _formats(cfg, args))
+    write(name, result.runs, extra)
     if result.excluded:
         print(f"excluded diverged runs: {', '.join(result.excluded)}")
     ok = _slope_checks(result, cfg.sections["checks"], sweep_cfg.probe_steps)
@@ -290,26 +308,23 @@ def _cmd_slope_experiment(cfg: RunConfig, args, fn, name: str) -> int:
 
 
 def cmd_coordcheck(cfg: RunConfig, args) -> int:
-    return _cmd_slope_experiment(cfg, args, coord_check, "coordcheck")
+    return _cmd_slope_experiment(cfg, args, "coord_check", "coordcheck")
 
 
 def cmd_depthcheck(cfg: RunConfig, args) -> int:
-    return _cmd_slope_experiment(cfg, args, depth_check, "depthcheck")
+    return _cmd_slope_experiment(cfg, args, "depth_check", "depthcheck")
 
 
 def cmd_lrsweep(cfg: RunConfig, args) -> int:
-    _, _, sweep_cfg = build_objects(cfg, args.seed)
-    result = _run_experiment(lr_sweep, sweep_cfg, args.jobs)
+    _, result, write = _run_experiment(cfg, args, "lr_sweep")
     extra = {
         "losses": {str(w): {repr(e): v for e, v in row.items()}
                    for w, row in result.losses.items()},
         "argmin": {str(w): e for w, e in result.argmin.items()},
         "drift_octaves": result.drift_octaves,
     }
-    _dump_artifacts(
-        "lrsweep", result.runs, extra, _out_dir(cfg, args), _formats(cfg, args),
-        per_run=lambda run: {"argmin_eta": result.argmin[run.width]},
-    )
+    write("lrsweep", result.runs, extra,
+          per_run=lambda run: {"argmin_eta": result.argmin[run.width]})
     print(f"argmin per width: {result.argmin}")
     if result.drift_octaves is None:
         diverged = [w for w, eta in result.argmin.items() if eta is None]
@@ -329,15 +344,14 @@ def cmd_lrsweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_rankscan(cfg: RunConfig, args) -> int:
-    _, _, sweep_cfg = build_objects(cfg, args.seed)
-    result = _run_experiment(rank_scan, sweep_cfg, args.jobs)
+    _, result, write = _run_experiment(cfg, args, "rank_scan")
     extra = {
         "summary": {
             str(w): {layer: list(pair) for layer, pair in layers.items()}
             for w, layers in result.summary.items()
         }
     }
-    _dump_artifacts("rankscan", result.runs, extra, _out_dir(cfg, args), _formats(cfg, args))
+    write("rankscan", result.runs, extra)
     checks = cfg.sections["checks"]
     ok = True
     if checks["max_srank_spread"] is not None and result.summary:
@@ -377,6 +391,7 @@ _ORACLE_BATTERY = {
 
 def cmd_oracle(cfg: RunConfig, args) -> int:
     _, plan, sweep_cfg = build_objects(cfg, args.seed)
+    harness = _harness()
     seed = args.seed if args.seed is not None else sweep_cfg.seeds[0]
     checks = cfg.sections["checks"]
     tol = checks["oracle_tol"]
@@ -384,14 +399,14 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
     battery = dict(_ORACLE_BATTERY)
     battery["configured"] = sweep_cfg.opt
     for name, opt in battery.items():
-        err = oracle_agreement(opt, n_draws=100, seed=seed)
+        err = harness.oracle_agreement(opt, n_draws=100, seed=seed)
         print(f"oracle {name}: max relative error {err:.3e}")
         ok &= _check(f"oracle_tol[{name}]", err, tol)
-    svd_err = muon_svd_error(OptimizerConfig("muon"), n_draws=100, seed=seed)
+    svd_err = harness.muon_svd_error(OptimizerConfig("muon"), n_draws=100, seed=seed)
     print(f"oracle muon vs svd reference: {svd_err:.3e}")
     ok &= _check("muon_svd_tol", svd_err, checks["muon_svd_tol"])
     if plan.param == "mup":
-        check = mup_exponent_check(
+        check = harness.mup_exponent_check(
             sweep_cfg.opt, plan, widths=(64, 128, 256, 512, 1024), seed=seed
         )
         print(
@@ -430,6 +445,7 @@ def _read_loss_csv(path: str) -> list[tuple[float, float]]:
 def cmd_multiplier(args) -> int:
     baseline = _read_loss_csv(args.baseline)
     candidates = _read_loss_csv(args.candidate)
+    compute_multiplier = _harness().compute_multiplier
     try:
         estimates = [compute_multiplier(baseline, cand) for cand in candidates]
     except ValueError as exc:

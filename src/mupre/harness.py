@@ -14,22 +14,19 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import NS_DEFAULT_EPS, NS_QUINTIC, PowerIterState, mat_inv_power, ns_schedule, sym_eig
-from .models import (
-    ACTIVATIONS,
-    MlpModel,
-    ResMlpModel,
-    coord_probe,
-    make_teacher,
-    mlp_manifest,
-    resmlp_manifest,
-    synth_batch,
+from .config import OptimizerConfig, SweepConfig
+from .linalg import (
+    NS_DEFAULT_EPS,
+    NS_QUINTIC,
+    NonFiniteError,
+    PowerIterState,
+    mat_inv_power,
+    ns_schedule,
+    sym_eig,
 )
+from .models import MlpModel, ResMlpModel, coord_probe, make_teacher, synth_batch
 from .optim import (
-    WD_MODES,
-    BlockPartition,
     LayerState,
-    OptimizerConfig,
     UpdateReport,
     apply_weight_decay,
     optimizer_step,
@@ -37,6 +34,7 @@ from .optim import (
     spectral_normalize,
 )
 from .scaling import (
+    BlockPartition,
     LayerHyper,
     LayerSpec,
     ModelManifest,
@@ -47,83 +45,8 @@ from .scaling import (
 
 CSV_HEADER = "run_id,width,depth,step,eta_base,loss,layer,delta_h_rms,srank,spec_norm"
 
-ARCHS = ("mlp", "resmlp")
-
 # stride separating per-step batch seeds between runs
 _SEED_STRIDE = 1_000_003
-
-
-class FieldError(ValueError):
-    """A SweepConfig value that fails validation; field names its owner."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    opt: OptimizerConfig
-    plan: ScalingPlan
-    widths: tuple[int, ...]
-    depths: tuple[int, ...] = (1,)
-    arch: str = "mlp"
-    n_layers: int = 3
-    activation: str = "tanh"
-    steps: int = 300
-    batch_size: int = 32
-    lr_grid: tuple[float, ...] = (1.0,)
-    seeds: tuple[int, ...] = (0,)
-    probe_steps: tuple[int, ...] = (10, 200)
-    probe_batch: int = 16
-    teacher_seed: int = 7
-    probe_seed: int = 9999
-    record_every: int = 0
-    divergence_factor: float = 1e4
-    wd_variant: str = "independent"
-
-    def __post_init__(self) -> None:
-        if self.arch not in ARCHS:
-            raise FieldError("arch", f"unknown arch {self.arch!r}; expected one of {ARCHS}")
-        if self.activation not in ACTIVATIONS:
-            raise FieldError(
-                "activation",
-                f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}",
-            )
-        if self.wd_variant not in WD_MODES:
-            raise FieldError(
-                "wd_variant",
-                f"unknown wd_variant {self.wd_variant!r}; expected one of {WD_MODES}",
-            )
-        for name in ("widths", "depths", "lr_grid", "seeds", "probe_steps"):
-            vals = getattr(self, name)
-            object.__setattr__(self, name, tuple(vals))
-            if not getattr(self, name):
-                raise FieldError(name, f"{name} must be nonempty")
-        for name in ("widths", "depths"):
-            if list(getattr(self, name)) != sorted(getattr(self, name)):
-                raise FieldError(name, f"{name} must be ascending")
-            if min(getattr(self, name)) < 1:
-                raise FieldError(name, f"{name} must be positive")
-        for name in ("steps", "batch_size", "probe_batch"):
-            if getattr(self, name) < 1:
-                raise FieldError(name, f"{name} must be positive")
-        if min(self.probe_steps) < 1:
-            raise FieldError("probe_steps", "probe steps count from 1")
-        if min(self.lr_grid) <= 0:
-            raise FieldError("lr_grid", "lr grid entries must be positive")
-        if self.record_every < 0:
-            raise FieldError("record_every", "record_every must be >= 0")
-        if self.n_layers < 2:
-            raise FieldError("n_layers", "need at least two layers")
-        if self.divergence_factor <= 1:
-            raise FieldError("divergence_factor", "divergence_factor must exceed 1")
-
-    def manifest(self, width: int, depth: int) -> ModelManifest:
-        """The model of one grid cell; an mlp ignores depth."""
-        if self.arch == "mlp":
-            return mlp_manifest(width, self.plan.base_width, self.n_layers)
-        return resmlp_manifest(width, depth, self.plan.base_width, self.plan.base_depth)
 
 
 @dataclass(frozen=True)
@@ -266,7 +189,8 @@ def run_training(
                 model.weights[name] = w - hyper.eta * update
                 if recording:
                     applied[name] = report if update is report.update else UpdateReport(update)
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, NonFiniteError):
+            # an overflowed gradient or accumulator, or a failed solver
             diverged = True
             break
         if recording:
@@ -338,8 +262,7 @@ def _probe_slopes(
 
 def coord_check(cfg: SweepConfig, mapper=None) -> CoordCheckResult:
     """Feature-update growth across width at fixed eta_base."""
-    if len(cfg.widths) < 3:
-        raise ValueError("coordinate check needs at least 3 widths")
+    cfg.require("coord_check")
     depth = cfg.depths[0]
     seed = cfg.seeds[0]
     cells = [(w, depth, cfg.plan.eta_base, seed) for w in cfg.widths]
@@ -351,10 +274,7 @@ def coord_check(cfg: SweepConfig, mapper=None) -> CoordCheckResult:
 
 def depth_check(cfg: SweepConfig, mapper=None) -> CoordCheckResult:
     """Feature-update growth across depth at fixed width (residual model)."""
-    if cfg.arch != "resmlp":
-        raise ValueError("depth check requires the residual architecture")
-    if len(cfg.depths) < 3:
-        raise ValueError("depth check needs at least 3 depths")
+    cfg.require("depth_check")
     width = cfg.widths[0]
     seed = cfg.seeds[0]
     cells = [(width, d, cfg.plan.eta_base, seed) for d in cfg.depths]
@@ -441,8 +361,7 @@ def _ns_scalar(s: float, iters: int, eps: float) -> float:
 
 def _tiles(opt: OptimizerConfig, delta: np.ndarray, x: np.ndarray) -> BlockPartition:
     """The optimizer's tiling of the d_out x d_in gradient delta x^T."""
-    rows, cols = delta.shape[0], x.shape[0]
-    return BlockPartition(rows, cols, opt.block_out or rows, opt.block_in or cols)
+    return BlockPartition(delta.shape[0], x.shape[0], opt.block_out, opt.block_in)
 
 
 def _elementwise_adam(delta, x, x_probe, eps):

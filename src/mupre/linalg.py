@@ -27,13 +27,19 @@ NS_POLISH_STEPS = 2
 NS_DEFAULT_EPS = 1e-7
 
 
+class NonFiniteError(ValueError):
+    """An input holds inf or NaN entries. During training this means the run
+    overflowed, so the trainer records it as a divergence."""
+
+
 def as_matrix(a, name: str = "matrix") -> Matrix:
-    """Coerce to a 2-D float64 array, rejecting bad shapes and non-finite entries."""
+    """Coerce to a 2-D float64 array, rejecting bad shapes and non-finite
+    entries (NonFiniteError)."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return m
 
 
@@ -87,11 +93,12 @@ def sym_eig_stack(a: np.ndarray) -> EigDecomp:
 
     There is no symmetry check and no symmetrizing copy: LAPACK reads one
     triangle only, so the caller passes matrices that are exactly symmetric
-    by construction. Non-finite entries raise ValueError; non-convergence
-    propagates as numpy.linalg.LinAlgError.
+    by construction, such as optim's factor EMAs of G G^T and G^T G.
+    Non-finite entries raise NonFiniteError; non-convergence propagates as
+    numpy.linalg.LinAlgError.
     """
     if not np.all(np.isfinite(a)):
-        raise ValueError("sym_eig_stack input contains non-finite entries")
+        raise NonFiniteError("sym_eig_stack input contains non-finite entries")
     w, v = np.linalg.eigh(a)
     return EigDecomp(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
 

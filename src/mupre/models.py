@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ACTIVATIONS
 from .linalg import Matrix
-from .scaling import LayerHyper, LayerSpec, ModelManifest
-
-ACTIVATIONS = ("relu", "tanh")
+from .scaling import LayerHyper, ModelManifest
 
 TEACHER_WIDTHS = (1, 8, 8, 1)
 
@@ -246,47 +245,6 @@ def _init_weights(
         sigma = table[spec.name].sigma_init
         weights[spec.name] = sigma * rng.standard_normal((spec.d_out, spec.d_in))
     return weights
-
-
-def mlp_manifest(width: int, base_width: int, n_layers: int = 3) -> ModelManifest:
-    """Scalar input, n_layers-1 hidden matrices of width d, scalar readout."""
-    if n_layers < 2:
-        raise ValueError("need at least two layers")
-    layers = [LayerSpec("fc1", "hidden", d_in=1, d_out=width, base_d_out=base_width)]
-    for i in range(2, n_layers):
-        layers.append(
-            LayerSpec(
-                f"fc{i}", "hidden", d_in=width, d_out=width,
-                base_d_in=base_width, base_d_out=base_width,
-            )
-        )
-    layers.append(
-        LayerSpec("readout", "readout", d_in=width, d_out=1, base_d_in=base_width)
-    )
-    return ModelManifest(width=width, depth=1, layers=tuple(layers))
-
-
-def resmlp_manifest(
-    width: int, depth: int, base_width: int, base_depth: int = 1
-) -> ModelManifest:
-    """Scalar embedding, depth residual blocks, scalar readout."""
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    layers = [
-        LayerSpec("embed", "embedding", d_in=1, d_out=width, base_d_out=base_width)
-    ]
-    for i in range(1, depth + 1):
-        layers.append(
-            LayerSpec(
-                f"block{i}", "hidden", d_in=width, d_out=width,
-                in_residual=True, depth_l=depth,
-                base_d_in=base_width, base_d_out=base_width,
-            )
-        )
-    layers.append(
-        LayerSpec("readout", "readout", d_in=width, d_out=1, base_d_in=base_width)
-    )
-    return ModelManifest(width=width, depth=depth, layers=tuple(layers))
 
 
 def coord_probe(before: ForwardCache, after: ForwardCache, layer: str) -> float:

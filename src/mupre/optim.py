@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import WD_MODES, OptimizerConfig
 from .linalg import (
     Matrix,
     PowerIterState,
@@ -32,97 +33,7 @@ from .linalg import (
     spectral_norm_exact,
     sym_eig_stack,
 )
-
-RULES = ("sgd", "adam", "shampoo", "soap", "muon", "adamuon")
-GRAFT_RULES = ("sgd", "adam")
-# rules whose own step keeps LayerState.v, the slot an adam graft reference uses
-SECOND_MOMENT_RULES = ("adam", "adamuon")
-NORMALIZE_MODES = ("none", "spectral", "rms")
-EPS_MODES = ("absolute", "relative")
-WD_MODES = ("independent", "coupled")
-
-
-@dataclass
-class OptimizerConfig:
-    """Static description of one optimizer.
-
-    rule         one of sgd | adam | shampoo | soap | muon | adamuon
-    e_l, e_r     inverse-power exponents per side (shampoo) or 0/1 side
-                 indicators selecting which eigenbases are tracked (soap)
-    beta1/beta2  first/second-moment EMA coefficients
-    eps          damping; for shampoo interpreted per eps_mode, either an
-                 absolute shift or a fraction of the factor's top eigenvalue
-    graft_rule   optional reference rule whose update norm is grafted onto
-                 this rule's direction (full-matrix norms); an adam reference
-                 is rejected for the adam and adamuon rules, which own the
-                 same second-moment slot, and adamuon takes no graft at all,
-                 since its first moment is not the gradient's
-    graft_eps    guard added to the direction norm in the graft ratio
-    graft_ref_eps damping used inside the reference rule's own step
-    block_in/out tile sizes for blocked preconditioning (shampoo/soap only)
-    normalize    post-step update normalization applied by the trainer
-    precond_freq soap eigenbasis refresh period, in steps
-    ns_iters     orthogonalization iteration count for muon/adamuon
-    rms_align    adamuon option: rescale the update to a fixed entrywise RMS
-                 of 0.2 with a sqrt(d_in * d_out) norm target
-    """
-
-    rule: str
-    e_l: float = 0.5
-    e_r: float = 0.5
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
-    eps_mode: str = "relative"
-    graft_rule: str | None = None
-    graft_eps: float = 0.0
-    graft_ref_eps: float = 1e-8
-    block_in: int | None = None
-    block_out: int | None = None
-    normalize: str = "none"
-    precond_freq: int = 1
-    ns_iters: int = 5
-    rms_align: bool = False
-
-    def __post_init__(self):
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}, expected one of {RULES}")
-        if self.rule == "soap" and not (
-            self.e_l in (0.0, 1.0) and self.e_r in (0.0, 1.0)
-        ):
-            raise ValueError("soap side exponents must be 0 or 1 (side indicators)")
-        if min(self.e_l, self.e_r) < 0:
-            raise ValueError("side exponents must be >= 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.eps < 0 or self.graft_eps < 0 or self.graft_ref_eps < 0:
-            raise ValueError("eps values must be >= 0")
-        if self.eps_mode not in EPS_MODES:
-            raise ValueError(f"eps_mode must be one of {EPS_MODES}")
-        if self.graft_rule is not None and self.graft_rule not in GRAFT_RULES:
-            raise ValueError(f"graft_rule must be one of {GRAFT_RULES}")
-        if self.graft_rule == "adam" and self.rule in SECOND_MOMENT_RULES:
-            raise ValueError(
-                f"graft_rule 'adam' cannot graft onto rule {self.rule!r}: both "
-                "would advance the layer's one second-moment slot"
-            )
-        if self.graft_rule is not None and self.rule == "adamuon":
-            raise ValueError(
-                "rule 'adamuon' takes no graft_rule: its first moment holds the "
-                "orthogonalized gradient, not the gradient a graft reference reads"
-            )
-        if (self.block_in or self.block_out) and self.rule not in ("shampoo", "soap"):
-            raise ValueError("blocking is only defined for shampoo and soap")
-        for b in (self.block_in, self.block_out):
-            if b is not None and b < 1:
-                raise ValueError("block sizes must be >= 1")
-        if self.normalize not in NORMALIZE_MODES:
-            raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
-        if self.precond_freq < 1:
-            raise ValueError("precond_freq must be >= 1")
-        if self.ns_iters < 1:
-            raise ValueError("ns_iters must be >= 1")
-
+from .scaling import BlockPartition, TileGroup
 
 class UpdateReport:
     """An update direction plus its norm statistics.
@@ -181,90 +92,10 @@ class LayerState:
     blocks: list[BlockState] = field(default_factory=list)
 
 
-@dataclass
-class BlockPartition:
-    """Index map for the b_out x b_in tiling of a (rows x cols) matrix."""
-
-    rows: int
-    cols: int
-    b_out: int
-    b_in: int
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("cannot partition an empty matrix")
-        if self.b_out < 1 or self.b_in < 1:
-            raise ValueError("block sizes must be >= 1")
-        self.row_edges = list(range(0, self.rows, self.b_out)) + [self.rows]
-        self.col_edges = list(range(0, self.cols, self.b_in)) + [self.cols]
-
-    @property
-    def n_out(self) -> int:
-        return len(self.row_edges) - 1
-
-    @property
-    def n_in(self) -> int:
-        return len(self.col_edges) - 1
-
-    def __len__(self) -> int:
-        return self.n_out * self.n_in
-
-    @property
-    def row_spans(self) -> list[tuple[int, int]]:
-        return list(zip(self.row_edges, self.row_edges[1:]))
-
-    @property
-    def col_spans(self) -> list[tuple[int, int]]:
-        return list(zip(self.col_edges, self.col_edges[1:]))
-
-    def groups(self) -> list[TileGroup]:
-        """The tiles split by shape: full tiles, the trailing column, the
-        trailing row and the corner, each group in row-major tile order."""
-
-        def runs(n: int, b: int) -> list[tuple[int, int, int]]:
-            # (first block, block count, block size) per run of equal blocks
-            full, rest = divmod(n, b)
-            out = [(0, full, b)] if full else []
-            if rest:
-                out.append((full, 1, rest))
-            return out
-
-        groups = []
-        for i0, n_down, b_out in runs(self.rows, self.b_out):
-            for j0, n_across, b_in in runs(self.cols, self.b_in):
-                indices = tuple(
-                    (i0 + i) * self.n_in + j0 + j
-                    for i in range(n_down)
-                    for j in range(n_across)
-                )
-                groups.append(TileGroup(
-                    i0 * self.b_out, j0 * self.b_in, (n_down, n_across), (b_out, b_in), indices
-                ))
-        return groups
-
-
-@dataclass(frozen=True)
-class TileGroup:
-    """A grid of equal-shape tiles with its top-left corner at (row, col)."""
-
-    row: int
-    col: int
-    grid: tuple[int, int]  # tiles down, tiles across
-    shape: tuple[int, int]  # rows, cols of one tile
-    indices: tuple[int, ...]  # row-major tile indices in the partition
-
-    def view(self, a: np.ndarray) -> np.ndarray:
-        """The grid + shape view of a's tiles in this group; writes go to a."""
-        (n_down, n_across), (b_out, b_in) = self.grid, self.shape
-        block = a[self.row:self.row + n_down * b_out, self.col:self.col + n_across * b_in]
-        return block.reshape(n_down, b_out, n_across, b_in).swapaxes(1, 2)
-
-
 def block_partition(g: Matrix, b_out: int | None, b_in: int | None) -> BlockPartition:
     """Partition covering g; a missing block size means one full-extent tile."""
     g = as_matrix(g, "block_partition input")
-    rows, cols = g.shape
-    return BlockPartition(rows, cols, min(b_out or rows, rows), min(b_in or cols, cols))
+    return BlockPartition(*g.shape, b_out, b_in)
 
 
 def _bias_correction(beta: float, t: int) -> float:
@@ -363,18 +194,19 @@ def _seat(blocks: list[BlockState], group: TileGroup, name: str, stack: np.ndarr
 def _factor_ema(
     blocks: list[BlockState], group: TileGroup, side: str, gb: np.ndarray, beta2: float
 ) -> np.ndarray:
-    """Advance the group's factor EMA on one side in place, symmetrize it
-    and return the stack: L <- beta2 L + (1 - beta2) G G^T on side "l",
-    R <- beta2 R + (1 - beta2) G^T G on side "r"."""
+    """Advance the group's factor EMA on one side in place and return the
+    stack: L <- beta2 L + (1 - beta2) G G^T on side "l",
+    R <- beta2 R + (1 - beta2) G^T G on side "r".
+
+    NumPy forms G G^T and G^T G with a symmetric rank-k update that mirrors
+    one triangle, and the EMA scales and adds entrywise, so the stack stays
+    exactly symmetric: it goes to sym_eig_stack as it is.
+    """
     gram = gb @ gb.swapaxes(-1, -2) if side == "l" else gb.swapaxes(-1, -2) @ gb
     acc = _group_stack(blocks, group, side, gram.shape[-2:])
     acc *= beta2
     gram *= 1.0 - beta2
     acc += gram
-    del gram  # before the symmetrizing temporary: one full-size temporary at a time
-    # symmetrize accumulated round-off before factorizing
-    np.add(acc, acc.swapaxes(-1, -2), out=acc)
-    acc /= 2.0
     return acc
 
 

@@ -5,6 +5,9 @@ learning rate, damping, initialization, residual and weight-decay
 multipliers under each parameterization. Multipliers are ratios of a
 closed-form formula evaluated at the layer's shape over the same formula
 at the base shape, so a base-shaped layer always gets exactly 1.
+
+Pure Python: this module imports nothing from mupre at runtime and never
+loads NumPy, so building and printing a plan stays cheap.
 """
 
 from __future__ import annotations
@@ -12,8 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from typing import TYPE_CHECKING
 
-from .optim import BlockPartition, OptimizerConfig
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .config import OptimizerConfig
 
 ROLES = ("embedding", "hidden", "readout", "bias")
 PARAMS = (
@@ -30,6 +37,94 @@ WD_SCALINGS = ("constant", "inv_width")
 # Hidden layers initialize at c/sqrt(d_in); embeddings at a fixed scale.
 HIDDEN_INIT_C = 1.0
 EMBEDDING_INIT_SIGMA = 0.1
+
+
+@dataclass
+class BlockPartition:
+    """Index map for the b_out x b_in tiling of a (rows x cols) matrix.
+
+    A block size of None means one full-extent tile on that side, and a
+    block larger than its dimension is clamped to it, so b_out and b_in
+    hold the size of a full tile as used; trailing tiles keep their natural
+    (smaller) size.
+    """
+
+    rows: int
+    cols: int
+    b_out: int | None = None
+    b_in: int | None = None
+
+    def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError("cannot partition an empty matrix")
+        for b in (self.b_out, self.b_in):
+            if b is not None and b < 1:
+                raise ValueError("block sizes must be >= 1")
+        self.b_out = self.rows if self.b_out is None else min(self.b_out, self.rows)
+        self.b_in = self.cols if self.b_in is None else min(self.b_in, self.cols)
+        self.row_edges = list(range(0, self.rows, self.b_out)) + [self.rows]
+        self.col_edges = list(range(0, self.cols, self.b_in)) + [self.cols]
+
+    @property
+    def n_out(self) -> int:
+        return len(self.row_edges) - 1
+
+    @property
+    def n_in(self) -> int:
+        return len(self.col_edges) - 1
+
+    def __len__(self) -> int:
+        return self.n_out * self.n_in
+
+    @property
+    def row_spans(self) -> list[tuple[int, int]]:
+        return list(zip(self.row_edges, self.row_edges[1:]))
+
+    @property
+    def col_spans(self) -> list[tuple[int, int]]:
+        return list(zip(self.col_edges, self.col_edges[1:]))
+
+    def groups(self) -> list[TileGroup]:
+        """The tiles split by shape: full tiles, the trailing column, the
+        trailing row and the corner, each group in row-major tile order."""
+
+        def runs(n: int, b: int) -> list[tuple[int, int, int]]:
+            # (first block, block count, block size) per run of equal blocks
+            full, rest = divmod(n, b)
+            out = [(0, full, b)] if full else []
+            if rest:
+                out.append((full, 1, rest))
+            return out
+
+        groups = []
+        for i0, n_down, b_out in runs(self.rows, self.b_out):
+            for j0, n_across, b_in in runs(self.cols, self.b_in):
+                indices = tuple(
+                    (i0 + i) * self.n_in + j0 + j
+                    for i in range(n_down)
+                    for j in range(n_across)
+                )
+                groups.append(TileGroup(
+                    i0 * self.b_out, j0 * self.b_in, (n_down, n_across), (b_out, b_in), indices
+                ))
+        return groups
+
+
+@dataclass(frozen=True)
+class TileGroup:
+    """A grid of equal-shape tiles with its top-left corner at (row, col)."""
+
+    row: int
+    col: int
+    grid: tuple[int, int]  # tiles down, tiles across
+    shape: tuple[int, int]  # rows, cols of one tile
+    indices: tuple[int, ...]  # row-major tile indices in the partition
+
+    def view(self, a: np.ndarray) -> np.ndarray:
+        """The grid + shape view of a's tiles in this group; writes go to a."""
+        (n_down, n_across), (b_out, b_in) = self.grid, self.shape
+        block = a[self.row:self.row + n_down * b_out, self.col:self.col + n_across * b_in]
+        return block.reshape(n_down, b_out, n_across, b_in).swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -70,16 +165,8 @@ class LayerSpec:
                 raise ValueError(f"layer {self.name!r}: base dims must be positive")
 
     @property
-    def b_in_eff(self) -> int:
-        return self.d_in if self.b_in is None else min(self.b_in, self.d_in)
-
-    @property
-    def b_out_eff(self) -> int:
-        return self.d_out if self.b_out is None else min(self.b_out, self.d_out)
-
-    @property
     def tiles(self) -> BlockPartition:
-        return BlockPartition(self.d_out, self.d_in, self.b_out_eff, self.b_in_eff)
+        return BlockPartition(self.d_out, self.d_in, self.b_out, self.b_in)
 
     @property
     def n_blk(self) -> int:
@@ -194,6 +281,47 @@ class ModelManifest:
             raise ValueError("layer names must be unique")
 
 
+def mlp_manifest(width: int, base_width: int, n_layers: int = 3) -> ModelManifest:
+    """Scalar input, n_layers-1 hidden matrices of width d, scalar readout."""
+    if n_layers < 2:
+        raise ValueError("need at least two layers")
+    layers = [LayerSpec("fc1", "hidden", d_in=1, d_out=width, base_d_out=base_width)]
+    for i in range(2, n_layers):
+        layers.append(
+            LayerSpec(
+                f"fc{i}", "hidden", d_in=width, d_out=width,
+                base_d_in=base_width, base_d_out=base_width,
+            )
+        )
+    layers.append(
+        LayerSpec("readout", "readout", d_in=width, d_out=1, base_d_in=base_width)
+    )
+    return ModelManifest(width=width, depth=1, layers=tuple(layers))
+
+
+def resmlp_manifest(
+    width: int, depth: int, base_width: int, base_depth: int = 1
+) -> ModelManifest:
+    """Scalar embedding, depth residual blocks, scalar readout."""
+    if depth < 1:
+        raise ValueError("depth must be positive")
+    layers = [
+        LayerSpec("embed", "embedding", d_in=1, d_out=width, base_d_out=base_width)
+    ]
+    for i in range(1, depth + 1):
+        layers.append(
+            LayerSpec(
+                f"block{i}", "hidden", d_in=width, d_out=width,
+                in_residual=True, depth_l=depth,
+                base_d_in=base_width, base_d_out=base_width,
+            )
+        )
+    layers.append(
+        LayerSpec("readout", "readout", d_in=width, d_out=1, base_d_in=base_width)
+    )
+    return ModelManifest(width=width, depth=depth, layers=tuple(layers))
+
+
 def _with_base_dims(spec: LayerSpec, plan: ScalingPlan) -> LayerSpec:
     base_in, base_out = spec.base_shape(plan.base_width)
     return replace(spec, base_d_in=base_in, base_d_out=base_out)
@@ -237,7 +365,8 @@ def _lr_formula(rule: str, e_l: float, e_r: float, spec: LayerSpec) -> float:
         s = e_l + e_r
         return (d_out / d_in) ** (1.0 - s) / (l ** (2.0 * s - 1.0) * spec.n_blk**s)
     if rule == "soap":
-        return spec.b_out_eff ** (e_l / 2.0) * spec.b_in_eff ** (e_r / 2.0) / d_in
+        tiles = spec.tiles
+        return tiles.b_out ** (e_l / 2.0) * tiles.b_in ** (e_r / 2.0) / d_in
     raise ValueError(f"no learning-rate rule for {rule!r}")
 
 
@@ -254,11 +383,8 @@ def _eps_formula(rule: str, e_l: float, e_r: float, spec: LayerSpec) -> float:
     if rule == "shampoo":
         return d_in / (l**2 * d_out * spec.n_blk)
     if rule == "soap":
-        return (
-            spec.b_out_eff ** (e_l / 2.0)
-            * spec.b_in_eff ** (e_r / 2.0)
-            / (l * d_out)
-        )
+        tiles = spec.tiles
+        return tiles.b_out ** (e_l / 2.0) * tiles.b_in ** (e_r / 2.0) / (l * d_out)
     raise ValueError(f"no damping rule for {rule!r}")
 
 
@@ -283,7 +409,8 @@ def _ratio(formula, rule: str, e_l: float, e_r: float, spec: LayerSpec, plan: Sc
     return cur / base
 
 
-def _check_pair(opt: OptimizerConfig, plan: ScalingPlan) -> None:
+def check_pair(opt: OptimizerConfig, plan: ScalingPlan) -> None:
+    """Reject a parameterization that does not apply to the optimizer."""
     if plan.param in ALT_MUON_PARAMS and (opt.rule != "muon" or opt.graft_rule):
         raise ValueError(
             f"parameterization {plan.param!r} applies only to plain muon, "
@@ -294,7 +421,7 @@ def _check_pair(opt: OptimizerConfig, plan: ScalingPlan) -> None:
 
 def lr_multiplier(spec: LayerSpec, opt: OptimizerConfig, plan: ScalingPlan) -> float:
     """Per-layer learning-rate factor relative to the base shape."""
-    _check_pair(opt, plan)
+    check_pair(opt, plan)
     if plan.param in ("sp", "spectral_norm"):
         return 1.0
     if plan.param in ALT_MUON_PARAMS:

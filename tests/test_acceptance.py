@@ -16,8 +16,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from mupre.config import OptimizerConfig, SweepConfig
 from mupre.harness import (
-    SweepConfig,
     compute_multiplier,
     coord_check,
     dense_shampoo,
@@ -32,7 +32,6 @@ from mupre.harness import (
 )
 from mupre.optim import (
     LayerState,
-    OptimizerConfig,
     PowerIterState,
     apply_weight_decay,
     optimizer_step,

@@ -1,13 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import mupre
 from mupre.cli import build_objects, load_config, main
-from mupre.harness import SweepConfig
-from mupre.optim import OptimizerConfig
+from mupre.config import OptimizerConfig, SweepConfig
 from mupre.scaling import ScalingPlan
 
 BASE_CONFIG = {
@@ -34,6 +37,9 @@ FULL_CONFIG = {
 }
 
 CSV_HEADER = "run_id,width,depth,step,eta_base,loss,layer,delta_h_rms,srank,spec_norm"
+
+SRC = Path(mupre.__file__).resolve().parents[1]
+BENCH = SRC.parent / "bench"
 
 
 def write_config(tmp_path, name="cfg.json", **patches):
@@ -405,3 +411,100 @@ class TestMultiplierCommand:
         assert main(["multiplier", str(base), str(cand), "--out", str(out)]) == 2
         assert "outside float64 range" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNumericalFailure:
+    """An overflow inside a run is a diverged cell, not a config error.
+
+    SOAP at eta_base 1e4 overflows its factor accumulators before the loss
+    check fires, because divergence_factor 1e300 lets the loss grow freely.
+    """
+
+    OVERFLOW = {
+        "model": {"widths": [16, 32, 64], "activation": "relu"},
+        "optimizer": {"rule": "soap", "e_l": 1.0, "e_r": 1.0},
+        "scaling": {"param": "sp", "base_width": 16, "eta_base": 1e4},
+        "sweep": {"steps": 25, "batch_size": 8, "probe_steps": [10, 200],
+                  "probe_batch": 16, "divergence_factor": 1e300},
+    }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_marks_cells_diverged(self, tmp_path, capsys):
+        path = write_config(tmp_path, **self.OVERFLOW)
+        out = tmp_path / "out"
+        assert main(["coordcheck", "--config", path, "--out", str(out)]) == 0
+        *runs, tail = [json.loads(line) for line in
+                       (out / "coordcheck.jsonl").read_text().splitlines()]
+        assert [run["diverged"] for run in runs] == [False, True, True]
+        assert tail["excluded"] == [run["run_id"] for run in runs[1:]]
+        assert "excluded diverged runs" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_fails_a_configured_slope_check(self, tmp_path, capsys):
+        path = write_config(tmp_path, checks={"max_abs_slope": 0.5}, **self.OVERFLOW)
+        assert main(["coordcheck", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert "CHECK slopes: FAIL" in capsys.readouterr().out
+
+    def test_two_widths_is_still_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, model={"widths": [8, 16]})
+        out = tmp_path / "out"
+        assert main(["coordcheck", "--config", path, "--out", str(out)]) == 2
+        assert "model.widths: coordinate check needs at least 3 widths" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+
+# runs the CLI, then reports which heavy modules the process loaded
+_LOADED = """
+import json, sys
+from mupre.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:
+    rc = exc.code
+heavy = [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
+print(json.dumps({"rc": rc, "loaded": heavy}))
+"""
+
+
+def _env() -> dict:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+class TestModuleLayering:
+    @pytest.mark.parametrize("argv,patch,rc", [
+        (["plan"], {}, 0),
+        (["--help"], None, 0),
+        (["plan"], {"model": {"activation": "gelu"}}, 2),
+        (["coordcheck"], {"model": {"widths": [8, 16]}}, 2),
+        (["depthcheck"], {"model": {"depths": [1, 2, 4]}}, 2),
+        (["lrsweep"], {"output": {"formats": ["yaml"]}}, 2),
+        (["rankscan"], {"optimizer": {"rule": "adam"}, "scaling": {"param": "muon_adamexp"}}, 2),
+    ], ids=["plan", "help", "bad-activation", "two-widths", "mlp-depthcheck", "bad-format",
+            "param-for-muon-only"])
+    def test_config_layer_never_loads_numpy(self, tmp_path, argv, patch, rc):
+        if patch is not None:
+            argv = argv + ["--config", write_config(tmp_path, **patch),
+                           "--out", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=_env(),
+                              capture_output=True, text=True, check=True)
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report == {"rc": rc, "loaded": []}
+
+    def test_tracer_sees_every_layer(self, tmp_path):
+        path = write_config(tmp_path)
+        result = tmp_path / "result.json"
+        proc = subprocess.run(
+            [sys.executable, str(BENCH / "tracer.py"), "--result", str(result),
+             "--spans", str(tmp_path / "spans.json"),
+             "--", "coordcheck", "--config", path, "--out", str(tmp_path / "out")],
+            env=_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        traced = json.loads(result.read_text())
+        assert traced["rc"] == 0
+        for span in ("cli.load_config", "cli.records_csv", "scaling.build_plan",
+                     "harness.run_training", "optim.optimizer_step"):
+            assert traced["metrics"].get(f"{span}.calls", 0) > 0, span

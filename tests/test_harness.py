@@ -9,7 +9,6 @@ from mupre.harness import (
     CSV_HEADER,
     ExponentCheck,
     MetricRecord,
-    SweepConfig,
     compute_multiplier,
     coord_check,
     dense_shampoo,
@@ -25,9 +24,17 @@ from mupre.harness import (
     run_summary,
     run_training,
 )
-from mupre.models import mlp_manifest, resmlp_manifest
-from mupre.optim import OptimizerConfig
-from mupre.scaling import LayerHyper, LayerSpec, ModelManifest, ScalingPlan, build_plan
+from mupre.config import FieldError, OptimizerConfig, SweepConfig
+from mupre.linalg import NonFiniteError
+from mupre.scaling import (
+    LayerHyper,
+    LayerSpec,
+    ModelManifest,
+    ScalingPlan,
+    build_plan,
+    mlp_manifest,
+    resmlp_manifest,
+)
 
 
 def hyper(eta=1.0, eps=1e-8):
@@ -368,6 +375,31 @@ class TestRunTraining:
         assert res.diverged
         assert res.final_loss == math.inf
 
+    def failing_step(self, monkeypatch, exc, at_call):
+        """Make the at_call-th optimizer step raise exc."""
+        calls = []
+        step = harness.optimizer_step
+
+        def flaky(state, g, cfg):
+            calls.append(1)
+            if len(calls) == at_call:
+                raise exc
+            return step(state, g, cfg)
+
+        monkeypatch.setattr(harness, "optimizer_step", flaky)
+
+    def test_non_finite_failure_is_a_divergence(self, monkeypatch):
+        # the 7th layer step is step 3's first layer: its loss is recorded
+        self.failing_step(monkeypatch, NonFiniteError("gradient contains non-finite entries"), 7)
+        res = run_training(smoke_cfg(), 8, 1, 0.05, seed=0)
+        assert res.diverged and res.final_loss == math.inf
+        assert res.steps_completed == 3
+
+    def test_other_value_errors_propagate(self, monkeypatch):
+        self.failing_step(monkeypatch, ValueError("mat_inv_power input is not PSD"), 7)
+        with pytest.raises(ValueError, match="not PSD"):
+            run_training(smoke_cfg(), 8, 1, 0.05, seed=0)
+
     def test_record_every_densifies(self):
         cfg = smoke_cfg(steps=6, record_every=2, probe_steps=(3,))
         res = run_training(cfg, 8, 1, 0.05, seed=0)
@@ -399,8 +431,9 @@ class TestCoordCheck:
                 assert math.isfinite(slope) and math.isfinite(r2)
 
     def test_needs_three_widths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FieldError, match="at least 3 widths") as exc:
             coord_check(smoke_cfg(widths=(8, 16)))
+        assert exc.value.field == "widths"
 
     def test_diverged_runs_excluded(self):
         cfg = smoke_cfg(
@@ -414,8 +447,14 @@ class TestCoordCheck:
 
 class TestDepthCheck:
     def test_requires_resmlp(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FieldError, match="residual") as exc:
             depth_check(smoke_cfg(depths=(1, 2, 4)))
+        assert exc.value.field == "arch"
+
+    def test_needs_three_depths(self):
+        with pytest.raises(FieldError, match="at least 3 depths") as exc:
+            depth_check(smoke_cfg(arch="resmlp", widths=(8,), depths=(1, 2)))
+        assert exc.value.field == "depths"
 
     def test_structure(self):
         cfg = smoke_cfg(

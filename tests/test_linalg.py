@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mupre.linalg import (
+    NonFiniteError,
     PowerIterState,
     inv_power,
     mat_inv_power,
@@ -52,7 +53,7 @@ class TestSymEig:
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(NonFiniteError, match="finite"):
             sym_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
@@ -116,7 +117,7 @@ class TestSymEigStack:
     def test_rejects_non_finite(self):
         a = psd_stack()
         a[1, 0, 2, 3] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NonFiniteError, match="non-finite"):
             sym_eig_stack(a)
 
 

@@ -7,12 +7,11 @@ from mupre.models import (
     ResMlpModel,
     coord_probe,
     make_teacher,
-    mlp_manifest,
-    resmlp_manifest,
     synth_batch,
 )
-from mupre.optim import OptimizerConfig, UpdateReport
-from mupre.scaling import ScalingPlan, build_plan
+from mupre.config import OptimizerConfig
+from mupre.optim import UpdateReport
+from mupre.scaling import ScalingPlan, build_plan, mlp_manifest, resmlp_manifest
 
 
 def random_mlp(width=8, seed=0, activation="tanh"):

@@ -16,13 +16,9 @@ from mupre.linalg import (
     sym_eig,
     sym_eig_stack,
 )
+from mupre.config import EPS_MODES, GRAFT_RULES, RULES, OptimizerConfig
 from mupre.optim import (
-    EPS_MODES,
-    GRAFT_RULES,
-    RULES,
-    BlockPartition,
     LayerState,
-    OptimizerConfig,
     UpdateReport,
     adam_step,
     adamuon_step,
@@ -37,6 +33,7 @@ from mupre.optim import (
     soap_step,
     spectral_normalize,
 )
+from mupre.scaling import BlockPartition
 
 
 def cfg(rule, **kw):
@@ -699,7 +696,36 @@ class TestGraft:
             assert np.max(np.abs(out - scale * base)) <= 1e-12 * np.max(np.abs(out))
 
 
+class TestFactorSymmetry:
+    """The factor EMAs go to sym_eig_stack as they are, so every step must
+    leave them exactly symmetric."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        blocks=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+        rule=st.sampled_from(("shampoo", "soap")),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_factor_stacks_stay_exactly_symmetric(self, shape, blocks, rule, log_scale, seed):
+        c = cfg(rule, block_out=blocks[0], block_in=blocks[1], **RULE_KW.get(rule, {}))
+        rng = np.random.default_rng(seed)
+        state = LayerState()
+        for _ in range(4):
+            optimizer_step(state, 10.0**log_scale * rng.standard_normal(shape), c)
+        stacks = {id(acc.base): acc.base for b in state.blocks for acc in (b.l, b.r)}
+        for acc in stacks.values():
+            assert np.array_equal(acc, acc.swapaxes(-1, -2))
+
+
 class TestBlocking:
+    def test_none_is_full_extent_and_large_blocks_clamp(self):
+        assert BlockPartition(7, 5) == BlockPartition(7, 5, 7, 5) == BlockPartition(7, 5, 70, 9)
+        part = BlockPartition(7, 5, None, 2)
+        assert (part.b_out, part.b_in, part.col_spans) == (7, 2, [(0, 2), (2, 4), (4, 5)])
+        assert block_partition(np.zeros((7, 5)), 70, None) == BlockPartition(7, 5)
+
     def test_partition_counts_and_trailing_blocks(self):
         part = block_partition(np.zeros((70, 33)), b_out=32, b_in=32)
         assert (part.n_out, part.n_in) == (3, 2)

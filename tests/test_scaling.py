@@ -5,12 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mupre.models import resmlp_manifest
-from mupre.optim import EPS_MODES, GRAFT_RULES, RULES, OptimizerConfig
+from mupre.config import EPS_MODES, GRAFT_RULES, RULES, OptimizerConfig
 from mupre.scaling import (
     ALT_MUON_PARAMS,
     PARAMS,
     WD_SCALINGS,
+    BlockPartition,
     LayerHyper,
     LayerSpec,
     ModelManifest,
@@ -20,6 +20,7 @@ from mupre.scaling import (
     init_sigma,
     lr_multiplier,
     residual_multiplier,
+    resmlp_manifest,
     wd_scale,
 )
 
@@ -49,13 +50,17 @@ def plan_row(spec, c, plan):
 class TestLayerSpec:
     def test_block_counts(self):
         s = LayerSpec("w", "hidden", d_in=70, d_out=33, b_in=32, b_out=32)
-        assert (s.b_in_eff, s.b_out_eff) == (32, 32)
+        assert (s.tiles.b_in, s.tiles.b_out) == (32, 32)
         assert (s.tiles.n_in, s.tiles.n_out, s.n_blk) == (3, 2, 6)
 
     def test_block_capped_at_dim(self):
         s = LayerSpec("w", "hidden", d_in=16, d_out=16, b_in=32, b_out=32)
-        assert (s.b_in_eff, s.b_out_eff) == (16, 16)
+        assert (s.tiles.b_in, s.tiles.b_out) == (16, 16)
         assert s.n_blk == 1
+
+    def test_unset_blocks_tile_the_whole_layer(self):
+        s = LayerSpec("w", "hidden", d_in=70, d_out=33, b_out=8)
+        assert s.tiles == BlockPartition(33, 70, 8, 70)
 
     def test_unblocked_single_block(self):
         assert hidden(64, 64).n_blk == 1
