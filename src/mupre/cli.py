@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -230,16 +230,36 @@ def _dump_artifacts(name, runs, extra, per_run=lambda run: {}, *, out_dir, forma
         write_atomic(out_dir / f"{name}.jsonl", "\n".join(lines) + "\n")
 
 
+def _cell_plan(cfg: RunConfig, sweep_cfg: SweepConfig, width: int, depth: int, eta: float,
+               overrides: dict | None = None):
+    """The plan of one grid cell. A value the scaling rules cannot represent
+    there, such as an lr that overflows float64, is a config error that
+    names the cell; an error that only the overrides cause names them."""
+    plan = replace(sweep_cfg.plan, eta_base=eta)
+    try:
+        return build_plan(sweep_cfg.manifest(width, depth), sweep_cfg.opt, plan, overrides)
+    except (ValueError, TypeError) as exc:
+        if overrides:
+            _cell_plan(cfg, sweep_cfg, width, depth, eta)
+            raise cfg.error("scaling.overrides", str(exc))
+        raise cfg.error(
+            "scaling", f"plan at width {width}, depth {depth}, eta_base {eta!r}: {exc}"
+        )
+
+
 def _run_experiment(cfg: RunConfig, args, name: str):
     """(sweep config, result, artifact writer) of the harness experiment
-    `name`. Its preconditions (architecture, axis sizes) and the output
-    formats are config errors, checked before any cell runs or NumPy loads;
-    a run that fails numerically is recorded as diverged by the harness."""
+    `name`. Its preconditions (architecture, axis sizes), the plan of every
+    cell and the output formats are config errors, checked before any cell
+    runs or NumPy loads; a run that fails numerically is recorded as
+    diverged by the harness."""
     _, _, sweep_cfg = build_objects(cfg, args.seed)
     try:
         sweep_cfg.require(name)
     except FieldError as exc:
         raise _field_error(cfg, exc)
+    for width, depth, eta in dict.fromkeys(cell[:3] for cell in sweep_cfg.cells(name)):
+        _cell_plan(cfg, sweep_cfg, width, depth, eta)
     write = partial(_dump_artifacts, out_dir=_out_dir(cfg, args), formats=_formats(cfg, args))
     fn = getattr(_harness(), name)
     if args.jobs > 1:
@@ -284,12 +304,9 @@ def _slopes_json(result) -> dict:
 
 def cmd_plan(cfg: RunConfig, args) -> int:
     opt, plan, sweep_cfg = build_objects(cfg, args.seed)
-    manifest = sweep_cfg.manifest(sweep_cfg.widths[0], sweep_cfg.depths[0])
     overrides = cfg.sections["scaling"]["overrides"]
-    try:
-        table = build_plan(manifest, opt, plan, overrides or None)
-    except (ValueError, TypeError) as exc:
-        raise cfg.error("scaling.overrides", str(exc))
+    table = _cell_plan(cfg, sweep_cfg, sweep_cfg.widths[0], sweep_cfg.depths[0],
+                       plan.eta_base, overrides or None)
     text = plan_to_json(table)
     print(text)
     out_dir = _out_dir(cfg, args)

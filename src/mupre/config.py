@@ -183,8 +183,21 @@ class SweepConfig:
             if len(self.depths) < 3:
                 raise FieldError("depths", "depth check needs at least 3 depths")
 
+    def cells(self, experiment: str) -> list[tuple[int, int, float, int]]:
+        """The (width, depth, eta_base, seed) grid cells that the harness
+        experiment of that name trains."""
+        eta, seed = self.plan.eta_base, self.seeds[0]
+        if experiment == "lr_sweep":
+            return [(w, self.depths[0], e, s)
+                    for w in self.widths for e in self.lr_grid for s in self.seeds]
+        if experiment == "depth_check":
+            return [(self.widths[0], d, eta, seed) for d in self.depths]
+        if experiment in ("coord_check", "rank_scan"):
+            return [(w, self.depths[0], eta, seed) for w in self.widths]
+        raise ValueError(f"unknown experiment {experiment!r}")
+
     def manifest(self, width: int, depth: int) -> ModelManifest:
         """The model of one grid cell; an mlp ignores depth."""
         if self.arch == "mlp":
             return mlp_manifest(width, self.plan.base_width, self.n_layers)
-        return resmlp_manifest(width, depth, self.plan.base_width, self.plan.base_depth)
+        return resmlp_manifest(width, depth, self.plan.base_width)

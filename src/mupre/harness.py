@@ -263,10 +263,7 @@ def _probe_slopes(
 def coord_check(cfg: SweepConfig, mapper=None) -> CoordCheckResult:
     """Feature-update growth across width at fixed eta_base."""
     cfg.require("coord_check")
-    depth = cfg.depths[0]
-    seed = cfg.seeds[0]
-    cells = [(w, depth, cfg.plan.eta_base, seed) for w in cfg.widths]
-    runs = _map_cells(cfg, cells, mapper)
+    runs = _map_cells(cfg, cfg.cells("coord_check"), mapper)
     axis = {r.run_id: float(r.width) for r in runs}
     slopes, excluded = _probe_slopes(runs, axis, cfg.probe_steps)
     return CoordCheckResult(slopes=slopes, runs=runs, excluded=excluded)
@@ -275,10 +272,7 @@ def coord_check(cfg: SweepConfig, mapper=None) -> CoordCheckResult:
 def depth_check(cfg: SweepConfig, mapper=None) -> CoordCheckResult:
     """Feature-update growth across depth at fixed width (residual model)."""
     cfg.require("depth_check")
-    width = cfg.widths[0]
-    seed = cfg.seeds[0]
-    cells = [(width, d, cfg.plan.eta_base, seed) for d in cfg.depths]
-    runs = _map_cells(cfg, cells, mapper)
+    runs = _map_cells(cfg, cfg.cells("depth_check"), mapper)
     axis = {r.run_id: float(r.depth) for r in runs}
     slopes, excluded = _probe_slopes(runs, axis, cfg.probe_steps)
     return CoordCheckResult(slopes=slopes, runs=runs, excluded=excluded)
@@ -286,14 +280,7 @@ def depth_check(cfg: SweepConfig, mapper=None) -> CoordCheckResult:
 
 def lr_sweep(cfg: SweepConfig, mapper=None) -> LrSweepResult:
     """Final loss over the width x eta_base grid, plus optimum drift."""
-    depth = cfg.depths[0]
-    cells = [
-        (width, depth, eta, seed)
-        for width in cfg.widths
-        for eta in cfg.lr_grid
-        for seed in cfg.seeds
-    ]
-    runs = _map_cells(cfg, cells, mapper)
+    runs = _map_cells(cfg, cfg.cells("lr_sweep"), mapper)
     totals: dict[tuple[int, float], float] = {}
     for run in runs:
         key = (run.width, run.eta_base)
@@ -318,10 +305,7 @@ def lr_sweep(cfg: SweepConfig, mapper=None) -> LrSweepResult:
 def rank_scan(cfg: SweepConfig, mapper=None) -> RankScanResult:
     """Per-step stable rank and spectral norm of every layer's update."""
     scan_cfg = replace(cfg, record_every=1)
-    depth = cfg.depths[0]
-    seed = cfg.seeds[0]
-    cells = [(w, depth, cfg.plan.eta_base, seed) for w in cfg.widths]
-    runs = _map_cells(scan_cfg, cells, mapper)
+    runs = _map_cells(scan_cfg, cfg.cells("rank_scan"), mapper)
     summary: dict[int, dict[str, tuple[float, float]]] = {}
     for run in runs:
         if not run.records:
@@ -359,11 +343,6 @@ def _ns_scalar(s: float, iters: int, eps: float) -> float:
     return y
 
 
-def _tiles(opt: OptimizerConfig, delta: np.ndarray, x: np.ndarray) -> BlockPartition:
-    """The optimizer's tiling of the d_out x d_in gradient delta x^T."""
-    return BlockPartition(delta.shape[0], x.shape[0], opt.block_out, opt.block_in)
-
-
 def _elementwise_adam(delta, x, x_probe, eps):
     g = np.outer(delta, x)
     q = np.divide(g, np.abs(g) + eps, out=np.zeros_like(g), where=g != 0)
@@ -374,7 +353,7 @@ def _rank1_shampoo(opt, delta, x, x_probe, eps):
     s = opt.e_l + opt.e_r
     out = np.zeros_like(delta)
     frob2 = 0.0
-    tiles = _tiles(opt, delta, x)
+    tiles = BlockPartition(delta.size, x.size, opt.block_out, opt.block_in)
     for r0, r1 in tiles.row_spans:
         di = delta[r0:r1]
         ndi = float(di @ di)
@@ -398,7 +377,7 @@ def _rank1_soap(opt, delta, x, x_probe, eps):
     out = np.zeros_like(delta)
     frob2 = 0.0
     two_sided = opt.e_l == 1.0 and opt.e_r == 1.0
-    tiles = _tiles(opt, delta, x)
+    tiles = BlockPartition(delta.size, x.size, opt.block_out, opt.block_in)
     for r0, r1 in tiles.row_spans:
         di = delta[r0:r1]
         ndi = float(np.linalg.norm(di))
@@ -614,7 +593,7 @@ def mup_exponent_check(
             "probe", "hidden", d_in=width, d_out=width,
             base_d_in=plan.base_width, base_d_out=plan.base_width,
         )
-        manifest = ModelManifest(width=width, depth=1, layers=(spec,))
+        manifest = ModelManifest(width=width, layers=(spec,))
         hyper = replace(build_plan(manifest, opt, plan)["probe"], eta=1.0)
         vals = []
         for _ in range(n_draws):

@@ -110,6 +110,14 @@ def _update_first_moment(state: LayerState, g: Matrix, beta1: float) -> Matrix:
     return state.m
 
 
+def _update_second_moment(state: LayerState, g: Matrix, beta2: float) -> Matrix:
+    """Advance v, the EMA of g * g, and return its bias-corrected copy v^."""
+    if state.v is None:
+        state.v = np.zeros_like(g)
+    state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
+    return state.v / _bias_correction(beta2, state.t)
+
+
 def _adam_ratio(m_hat: Matrix, v_hat: Matrix, eps: float) -> Matrix:
     """Entrywise m_hat / (sqrt(v_hat) + eps), computed in place: both inputs
     are fresh arrays the caller gives up, and the result is m_hat.
@@ -132,11 +140,8 @@ def adam_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
     g = as_matrix(g, "gradient")
     state.t += 1
     m = _update_first_moment(state, g, cfg.beta1)
-    if state.v is None:
-        state.v = np.zeros_like(g)
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (g * g)
+    v_hat = _update_second_moment(state, g, cfg.beta2)
     m_hat = m / _bias_correction(cfg.beta1, state.t)
-    v_hat = state.v / _bias_correction(cfg.beta2, state.t)
     if cfg.eps == 0.0 and not np.any(v_hat):
         raise ZeroDivisionError("adam_step with eps=0 and an all-zero gradient history")
     return UpdateReport(_adam_ratio(m_hat, v_hat, cfg.eps))
@@ -354,11 +359,8 @@ def adamuon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     # its own normalization guard.
     o = newton_schulz(g, cfg.ns_iters)
     m = _update_first_moment(state, o, cfg.beta1)
-    if state.v is None:
-        state.v = np.zeros_like(g)
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (o * o)
+    v_hat = _update_second_moment(state, o, cfg.beta2)
     m_hat = m / _bias_correction(cfg.beta1, state.t)
-    v_hat = state.v / _bias_correction(cfg.beta2, state.t)
     upd = _adam_ratio(m_hat, v_hat, cfg.eps)
     if cfg.rms_align:
         fro = float(np.linalg.norm(upd))
@@ -405,10 +407,7 @@ def optimizer_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> Update
     q2 = _STEP_FNS[cfg.rule](state, g, cfg)  # advances t and the shared moment
     m_hat = state.m / _bias_correction(cfg.beta1, state.t)
     if cfg.graft_rule == "adam":
-        if state.v is None:
-            state.v = np.zeros_like(g)
-        state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (g * g)
-        v_hat = state.v / _bias_correction(cfg.beta2, state.t)
+        v_hat = _update_second_moment(state, g, cfg.beta2)
         if cfg.graft_ref_eps == 0.0 and not np.any(v_hat):
             raise ZeroDivisionError(
                 "graft reference adam with eps=0 and an all-zero gradient history"

@@ -1,10 +1,11 @@
 """Per-layer hyperparameter scaling rules.
 
-Maps layer geometry (fan-in, fan-out, residual depth, block layout) to
-learning rate, damping, initialization, residual and weight-decay
-multipliers under each parameterization. Multipliers are ratios of a
-closed-form formula evaluated at the layer's shape over the same formula
-at the base shape, so a base-shaped layer always gets exactly 1.
+Maps layer geometry (fan-in, fan-out, residual depth) and the optimizer's
+block tiling to learning rate, damping, initialization, residual and
+weight-decay multipliers under each parameterization. Multipliers are
+ratios of a closed-form formula evaluated at the layer's shape over the
+same formula at the base shape, so a base-shaped layer always gets exactly
+1.
 
 Pure Python: this module imports nothing from mupre at runtime and never
 loads NumPy, so building and printing a plan stays cheap.
@@ -131,10 +132,9 @@ class TileGroup:
 class LayerSpec:
     """Geometry of one weight matrix, plus its base-shape counterpart.
 
-    base_d_in / base_d_out override the derived base shape; when left None
-    the base dims come from the plan's base width for width-bearing dims
-    (role-dependent) and stay equal to the actual dims otherwise. Size-1
-    dims never rescale.
+    The manifest sets base_d_in / base_d_out; an unset base dim is the
+    layer's own dim, which never rescales. Block tiling is not geometry: it
+    comes from the optimizer config.
     """
 
     name: str
@@ -143,8 +143,6 @@ class LayerSpec:
     d_out: int
     in_residual: bool = False
     depth_l: int = 1
-    b_in: int | None = None
-    b_out: int | None = None
     base_d_in: int | None = None
     base_d_out: int | None = None
 
@@ -157,48 +155,16 @@ class LayerSpec:
             raise ValueError(f"bias layer {self.name!r} must have d_in=1")
         if self.depth_l < 1:
             raise ValueError(f"layer {self.name!r}: depth_l must be >= 1")
-        for b in (self.b_in, self.b_out):
-            if b is not None and b < 1:
-                raise ValueError(f"layer {self.name!r}: block sizes must be positive")
         for b in (self.base_d_in, self.base_d_out):
             if b is not None and b < 1:
                 raise ValueError(f"layer {self.name!r}: base dims must be positive")
 
-    @property
-    def tiles(self) -> BlockPartition:
-        return BlockPartition(self.d_out, self.d_in, self.b_out, self.b_in)
-
-    @property
-    def n_blk(self) -> int:
-        return len(self.tiles)
-
-    def base_shape(self, base_width: int | None = None) -> tuple[int, int]:
-        """Return (base_d_in, base_d_out), deriving unset dims from base_width."""
-        scale_in, scale_out = _WIDTH_BEARING[self.role]
-        base_in = self.base_d_in
-        if base_in is None:
-            base_in = (
-                base_width
-                if base_width is not None and scale_in and self.d_in != 1
-                else self.d_in
-            )
-        base_out = self.base_d_out
-        if base_out is None:
-            base_out = (
-                base_width
-                if base_width is not None and scale_out and self.d_out != 1
-                else self.d_out
-            )
-        return base_in, base_out
-
-
-# Which dims follow model width, by role: (d_in scales, d_out scales).
-_WIDTH_BEARING = {
-    "embedding": (False, True),
-    "hidden": (True, True),
-    "readout": (True, False),
-    "bias": (False, True),
-}
+    def base_shape(self) -> tuple[int, int]:
+        """(base_d_in, base_d_out), an unset dim standing for the layer's own."""
+        return (
+            self.d_in if self.base_d_in is None else self.base_d_in,
+            self.d_out if self.base_d_out is None else self.base_d_out,
+        )
 
 
 @dataclass(frozen=True)
@@ -268,12 +234,11 @@ class LayerHyper:
 @dataclass(frozen=True)
 class ModelManifest:
     width: int
-    depth: int
     layers: tuple[LayerSpec, ...]
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.depth < 1:
-            raise ValueError("width and depth must be positive")
+        if self.width < 1:
+            raise ValueError("width must be positive")
         if not self.layers:
             raise ValueError("manifest needs at least one layer")
         names = [s.name for s in self.layers]
@@ -296,12 +261,10 @@ def mlp_manifest(width: int, base_width: int, n_layers: int = 3) -> ModelManifes
     layers.append(
         LayerSpec("readout", "readout", d_in=width, d_out=1, base_d_in=base_width)
     )
-    return ModelManifest(width=width, depth=1, layers=tuple(layers))
+    return ModelManifest(width=width, layers=tuple(layers))
 
 
-def resmlp_manifest(
-    width: int, depth: int, base_width: int, base_depth: int = 1
-) -> ModelManifest:
+def resmlp_manifest(width: int, depth: int, base_width: int) -> ModelManifest:
     """Scalar embedding, depth residual blocks, scalar readout."""
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -319,26 +282,12 @@ def resmlp_manifest(
     layers.append(
         LayerSpec("readout", "readout", d_in=width, d_out=1, base_d_in=base_width)
     )
-    return ModelManifest(width=width, depth=depth, layers=tuple(layers))
-
-
-def _with_base_dims(spec: LayerSpec, plan: ScalingPlan) -> LayerSpec:
-    base_in, base_out = spec.base_shape(plan.base_width)
-    return replace(spec, base_d_in=base_in, base_d_out=base_out)
-
-
-def _resolve_blocks(spec: LayerSpec, opt: OptimizerConfig) -> LayerSpec:
-    """Fill unset layer block sizes from the optimizer config."""
-    b_in = spec.b_in if spec.b_in is not None else opt.block_in
-    b_out = spec.b_out if spec.b_out is not None else opt.block_out
-    if (b_in, b_out) == (spec.b_in, spec.b_out):
-        return spec
-    return replace(spec, b_in=b_in, b_out=b_out)
+    return ModelManifest(width=width, layers=tuple(layers))
 
 
 def _base_geometry(spec: LayerSpec, plan: ScalingPlan) -> LayerSpec:
     """The same layer as it would appear in the base model."""
-    base_in, base_out = spec.base_shape(plan.base_width)
+    base_in, base_out = spec.base_shape()
     return replace(
         spec,
         d_in=base_in,
@@ -353,7 +302,9 @@ def _depth(spec: LayerSpec) -> int:
     return spec.depth_l if spec.in_residual else 1
 
 
-def _lr_formula(rule: str, e_l: float, e_r: float, spec: LayerSpec) -> float:
+def _lr_formula(
+    rule: str, e_l: float, e_r: float, spec: LayerSpec, opt: OptimizerConfig
+) -> float:
     d_in, d_out, l = spec.d_in, spec.d_out, _depth(spec)
     if rule == "sgd":
         return l * d_out / d_in
@@ -363,14 +314,17 @@ def _lr_formula(rule: str, e_l: float, e_r: float, spec: LayerSpec) -> float:
         return math.sqrt(d_out / d_in)
     if rule == "shampoo":
         s = e_l + e_r
-        return (d_out / d_in) ** (1.0 - s) / (l ** (2.0 * s - 1.0) * spec.n_blk**s)
+        n_blk = len(BlockPartition(d_out, d_in, opt.block_out, opt.block_in))
+        return (d_out / d_in) ** (1.0 - s) / (l ** (2.0 * s - 1.0) * n_blk**s)
     if rule == "soap":
-        tiles = spec.tiles
+        tiles = BlockPartition(d_out, d_in, opt.block_out, opt.block_in)
         return tiles.b_out ** (e_l / 2.0) * tiles.b_in ** (e_r / 2.0) / d_in
     raise ValueError(f"no learning-rate rule for {rule!r}")
 
 
-def _eps_formula(rule: str, e_l: float, e_r: float, spec: LayerSpec) -> float:
+def _eps_formula(
+    rule: str, e_l: float, e_r: float, spec: LayerSpec, opt: OptimizerConfig
+) -> float:
     d_in, d_out, l = spec.d_in, spec.d_out, _depth(spec)
     if rule == "sgd":
         return 1.0
@@ -381,9 +335,10 @@ def _eps_formula(rule: str, e_l: float, e_r: float, spec: LayerSpec) -> float:
     if rule == "adamuon":
         return 1.0 / math.sqrt(d_in * d_out)
     if rule == "shampoo":
-        return d_in / (l**2 * d_out * spec.n_blk)
+        n_blk = len(BlockPartition(d_out, d_in, opt.block_out, opt.block_in))
+        return d_in / (l**2 * d_out * n_blk)
     if rule == "soap":
-        tiles = spec.tiles
+        tiles = BlockPartition(d_out, d_in, opt.block_out, opt.block_in)
         return tiles.b_out ** (e_l / 2.0) * tiles.b_in ** (e_r / 2.0) / (l * d_out)
     raise ValueError(f"no damping rule for {rule!r}")
 
@@ -403,10 +358,12 @@ def _lr_column(opt: OptimizerConfig, role: str) -> tuple[str, float, float]:
     return _rule_column(opt, role)
 
 
-def _ratio(formula, rule: str, e_l: float, e_r: float, spec: LayerSpec, plan: ScalingPlan) -> float:
-    cur = formula(rule, e_l, e_r, spec)
-    base = formula(rule, e_l, e_r, _base_geometry(spec, plan))
-    return cur / base
+def _ratio(
+    formula, column: tuple[str, float, float], spec: LayerSpec, opt: OptimizerConfig,
+    plan: ScalingPlan,
+) -> float:
+    """formula at the layer's shape over formula at its base shape."""
+    return formula(*column, spec, opt) / formula(*column, _base_geometry(spec, plan), opt)
 
 
 def check_pair(opt: OptimizerConfig, plan: ScalingPlan) -> None:
@@ -425,14 +382,15 @@ def lr_multiplier(spec: LayerSpec, opt: OptimizerConfig, plan: ScalingPlan) -> f
     if plan.param in ("sp", "spectral_norm"):
         return 1.0
     if plan.param in ALT_MUON_PARAMS:
-        return alt_muon_multiplier(_with_base_dims(spec, plan), plan.param)
-    rule, e_l, e_r = _lr_column(opt, spec.role)
-    return _ratio(_lr_formula, rule, e_l, e_r, _resolve_blocks(spec, opt), plan)
+        return alt_muon_multiplier(spec, plan.param)
+    return _ratio(_lr_formula, _lr_column(opt, spec.role), spec, opt, plan)
 
 
-def _guard_formula(rule: str, e_l: float, e_r: float, spec: LayerSpec) -> float:
+def _guard_formula(
+    rule: str, e_l: float, e_r: float, spec: LayerSpec, opt: OptimizerConfig
+) -> float:
     """Graft guard on the direction norm: sqrt(d_out/d_in) / lr_formula(Q2)."""
-    return math.sqrt(spec.d_out / spec.d_in) / _lr_formula(rule, e_l, e_r, spec)
+    return math.sqrt(spec.d_out / spec.d_in) / _lr_formula(rule, e_l, e_r, spec, opt)
 
 
 def _damping(spec: LayerSpec, opt: OptimizerConfig, plan: ScalingPlan) -> dict[str, float]:
@@ -445,17 +403,13 @@ def _damping(spec: LayerSpec, opt: OptimizerConfig, plan: ScalingPlan) -> dict[s
     """
     scale = {"eps": 1.0, "graft_eps": 1.0, "graft_ref_eps": 1.0}
     if plan.param not in ("sp", "spectral_norm"):
-        blocked = _resolve_blocks(spec, opt)
         if not (opt.rule == "shampoo" and opt.eps_mode == "relative"):
-            rule, e_l, e_r = _rule_column(opt, spec.role)
-            scale["eps"] = _ratio(_eps_formula, rule, e_l, e_r, blocked, plan)
+            scale["eps"] = _ratio(_eps_formula, _rule_column(opt, spec.role), spec, opt, plan)
         if opt.graft_rule is not None:
-            scale["graft_eps"] = _ratio(
-                _guard_formula, opt.rule, opt.e_l, opt.e_r, blocked, plan
-            )
-            scale["graft_ref_eps"] = _ratio(
-                _eps_formula, opt.graft_rule, 0.0, 0.0, spec, plan
-            )
+            own = (opt.rule, opt.e_l, opt.e_r)
+            scale["graft_eps"] = _ratio(_guard_formula, own, spec, opt, plan)
+            ref = (opt.graft_rule, 0.0, 0.0)
+            scale["graft_ref_eps"] = _ratio(_eps_formula, ref, spec, opt, plan)
     return {name: getattr(opt, name) * ratio for name, ratio in scale.items()}
 
 

@@ -42,6 +42,13 @@ SRC = Path(mupre.__file__).resolve().parents[1]
 BENCH = SRC.parent / "bench"
 
 
+# adam under mup at widths below the base width: fc2's lr overflows float64
+OVERFLOWING_PLAN = {
+    "optimizer": {"rule": "adam"},
+    "scaling": {"param": "mup", "base_width": 64, "eta_base": 1e308},
+}
+
+
 def write_config(tmp_path, name="cfg.json", **patches):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     for section, fields in patches.items():
@@ -192,6 +199,32 @@ class TestPlanCommand:
         path = write_config(tmp_path, scaling={"overrides": {"nope": {"eta": 1.0}}})
         assert main(["plan", "--config", path]) == 2
         assert "scaling.overrides" in capsys.readouterr().err
+
+    def test_bad_override_value_names_the_overrides(self, tmp_path, capsys):
+        path = write_config(tmp_path, scaling={"overrides": {"fc2": {"eta": -1.0}}})
+        out = tmp_path / "out"
+        assert main(["plan", "--config", path, "--out", str(out)]) == 2
+        assert "scaling.overrides: eta must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overrides_can_replace_an_overflowing_value(self, tmp_path, capsys):
+        finite = {"fc2": {"eta": 1.0}, "readout": {"eta": 1.0}}
+        scaling = {**OVERFLOWING_PLAN["scaling"], "overrides": finite}
+        path = write_config(tmp_path, optimizer={"rule": "adam"}, scaling=scaling)
+        assert main(["plan", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert [row["eta"] for row in table.values()] == [1e308, 1.0, 1.0]
+
+    def test_overflowing_plan_names_the_cell_not_the_overrides(self, tmp_path, capsys):
+        path = write_config(tmp_path, **OVERFLOWING_PLAN)
+        out = tmp_path / "out"
+        assert main(["plan", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r".*cfg\.json:\d+: scaling: plan at width 8, depth 1, eta_base 1e\+308: "
+            r"eta must be finite, got inf\n", err
+        ), err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command", ["coordcheck", "depthcheck", "lrsweep", "rankscan", "oracle"]
@@ -445,6 +478,24 @@ class TestNumericalFailure:
         assert main(["coordcheck", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert "CHECK slopes: FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command,patch", [
+        ("coordcheck", OVERFLOWING_PLAN),
+        ("rankscan", OVERFLOWING_PLAN),
+        ("lrsweep", {"optimizer": {"rule": "adam"}, "scaling": {"base_width": 64},
+                     "sweep": {"lr_grid": [1.0, 1e308]}}),
+        ("depthcheck", {"model": {"arch": "resmlp", "widths": [8], "depths": [1, 2, 4]},
+                        **OVERFLOWING_PLAN}),
+    ], ids=["coordcheck", "rankscan", "lrsweep", "depthcheck"])
+    def test_overflowing_plan_exits_2_before_any_cell(self, tmp_path, capsys, command, patch):
+        path = write_config(tmp_path, **patch)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            ": scaling: plan at width 8, depth 1, eta_base 1e+308: "
+            "eta must be finite, got inf\n"
+        )
+        assert not out.exists()
+
     def test_two_widths_is_still_a_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, model={"widths": [8, 16]})
         out = tmp_path / "out"
@@ -482,8 +533,9 @@ class TestModuleLayering:
         (["depthcheck"], {"model": {"depths": [1, 2, 4]}}, 2),
         (["lrsweep"], {"output": {"formats": ["yaml"]}}, 2),
         (["rankscan"], {"optimizer": {"rule": "adam"}, "scaling": {"param": "muon_adamexp"}}, 2),
+        (["coordcheck"], OVERFLOWING_PLAN, 2),
     ], ids=["plan", "help", "bad-activation", "two-widths", "mlp-depthcheck", "bad-format",
-            "param-for-muon-only"])
+            "param-for-muon-only", "overflowing-plan"])
     def test_config_layer_never_loads_numpy(self, tmp_path, argv, patch, rc):
         if patch is not None:
             argv = argv + ["--config", write_config(tmp_path, **patch),

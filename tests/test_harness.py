@@ -221,7 +221,7 @@ class TestComputeMultiplier:
 
 
 def plan_row(spec, opt, plan):
-    manifest = ModelManifest(width=spec.d_in, depth=1, layers=(spec,))
+    manifest = ModelManifest(width=spec.d_in, layers=(spec,))
     return build_plan(manifest, opt, plan)[spec.name]
 
 
@@ -314,12 +314,24 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError):
             self.base(**kw)
 
+    def test_cells_follow_the_experiment(self):
+        cfg = self.base(widths=(8, 16, 32), depths=(1, 2, 4), lr_grid=(0.5, 1.0), seeds=(3, 4))
+        eta = cfg.plan.eta_base
+        by_width = [(8, 1, eta, 3), (16, 1, eta, 3), (32, 1, eta, 3)]
+        assert cfg.cells("coord_check") == cfg.cells("rank_scan") == by_width
+        assert cfg.cells("depth_check") == [(8, 1, eta, 3), (8, 2, eta, 3), (8, 4, eta, 3)]
+        sweep = cfg.cells("lr_sweep")
+        assert len(sweep) == 12
+        assert sweep[:3] == [(8, 1, 0.5, 3), (8, 1, 0.5, 4), (8, 1, 1.0, 3)]
+        with pytest.raises(ValueError, match="experiment"):
+            cfg.cells("oracle")
+
     def test_manifest_follows_arch(self):
         plan = mup(base_depth=2)
         mlp = self.base(plan=plan, n_layers=4)
         assert mlp.manifest(16, 3) == mlp_manifest(16, 8, 4)
         res = self.base(plan=plan, arch="resmlp")
-        assert res.manifest(16, 3) == resmlp_manifest(16, 3, 8, 2)
+        assert res.manifest(16, 3) == resmlp_manifest(16, 3, 8)
 
 
 def smoke_cfg(**kw):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mupre.linalg import (
     NonFiniteError,
@@ -194,6 +196,28 @@ class TestNewtonSchulz:
         assert out.shape == (3, 9)
         u, _, vt = np.linalg.svd(g, full_matrices=False)
         assert spectral_norm_exact(out - u @ vt) < 0.05
+
+
+class TestNewtonSchulzProperties:
+    """After normalization Newton-Schulz applies an odd polynomial to the
+    input's singular values, so it keeps the input's null spaces and commutes
+    with transposition, whatever the rank and aspect ratio."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.integers(1, 24), c=st.integers(1, 24), data=st.data(),
+           log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_null_spaces_and_transpose(self, r, c, data, log_scale, seed):
+        k = data.draw(st.integers(0, min(r, c)), label="rank")
+        rng = np.random.default_rng(seed)
+        left = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        right = np.linalg.qr(rng.standard_normal((c, c)))[0]
+        core = 10.0**log_scale * rng.standard_normal((k, k))
+        m = left[:, :k] @ core @ right[:, :k].T
+        out = newton_schulz(m)
+        size = np.linalg.norm(out)
+        assert np.linalg.norm(out @ right[:, k:]) <= 1e-12 * size
+        assert np.linalg.norm(left[:, k:].T @ out) <= 1e-12 * size
+        assert np.linalg.norm(out - newton_schulz(m.T).T) <= 1e-12 * size
 
 
 class TestPowerIter:

@@ -230,7 +230,7 @@ class TestManifests:
         assert m.layers[1].base_shape() == (64, 64)
 
     def test_resmlp_manifest_depth_tagging(self):
-        m = resmlp_manifest(width=32, depth=6, base_width=32, base_depth=2)
+        m = resmlp_manifest(width=32, depth=6, base_width=32)
         blocks = [s for s in m.layers if s.in_residual]
         assert len(blocks) == 6
         assert all(s.depth_l == 6 for s in blocks)

@@ -1,16 +1,17 @@
+import json
 import math
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mupre.config import EPS_MODES, GRAFT_RULES, RULES, OptimizerConfig
+from mupre.config import EPS_MODES, GRAFT_RULES, RULES, OptimizerConfig, SweepConfig
 from mupre.scaling import (
     ALT_MUON_PARAMS,
     PARAMS,
     WD_SCALINGS,
-    BlockPartition,
     LayerHyper,
     LayerSpec,
     ModelManifest,
@@ -19,6 +20,7 @@ from mupre.scaling import (
     build_plan,
     init_sigma,
     lr_multiplier,
+    plan_to_json,
     residual_multiplier,
     resmlp_manifest,
     wd_scale,
@@ -43,27 +45,35 @@ def plan_eps(spec, c, plan):
 
 
 def plan_row(spec, c, plan):
-    manifest = ModelManifest(width=spec.d_in, depth=1, layers=(spec,))
+    manifest = ModelManifest(width=spec.d_in, layers=(spec,))
     return build_plan(manifest, c, plan)[spec.name]
 
 
 class TestLayerSpec:
+    """The tiling comes from the optimizer config; a base shape of one
+    tile leaves the layer's own tiling factor as the multiplier."""
+
     def test_block_counts(self):
-        s = LayerSpec("w", "hidden", d_in=70, d_out=33, b_in=32, b_out=32)
-        assert (s.tiles.b_in, s.tiles.b_out) == (32, 32)
-        assert (s.tiles.n_in, s.tiles.n_out, s.n_blk) == (3, 2, 6)
+        s = hidden(70, 33, base_in=32, base_out=32)
+        c = opt("shampoo", e_l=0.5, e_r=0.5, block_in=32, block_out=32)
+        # 3 column tiles x 2 row tiles of 32: the half-exponent rule's 1/n_blk
+        assert lr_multiplier(s, c, mk_plan(base_width=32)) == pytest.approx(1 / 6)
 
     def test_block_capped_at_dim(self):
-        s = LayerSpec("w", "hidden", d_in=16, d_out=16, b_in=32, b_out=32)
-        assert (s.tiles.b_in, s.tiles.b_out) == (16, 16)
-        assert s.n_blk == 1
+        s = hidden(16, 16, base_in=64, base_out=64)
+        c = opt("soap", e_l=1.0, e_r=1.0, block_in=32, block_out=32)
+        # sqrt(b_out b_in) / d_in: 16 / 16 with the block clamped, 32 / 64 at base
+        assert lr_multiplier(s, c, mk_plan()) == pytest.approx(2.0)
 
     def test_unset_blocks_tile_the_whole_layer(self):
-        s = LayerSpec("w", "hidden", d_in=70, d_out=33, b_out=8)
-        assert s.tiles == BlockPartition(33, 70, 8, 70)
+        s = hidden(70, 33, base_in=1, base_out=1)
+        c = opt("soap", e_l=1.0, e_r=1.0, block_out=8)
+        # rows in blocks of 8, all 70 columns in one tile
+        assert lr_multiplier(s, c, mk_plan()) == pytest.approx(math.sqrt(8 * 70) / 70)
 
     def test_unblocked_single_block(self):
-        assert hidden(64, 64).n_blk == 1
+        s = hidden(64, 64, base_in=1, base_out=1)
+        assert lr_multiplier(s, opt("shampoo", e_l=0.5, e_r=0.5), mk_plan()) == 1.0
 
     def test_bias_requires_unit_fan_in(self):
         with pytest.raises(ValueError, match="d_in=1"):
@@ -74,17 +84,9 @@ class TestLayerSpec:
         with pytest.raises(ValueError, match="role"):
             LayerSpec("w", "conv", d_in=4, d_out=4)
 
-    def test_base_shape_role_rules(self):
-        # hidden: both dims follow width; size-1 dims never rescale
-        assert hidden(128, 128).base_shape(32) == (32, 32)
-        emb = LayerSpec("e", "embedding", d_in=1, d_out=128)
-        assert emb.base_shape(32) == (1, 32)
-        ro = LayerSpec("r", "readout", d_in=128, d_out=1)
-        assert ro.base_shape(32) == (32, 1)
-
     def test_base_shape_explicit_wins(self):
         s = hidden(128, 128, base_in=16, base_out=48)
-        assert s.base_shape(32) == (16, 48)
+        assert s.base_shape() == (16, 48)
 
     def test_base_shape_without_width(self):
         assert hidden(128, 64).base_shape() == (128, 64)
@@ -119,8 +121,8 @@ class TestLrMultiplier:
 
     def test_shampoo_fixed_block_width_squared(self):
         # square layer, block size b, base width b: multiplier (b/D)^2
-        s = hidden(64, 64, base_in=16, base_out=16, b_in=16, b_out=16)
-        c = opt("shampoo", e_l=0.5, e_r=0.5)
+        s = hidden(64, 64, base_in=16, base_out=16)
+        c = opt("shampoo", e_l=0.5, e_r=0.5, block_in=16, block_out=16)
         assert lr_multiplier(s, c, mk_plan(base_width=16)) == pytest.approx((16 / 64) ** 2)
 
     def test_graft_uses_reference_rule(self):
@@ -228,8 +230,8 @@ class TestEpsScale:
         assert plan_eps(s, c, mk_plan()) == pytest.approx(1.0)
 
     def test_shampoo_relative_always_one(self):
-        s = hidden(512, 128, base_in=64, base_out=64, b_in=32, b_out=32)
-        c = opt("shampoo", e_l=0.5, e_r=0.5, eps_mode="relative")
+        s = hidden(512, 128, base_in=64, base_out=64)
+        c = opt("shampoo", e_l=0.5, e_r=0.5, eps_mode="relative", block_in=32, block_out=32)
         assert plan_eps(s, c, mk_plan()) == 1.0
 
     def test_adam_column(self):
@@ -237,14 +239,15 @@ class TestEpsScale:
         assert plan_eps(s, opt("adam"), mk_plan()) == pytest.approx(0.5)
 
     def test_soap_blocked_column(self):
-        s = hidden(128, 128, base_in=64, base_out=64, b_in=4, b_out=4)
-        c = opt("soap", e_l=1.0, e_r=1.0)
+        s = hidden(128, 128, base_in=64, base_out=64)
+        c = opt("soap", e_l=1.0, e_r=1.0, block_in=4, block_out=4)
         # blocked factor stays 4, 1/d_out halves
         assert plan_eps(s, c, mk_plan()) == pytest.approx(0.5)
 
     def test_graft_guard_column(self):
-        s = hidden(64, 64, base_in=32, base_out=32, b_in=32, b_out=32)
-        c = opt("shampoo", e_l=0.5, e_r=0.5, graft_rule="adam", graft_eps=1.0)
+        s = hidden(64, 64, base_in=32, base_out=32)
+        c = opt("shampoo", e_l=0.5, e_r=0.5, graft_rule="adam", graft_eps=1.0,
+                block_in=32, block_out=32)
         # guard = sqrt(d_out/d_in) / lr_formula(shampoo); n_blk grows 1 -> 4
         assert plan_row(s, c, mk_plan(base_width=32)).graft_eps == pytest.approx(4.0)
 
@@ -331,7 +334,7 @@ class TestBuildPlan:
             LayerSpec("fc2", "hidden", d_in=d, d_out=d, base_d_in=base, base_d_out=base),
             LayerSpec("readout", "readout", d_in=d, d_out=1, base_d_in=base),
         )
-        return ModelManifest(width=d, depth=1, layers=layers)
+        return ModelManifest(width=d, layers=layers)
 
     def test_adam_mup_etas(self):
         table = build_plan(self.manifest(), opt("adam"), mk_plan(eta_base=0.1))
@@ -357,7 +360,7 @@ class TestBuildPlan:
                       base_d_in=64, base_d_out=64),
             LayerSpec("readout", "readout", 64, 1, base_d_in=64),
         )
-        manifest = ModelManifest(width=64, depth=8, layers=layers)
+        manifest = ModelManifest(width=64, layers=layers)
         table = build_plan(manifest, opt("adam"), mk_plan(alpha_depth=1.0))
         assert table["blk"].residual_mult == pytest.approx(0.125)
         assert table["readout"].residual_mult == 1.0
@@ -402,7 +405,7 @@ class TestBuildPlan:
     def test_duplicate_layer_names_rejected(self):
         layers = (hidden(8, 8), hidden(8, 8))
         with pytest.raises(ValueError, match="unique"):
-            ModelManifest(width=8, depth=1, layers=layers)
+            ModelManifest(width=8, layers=layers)
 
 
 class TestLayerHyper:
@@ -467,7 +470,7 @@ class TestPlanProperties:
             LayerSpec("fc1", "hidden", d_in=1, d_out=w, base_d_out=w),
             LayerSpec("bias", "bias", d_in=1, d_out=w),
         )
-        model = resmlp_manifest(w, plan.base_depth, w, plan.base_depth)
+        model = resmlp_manifest(w, plan.base_depth, w)
         manifest = replace(model, layers=model.layers + extra)
         for name, row in build_plan(manifest, c, plan).items():
             assert row.eta == plan.eta_base, name
@@ -475,3 +478,22 @@ class TestPlanProperties:
                 c.eps, c.graft_eps, c.graft_ref_eps
             ), name
             assert row.lambda_wd == plan.wd_base, name
+
+
+# written by tests/data/make_plans.py; regenerate only for an intended rule change
+GOLDEN_PLANS = Path(__file__).parent / "data" / "plans.json"
+
+
+class TestGoldenPlans:
+    def test_plans_match_recorded_text(self):
+        cases = json.loads(GOLDEN_PLANS.read_text())
+        assert len(cases) == 164
+        for case in cases:
+            opt = OptimizerConfig(**case["optimizer"])
+            plan = ScalingPlan(**case["scaling"])
+            width, depth = case["width"], case["depth"]
+            sweep = SweepConfig(opt=opt, plan=plan, widths=(width,), depths=(depth,),
+                                arch=case["arch"], n_layers=case["n_layers"])
+            text = plan_to_json(build_plan(sweep.manifest(width, depth), opt, plan))
+            label = {k: case[k] for k in ("optimizer", "scaling", "arch", "width", "depth")}
+            assert text == case["plan"], label
