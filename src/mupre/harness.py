@@ -90,8 +90,9 @@ class CoordCheckResult:
 
 @dataclass(frozen=True)
 class LrSweepResult:
-    """argmin is None at a width where every eta diverged; drift_octaves is
-    None when any width has no argmin."""
+    """argmin is None at a width where every eta diverged. drift_octaves is
+    the largest spread of log2(argmin) over all widths, None when any width
+    has no argmin."""
 
     losses: dict[int, dict[float, float]]
     argmin: dict[int, float | None]
@@ -174,7 +175,7 @@ def run_training(
         try:
             for name in model.layer_names:
                 spec = specs[name]
-                report = optimizer_step(states[name], grads[name], layer_cfgs[name])
+                report = optimizer_step(states[name], grads.pop(name), layer_cfgs[name])
                 update = report.update
                 if cfg.opt.normalize == "spectral":
                     update, pi_states[name] = spectral_normalize(
@@ -187,6 +188,7 @@ def run_training(
                 if hyper.lambda_wd > 0:
                     w = apply_weight_decay(w, hyper.lambda_wd, cfg.wd_variant, hyper.eta)
                 model.weights[name] = w - hyper.eta * update
+                del w  # the replaced weights must not outlive this layer's step
                 if recording:
                     applied[name] = report if update is report.update else UpdateReport(update)
         except (np.linalg.LinAlgError, NonFiniteError):
@@ -297,8 +299,10 @@ def lr_sweep(cfg: SweepConfig, mapper=None) -> LrSweepResult:
         )
         for width, row in losses.items()
     }
-    low, high = argmin[cfg.widths[0]], argmin[cfg.widths[-1]]
-    drift = None if None in argmin.values() else math.log2(high) - math.log2(low)
+    drift = None
+    if None not in argmin.values():
+        octaves = [math.log2(eta) for eta in argmin.values()]
+        drift = max(octaves) - min(octaves)
     return LrSweepResult(losses=losses, argmin=argmin, drift_octaves=drift, runs=runs)
 
 
@@ -586,6 +590,8 @@ def mup_exponent_check(
     slope should equal the learning-rate multiplier's slope.
     """
     rng = np.random.default_rng(seed)
+    # eta is pinned to 1 below, so eta_base must not overflow the probe plan
+    probe_plan = replace(plan, eta_base=1.0)
     rms_means = []
     mults = []
     for width in widths:
@@ -594,7 +600,7 @@ def mup_exponent_check(
             base_d_in=plan.base_width, base_d_out=plan.base_width,
         )
         manifest = ModelManifest(width=width, layers=(spec,))
-        hyper = replace(build_plan(manifest, opt, plan)["probe"], eta=1.0)
+        hyper = replace(build_plan(manifest, opt, probe_plan)["probe"], eta=1.0)
         vals = []
         for _ in range(n_draws):
             delta = rng.standard_normal(width) / width

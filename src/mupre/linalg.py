@@ -174,13 +174,28 @@ def newton_schulz(m: Matrix, iters: int = 5, eps: float = NS_DEFAULT_EPS) -> Mat
     transposed = x.shape[0] < x.shape[1]
     if transposed:
         x = x.T
+    # In place, with the textbook steps' operations in their order, so the
+    # bits match x <- 1.5 x - 0.5 x G and x <- a x + x (b G + c G G):
+    # at most x, G and one temporary of x's or G's size are alive at once.
     a, b, c = NS_QUINTIC
     for polish in ns_schedule(iters):
         g = x.T @ x
         if polish:
-            x = 1.5 * x - 0.5 * (x @ g)
+            y = x @ g
+            y *= -0.5
+            x *= 1.5
+            x += y
         else:
-            x = a * x + x @ (b * g + c * (g @ g))
+            gg = g @ g  # not g.T @ g: NumPy takes syrk for that, with other bits
+            gg *= c
+            g *= b
+            g += gg
+            del gg
+            y = x @ g
+            x *= a
+            y += x
+            x = y
+        del g, y
     return x.T if transposed else x
 
 
@@ -211,13 +226,21 @@ def power_iter_step(a: Matrix, state: PowerIterState, eps: float = 1e-8) -> Powe
 
 
 def spectral_norm_exact(a: Matrix) -> float:
-    """Largest singular value via the smaller Gram matrix's top eigenvalue."""
+    """Largest singular value: the square root of the top eigenvalue of the
+    smaller Gram matrix, from its eigenvalues alone. An empty input gives 0.
+
+    NumPy forms A A^T and A^T A with a symmetric rank-k update that mirrors
+    one triangle, so the Gram goes to eigvalsh as it is, with no symmetry
+    check or symmetrizing copy. A finite input whose Gram overflows raises
+    NonFiniteError.
+    """
     a = as_matrix(a, "spectral_norm input")
-    if a.shape[0] <= a.shape[1]:
-        gram = a @ a.T
-    else:
-        gram = a.T @ a
-    lam = sym_eig(gram).eigenvalues
-    top = float(lam[0]) if lam.size else 0.0
+    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    if not gram.size:
+        return 0.0
+    # min and max see NaN and either infinity without allocating a mask
+    if not (np.isfinite(gram.max()) and np.isfinite(gram.min())):
+        raise NonFiniteError("spectral_norm Gram matrix overflowed")
+    top = float(np.linalg.eigvalsh(gram)[-1])
     return float(np.sqrt(max(top, 0.0)))
 

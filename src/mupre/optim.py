@@ -39,8 +39,8 @@ class UpdateReport:
     """An update direction plus its norm statistics.
 
     frob is computed eagerly; the exact spectral norm and the stable rank
-    frob^2 / spec^2 are computed on first access (they need an
-    eigendecomposition, which per-step callers may not want). srank is
+    frob^2 / spec^2 are computed on first access (they need the Gram
+    matrix's eigenvalues, which per-step callers may not want). srank is
     defined as 0 for an all-zero update.
     """
 
@@ -104,9 +104,11 @@ def _bias_correction(beta: float, t: int) -> float:
 
 
 def _update_first_moment(state: LayerState, g: Matrix, beta1: float) -> Matrix:
+    """Advance m, the EMA of g, in place and return it."""
     if state.m is None:
         state.m = np.zeros_like(g)
-    state.m = beta1 * state.m + (1.0 - beta1) * g
+    state.m *= beta1
+    state.m += (1.0 - beta1) * g
     return state.m
 
 

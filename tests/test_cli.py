@@ -392,6 +392,17 @@ class TestOracleCommand:
         assert "oracle muon vs svd reference" in out
         assert "FAIL" not in out
 
+    def test_eta_base_does_not_reach_the_exponent_check(self, tmp_path, capsys):
+        # widths below base_width 4096: eta_base 1e308 overflows the lr there
+        printed = {}
+        for eta_base in (1.0, 1e308):
+            path = write_config(tmp_path, optimizer={"rule": "adam"}, scaling={
+                "param": "mup", "base_width": 4096, "eta_base": eta_base})
+            assert main(["oracle", "--config", path, "--seed", "0"]) == 0
+            printed[eta_base] = capsys.readouterr().out
+        assert "mup exponent: measured" in printed[1.0]
+        assert printed[1e308] == printed[1.0]
+
     def test_tightened_tolerance_fails(self, tmp_path, capsys):
         path = write_config(tmp_path, checks={"oracle_tol": 1e-18})
         assert main(["oracle", "--config", path, "--seed", "0"]) == 1

@@ -9,6 +9,7 @@ from mupre.harness import (
     CSV_HEADER,
     ExponentCheck,
     MetricRecord,
+    RunResult,
     compute_multiplier,
     coord_check,
     dense_shampoo,
@@ -502,6 +503,35 @@ class TestLrSweep:
             assert result.losses[width][1e5] == math.inf
             assert result.argmin[width] == 0.05
         assert result.drift_octaves == 0.0
+
+    @staticmethod
+    def stub_mapper(optimum):
+        """A mapper that trains nothing: each cell's final loss is its
+        squared distance in octaves from its width's optimum (None: every
+        eta diverges at that width)."""
+        def run(cell):
+            width, depth, eta, seed = cell
+            best = optimum[width]
+            loss = math.inf if best is None else math.log2(eta / best) ** 2
+            return RunResult(
+                run_id=f"w{width}-e{eta}", width=width, depth=depth, eta_base=eta,
+                seed=seed, diverged=best is None, final_loss=loss, losses=(),
+                records=[], layer_names=(),
+            )
+        return lambda fn, cells: [run(cell) for cell in cells]
+
+    @pytest.mark.parametrize("optimum,drift", [
+        ({8: 2**-6, 16: 2**-4, 32: 2**-6}, 2.0),
+        ({8: 2**-6, 16: 2**-8, 32: 2**-6}, 2.0),
+        ({8: 2**-6, 16: 2**-4, 32: 2**-8}, 4.0),
+        ({8: 2**-5, 16: 2**-5, 32: 2**-5}, 0.0),
+        ({8: 2**-6, 16: None, 32: 2**-6}, None),
+    ])
+    def test_drift_is_spread_over_all_widths(self, optimum, drift):
+        cfg = smoke_cfg(widths=(8, 16, 32), lr_grid=tuple(2.0**k for k in range(-8, -3)))
+        result = lr_sweep(cfg, mapper=self.stub_mapper(optimum))
+        assert result.argmin == optimum
+        assert result.drift_octaves == drift
 
     def test_width_where_every_eta_diverged_has_no_argmin(self):
         cfg = smoke_cfg(

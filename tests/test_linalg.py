@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mupre.linalg import (
+    NS_DEFAULT_EPS,
+    NS_QUINTIC,
     NonFiniteError,
     PowerIterState,
     inv_power,
@@ -21,6 +25,18 @@ def rand_symmetric(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     return (a + a.T) / 2
+
+
+def traced_peak(fn, *args):
+    """Bytes allocated at the peak of one call, over what was live before it."""
+    fn(*args)  # warm up any one-off allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def rand_psd(n, seed, rank=None):
@@ -220,6 +236,51 @@ class TestNewtonSchulzProperties:
         assert np.linalg.norm(out - newton_schulz(m.T).T) <= 1e-12 * size
 
 
+def textbook_newton_schulz(m, iters, eps=NS_DEFAULT_EPS):
+    """The iteration as plain expressions, one fresh array per operation."""
+    fro = float(np.linalg.norm(m))
+    if fro == 0.0:
+        return np.zeros_like(m)
+    x = m / (fro + eps)
+    transposed = x.shape[0] < x.shape[1]
+    if transposed:
+        x = x.T
+    a, b, c = NS_QUINTIC
+    for polish in ns_schedule(iters):
+        g = x.T @ x
+        if polish:
+            x = 1.5 * x - 0.5 * (x @ g)
+        else:
+            x = a * x + x @ (b * g + c * (g @ g))
+    return x.T if transposed else x
+
+
+class TestNewtonSchulzInPlace:
+    """The in-place iteration runs the textbook operations in their order,
+    so it gives the same bits, and it keeps at most three arrays alive."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=st.integers(1, 40), c=st.integers(1, 40), data=st.data(),
+           iters=st.integers(1, 6), log_scale=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bits_match_textbook_expressions(self, r, c, data, iters, log_scale, seed):
+        k = data.draw(st.integers(0, min(r, c)), label="rank")
+        rng = np.random.default_rng(seed)
+        m = 10.0**log_scale * (rng.standard_normal((r, k)) @ rng.standard_normal((k, c)))
+        out = newton_schulz(m, iters)
+        assert np.array_equal(out, textbook_newton_schulz(m, iters))
+
+    def test_input_untouched(self):
+        m = np.random.default_rng(3).standard_normal((9, 5))
+        kept = m.copy()
+        newton_schulz(m)
+        assert np.array_equal(m, kept)
+
+    def test_peak_allocation(self):
+        m = np.random.default_rng(4).standard_normal((128, 128))
+        assert traced_peak(newton_schulz, m) <= 3.05 * m.nbytes
+
+
 class TestPowerIter:
     def test_frozen_single_step(self):
         # A = diag(3, 1), v = (1, 1)/sqrt(2): sigma = sqrt(5), v' = (9, 1)/sqrt(82)
@@ -258,9 +319,53 @@ class TestPowerIter:
             power_iter_step(np.ones((3, 4)), PowerIterState(v=np.ones(3)))
 
 
+def _spectral_cases():
+    rng = np.random.default_rng(7)
+    low_rank = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 9))
+    return {
+        "wide": rng.standard_normal((5, 11)),
+        "square": rng.standard_normal((16, 16)),
+        "rank-deficient": low_rank,
+        "rank-deficient-wide": low_rank.T,
+        "column": rng.standard_normal((13, 1)),
+        "row": rng.standard_normal((1, 13)),
+        "scaled": 1e-150 * rng.standard_normal((6, 6)),
+    }
+
+
+SPECTRAL_CASES = _spectral_cases()
+
+
 class TestNorms:
     def test_spectral_norm_matches_svd(self):
         a = np.random.default_rng(5).standard_normal((7, 4))
         assert spectral_norm_exact(a) == pytest.approx(
             np.linalg.svd(a, compute_uv=False)[0], rel=1e-12
         )
+
+    @pytest.mark.parametrize("a", SPECTRAL_CASES.values(), ids=SPECTRAL_CASES.keys())
+    def test_spectral_norm_matches_svd_on_shapes(self, a):
+        assert spectral_norm_exact(a) == pytest.approx(
+            np.linalg.svd(a, compute_uv=False)[0], rel=1e-12
+        )
+
+    @pytest.mark.parametrize("shape", [(4, 6), (0, 5), (5, 0), (0, 0)])
+    def test_zero_and_empty_give_zero(self, shape):
+        assert spectral_norm_exact(np.zeros(shape)) == 0.0
+
+    def test_non_finite_input_raises(self):
+        a = np.ones((3, 4))
+        a[1, 2] = np.inf
+        with pytest.raises(NonFiniteError):
+            spectral_norm_exact(a)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+    def test_overflowing_gram_raises(self, shape):
+        a = np.full(shape, 1e200)
+        a[0, 0] = -1e200  # a -inf entry as well as +inf ones
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+            spectral_norm_exact(a)
+
+    def test_peak_allocation(self):
+        a = np.random.default_rng(6).standard_normal((128, 128))
+        assert traced_peak(spectral_norm_exact, a) <= 1.05 * a.nbytes  # the Gram's size

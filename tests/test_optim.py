@@ -593,6 +593,37 @@ class TestMuon:
         assert np.max(np.abs(state.m - m)) < 1e-14
 
 
+class TestFirstMoment:
+    """Every rule advances the first moment in place, with the bits of the
+    textbook EMA beta1 m + (1 - beta1) g, and never aliases the gradient."""
+
+    @pytest.mark.parametrize("rule,kw", [
+        ("sgd", {}), ("adam", {}), ("shampoo", {}), ("soap", {"e_l": 1.0, "e_r": 1.0}),
+        ("muon", {}), ("shampoo", {"graft_rule": "adam", "block_in": 2}),
+    ], ids=["sgd", "adam", "shampoo", "soap", "muon", "blocked-graft"])
+    @pytest.mark.parametrize("beta1", [0.0, 0.9, 0.37])
+    def test_bits_match_textbook_ema(self, rule, kw, beta1):
+        rng = np.random.default_rng(31)
+        c = cfg(rule, beta1=beta1, **kw)
+        state = LayerState()
+        m = np.zeros((6, 5))
+        for _ in range(6):
+            g = rng.standard_normal((6, 5)) * 10.0 ** rng.uniform(-3, 3)
+            kept = g.copy()
+            optimizer_step(state, g, c)
+            m = beta1 * m + (1.0 - beta1) * g
+            assert np.array_equal(state.m, m)
+            assert np.array_equal(g, kept) and not np.shares_memory(state.m, g)
+
+    def test_moment_array_is_reused(self):
+        state = LayerState()
+        rng = np.random.default_rng(32)
+        sgd_step(state, rng.standard_normal((3, 4)), cfg("sgd"))
+        first = state.m
+        sgd_step(state, rng.standard_normal((3, 4)), cfg("sgd"))
+        assert state.m is first
+
+
 class TestAdaMuon:
     def test_sign_of_orthogonalized_gradient(self):
         rng = np.random.default_rng(9)
