@@ -26,6 +26,8 @@ NS_POLISH_STEPS = 2
 # Guard added to the Frobenius norm in the pre-normalization step.
 NS_DEFAULT_EPS = 1e-7
 
+_SINGULAR = "mat_inv_power is singular: zero eigenvalue with eps=0"
+
 
 class NonFiniteError(ValueError):
     """An input holds inf or NaN entries. During training this means the run
@@ -103,16 +105,14 @@ def sym_eig_stack(a: np.ndarray) -> EigDecomp:
     return EigDecomp(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
 
 
-def inv_power(dec: EigDecomp, e: float, eps, neg_tol: float = 1e-6) -> np.ndarray:
-    """(A + eps I)^(-e) for each symmetric PSD A of a stack, from its
-    descending decomposition; eps is one shift or one per matrix, e > 0.
+def _shifted_powers(lam: np.ndarray, e: float, eps, neg_tol: float) -> np.ndarray:
+    """(lam + eps)^(-e) for descending eigenvalue rows lam of PSD matrices.
 
     Eigenvalues that are slightly negative from accumulated round-off are
-    clamped to 0 before the inverse power; anything below
-    -neg_tol * lambda_max means the accumulator was corrupted and raises.
-    A zero shift with a clamped zero eigenvalue is singular and raises.
+    clamped to 0 first; anything below -neg_tol * lambda_max means the
+    accumulator was corrupted and raises. A zero shift with a clamped zero
+    eigenvalue is singular and raises.
     """
-    lam = dec.eigenvalues
     n = lam.shape[-1]
     if n:
         low, top = lam[..., -1], lam[..., 0]
@@ -124,10 +124,46 @@ def inv_power(dec: EigDecomp, e: float, eps, neg_tol: float = 1e-6) -> np.ndarra
     lam = np.maximum(lam, 0.0)
     eps = np.asarray(eps, dtype=float)
     if n and np.any((eps == 0.0) & (lam[..., -1] == 0.0)):
-        raise ValueError("mat_inv_power is singular: zero eigenvalue with eps=0")
-    powered = (lam + eps[..., np.newaxis]) ** (-e)
+        raise ValueError(_SINGULAR)
+    return (lam + eps[..., np.newaxis]) ** (-e)
+
+
+def inv_power(dec: EigDecomp, e: float, eps, neg_tol: float = 1e-6) -> np.ndarray:
+    """(A + eps I)^(-e) for each symmetric PSD A of a stack, from its
+    descending decomposition; eps is one shift or one per matrix, e > 0.
+    The eigenvalues are checked and clamped as in _shifted_powers.
+    """
+    powered = _shifted_powers(dec.eigenvalues, e, eps, neg_tol)
     v = dec.eigenvectors
     return (v * powered[..., np.newaxis, :]) @ v.swapaxes(-1, -2)
+
+
+def range_inv_power_apply(
+    dec: EigDecomp, basis: np.ndarray, e: float, eps, m: np.ndarray, neg_tol: float = 1e-6
+) -> np.ndarray:
+    """(A + eps I)^(-e) M for each A = Q S Q^T of a stack, without forming
+    the n x n root; eps is one shift or one per matrix, e > 0.
+
+    Q is an orthonormal n x r basis with r < n that holds A's range, dec is
+    the descending decomposition S = W diag(lam) W^T of the compressed r x r
+    matrix, and M is n x k. On the complement of Q, A is zero and the root
+    is eps^(-e), so with U = Q W and phi = (lam + eps)^(-e) - eps^(-e)
+    the product is eps^(-e) M + U diag(phi) U^T M, taken right to left at
+    O(n r k + r^2 k). The eigenvalues are checked and clamped as in
+    _shifted_powers; since the complement is never empty, a zero shift is
+    singular.
+    """
+    eps = np.asarray(eps, dtype=float)
+    powered = _shifted_powers(dec.eigenvalues, e, eps, neg_tol)
+    if np.any(eps == 0.0):
+        raise ValueError(_SINGULAR)
+    floor = eps ** (-e)
+    w = dec.eigenvectors
+    coef = w.swapaxes(-1, -2) @ (basis.swapaxes(-1, -2) @ m)
+    coef *= (powered - floor[..., np.newaxis])[..., np.newaxis]
+    out = basis @ (w @ coef)
+    out += floor[..., np.newaxis, np.newaxis] * m
+    return out
 
 
 def mat_inv_power(a: Matrix, e: float, eps: float, neg_tol: float = 1e-6) -> Matrix:

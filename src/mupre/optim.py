@@ -24,16 +24,26 @@ import numpy as np
 
 from .config import WD_MODES, OptimizerConfig
 from .linalg import (
+    EigDecomp,
     Matrix,
     PowerIterState,
     as_matrix,
     inv_power,
     newton_schulz,
     power_iter_step,
+    range_inv_power_apply,
     spectral_norm_exact,
     sym_eig_stack,
 )
 from .scaling import BlockPartition, TileGroup
+
+# Shampoo decomposes a factor side of size n inside the span of its
+# gradients while that span has at most this fraction of n columns
+# (_precondition). Timed with one BLAS thread on a 2-vCPU Xeon, the route
+# costs about half the dense route at 0.5 n columns (24.8 ms against
+# 48.7 ms at n = 512) and stops winning between 0.63 n and 0.75 n.
+RANGE_BASIS_MAX_FRACTION = 0.5
+
 
 class UpdateReport:
     """An update direction plus its norm statistics.
@@ -64,6 +74,13 @@ class UpdateReport:
 @dataclass
 class BlockState:
     """Per-tile preconditioner accumulators.
+
+    l and r are the dense EMAs of G G^T and G^T G for Shampoo and SOAP; v
+    is SOAP's second moment in the rotated space. For SOAP, q_l and q_r
+    hold the factors' eigenbases. For Shampoo, q_l or q_r holds the
+    orthonormal basis of the gradients seen on that side while the side
+    takes the range-basis route (see shampoo_step) and is None after it;
+    l and r stay the dense EMAs either way.
 
     The step functions keep the tiles of one shape in one stack per field
     and set each tile's field to its view of that stack, so a step updates
@@ -217,25 +234,60 @@ def _factor_ema(
     return acc
 
 
-def _inverse_roots(
-    acc: np.ndarray, corr2: float, e: float, eps: float, eps_mode: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """(A + eps' I)^(-e) for each bias-corrected factor A = acc / corr2 of a
-    stack, and the mask of factors whose tile update is zero.
+def _shifts(dec: EigDecomp, eps: float, eps_mode: str) -> tuple[np.ndarray | float, np.ndarray]:
+    """The shift eps' of each bias-corrected factor of a stack, from its
+    decomposition, and the mask of factors whose tile update is zero.
 
     In absolute mode eps' = eps and the mask is all False. In relative mode
     eps' is eps times the factor's top eigenvalue, and a top eigenvalue
     <= 0 (a zero factor) has no relative shift: the mask marks the tile,
-    whose update is zero, and its root is computed with eps' = 1 only to
-    keep the stack off the singular check.
+    whose update is zero, and its root takes eps' = 1 only to keep the
+    stack off the singular check.
     """
-    dec = sym_eig_stack(acc / corr2)
-    zero = np.zeros(acc.shape[:-2], dtype=bool)
+    zero = np.zeros(dec.eigenvalues.shape[:-1], dtype=bool)
     if eps_mode == "relative":
         top = dec.eigenvalues[..., 0]
         zero = top <= 0.0
         eps = np.where(zero, 1.0, eps * top)
-    return inv_power(dec, e, eps), zero
+    return eps, zero
+
+
+def _precondition(
+    blocks: list[BlockState], group: TileGroup, side: str, acc: np.ndarray,
+    gb: np.ndarray, upd: np.ndarray, t: int, corr2: float, e: float, cfg: OptimizerConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A + eps' I)^(-e) applied to the group's update stack on one side,
+    A = acc / corr2, and the mask of tiles whose update is zero (_shifts).
+
+    A side of size n whose tile's other side is k has rank at most t k.
+    While t k <= RANGE_BASIS_MAX_FRACTION n, the side's q stack holds an
+    orthonormal basis Q of every gradient seen on it (the thin QR of
+    [Q, G]); the factor is decomposed as S = Q^T A Q, r x r with r = t k,
+    and range_inv_power_apply applies the root without forming it. Past
+    that, Q is dropped and the n x n factor is decomposed, as it is for a
+    state that holds no basis after step 1 (one built by hand), since a
+    basis started late would miss the earlier gradients.
+    """
+    g_side = gb if side == "l" else gb.swapaxes(-1, -2)
+    n, k = g_side.shape[-2:]
+    name = "q_" + side
+    q = _group_stack(blocks, group, name) if t > 1 else None
+    if t * k <= RANGE_BASIS_MAX_FRACTION * n and (t == 1 or q is not None):
+        q = np.linalg.qr(g_side if q is None else np.concatenate((q, g_side), axis=-1)).Q
+        _seat(blocks, group, name, q)
+        s = q.swapaxes(-1, -2) @ acc @ q
+        dec = sym_eig_stack((s + s.swapaxes(-1, -2)) / (2.0 * corr2))
+        eps, zero = _shifts(dec, cfg.eps, cfg.eps_mode)
+        if side == "l":
+            return range_inv_power_apply(dec, q, e, eps, upd), zero
+        return range_inv_power_apply(dec, q, e, eps, upd.swapaxes(-1, -2)).swapaxes(-1, -2), zero
+    if q is not None:
+        for i in group.indices:
+            setattr(blocks[i], name, None)
+    dec = sym_eig_stack(acc / corr2)
+    eps, zero = _shifts(dec, cfg.eps, cfg.eps_mode)
+    p = inv_power(dec, e, eps)
+    return (p @ upd if side == "l" else upd @ p), zero
 
 
 def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -245,7 +297,9 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     update = (L^ + eps I)^(-e_l) M (R^ + eps I)^(-e_r). In relative mode the
     eps shift for each factor is eps times that factor's top eigenvalue,
     and a tile with a zero factor (e > 0) gets a zero update. The tiles of
-    one shape go through every stage as one stack.
+    one shape go through every stage as one stack. A factor side whose rank
+    is bounded well below its size takes the range-basis route: it is
+    decomposed inside the span of its gradients (_precondition).
     """
     g = as_matrix(g, "gradient")
     state.t += 1
@@ -261,15 +315,13 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
         r = _factor_ema(blocks, group, "r", gb, cfg.beta2)
         upd = group.view(m) / corr1
         zero = np.zeros(group.grid, dtype=bool)
-        if cfg.e_l > 0.0:  # e == 0 is the exact identity: skip the multiply
-            p_l, zero_l = _inverse_roots(l, corr2, cfg.e_l, cfg.eps, cfg.eps_mode)
-            upd = p_l @ upd
-            zero |= zero_l
-            del p_l  # before the right root: one full-size root at a time
-        if cfg.e_r > 0.0:
-            p_r, zero_r = _inverse_roots(r, corr2, cfg.e_r, cfg.eps, cfg.eps_mode)
-            upd = upd @ p_r
-            zero |= zero_r
+        # e == 0 is the exact identity: skip the multiply. One side's root
+        # is released before the other's is formed.
+        for side, acc, e in (("l", l, cfg.e_l), ("r", r, cfg.e_r)):
+            if e > 0.0:
+                upd, zero_side = _precondition(blocks, group, side, acc, gb, upd,
+                                               state.t, corr2, e, cfg)
+                zero |= zero_side
         upd[zero] = 0.0
         group.view(out)[...] = upd
     return UpdateReport(out)

@@ -23,7 +23,7 @@ if TYPE_CHECKING:
 
     from .config import OptimizerConfig
 
-ROLES = ("embedding", "hidden", "readout", "bias")
+ROLES = ("embedding", "hidden", "readout")
 PARAMS = (
     "sp",
     "mup",
@@ -151,8 +151,6 @@ class LayerSpec:
             raise ValueError(f"unknown role {self.role!r}; expected one of {ROLES}")
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError(f"layer {self.name!r}: dims must be positive")
-        if self.role == "bias" and self.d_in != 1:
-            raise ValueError(f"bias layer {self.name!r} must have d_in=1")
         if self.depth_l < 1:
             raise ValueError(f"layer {self.name!r}: depth_l must be >= 1")
         for b in (self.base_d_in, self.base_d_out):
@@ -343,19 +341,12 @@ def _eps_formula(
     raise ValueError(f"no damping rule for {rule!r}")
 
 
-def _rule_column(opt: OptimizerConfig, role: str) -> tuple[str, float, float]:
-    """(rule, e_l, e_r) of the update rule itself; biases follow adam."""
-    if role == "bias":
-        return "adam", 0.0, 0.0
-    return opt.rule, opt.e_l, opt.e_r
-
-
-def _lr_column(opt: OptimizerConfig, role: str) -> tuple[str, float, float]:
+def _lr_column(opt: OptimizerConfig) -> tuple[str, float, float]:
     """Pick (rule, e_l, e_r) governing the learning-rate column."""
-    if opt.graft_rule is not None and role != "bias":
+    if opt.graft_rule is not None:
         # norm comes from the reference optimizer, so its rule sets the lr
         return opt.graft_rule, 0.0, 0.0
-    return _rule_column(opt, role)
+    return opt.rule, opt.e_l, opt.e_r
 
 
 def _ratio(
@@ -383,7 +374,7 @@ def lr_multiplier(spec: LayerSpec, opt: OptimizerConfig, plan: ScalingPlan) -> f
         return 1.0
     if plan.param in ALT_MUON_PARAMS:
         return alt_muon_multiplier(spec, plan.param)
-    return _ratio(_lr_formula, _lr_column(opt, spec.role), spec, opt, plan)
+    return _ratio(_lr_formula, _lr_column(opt), spec, opt, plan)
 
 
 def _guard_formula(
@@ -402,11 +393,11 @@ def _damping(spec: LayerSpec, opt: OptimizerConfig, plan: ScalingPlan) -> dict[s
     ungrafted configs leave the graft values at ratio 1.
     """
     scale = {"eps": 1.0, "graft_eps": 1.0, "graft_ref_eps": 1.0}
+    own = (opt.rule, opt.e_l, opt.e_r)
     if plan.param not in ("sp", "spectral_norm"):
         if not (opt.rule == "shampoo" and opt.eps_mode == "relative"):
-            scale["eps"] = _ratio(_eps_formula, _rule_column(opt, spec.role), spec, opt, plan)
+            scale["eps"] = _ratio(_eps_formula, own, spec, opt, plan)
         if opt.graft_rule is not None:
-            own = (opt.rule, opt.e_l, opt.e_r)
             scale["graft_eps"] = _ratio(_guard_formula, own, spec, opt, plan)
             ref = (opt.graft_rule, 0.0, 0.0)
             scale["graft_ref_eps"] = _ratio(_eps_formula, ref, spec, opt, plan)
@@ -418,7 +409,7 @@ def init_sigma(spec: LayerSpec, plan: ScalingPlan) -> float:
         return HIDDEN_INIT_C / math.sqrt(spec.d_in)
     if spec.role == "embedding":
         return EMBEDDING_INIT_SIGMA
-    # readout is zero-initialized; biases start at zero
+    # readout is zero-initialized
     return 0.0
 
 

@@ -12,6 +12,7 @@ from mupre.linalg import (
     PowerIterState,
     inv_power,
     mat_inv_power,
+    range_inv_power_apply,
     newton_schulz,
     ns_schedule,
     power_iter_step,
@@ -160,6 +161,41 @@ class TestInvPower:
         indefinite = np.stack([rand_psd(2, 2), np.diag([1.0, -1.0])])
         with pytest.raises(ValueError, match="PSD"):
             inv_power(sym_eig_stack(indefinite), 0.5, 1.0)
+
+
+class TestRangeInvPowerApply:
+    """range_inv_power_apply applies the root of a low-rank matrix from the
+    decomposition of its compression onto a basis of its range."""
+
+    @pytest.mark.parametrize("e", [0.25, 0.5, 1.0])
+    def test_matches_formed_root(self, e):
+        # 2 x 2 stack of rank-3 10 x 10 PSD matrices, with a 4-column basis
+        # that holds each range, applied to 10 x 2 right-hand sides
+        rng = np.random.default_rng(40)
+        b = rng.standard_normal((2, 2, 10, 3))
+        a = b @ b.swapaxes(-1, -2)
+        basis = np.linalg.qr(np.concatenate((b, rng.standard_normal((2, 2, 10, 1))), -1)).Q
+        s = basis.swapaxes(-1, -2) @ a @ basis
+        dec = sym_eig_stack((s + s.swapaxes(-1, -2)) / 2.0)
+        m = rng.standard_normal((2, 2, 10, 2))
+        shifts = np.array([[1e-3, 1e-2], [1e-1, 1.0]])
+        out = range_inv_power_apply(dec, basis, e, shifts, m)
+        for i, j in np.ndindex(2, 2):
+            want = mat_inv_power(a[i, j], e, shifts[i, j]) @ m[i, j]
+            assert np.linalg.norm(out[i, j] - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_zero_shift_is_singular(self):
+        # the complement of the basis is A's null space
+        basis = np.eye(3)[:, :1][np.newaxis]
+        dec = sym_eig_stack(np.array([[[2.0]]]))
+        with pytest.raises(ValueError, match="singular"):
+            range_inv_power_apply(dec, basis, 0.5, 0.0, np.ones((1, 3, 1)))
+
+    def test_keeps_psd_check(self):
+        basis = np.eye(3)[:, :2][np.newaxis]
+        dec = sym_eig_stack(np.diag([1.0, -1.0])[np.newaxis])
+        with pytest.raises(ValueError, match="PSD"):
+            range_inv_power_apply(dec, basis, 0.5, 1.0, np.ones((1, 3, 1)))
 
 
 class TestNewtonSchulz:

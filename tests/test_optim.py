@@ -18,6 +18,7 @@ from mupre.linalg import (
 )
 from mupre.config import EPS_MODES, GRAFT_RULES, RULES, OptimizerConfig
 from mupre.optim import (
+    RANGE_BASIS_MAX_FRACTION,
     LayerState,
     UpdateReport,
     adam_step,
@@ -230,12 +231,19 @@ def tile_spans(g, c):
     return list(product(part.row_spans, part.col_spans))
 
 
-def per_tile_shampoo(g_seq, c):
-    """Shampoo updates and final per-tile (L, R) by a tile-by-tile route:
-    each factor is decomposed by the checked sym_eig, once for its top
-    eigenvalue in relative mode and again inside mat_inv_power, with the
-    step's arithmetic written out in the same order."""
-    m, acc, updates = 0.0, {}, []
+def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION):
+    """Shampoo updates and final per-tile (L, R) by a tile-by-tile route with
+    the step's arithmetic written out in the same order.
+
+    A factor side of size n whose tile's other side is k is decomposed
+    inside the orthonormal basis Q of its gradients while t k <= cutoff n:
+    Q is the thin QR of [Q, G], the checked sym_eig decomposes
+    S = Q^T L Q / corr2 and the root is applied as
+    eps'^(-e) M + Q W diag(phi) W^T Q^T M. Otherwise the checked sym_eig
+    decomposes the full factor, once for its top eigenvalue in relative
+    mode and again inside mat_inv_power; cutoff=0 takes that dense route
+    on every side."""
+    m, acc, basis, updates = 0.0, {}, {}, []
     for t, g in enumerate(g_seq, start=1):
         m = c.beta1 * m + (1.0 - c.beta1) * g
         corr1, corr2 = 1.0 - c.beta1**t, 1.0 - c.beta2**t
@@ -247,20 +255,40 @@ def per_tile_shampoo(g_seq, c):
             r = c.beta2 * r + (1.0 - c.beta2) * (gb.T @ gb)
             l, r = (l + l.T) / 2.0, (r + r.T) / 2.0
             acc[i] = (l, r)
-            upd = mb / corr1
-            for side, a, e in (("l", l / corr2, c.e_l), ("r", r / corr2, c.e_r)):
+            upd, zero = mb / corr1, False
+            for side, f, gs, e in (("l", l, gb, c.e_l), ("r", r, gb.T, c.e_r)):
                 if e == 0.0:
                     continue
+                n, k = gs.shape
+                if t * k <= cutoff * n:
+                    q = gs if t == 1 else np.hstack([basis[i, side], gs])
+                    q = basis[i, side] = np.linalg.qr(q).Q
+                    s = q.T @ f @ q
+                    dec = sym_eig((s + s.T) / (2.0 * corr2))
+                else:
+                    dec = None
+                    a = f / corr2
                 eps = c.eps
                 if c.eps_mode == "relative":
-                    top = float(sym_eig(a).eigenvalues[0])
+                    top = float((sym_eig(a) if dec is None else dec).eigenvalues[0])
                     if top <= 0.0:
-                        upd = np.zeros_like(mb)
-                        break
+                        zero = True
+                        continue
                     eps = c.eps * top
-                p = mat_inv_power(a, e, eps)
-                upd = p @ upd if side == "l" else upd @ p
-            out[r0:r1, c0:c1] = upd
+                if dec is None:
+                    p = mat_inv_power(a, e, eps)
+                    upd = p @ upd if side == "l" else upd @ p
+                    continue
+                # the array power, as in the kernel: NumPy's scalar power has other bits
+                floor = np.asarray(eps) ** (-e)
+                phi = (np.maximum(dec.eigenvalues, 0.0) + eps) ** (-e) - floor
+                w, mm = dec.eigenvectors, upd if side == "l" else upd.T
+                coef = w.T @ (q.T @ mm)
+                coef *= phi[:, np.newaxis]
+                applied = q @ (w @ coef)
+                applied += floor * mm
+                upd = applied if side == "l" else applied.T
+            out[r0:r1, c0:c1] = np.zeros_like(mb) if zero else upd
         updates.append(out)
     return updates, acc
 
@@ -347,8 +375,10 @@ class TestRelativeDamping:
             ((6, 8), (3, 4), 0.5, 1),
             ((6, 8), (3, 4), 0.0, 1),
             ((7, 9), (3, 4), 0.5, 4),
+            ((24, 2), (None, None), 0.5, 1),
         ],
-        ids=["unblocked", "blocked-2x2", "blocked-2x2-left-only", "blocked-uneven"],
+        ids=["unblocked", "blocked-2x2", "blocked-2x2-left-only", "blocked-uneven",
+             "unblocked-range-basis"],
     )
     def test_one_decomposition_per_factor_per_tile(self, eig_calls, shape, blocks, e_r, groups):
         # one stacked call per factor side and tile shape, one stack entry
@@ -498,25 +528,117 @@ class TestStackedTiles:
                 optimizer_step(LayerState(), g, c)
 
     @pytest.mark.parametrize(
-        "c",
+        "c,shape",
         [
-            cfg("shampoo", e_l=0.5, e_r=0.25, eps=1e-4, block_out=3, block_in=4),
-            cfg("soap", e_l=1.0, e_r=1.0, precond_freq=3, block_out=3, block_in=4),
+            (cfg("shampoo", e_l=0.5, e_r=0.25, eps=1e-4, block_out=3, block_in=4), (7, 9)),
+            # two 24x2 tiles whose left sides stay on the range-basis route
+            (cfg("shampoo", e_l=0.5, e_r=0.25, eps=1e-4, block_in=2), (24, 4)),
+            (cfg("soap", e_l=1.0, e_r=1.0, precond_freq=3, block_out=3, block_in=4), (7, 9)),
         ],
-        ids=["shampoo", "soap"],
+        ids=["shampoo", "shampoo-range-basis", "soap"],
     )
-    def test_deep_copied_state_continues_bit_identically(self, c):
+    def test_deep_copied_state_continues_bit_identically(self, c, shape):
         # a copy's tiles are no longer views of one stack; its next step
         # stacks them again
         rng = np.random.default_rng(27)
         state = LayerState()
         for _ in range(2):
-            optimizer_step(state, rng.standard_normal((7, 9)), c)
+            optimizer_step(state, rng.standard_normal(shape), c)
         snap = copy.deepcopy(state)
         for _ in range(3):
-            g = rng.standard_normal((7, 9))
+            g = rng.standard_normal(shape)
             assert np.array_equal(optimizer_step(state, g, c).update,
                                   optimizer_step(snap, g, c).update)
+
+
+class TestRangeBasisRoute:
+    """A factor side of size n whose tile's other side is k is decomposed
+    inside the span of its gradients while t k <= RANGE_BASIS_MAX_FRACTION n;
+    that route gives the dense route's update up to round-off."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 40),
+        k=st.integers(1, 3),
+        tiles=st.integers(1, 2),
+        transpose=st.booleans(),
+        e_l=st.sampled_from((0.25, 0.5)),
+        e_r=st.sampled_from((0.25, 0.5)),
+        eps_mode=st.sampled_from(EPS_MODES),
+        beta2=st.sampled_from((0.0, 0.95)),
+        zero_from=st.integers(1, 25),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_dense_route(
+        self, n, k, tiles, transpose, e_l, e_r, eps_mode, beta2, zero_from, seed
+    ):
+        # n x k tiles (k x n when transposed) side by side; the last tile's
+        # gradient goes zero from zero_from on, and the run ends two steps
+        # past the route's cutoff on the size-n side
+        shape, blocks = (n, k * tiles), (None, k)
+        if transpose:
+            shape, blocks = shape[::-1], blocks[::-1]
+        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode, beta2=beta2,
+                block_out=blocks[0], block_in=blocks[1])
+        steps = int(RANGE_BASIS_MAX_FRACTION * n) // k + 2
+        span = tile_spans(np.zeros(shape), c)[-1]
+        g_seq = gradients_with_zero_tile(
+            np.random.default_rng(seed), shape, span, steps, zero_from
+        )
+        state = LayerState()
+        for g, want in zip(g_seq, per_tile_shampoo(g_seq, c, cutoff=0.0)[0]):
+            got = shampoo_step(state, g, c).update
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_zero_absolute_shift_raises_as_dense_route(self):
+        g = np.random.default_rng(31).standard_normal((40, 1))
+        c = cfg("shampoo", e_l=0.5, e_r=0.0, eps=0.0, eps_mode="absolute")
+        with pytest.raises(ValueError) as dense:
+            mat_inv_power(g @ g.T, 0.5, 0.0)
+        with pytest.raises(ValueError) as route:
+            shampoo_step(LayerState(), g, c)
+        assert str(route.value) == str(dense.value)
+
+    def test_state_without_basis_takes_dense_route(self):
+        # a basis started after step 1 would miss the earlier gradients
+        c = cfg("shampoo", e_l=0.5, e_r=0.25, eps=1e-3)
+        rng = np.random.default_rng(33)
+        g_seq = [rng.standard_normal((30, 1)) for _ in range(3)]
+        state = LayerState()
+        for g in g_seq[:2]:
+            shampoo_step(state, g, c)
+        state.blocks[0].q_l = None
+        got = shampoo_step(state, g_seq[2], c).update
+        want = per_tile_shampoo(g_seq, c, cutoff=0.0)[0][2]
+        assert state.blocks[0].q_l is None
+        assert got.tobytes() == want.tobytes()
+
+    def test_factors_keep_dense_ema_bits(self, monkeypatch):
+        # two 40x3 tiles: the left sides take the route while 3 t <= 20,
+        # with a basis of 3 t columns, and drop it after
+        c = cfg("shampoo", e_l=0.25, e_r=0.5, beta2=0.95, block_in=3)
+        rng = np.random.default_rng(32)
+        g_seq = [rng.standard_normal((40, 6)) for _ in range(9)]
+        route = LayerState()
+        factors = []
+        for t, g in enumerate(g_seq, start=1):
+            shampoo_step(route, g, c)
+            on_route = 3 * t <= RANGE_BASIS_MAX_FRACTION * 40
+            for block in route.blocks:
+                assert block.q_r is None
+                if on_route:
+                    assert block.q_l.shape == (40, 3 * t)
+                    assert np.allclose(block.q_l.T @ block.q_l, np.eye(3 * t), atol=1e-12)
+                else:
+                    assert block.q_l is None
+            factors.append([(b.l.copy(), b.r.copy()) for b in route.blocks])
+        monkeypatch.setattr(mupre.optim, "RANGE_BASIS_MAX_FRACTION", 0.0)
+        dense = LayerState()
+        for g, want in zip(g_seq, factors):
+            shampoo_step(dense, g, c)
+            for block, (l, r) in zip(dense.blocks, want):
+                assert block.q_l is None
+                assert block.l.tobytes() == l.tobytes() and block.r.tobytes() == r.tobytes()
 
 
 class TestSoap:

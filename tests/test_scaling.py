@@ -75,10 +75,10 @@ class TestLayerSpec:
         s = hidden(64, 64, base_in=1, base_out=1)
         assert lr_multiplier(s, opt("shampoo", e_l=0.5, e_r=0.5), mk_plan()) == 1.0
 
-    def test_bias_requires_unit_fan_in(self):
-        with pytest.raises(ValueError, match="d_in=1"):
-            LayerSpec("b", "bias", d_in=4, d_out=4)
-        LayerSpec("b", "bias", d_in=1, d_out=4)
+    def test_bias_is_not_a_role(self):
+        # no manifest builds a bias layer, so the role was removed
+        with pytest.raises(ValueError, match="role"):
+            LayerSpec("b", "bias", d_in=1, d_out=4)
 
     def test_unknown_role(self):
         with pytest.raises(ValueError, match="role"):
@@ -141,11 +141,6 @@ class TestLrMultiplier:
         for param in ("sp", "spectral_norm"):
             for rule in ("sgd", "adam", "muon", "adamuon"):
                 assert lr_multiplier(s, opt(rule), mk_plan(param=param)) == 1.0
-
-    def test_bias_uses_adam_column(self):
-        b = LayerSpec("b", "bias", d_in=1, d_out=256, base_d_out=64)
-        for rule in ("sgd", "muon", "shampoo"):
-            assert lr_multiplier(b, opt(rule), mk_plan()) == pytest.approx(1.0)
 
     def test_base_shape_identity(self):
         s = hidden(64, 64, base_in=64, base_out=64)
@@ -271,10 +266,6 @@ class TestInitSigma:
     def test_embedding_fixed(self):
         s = LayerSpec("e", "embedding", d_in=1, d_out=64)
         assert init_sigma(s, mk_plan()) == pytest.approx(0.1)
-
-    def test_bias_zero(self):
-        s = LayerSpec("b", "bias", d_in=1, d_out=64)
-        assert init_sigma(s, mk_plan()) == 0.0
 
 
 class TestResidualMultiplier:
@@ -466,10 +457,7 @@ class TestPlanProperties:
     def test_every_multiplier_is_one_at_base_shape(self, c, plan):
         assume(plan.param not in ALT_MUON_PARAMS or (c.rule == "muon" and not c.graft_rule))
         w = plan.base_width
-        extra = (
-            LayerSpec("fc1", "hidden", d_in=1, d_out=w, base_d_out=w),
-            LayerSpec("bias", "bias", d_in=1, d_out=w),
-        )
+        extra = (LayerSpec("fc1", "hidden", d_in=1, d_out=w, base_d_out=w),)
         model = resmlp_manifest(w, plan.base_depth, w)
         manifest = replace(model, layers=model.layers + extra)
         for name, row in build_plan(manifest, c, plan).items():
