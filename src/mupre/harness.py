@@ -168,14 +168,16 @@ def run_training(
             diverged = True
             break
         losses.append(loss)
-        grads = model.backward(cache)
+        grads, factors = model.backward(cache)
         recording = t in probe_set or (cfg.record_every > 0 and t % cfg.record_every == 0)
         cache_pre = model.forward(probe)[1] if recording else None
         applied: dict[str, UpdateReport] = {}
         try:
             for name in model.layer_names:
                 spec = specs[name]
-                report = optimizer_step(states[name], grads.pop(name), layer_cfgs[name])
+                state = states[name]
+                state.factors = factors.pop(name)  # the step reads and clears them
+                report = optimizer_step(state, grads.pop(name), layer_cfgs[name])
                 update = report.update
                 if cfg.opt.normalize == "spectral":
                     update, pi_states[name] = spectral_normalize(

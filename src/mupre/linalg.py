@@ -152,6 +152,9 @@ def range_inv_power_apply(
     O(n r k + r^2 k). The eigenvalues are checked and clamped as in
     _shifted_powers; since the complement is never empty, a zero shift is
     singular.
+
+    M is consumed: the floor term is formed in place in M, a fresh array
+    the caller gives up, and the result is M.
     """
     eps = np.asarray(eps, dtype=float)
     powered = _shifted_powers(dec.eigenvalues, e, eps, neg_tol)
@@ -161,9 +164,14 @@ def range_inv_power_apply(
     w = dec.eigenvectors
     coef = w.swapaxes(-1, -2) @ (basis.swapaxes(-1, -2) @ m)
     coef *= (powered - floor[..., np.newaxis])[..., np.newaxis]
-    out = basis @ (w @ coef)
-    out += floor[..., np.newaxis, np.newaxis] * m
-    return out
+    coef = w @ coef  # one r x k temporary alive beside the n x k product
+    low_rank = basis @ coef
+    del coef
+    # floor M + low_rank in place; IEEE addition commutes, so these are the
+    # bits of low_rank + floor M
+    m *= floor[..., np.newaxis, np.newaxis]
+    m += low_rank
+    return m
 
 
 def mat_inv_power(a: Matrix, e: float, eps: float, neg_tol: float = 1e-6) -> Matrix:

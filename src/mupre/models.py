@@ -2,7 +2,8 @@
 
 Two architectures: a plain MLP on scalar inputs for width scaling, and a
 residual MLP for depth scaling. Both expose forward passes that cache every
-pre-activation (for coordinate probes) and exact closed-form gradients.
+pre-activation (for coordinate probes) and exact closed-form gradients,
+each given with the pair of batch factors whose product it is.
 Training data is synthetic: standard-normal scalars labeled by a fixed
 random teacher network.
 """
@@ -18,6 +19,12 @@ from .linalg import Matrix
 from .scaling import LayerHyper, ModelManifest
 
 TEACHER_WIDTHS = (1, 8, 8, 1)
+
+# layer name -> dense gradient, and layer name -> (left, right): every
+# gradient is the batch product left @ right.T, left d_out x B and right
+# d_in x B, so its row and column spaces lie in the spans of the factors
+Gradients = dict[str, Matrix]
+GradientFactors = dict[str, tuple[Matrix, Matrix]]
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,14 @@ def _dphi(h: Matrix, kind: str) -> Matrix:
 def _check_activation(kind: str) -> None:
     if kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
+
+
+def _outer(
+    grads: Gradients, factors: GradientFactors, name: str, left: Matrix, right: Matrix
+) -> None:
+    """Record one layer's gradient left @ right.T and its factor pair."""
+    grads[name] = left @ right.T
+    factors[name] = (left, right)
 
 
 def _mse(f: Matrix, y: Matrix) -> float:
@@ -137,24 +152,26 @@ class MlpModel:
         loss = _mse(f, y)
         return loss, ForwardCache(loss=loss, f=f, x0=x0, hs=hs, xs=xs, batch=batch)
 
-    def backward(self, cache: ForwardCache) -> dict[str, Matrix]:
+    def backward(self, cache: ForwardCache) -> tuple[Gradients, GradientFactors]:
+        """(grads, factors): each layer's gradient and its batch factors."""
         if cache is None:
             raise ValueError("backward needs the forward cache")
         readout = self.layer_names[-1]
         hidden = self.layer_names[:-1]
         y = cache.batch.targets.reshape(1, -1)
         delta = _mse_grad(cache.f, y)
-        grads: dict[str, Matrix] = {}
-        grads[readout] = delta @ cache.xs[hidden[-1]].T
+        grads: Gradients = {}
+        factors: GradientFactors = {}
+        _outer(grads, factors, readout, delta, cache.xs[hidden[-1]])
         g = self.weights[readout].T @ delta
         for i in range(len(hidden) - 1, -1, -1):
             name = hidden[i]
             d = g * _dphi(cache.hs[name], self.activation)
             below = cache.xs[hidden[i - 1]] if i > 0 else cache.x0
-            grads[name] = d @ below.T
+            _outer(grads, factors, name, d, below)
             if i > 0:
                 g = self.weights[name].T @ d
-        return grads
+        return grads, factors
 
 
 class ResMlpModel:
@@ -218,22 +235,25 @@ class ResMlpModel:
         loss = _mse(f, y)
         return loss, ForwardCache(loss=loss, f=f, x0=x0, hs=hs, xs=xs, batch=batch)
 
-    def backward(self, cache: ForwardCache) -> dict[str, Matrix]:
+    def backward(self, cache: ForwardCache) -> tuple[Gradients, GradientFactors]:
+        """(grads, factors): each layer's gradient and its batch factors."""
         if cache is None:
             raise ValueError("backward needs the forward cache")
         y = cache.batch.targets.reshape(1, -1)
         delta = _mse_grad(cache.f, y)
-        grads: dict[str, Matrix] = {}
-        grads[self.readout] = delta @ cache.xs[self.block_names[-1] if self.block_names else self.embed].T
+        grads: Gradients = {}
+        factors: GradientFactors = {}
+        stream_out = cache.xs[self.block_names[-1] if self.block_names else self.embed]
+        _outer(grads, factors, self.readout, delta, stream_out)
         g = self.weights[self.readout].T @ delta
         for i in range(len(self.block_names) - 1, -1, -1):
             name = self.block_names[i]
             stream_in = cache.xs[self.block_names[i - 1]] if i > 0 else cache.xs[self.embed]
             d = self.residual_mults[name] * _dphi(cache.hs[name], self.activation) * g
-            grads[name] = d @ stream_in.T
+            _outer(grads, factors, name, d, stream_in)
             g = g + self.weights[name].T @ d
-        grads[self.embed] = g @ cache.x0.T
-        return grads
+        _outer(grads, factors, self.embed, g, cache.x0)
+        return grads, factors
 
 
 def _init_weights(

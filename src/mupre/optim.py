@@ -39,10 +39,14 @@ from .scaling import BlockPartition, TileGroup
 
 # Shampoo decomposes a factor side of size n inside the span of its
 # gradients while that span has at most this fraction of n columns
-# (_precondition). Timed with one BLAS thread on a 2-vCPU Xeon, the route
+# (_range_basis). Timed with one BLAS thread on a 2-vCPU Xeon, the route
 # costs about half the dense route at 0.5 n columns (24.8 ms against
 # 48.7 ms at n = 512) and stops winning between 0.63 n and 0.75 n.
 RANGE_BASIS_MAX_FRACTION = 0.5
+
+# Largest relative Frobenius gap between a gradient and the product of the
+# factors given with it (_take_factors).
+FACTOR_PRODUCT_TOL = 1e-12
 
 
 class UpdateReport:
@@ -77,10 +81,11 @@ class BlockState:
 
     l and r are the dense EMAs of G G^T and G^T G for Shampoo and SOAP; v
     is SOAP's second moment in the rotated space. For SOAP, q_l and q_r
-    hold the factors' eigenbases. For Shampoo, q_l or q_r holds the
-    orthonormal basis of the gradients seen on that side while the side
-    takes the range-basis route (see shampoo_step) and is None after it;
-    l and r stay the dense EMAs either way.
+    hold the factors' eigenbases. For Shampoo, q_l or q_r holds an
+    orthonormal basis of the spanning sets seen on that side (the tile's
+    gradient columns, or the row slice of the gradient's factor on that
+    side; see _range_basis) while the side takes the range-basis route,
+    and is None after it; l and r stay the dense EMAs either way.
 
     The step functions keep the tiles of one shape in one stack per field
     and set each tile's field to its view of that stack, so a step updates
@@ -101,12 +106,20 @@ class LayerState:
     t counts completed steps. m/v are full-matrix first/second moments
     (v doubles as the graft reference's second moment). blocks holds the
     per-tile factor state for shampoo/soap.
+
+    factors is an optional pair (left, right) with left d_out x B, right
+    d_in x B and the next gradient equal to left @ right.T, set by the
+    trainer right before a step. Shampoo takes their row slices as the
+    spanning sets of its range-basis route; every rule clears the field,
+    and a step without factors spans each side with the tile's own
+    gradient columns.
     """
 
     t: int = 0
     m: Matrix | None = None
     v: Matrix | None = None
     blocks: list[BlockState] = field(default_factory=list)
+    factors: tuple[Matrix, Matrix] | None = None
 
 
 def block_partition(g: Matrix, b_out: int | None, b_in: int | None) -> BlockPartition:
@@ -252,38 +265,110 @@ def _shifts(dec: EigDecomp, eps: float, eps_mode: str) -> tuple[np.ndarray | flo
     return eps, zero
 
 
-def _precondition(
-    blocks: list[BlockState], group: TileGroup, side: str, acc: np.ndarray,
-    gb: np.ndarray, upd: np.ndarray, t: int, corr2: float, e: float, cfg: OptimizerConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(A + eps' I)^(-e) applied to the group's update stack on one side,
-    A = acc / corr2, and the mask of tiles whose update is zero (_shifts).
+def _take_factors(
+    state: LayerState, g: Matrix, scratch: Matrix
+) -> tuple[Matrix, Matrix] | None:
+    """Clear the state's gradient factors and return them checked against g.
 
-    A side of size n whose tile's other side is k has rank at most t k.
-    While t k <= RANGE_BASIS_MAX_FRACTION n, the side's q stack holds an
-    orthonormal basis Q of every gradient seen on it (the thin QR of
-    [Q, G]); the factor is decomposed as S = Q^T A Q, r x r with r = t k,
-    and range_inv_power_apply applies the root without forming it. Past
-    that, Q is dropped and the n x n factor is decomposed, as it is for a
-    state that holds no basis after step 1 (one built by hand), since a
-    basis started late would miss the earlier gradients.
+    Factors that are not two matrices of g's row and column counts with
+    one common positive column count, or whose product is further than
+    FACTOR_PRODUCT_TOL from g in relative Frobenius norm, raise ValueError;
+    non-finite factors raise NonFiniteError. The check overwrites scratch,
+    an array of g's shape, so it allocates no g-sized temporary.
+    """
+    factors, state.factors = state.factors, None
+    if factors is None:
+        return None
+    left, right = factors
+    left = as_matrix(left, "left gradient factor")
+    right = as_matrix(right, "right gradient factor")
+    if (left.shape[0], right.shape[0]) != g.shape or not 0 < left.shape[1] == right.shape[1]:
+        raise ValueError(
+            f"gradient factors {left.shape} and {right.shape} do not factor a "
+            f"{g.shape} gradient"
+        )
+    gap = np.matmul(left, right.T, out=scratch)
+    gap -= g
+    # a NaN gap fails the comparison too
+    if not float(np.linalg.norm(gap)) <= FACTOR_PRODUCT_TOL * float(np.linalg.norm(g)):
+        raise ValueError("gradient factors do not multiply to the gradient")
+    return left, right
+
+
+def _factor_spans(
+    group: TileGroup, factors: tuple[Matrix, Matrix] | None
+) -> dict[str, np.ndarray | None]:
+    """Per side, the row slice of the gradient's factor on that side for
+    each tile of the group: left's rows of the tile's row band on side "l",
+    right's rows of its column band on side "r", as broadcast stacks.
+    Without factors both are None."""
+    if factors is None:
+        return {"l": None, "r": None}
+    left, right = factors
+    (n_down, n_across), (b_out, b_in) = group.grid, group.shape
+    b = left.shape[1]
+    span_l = left[group.row:group.row + n_down * b_out].reshape(n_down, 1, b_out, b)
+    span_r = right[group.col:group.col + n_across * b_in].reshape(1, n_across, b_in, b)
+    return {
+        "l": np.broadcast_to(span_l, (n_down, n_across, b_out, b)),
+        "r": np.broadcast_to(span_r, (n_down, n_across, b_in, b)),
+    }
+
+
+def _range_basis(
+    blocks: list[BlockState], group: TileGroup, side: str, gb: np.ndarray,
+    span: np.ndarray | None, t: int,
+) -> np.ndarray | None:
+    """The group's orthonormal basis stack for one side at step t, or None
+    when the side takes the dense route.
+
+    A side of size n whose tile's other side is k gets a spanning set of
+    the step's gradient on that side: span, the row slice of the
+    gradient's factor, when it has fewer than k columns, else the tile's k
+    gradient columns. While the basis's width, the columns accumulated so
+    far plus this step's, is at most RANGE_BASIS_MAX_FRACTION n, the basis
+    is the thin QR of [Q, spanning set] and is kept in the side's q stack.
+    Past that the basis is released and the side takes the dense route, as
+    it does for a state that holds no basis after step 1 (one built by
+    hand), since a basis started late would miss the earlier gradients.
     """
     g_side = gb if side == "l" else gb.swapaxes(-1, -2)
     n, k = g_side.shape[-2:]
+    if span is None or span.shape[-1] >= k:
+        span = g_side
     name = "q_" + side
     q = _group_stack(blocks, group, name) if t > 1 else None
-    if t * k <= RANGE_BASIS_MAX_FRACTION * n and (t == 1 or q is not None):
-        q = np.linalg.qr(g_side if q is None else np.concatenate((q, g_side), axis=-1)).Q
+    width = span.shape[-1] + (0 if q is None else q.shape[-1])
+    if (t == 1 or q is not None) and width <= RANGE_BASIS_MAX_FRACTION * n:
+        q = np.linalg.qr(span if q is None else np.concatenate((q, span), axis=-1)).Q
         _seat(blocks, group, name, q)
+        return q
+    if q is not None:
+        for i in group.indices:
+            setattr(blocks[i], name, None)
+    return None
+
+
+def _precondition(
+    side: str, acc: np.ndarray, q: np.ndarray | None, upd: np.ndarray,
+    corr2: float, e: float, cfg: OptimizerConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A + eps' I)^(-e) applied to the group's update stack on one side,
+    A = acc / corr2, and the mask of tiles whose update is zero (_shifts).
+    upd is a fresh stack the caller gives up.
+
+    With a range basis Q (_range_basis), which holds A's range, the factor
+    is decomposed as S = Q^T A Q, r x r for Q's r columns, and
+    range_inv_power_apply applies the root without forming it. Without
+    one the n x n factor is decomposed and its root formed.
+    """
+    if q is not None:
         s = q.swapaxes(-1, -2) @ acc @ q
         dec = sym_eig_stack((s + s.swapaxes(-1, -2)) / (2.0 * corr2))
         eps, zero = _shifts(dec, cfg.eps, cfg.eps_mode)
         if side == "l":
             return range_inv_power_apply(dec, q, e, eps, upd), zero
         return range_inv_power_apply(dec, q, e, eps, upd.swapaxes(-1, -2)).swapaxes(-1, -2), zero
-    if q is not None:
-        for i in group.indices:
-            setattr(blocks[i], name, None)
     dec = sym_eig_stack(acc / corr2)
     eps, zero = _shifts(dec, cfg.eps, cfg.eps_mode)
     p = inv_power(dec, e, eps)
@@ -299,29 +384,36 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     and a tile with a zero factor (e > 0) gets a zero update. The tiles of
     one shape go through every stage as one stack. A factor side whose rank
     is bounded well below its size takes the range-basis route: it is
-    decomposed inside the span of its gradients (_precondition).
+    decomposed inside the span of its gradients (_range_basis), which the
+    state's gradient factors, when given, bound by B columns a step.
     """
     g = as_matrix(g, "gradient")
+    out = np.empty_like(g)  # every tile group fills its part below
+    factors = _take_factors(state, g, out)
     state.t += 1
     m = _update_first_moment(state, g, cfg.beta1)
     part = block_partition(g, cfg.block_out, cfg.block_in)
     blocks = _ensure_blocks(state, len(part))
     corr1 = _bias_correction(cfg.beta1, state.t)
     corr2 = _bias_correction(cfg.beta2, state.t)
-    out = np.empty_like(g)
     for group in part.groups():
         gb = group.view(g)
         l = _factor_ema(blocks, group, "l", gb, cfg.beta2)
         r = _factor_ema(blocks, group, "r", gb, cfg.beta2)
+        # e == 0 is the exact identity: skip the multiply
+        sides = [(side, acc, e) for side, acc, e in (("l", l, cfg.e_l), ("r", r, cfg.e_r))
+                 if e > 0.0]
+        # every side's basis first, so a side that leaves the route releases
+        # its basis before any dense decomposition of this step
+        spans = _factor_spans(group, factors)
+        bases = [_range_basis(blocks, group, side, gb, spans[side], state.t)
+                 for side, _, _ in sides]
         upd = group.view(m) / corr1
         zero = np.zeros(group.grid, dtype=bool)
-        # e == 0 is the exact identity: skip the multiply. One side's root
-        # is released before the other's is formed.
-        for side, acc, e in (("l", l, cfg.e_l), ("r", r, cfg.e_r)):
-            if e > 0.0:
-                upd, zero_side = _precondition(blocks, group, side, acc, gb, upd,
-                                               state.t, corr2, e, cfg)
-                zero |= zero_side
+        # one side's root is released before the other's is formed
+        for (side, acc, e), q in zip(sides, bases):
+            upd, zero_side = _precondition(side, acc, q, upd, corr2, e, cfg)
+            zero |= zero_side
         upd[zero] = 0.0
         group.view(out)[...] = upd
     return UpdateReport(out)
@@ -455,6 +547,8 @@ def optimizer_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> Update
     because OptimizerConfig rejects an adam reference for SECOND_MOMENT_RULES,
     and the moment is shared because it rejects every graft on adamuon.
     """
+    if cfg.rule != "shampoo":
+        state.factors = None  # only Shampoo's range-basis route reads them
     if cfg.graft_rule is None:
         return _STEP_FNS[cfg.rule](state, g, cfg)
     g = as_matrix(g, "gradient")

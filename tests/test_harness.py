@@ -27,6 +27,8 @@ from mupre.harness import (
 )
 from mupre.config import FieldError, OptimizerConfig, SweepConfig
 from mupre.linalg import NonFiniteError
+from mupre.models import MlpModel
+from mupre.optim import LayerState, optimizer_step
 from mupre.scaling import (
     LayerHyper,
     LayerSpec,
@@ -150,6 +152,26 @@ class TestGramOracle:
     def test_batch_mismatch_rejected(self):
         with pytest.raises(ValueError):
             gram_oracle_shampoo(np.ones((4, 2)), np.ones((4, 3)), 1e-6, 0.5, 0.5)
+
+    @pytest.mark.parametrize("e_l,e_r", [(0.25, 0.25), (0.5, 0.5), (0.25, 0.5)])
+    @pytest.mark.parametrize("b", [2, 4])
+    def test_matches_optimizer_step_given_factors(self, b, e_l, e_r):
+        # step 1 with betas 0 and an absolute eps is Shampoo of the batch
+        # gradient (1/B) Delta X^T alone; its factors (Delta / B, X) span
+        # both sides of the 40 x 30 layer in B columns
+        rng = np.random.default_rng(10 * b + int(8 * e_r))
+        delta = rng.standard_normal((40, b))
+        delta /= np.linalg.norm(delta)
+        x = rng.standard_normal((30, b))
+        x /= np.linalg.norm(x)
+        c = OptimizerConfig("shampoo", e_l=e_l, e_r=e_r, eps=1e-6, eps_mode="absolute",
+                            beta1=0.0, beta2=0.0)
+        left = delta / b
+        state = LayerState(factors=(left, x))
+        got = optimizer_step(state, left @ x.T, c).update
+        assert state.blocks[0].q_l.shape == (40, b) and state.blocks[0].q_r.shape == (30, b)
+        want = gram_oracle_shampoo(delta, x, eps=1e-6, e_l=e_l, e_r=e_r)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestExponentFit:
@@ -412,6 +434,39 @@ class TestRunTraining:
         self.failing_step(monkeypatch, ValueError("mat_inv_power input is not PSD"), 7)
         with pytest.raises(ValueError, match="not PSD"):
             run_training(smoke_cfg(), 8, 1, 0.05, seed=0)
+
+    def test_each_step_gets_its_gradients_factors(self, monkeypatch):
+        seen = []
+        step = harness.optimizer_step
+
+        def watching(state, g, cfg):
+            left, right = state.factors
+            seen.append((left @ right.T).tobytes() == g.tobytes())
+            report = step(state, g, cfg)
+            seen.append(state.factors is None)
+            return report
+
+        monkeypatch.setattr(harness, "optimizer_step", watching)
+        res = run_training(smoke_cfg(), 8, 1, 0.05, seed=0)
+        assert not res.diverged and len(seen) == 2 * 3 * 12 and all(seen)
+
+    def test_non_finite_factors_are_a_divergence(self, monkeypatch):
+        # step 3's factors turn non-finite while its gradients stay finite
+        calls = []
+        backward = MlpModel.backward
+
+        def poisoned(model, cache):
+            grads, factors = backward(model, cache)
+            calls.append(1)
+            if len(calls) == 3:
+                left, right = factors["fc2"]
+                factors["fc2"] = (np.full_like(left, np.nan), right)
+            return grads, factors
+
+        monkeypatch.setattr(MlpModel, "backward", poisoned)
+        shampoo = OptimizerConfig("shampoo", e_l=0.25, e_r=0.25)
+        res = run_training(smoke_cfg(opt=shampoo), 8, 1, 0.05, seed=0)
+        assert res.diverged and res.steps_completed == 3
 
     def test_record_every_densifies(self):
         cfg = smoke_cfg(steps=6, record_every=2, probe_steps=(3,))

@@ -179,10 +179,25 @@ class TestRangeInvPowerApply:
         dec = sym_eig_stack((s + s.swapaxes(-1, -2)) / 2.0)
         m = rng.standard_normal((2, 2, 10, 2))
         shifts = np.array([[1e-3, 1e-2], [1e-1, 1.0]])
-        out = range_inv_power_apply(dec, basis, e, shifts, m)
+        out = range_inv_power_apply(dec, basis, e, shifts, m.copy())
         for i, j in np.ndindex(2, 2):
             want = mat_inv_power(a[i, j], e, shifts[i, j]) @ m[i, j]
             assert np.linalg.norm(out[i, j] - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_consumes_m(self):
+        # the result is M itself, with the bits of the floor term added last
+        rng = np.random.default_rng(41)
+        basis = np.linalg.qr(rng.standard_normal((1, 8, 2))).Q
+        dec = sym_eig_stack(np.diag([2.0, 0.5])[np.newaxis])
+        m = rng.standard_normal((1, 8, 3))
+        eps = np.array([0.1])
+        floor = eps**-0.5  # the array power, as in the kernel
+        coef = dec.eigenvectors.swapaxes(-1, -2) @ (basis.swapaxes(-1, -2) @ m)
+        coef *= ((dec.eigenvalues + eps) ** -0.5 - floor)[..., np.newaxis]
+        want = basis @ (dec.eigenvectors @ coef) + floor * m
+        out = range_inv_power_apply(dec, basis, 0.5, eps, m)
+        assert out is m
+        assert out.tobytes() == want.tobytes()
 
     def test_zero_shift_is_singular(self):
         # the complement of the basis is A's null space

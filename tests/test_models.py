@@ -92,14 +92,14 @@ class TestBackward:
         model = random_mlp()
         batch = Batch(np.array([0.8]), np.array([1.5]), seed=0)
         _, cache = model.forward(batch)
-        for g in model.backward(cache).values():
+        for g in model.backward(cache)[0].values():
             assert UpdateReport(g).srank == pytest.approx(1.0, abs=1e-8)
 
     def test_finite_difference_mlp(self):
         model = random_mlp(width=8, seed=1)
         batch = synth_batch(5, 4, make_teacher(7))
         _, cache = model.forward(batch)
-        grads = model.backward(cache)
+        grads, _ = model.backward(cache)
         for name, ref in numeric_grads(model, batch).items():
             assert np.allclose(grads[name], ref, rtol=1e-5, atol=1e-7), name
 
@@ -107,7 +107,7 @@ class TestBackward:
         model = random_mlp(width=8, seed=2, activation="relu")
         batch = synth_batch(6, 4, make_teacher(7))
         _, cache = model.forward(batch)
-        grads = model.backward(cache)
+        grads, _ = model.backward(cache)
         for name, ref in numeric_grads(model, batch).items():
             assert np.allclose(grads[name], ref, rtol=1e-4, atol=1e-6), name
 
@@ -115,7 +115,7 @@ class TestBackward:
         model = random_resmlp(width=6, depth=3, seed=3)
         batch = synth_batch(8, 4, make_teacher(7))
         _, cache = model.forward(batch)
-        grads = model.backward(cache)
+        grads, _ = model.backward(cache)
         for name, ref in numeric_grads(model, batch).items():
             assert np.allclose(grads[name], ref, rtol=1e-5, atol=1e-7), name
 
@@ -123,12 +123,24 @@ class TestBackward:
         model = MlpModel({"fc1": np.ones((4, 1)), "readout": np.zeros((1, 4))})
         batch = Batch(np.array([1.0, 2.0]), np.zeros(2), seed=0)
         _, cache = model.forward(batch)
-        for g in model.backward(cache).values():
+        for g in model.backward(cache)[0].values():
             assert np.array_equal(g, np.zeros_like(g))
 
     def test_missing_cache_rejected(self):
         with pytest.raises(ValueError, match="cache"):
             random_mlp().backward(None)
+
+    @pytest.mark.parametrize("model", [random_mlp(), random_resmlp()], ids=["mlp", "resmlp"])
+    def test_gradients_are_their_factor_products(self, model):
+        # bit for bit: the factors are the operands of the gradient's product
+        batch = synth_batch(9, 5, make_teacher(7))
+        _, cache = model.forward(batch)
+        grads, factors = model.backward(cache)
+        assert list(factors) == list(grads)
+        for name, (left, right) in factors.items():
+            w = model.weights[name]
+            assert left.shape == (w.shape[0], 5) and right.shape == (w.shape[1], 5)
+            assert (left @ right.T).tobytes() == grads[name].tobytes()
 
 
 class TestCoordProbe:

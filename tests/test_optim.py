@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import mupre.linalg
 import mupre.optim
 from mupre.linalg import (
+    NonFiniteError,
     PowerIterState,
     mat_inv_power,
     spectral_norm_exact,
@@ -231,37 +232,46 @@ def tile_spans(g, c):
     return list(product(part.row_spans, part.col_spans))
 
 
-def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION):
+def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None):
     """Shampoo updates and final per-tile (L, R) by a tile-by-tile route with
     the step's arithmetic written out in the same order.
 
-    A factor side of size n whose tile's other side is k is decomposed
-    inside the orthonormal basis Q of its gradients while t k <= cutoff n:
-    Q is the thin QR of [Q, G], the checked sym_eig decomposes
-    S = Q^T L Q / corr2 and the root is applied as
-    eps'^(-e) M + Q W diag(phi) W^T Q^T M. Otherwise the checked sym_eig
-    decomposes the full factor, once for its top eigenvalue in relative
-    mode and again inside mat_inv_power; cutoff=0 takes that dense route
-    on every side."""
+    factors_seq gives each step's gradient factors (left, right), or None
+    for a step without them. A factor side of size n whose tile's other
+    side is k is spanned at step t by the row slice of the factor on that
+    side when the slice has fewer than k columns, else by the tile's k
+    gradient columns. The side is decomposed inside the orthonormal basis
+    Q of its spanning sets while Q's width, the columns accumulated so
+    far, stays <= cutoff n: Q is the thin QR of [Q, spanning set], the
+    checked sym_eig decomposes S = Q^T L Q / corr2 and the root is applied
+    as eps'^(-e) M + Q W diag(phi) W^T Q^T M. Otherwise the basis is
+    dropped for good and the checked sym_eig decomposes the full factor,
+    once for its top eigenvalue in relative mode and again inside
+    mat_inv_power; cutoff=0 takes that dense route on every side."""
     m, acc, basis, updates = 0.0, {}, {}, []
-    for t, g in enumerate(g_seq, start=1):
+    for t, (g, factors) in enumerate(zip(g_seq, factors_seq or [None] * len(g_seq)), start=1):
         m = c.beta1 * m + (1.0 - c.beta1) * g
         corr1, corr2 = 1.0 - c.beta1**t, 1.0 - c.beta2**t
         out = np.empty_like(g)
         for i, ((r0, r1), (c0, c1)) in enumerate(tile_spans(g, c)):
             gb, mb = g[r0:r1, c0:c1], m[r0:r1, c0:c1]
+            fl, fr = (None, None) if factors is None else (factors[0][r0:r1], factors[1][c0:c1])
             l, r = acc.get(i, (0.0, 0.0))
             l = c.beta2 * l + (1.0 - c.beta2) * (gb @ gb.T)
             r = c.beta2 * r + (1.0 - c.beta2) * (gb.T @ gb)
             l, r = (l + l.T) / 2.0, (r + r.T) / 2.0
             acc[i] = (l, r)
             upd, zero = mb / corr1, False
-            for side, f, gs, e in (("l", l, gb, c.e_l), ("r", r, gb.T, c.e_r)):
+            for side, f, gs, fs, e in (("l", l, gb, fl, c.e_l), ("r", r, gb.T, fr, c.e_r)):
                 if e == 0.0:
                     continue
                 n, k = gs.shape
-                if t * k <= cutoff * n:
-                    q = gs if t == 1 else np.hstack([basis[i, side], gs])
+                if fs is not None and fs.shape[1] < k:
+                    gs = fs
+                q = basis.pop((i, side), None)
+                width = gs.shape[1] + (0 if q is None else q.shape[1])
+                if (t == 1 or q is not None) and width <= cutoff * n:
+                    q = gs if q is None else np.hstack([q, gs])
                     q = basis[i, side] = np.linalg.qr(q).Q
                     s = q.T @ f @ q
                     dec = sym_eig((s + s.T) / (2.0 * corr2))
@@ -338,6 +348,37 @@ def uneven_tilings(draw):
     rows = b_out * draw(st.integers(1, 3)) + draw(st.integers(1, b_out - 1))
     cols = b_in * draw(st.integers(1, 3)) + draw(st.integers(0, b_in - 1))
     return rows, cols, b_out, b_in
+
+
+def factored_gradients(rng, shape, b, steps, zero_left_until=0, repeat=False):
+    """steps gradients left @ right.T with b batch columns, and their factor
+    pairs. The gradients have unit Frobenius norm in expectation, which
+    keeps the dense route's own round-off, of order (lambda / eps) times
+    machine epsilon at an absolute eps, below a 1e-10 comparison. left is
+    zero through step zero_left_until, as a zero-init readout keeps fc2's
+    left factor zero at step 1; with repeat the last column of both
+    factors repeats the first, so the factors are rank deficient."""
+    g_seq, f_seq = [], []
+    for t in range(1, steps + 1):
+        left = rng.standard_normal((shape[0], b)) / math.sqrt(b * shape[0] * shape[1])
+        right = rng.standard_normal((shape[1], b))
+        if repeat:
+            left[:, -1], right[:, -1] = left[:, 0], right[:, 0]
+        if t <= zero_left_until:
+            left[...] = 0.0
+        g_seq.append(left @ right.T)
+        f_seq.append((left, right))
+    return g_seq, f_seq
+
+
+def factored_steps(state, g_seq, f_seq, c):
+    """The Shampoo updates of a run that hands each gradient's factors over."""
+    out = []
+    for g, factors in zip(g_seq, f_seq):
+        state.factors = factors
+        out.append(shampoo_step(state, g, c).update)
+        assert state.factors is None
+    return out
 
 
 def gradients_with_zero_tile(rng, shape, span, steps, from_step=1):
@@ -473,6 +514,41 @@ class TestStackedTiles:
         if zero_from == 1:
             (r0, r1), (c0, c1) = spans[zero]
             assert not np.any(expected[r0:r1, c0:c1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b_out=st.integers(4, 8),
+        b_in=st.integers(4, 8),
+        rest=st.tuples(st.integers(1, 3), st.integers(0, 3)),
+        b=st.integers(1, 3),
+        e_l=st.sampled_from((0.0, 0.25, 0.5)),
+        e_r=st.sampled_from((0.25, 0.5)),
+        eps_mode=st.sampled_from(EPS_MODES),
+        zero_left_until=st.integers(0, 1),
+        repeat=st.booleans(),
+        bare_step=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_shampoo_with_factors_matches_per_tile_route(
+        self, b_out, b_in, rest, b, e_l, e_r, eps_mode, zero_left_until, repeat, bare_step, seed
+    ):
+        # two tiles down plus a trailing row (and maybe column) of tiles;
+        # factor slices of b < k columns span the sides of 4-8 wide tiles,
+        # and step bare_step (if any) comes without factors
+        rows, cols = 2 * b_out + rest[0], 2 * b_in + rest[1]
+        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode,
+                block_out=b_out, block_in=b_in)
+        g_seq, f_seq = factored_gradients(
+            np.random.default_rng(seed), (rows, cols), b, 4, zero_left_until, repeat
+        )
+        if bare_step:
+            f_seq[min(bare_step, len(f_seq)) - 1] = None
+        want, acc = per_tile_shampoo(g_seq, c, factors_seq=f_seq)
+        state = LayerState()
+        for got, expected in zip(factored_steps(state, g_seq, f_seq, c), want):
+            assert got.tobytes() == expected.tobytes()
+        for i, block in enumerate(state.blocks):
+            assert np.array_equal(block.l, acc[i][0]) and np.array_equal(block.r, acc[i][1])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -639,6 +715,165 @@ class TestRangeBasisRoute:
             for block, (l, r) in zip(dense.blocks, want):
                 assert block.q_l is None
                 assert block.l.tobytes() == l.tobytes() and block.r.tobytes() == r.tobytes()
+
+
+class TestFactorSpannedRoute:
+    """Given the gradient's batch factors, a side takes the row slice of its
+    factor as the spanning set of the range-basis route when the slice is
+    narrower than the tile's other side, and the route still gives the
+    dense route's update up to round-off."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        b=st.integers(1, 4),
+        blocked=st.booleans(),
+        e_l=st.sampled_from((0.25, 0.5)),
+        e_r=st.sampled_from((0.25, 0.5)),
+        eps_mode=st.sampled_from(EPS_MODES),
+        beta2=st.sampled_from((0.0, 0.95)),
+        zero_left_until=st.integers(0, 2),
+        repeat=st.booleans(),
+        bare_step=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_dense_route(
+        self, shape, b, blocked, e_l, e_r, eps_mode, beta2, zero_left_until, repeat,
+        bare_step, seed,
+    ):
+        # the run ends two steps past the cutoff of the larger side; step
+        # bare_step (if any) comes without factors and spans with G's columns
+        block_in = -(-shape[1] // 2) if blocked else None
+        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode, beta2=beta2,
+                block_in=block_in)
+        steps = int(RANGE_BASIS_MAX_FRACTION * max(shape)) // b + 2
+        g_seq, f_seq = factored_gradients(
+            np.random.default_rng(seed), shape, b, steps, zero_left_until, repeat and b > 1
+        )
+        if bare_step:
+            f_seq[min(bare_step, len(f_seq)) - 1] = None
+        dense = per_tile_shampoo(g_seq, c, cutoff=0.0)[0]
+        for got, want in zip(factored_steps(LayerState(), g_seq, f_seq, c), dense):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 40),
+        k=st.integers(1, 3),
+        extra=st.integers(0, 2),
+        transpose=st.booleans(),
+        e_l=st.sampled_from((0.25, 0.5)),
+        e_r=st.sampled_from((0.25, 0.5)),
+        eps_mode=st.sampled_from(EPS_MODES),
+        seed=st.integers(0, 2**16),
+    )
+    def test_wide_factors_keep_todays_bits(self, n, k, extra, transpose, e_l, e_r, eps_mode, seed):
+        # n x k gradients (k x n when transposed) with b >= k factor columns:
+        # the size-n side keeps the gradient's own columns, and the size-k
+        # side, past its cutoff from step 1, stays dense
+        shape = (k, n) if transpose else (n, k)
+        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode)
+        steps = int(RANGE_BASIS_MAX_FRACTION * n) // k + 2
+        g_seq, f_seq = factored_gradients(np.random.default_rng(seed), shape, k + extra, steps)
+        plain, state = LayerState(), LayerState()
+        todays = per_tile_shampoo(g_seq, c)[0]
+        for g, got, want in zip(g_seq, factored_steps(state, g_seq, f_seq, c), todays):
+            assert got.tobytes() == want.tobytes()
+            assert shampoo_step(plain, g, c).update.tobytes() == want.tobytes()
+
+    def test_square_layer_takes_the_route_on_both_sides(self):
+        # a 40 x 40 gradient of batch 3 is spanned by 3 columns a side: the
+        # bases grow 3 columns a step until 3 t > 20, then both are released
+        c = cfg("shampoo", e_l=0.25, e_r=0.25, eps=1e-3)
+        g_seq, f_seq = factored_gradients(np.random.default_rng(41), (40, 40), 3, 8)
+        state = LayerState()
+        for t, (g, factors) in enumerate(zip(g_seq, f_seq), start=1):
+            state.factors = factors
+            shampoo_step(state, g, c)
+            block = state.blocks[0]
+            for q in (block.q_l, block.q_r):
+                if 3 * t <= RANGE_BASIS_MAX_FRACTION * 40:
+                    assert q.shape == (40, 3 * t)
+                else:
+                    assert q is None
+
+    def test_leaving_sides_release_bases_before_dense_decomposition(self, monkeypatch):
+        # on the step both sides of a 16 x 16 layer leave the route, every
+        # dense decomposition sees a state that no longer holds a basis
+        c = cfg("shampoo", e_l=0.5, e_r=0.5, eps=1e-3)
+        g_seq, f_seq = factored_gradients(np.random.default_rng(42), (16, 16), 2, 6)
+        state = LayerState()
+        seen = []
+
+        def watching(a):
+            if a.shape[-1] == 16:
+                block = state.blocks[0]
+                seen.append((block.q_l, block.q_r))
+            return sym_eig_stack(a)
+
+        monkeypatch.setattr(mupre.optim, "sym_eig_stack", watching)
+        factored_steps(state, g_seq, f_seq, c)
+        # 2 t <= 8 through step 4; steps 5 and 6 are dense on both sides
+        assert len(seen) == 4
+        assert all(q_l is None and q_r is None for q_l, q_r in seen)
+
+
+class TestGradientFactors:
+    """Factors handed to a step are checked against its gradient and cleared
+    by every rule; only Shampoo reads them."""
+
+    def step(self, left, right, g):
+        state = LayerState(factors=(left, right))
+        return shampoo_step(state, g, cfg("shampoo", e_l=0.25, e_r=0.25)), state
+
+    @pytest.mark.parametrize(
+        "left,right,g_shape",
+        [
+            (np.ones((5, 2)), np.ones((4, 2)), (6, 4)),
+            (np.ones((6, 2)), np.ones((3, 2)), (6, 4)),
+            (np.ones((6, 2)), np.ones((4, 3)), (6, 4)),
+            (np.ones(6), np.ones((4, 1)), (6, 4)),
+            (np.ones((6, 0)), np.ones((4, 0)), (6, 4)),
+        ],
+        ids=["left-rows", "right-rows", "column-counts", "one-dimensional", "no-columns"],
+    )
+    def test_wrong_shapes_raise(self, left, right, g_shape):
+        with pytest.raises(ValueError) as err:
+            self.step(left, right, g=np.zeros(g_shape))
+        assert not isinstance(err.value, NonFiniteError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_factors_raise_non_finite(self, bad, side):
+        factors = [np.ones((6, 2)), np.ones((4, 2))]
+        factors[side][1, 1] = bad
+        with pytest.raises(NonFiniteError):
+            self.step(*factors, g=np.full((6, 4), 2.0))
+
+    def test_product_must_match_gradient(self):
+        rng = np.random.default_rng(44)
+        left, right = rng.standard_normal((30, 2)), rng.standard_normal((20, 2))
+        g = left @ right.T
+        noise = rng.standard_normal(g.shape)
+        noise *= np.linalg.norm(g) / np.linalg.norm(noise)
+        with pytest.raises(ValueError, match="multiply to the gradient"):
+            self.step(left, right, g=g + 1e-10 * noise)
+        report, state = self.step(left, right, g=g + 1e-14 * noise)
+        assert np.all(np.isfinite(report.update)) and state.factors is None
+
+    @pytest.mark.parametrize("rule,graft_rule", accepted_graft_pairs())
+    def test_every_rule_clears_and_only_shampoo_reads(self, rule, graft_rule, monkeypatch):
+        # a mismatched pair: any rule that read it would raise
+        c = cfg(rule, graft_rule=graft_rule, **RULE_KW.get(rule, {}))
+        g = np.random.default_rng(45).standard_normal((6, 4))
+        state = LayerState(factors=(np.ones((6, 1)), np.ones((4, 1))))
+        if rule == "shampoo":
+            with pytest.raises(ValueError, match="multiply"):
+                optimizer_step(state, g, c)
+        else:
+            got = optimizer_step(state, g, c).update
+            assert got.tobytes() == optimizer_step(LayerState(), g, c).update.tobytes()
+        assert state.factors is None
 
 
 class TestSoap:
