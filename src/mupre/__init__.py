@@ -7,7 +7,7 @@ Submodules, each importing only those listed above it:
   config   the optimizer and sweep config dataclasses and their option tuples
   linalg   dense kernels (eigendecomposition, orthogonalization, power iteration)
   optim    optimizer update rules, grafting, blocking, normalization
-  models   scalar-input MLP and residual-MLP testbeds with analytic gradients
+  models   the scalar-input testbed network, plain or residual, with analytic gradients
   harness  coordinate checks, sweeps, rank scans, oracles, compute multipliers
   cli      command-line entry points; imports harness only when an experiment runs
 

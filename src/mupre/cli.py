@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, fields, replace
@@ -135,23 +136,24 @@ def _as_tuple(cfg: RunConfig, dotted: str, value) -> tuple:
     return tuple(value)
 
 
+def _build(cfg: RunConfig, section: str, cls, **kwargs):
+    """cls(**kwargs), its validation errors as config errors of section; a
+    FieldError names the field's own key."""
+    try:
+        return cls(**kwargs)
+    except FieldError as exc:
+        raise _field_error(cfg, exc, section)
+    except (ValueError, TypeError) as exc:
+        raise cfg.error(section, str(exc))
+
+
 def build_objects(
     cfg: RunConfig, seed: int | None
 ) -> tuple[OptimizerConfig, ScalingPlan, SweepConfig]:
-    opt_kw = dict(cfg.sections["optimizer"])
-    for key in ("block_in", "block_out"):
-        if opt_kw[key] is not None and not isinstance(opt_kw[key], int):
-            raise cfg.error(f"optimizer.{key}", "must be an integer or null")
-    try:
-        opt = OptimizerConfig(**opt_kw)
-    except (ValueError, TypeError) as exc:
-        raise cfg.error("optimizer", str(exc))
+    opt = _build(cfg, "optimizer", OptimizerConfig, **cfg.sections["optimizer"])
     scale_kw = dict(cfg.sections["scaling"])
     scale_kw.pop("overrides")
-    try:
-        plan = ScalingPlan(**scale_kw)
-    except (ValueError, TypeError) as exc:
-        raise cfg.error("scaling", str(exc))
+    plan = _build(cfg, "scaling", ScalingPlan, **scale_kw)
     try:
         check_pair(opt, plan)
     except ValueError as exc:
@@ -160,25 +162,19 @@ def build_objects(
     if seed is not None:
         model["seeds"] = (seed,)
     sweep = cfg.sections["sweep"]
-    for key in ("widths", "depths"):
-        for v in _as_tuple(cfg, f"model.{key}", model[key]):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise cfg.error(f"model.{key}", f"entry {v!r} must be a positive integer")
-    _as_tuple(cfg, "model.seeds", model["seeds"])
-    _as_tuple(cfg, "sweep.lr_grid", sweep["lr_grid"])
-    _as_tuple(cfg, "sweep.probe_steps", sweep["probe_steps"])
-    try:
-        sweep_cfg = SweepConfig(opt=opt, plan=plan, **model, **sweep)
-    except FieldError as exc:
-        raise _field_error(cfg, exc)
-    except (ValueError, TypeError) as exc:
-        raise cfg.error("sweep", str(exc))
+    for key in ("widths", "depths", "seeds"):
+        _as_tuple(cfg, f"model.{key}", model[key])
+    for key in ("lr_grid", "probe_steps"):
+        _as_tuple(cfg, f"sweep.{key}", sweep[key])
+    sweep_cfg = _build(cfg, "sweep", SweepConfig, opt=opt, plan=plan, **model, **sweep)
     return opt, plan, sweep_cfg
 
 
-def _field_error(cfg: RunConfig, exc: FieldError) -> ConfigError:
-    """The config error for a SweepConfig field, at the key that owns it."""
-    section = "model" if exc.field in _MODEL_KEYS else "sweep"
+def _field_error(cfg: RunConfig, exc: FieldError, section: str = "sweep") -> ConfigError:
+    """The config error for a dataclass field, at the key that owns it; the
+    model keys of a SweepConfig live in their own section."""
+    if section == "sweep" and exc.field in _MODEL_KEYS:
+        section = "model"
     return cfg.error(f"{section}.{exc.field}", str(exc))
 
 
@@ -453,9 +449,12 @@ def _read_loss_csv(path: str) -> list[tuple[float, float]]:
         if len(parts) != 2:
             raise ConfigError(f"{path}:{i}: expected 'compute,loss' pair")
         try:
-            points.append((float(parts[0]), float(parts[1])))
+            point = (float(parts[0]), float(parts[1]))
         except ValueError:
             raise ConfigError(f"{path}:{i}: non-numeric entry")
+        if not all(map(math.isfinite, point)):
+            raise ConfigError(f"{path}:{i}: non-finite entry")
+        points.append(point)
     return points
 
 

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scaling import ModelManifest, ScalingPlan, mlp_manifest, resmlp_manifest
+from .scaling import (
+    FieldError,
+    ModelManifest,
+    ScalingPlan,
+    check_int_fields,
+    mlp_manifest,
+    resmlp_manifest,
+)
 
 RULES = ("sgd", "adam", "shampoo", "soap", "muon", "adamuon")
 GRAFT_RULES = ("sgd", "adam")
@@ -66,6 +73,7 @@ class OptimizerConfig:
     rms_align: bool = False
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}, expected one of {RULES}")
         if self.rule == "soap" and not (
@@ -103,14 +111,6 @@ class OptimizerConfig:
             raise ValueError("precond_freq must be >= 1")
         if self.ns_iters < 1:
             raise ValueError("ns_iters must be >= 1")
-
-
-class FieldError(ValueError):
-    """A SweepConfig value that fails validation; field names its owner."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,12 @@ class SweepConfig:
             object.__setattr__(self, name, tuple(vals))
             if not getattr(self, name):
                 raise FieldError(name, f"{name} must be nonempty")
+        check_int_fields(self)
+        for name in ("seeds", "teacher_seed", "probe_seed"):
+            value = getattr(self, name)
+            lowest = min(value) if name == "seeds" else value
+            if lowest < 0:
+                raise FieldError(name, f"{name} must be >= 0, got {lowest}")
         for name in ("widths", "depths"):
             if list(getattr(self, name)) != sorted(getattr(self, name)):
                 raise FieldError(name, f"{name} must be ascending")

@@ -24,7 +24,7 @@ from .linalg import (
     ns_schedule,
     sym_eig,
 )
-from .models import MlpModel, ResMlpModel, coord_probe, make_teacher, synth_batch
+from .models import MlpModel, coord_probe, make_teacher, synth_batch
 from .optim import (
     LayerState,
     UpdateReport,
@@ -141,8 +141,7 @@ def run_training(
     manifest = cfg.manifest(width, depth)
     table = build_plan(manifest, cfg.opt, plan)
     specs = {s.name: s for s in manifest.layers}
-    model_cls = MlpModel if cfg.arch == "mlp" else ResMlpModel
-    model = model_cls.build(manifest, table, seed=seed, activation=cfg.activation)
+    model = MlpModel.build(manifest, table, seed=seed, activation=cfg.activation)
 
     layer_cfgs = {n: table[n].optimizer(cfg.opt) for n in specs}
     states = {n: LayerState() for n in specs}

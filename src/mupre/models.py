@@ -1,9 +1,10 @@
-"""Desk-scale testbed networks with analytic backpropagation.
+"""Desk-scale testbed network with analytic backpropagation.
 
-Two architectures: a plain MLP on scalar inputs for width scaling, and a
-residual MLP for depth scaling. Both expose forward passes that cache every
-pre-activation (for coordinate probes) and exact closed-form gradients,
-each given with the pair of batch factors whose product it is.
+One class runs both architectures on scalar inputs: a plain MLP for width
+scaling and, given residual multipliers, a residual MLP for depth scaling.
+Its one forward pass caches every pre-activation (for coordinate probes);
+its backward pass gives exact closed-form gradients, each with the pair of
+batch factors whose product it is.
 Training data is synthetic: standard-normal scalars labeled by a fixed
 random teacher network.
 """
@@ -53,7 +54,6 @@ class ForwardCache:
     layer consumes.
     """
 
-    loss: float
     f: Matrix
     x0: Matrix
     hs: dict[str, Matrix]
@@ -74,11 +74,6 @@ def _dphi(h: Matrix, kind: str) -> Matrix:
     return (h > 0.0).astype(np.float64)
 
 
-def _check_activation(kind: str) -> None:
-    if kind not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
-
-
 def _outer(
     grads: Gradients, factors: GradientFactors, name: str, left: Matrix, right: Matrix
 ) -> None:
@@ -97,15 +92,34 @@ def _mse_grad(f: Matrix, y: Matrix) -> Matrix:
 
 
 class MlpModel:
-    """x_0 = xi; h_l = W_l x_{l-1}; x_l = phi(h_l); f = W_out x_{L-1}."""
+    """One testbed network on scalar inputs, plain or residual.
 
-    def __init__(self, weights: dict[str, Matrix], activation: str = "tanh"):
-        _check_activation(activation)
-        if len(weights) < 2:
-            raise ValueError("need at least one hidden layer and a readout")
+    Plain (no residual multipliers): x_0 = xi; h_l = W_l x_{l-1};
+    x_l = phi(h_l); f = W_out x_{L-1}.
+    Residual: the first layer is a linear embedding, x_1 = h_1 = W_1 xi; each
+    block l named in residual_mults adds to the stream,
+    x_l = x_{l-1} + r_l phi(W_l x_{l-1}); the readout is linear in both.
+    """
+
+    def __init__(
+        self,
+        weights: dict[str, Matrix],
+        activation: str = "tanh",
+        residual_mults: dict[str, float] | None = None,
+    ):
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
         self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
         self.activation = activation
-        names = list(self.weights)
+        self.layer_names = names = list(self.weights)
+        self.residual_mults = dict(residual_mults or {})
+        if len(names) < 2:
+            raise ValueError("need at least one hidden layer and a readout")
+        if self.residual_mults and set(self.residual_mults) != set(names[1:-1]):
+            raise ValueError(
+                f"residual multipliers {sorted(self.residual_mults)} must name exactly "
+                f"the blocks between embedding and readout, {names[1:-1]}"
+            )
         prev = 1
         for name in names:
             w = self.weights[name]
@@ -115,10 +129,11 @@ class MlpModel:
                 raise ValueError(
                     f"layer {name!r}: expected fan-in {prev}, got {w.shape[1]}"
                 )
+            if name in self.residual_mults and w.shape[0] != prev:
+                raise ValueError(f"block {name!r} must be square, got {w.shape[0]}x{prev}")
             prev = w.shape[0]
         if prev != 1:
             raise ValueError("readout must produce a scalar output")
-        self.layer_names = names
 
     @classmethod
     def build(
@@ -128,36 +143,44 @@ class MlpModel:
         seed: int,
         activation: str = "tanh",
     ) -> "MlpModel":
-        return cls(_init_weights(manifest, table, seed), activation)
+        """The manifest's network; its in_residual layers are the blocks."""
+        mults = {s.name: table[s.name].residual_mult for s in manifest.layers if s.in_residual}
+        return cls(_init_weights(manifest, table, seed), activation, mults)
 
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        x = np.asarray(inputs, dtype=np.float64).reshape(1, -1)
-        for name in self.layer_names[:-1]:
-            x = _phi(self.weights[name] @ x, self.activation)
-        return (self.weights[self.layer_names[-1]] @ x).ravel()
-
-    def forward(self, batch: Batch) -> tuple[float, ForwardCache]:
-        x0 = batch.inputs.reshape(1, -1)
-        y = batch.targets.reshape(1, -1)
+    def _propagate(self, x0: Matrix) -> tuple[Matrix, dict[str, Matrix], dict[str, Matrix]]:
+        """(f, hs, xs) of the 1 x B input row x0; see ForwardCache."""
+        *hidden, readout = self.layer_names
         hs: dict[str, Matrix] = {}
         xs: dict[str, Matrix] = {}
         x = x0
-        for name in self.layer_names[:-1]:
+        for name in hidden:
             h = self.weights[name] @ x
-            x = _phi(h, self.activation)
+            if name in self.residual_mults:
+                x = x + self.residual_mults[name] * _phi(h, self.activation)
+            elif self.residual_mults:  # the embedding is linear
+                x = h
+            else:
+                x = _phi(h, self.activation)
             hs[name], xs[name] = h, x
-        readout = self.layer_names[-1]
         f = self.weights[readout] @ x
         hs[readout] = xs[readout] = f
-        loss = _mse(f, y)
-        return loss, ForwardCache(loss=loss, f=f, x0=x0, hs=hs, xs=xs, batch=batch)
+        return f, hs, xs
+
+    def predict(self, inputs: np.ndarray) -> np.ndarray:
+        x0 = np.asarray(inputs, dtype=np.float64).reshape(1, -1)
+        return self._propagate(x0)[0].ravel()
+
+    def forward(self, batch: Batch) -> tuple[float, ForwardCache]:
+        x0 = batch.inputs.reshape(1, -1)
+        f, hs, xs = self._propagate(x0)
+        loss = _mse(f, batch.targets.reshape(1, -1))
+        return loss, ForwardCache(f=f, x0=x0, hs=hs, xs=xs, batch=batch)
 
     def backward(self, cache: ForwardCache) -> tuple[Gradients, GradientFactors]:
         """(grads, factors): each layer's gradient and its batch factors."""
         if cache is None:
             raise ValueError("backward needs the forward cache")
-        readout = self.layer_names[-1]
-        hidden = self.layer_names[:-1]
+        *hidden, readout = self.layer_names
         y = cache.batch.targets.reshape(1, -1)
         delta = _mse_grad(cache.f, y)
         grads: Gradients = {}
@@ -166,93 +189,18 @@ class MlpModel:
         g = self.weights[readout].T @ delta
         for i in range(len(hidden) - 1, -1, -1):
             name = hidden[i]
-            d = g * _dphi(cache.hs[name], self.activation)
             below = cache.xs[hidden[i - 1]] if i > 0 else cache.x0
+            if name in self.residual_mults:
+                d = self.residual_mults[name] * _dphi(cache.hs[name], self.activation) * g
+            elif self.residual_mults:  # the embedding is linear
+                d = g
+            else:
+                d = g * _dphi(cache.hs[name], self.activation)
             _outer(grads, factors, name, d, below)
             if i > 0:
-                g = self.weights[name].T @ d
-        return grads, factors
-
-
-class ResMlpModel:
-    """Residual stream: x_l = x_{l-1} + r_l phi(W_l x_{l-1}), readout on x_L."""
-
-    def __init__(
-        self,
-        weights: dict[str, Matrix],
-        residual_mults: dict[str, float],
-        activation: str = "tanh",
-    ):
-        _check_activation(activation)
-        names = list(weights)
-        if len(names) < 3:
-            raise ValueError("need embed, at least one block, and readout")
-        self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
-        self.activation = activation
-        self.embed, self.readout = names[0], names[-1]
-        self.block_names = names[1:-1]
-        self.layer_names = names
-        self.residual_mults = dict(residual_mults)
-        d = self.weights[self.embed].shape[0]
-        if self.weights[self.embed].shape[1] != 1:
-            raise ValueError("embedding consumes a scalar input")
-        for name in self.block_names:
-            if self.weights[name].shape != (d, d):
-                raise ValueError(f"block {name!r} must be {d}x{d}")
-            if name not in self.residual_mults:
-                raise ValueError(f"block {name!r} missing a residual multiplier")
-        if self.weights[self.readout].shape != (1, d):
-            raise ValueError("readout must map the stream to a scalar")
-
-    @classmethod
-    def build(
-        cls,
-        manifest: ModelManifest,
-        table: dict[str, LayerHyper],
-        seed: int,
-        activation: str = "tanh",
-    ) -> "ResMlpModel":
-        mults = {
-            spec.name: table[spec.name].residual_mult
-            for spec in manifest.layers
-            if spec.in_residual
-        }
-        return cls(_init_weights(manifest, table, seed), mults, activation)
-
-    def forward(self, batch: Batch) -> tuple[float, ForwardCache]:
-        x0 = batch.inputs.reshape(1, -1)
-        y = batch.targets.reshape(1, -1)
-        hs: dict[str, Matrix] = {}
-        xs: dict[str, Matrix] = {}
-        x = self.weights[self.embed] @ x0
-        hs[self.embed] = xs[self.embed] = x
-        for name in self.block_names:
-            h = self.weights[name] @ x
-            x = x + self.residual_mults[name] * _phi(h, self.activation)
-            hs[name], xs[name] = h, x
-        f = self.weights[self.readout] @ x
-        hs[self.readout] = xs[self.readout] = f
-        loss = _mse(f, y)
-        return loss, ForwardCache(loss=loss, f=f, x0=x0, hs=hs, xs=xs, batch=batch)
-
-    def backward(self, cache: ForwardCache) -> tuple[Gradients, GradientFactors]:
-        """(grads, factors): each layer's gradient and its batch factors."""
-        if cache is None:
-            raise ValueError("backward needs the forward cache")
-        y = cache.batch.targets.reshape(1, -1)
-        delta = _mse_grad(cache.f, y)
-        grads: Gradients = {}
-        factors: GradientFactors = {}
-        stream_out = cache.xs[self.block_names[-1] if self.block_names else self.embed]
-        _outer(grads, factors, self.readout, delta, stream_out)
-        g = self.weights[self.readout].T @ delta
-        for i in range(len(self.block_names) - 1, -1, -1):
-            name = self.block_names[i]
-            stream_in = cache.xs[self.block_names[i - 1]] if i > 0 else cache.xs[self.embed]
-            d = self.residual_mults[name] * _dphi(cache.hs[name], self.activation) * g
-            _outer(grads, factors, name, d, stream_in)
-            g = g + self.weights[name].T @ d
-        _outer(grads, factors, self.embed, g, cache.x0)
+                back = self.weights[name].T @ d
+                # a block's input also feeds the stream past it
+                g = g + back if name in self.residual_mults else back
         return grads, factors
 
 

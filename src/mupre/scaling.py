@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -38,6 +38,34 @@ WD_SCALINGS = ("constant", "inv_width")
 # Hidden layers initialize at c/sqrt(d_in); embeddings at a fixed scale.
 HIDDEN_INIT_C = 1.0
 EMBEDDING_INIT_SIGMA = 0.1
+
+# the integer annotations of the config dataclasses -> (tuple of entries, None allowed)
+_INT_ANNOTATIONS = {"int": (False, False), "int | None": (False, True),
+                    "tuple[int, ...]": (True, False)}
+
+
+class FieldError(ValueError):
+    """A config dataclass value that fails validation; field names its owner."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def check_int_fields(obj) -> None:
+    """Raise FieldError unless every field of the dataclass obj annotated
+    int, int | None or tuple[int, ...] holds ints there; a bool is no int."""
+    for f in fields(obj):
+        if f.type not in _INT_ANNOTATIONS:
+            continue
+        many, optional = _INT_ANNOTATIONS[f.type]
+        value = getattr(obj, f.name)
+        if optional and value is None:
+            continue
+        for v in value if many else (value,):
+            if isinstance(v, bool) or not isinstance(v, int):
+                what = "entries must be integers" if many else "must be an integer"
+                raise FieldError(f.name, f"{f.name} {what}, got {v!r}")
 
 
 @dataclass
@@ -176,6 +204,7 @@ class ScalingPlan:
     alpha_depth: float = 0.0
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         object.__setattr__(self, "param", self.param.lower())
         if self.param not in PARAMS:
             raise ValueError(f"unknown param {self.param!r}; expected one of {PARAMS}")

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -35,6 +36,30 @@ FULL_CONFIG = {
               "probe_batch": 4, "teacher_seed": 1, "probe_seed": 2, "record_every": 1,
               "divergence_factor": 100.0, "wd_variant": "coupled"},
 }
+
+# (section, key, value, message): for each int field of OptimizerConfig,
+# ScalingPlan and SweepConfig, a value of the right JSON shape that is no
+# integer
+NON_INTEGERS = [
+    ("optimizer", "block_in", 2.0, "block_in must be an integer, got 2.0"),
+    ("optimizer", "block_out", True, "block_out must be an integer, got True"),
+    ("optimizer", "precond_freq", 1.5, "precond_freq must be an integer, got 1.5"),
+    ("optimizer", "ns_iters", 2.5, "ns_iters must be an integer, got 2.5"),
+    ("scaling", "base_width", 8.0, "base_width must be an integer, got 8.0"),
+    ("scaling", "base_depth", True, "base_depth must be an integer, got True"),
+    ("model", "widths", [8, 16.5, 32], "widths entries must be integers, got 16.5"),
+    ("model", "depths", [True], "depths entries must be integers, got True"),
+    ("model", "n_layers", 3.0, "n_layers must be an integer, got 3.0"),
+    ("model", "seeds", [0.5], "seeds entries must be integers, got 0.5"),
+    ("sweep", "steps", 3.5, "steps must be an integer, got 3.5"),
+    ("sweep", "batch_size", True, "batch_size must be an integer, got True"),
+    ("sweep", "probe_steps", [5, "10"], "probe_steps entries must be integers, got '10'"),
+    ("sweep", "probe_batch", 8.0, "probe_batch must be an integer, got 8.0"),
+    ("sweep", "teacher_seed", 7.5, "teacher_seed must be an integer, got 7.5"),
+    ("sweep", "probe_seed", False, "probe_seed must be an integer, got False"),
+    ("sweep", "record_every", 0.0, "record_every must be an integer, got 0.0"),
+]
+
 
 CSV_HEADER = "run_id,width,depth,step,eta_base,loss,layer,delta_h_rms,srank,spec_norm"
 
@@ -163,6 +188,10 @@ class TestConfigValidation:
         ("model", "activation", "gelu", "unknown activation 'gelu'"),
         ("model", "widths", [64, 32, 16], "widths must be ascending"),
         ("sweep", "steps", 0, "steps must be positive"),
+        ("model", "seeds", [0, -1], "seeds must be >= 0, got -1"),
+        ("sweep", "teacher_seed", -1, "teacher_seed must be >= 0, got -1"),
+        ("sweep", "probe_seed", -5, "probe_seed must be >= 0, got -5"),
+        *NON_INTEGERS,
     ])
     def test_sweep_config_error_names_the_owning_key(
         self, tmp_path, capsys, section, key, value, message
@@ -172,6 +201,15 @@ class TestConfigValidation:
         lines = Path(path).read_text().splitlines()
         line = next(i for i, text in enumerate(lines, 1) if f'"{key}"' in text)
         assert f"cfg.json:{line}: {section}.{key}: {message}" in capsys.readouterr().err
+
+    def test_non_integer_table_covers_every_int_field(self):
+        int_fields = {f.name for cls in (OptimizerConfig, ScalingPlan, SweepConfig)
+                      for f in fields(cls) if "int" in f.type}
+        assert {key for _, key, _, _ in NON_INTEGERS} == int_fields
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        assert main(["oracle", "--config", write_config(tmp_path), "--seed", "-1"]) == 2
+        assert "model.seeds: seeds must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestPlanCommand:
@@ -456,6 +494,16 @@ class TestMultiplierCommand:
         assert "outside float64 range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("which", ["baseline", "candidate"])
+    @pytest.mark.parametrize("entry", ["inf,0.3", "1e15,nan", "-inf,3.0"])
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys, which, entry):
+        base, cand = self.write_series(tmp_path)
+        bad = Path(base if which == "baseline" else cand)
+        bad.write_text(bad.read_text() + entry + "\n")
+        assert main(["multiplier", base, cand]) == 2
+        line = len(bad.read_text().splitlines())
+        assert f"{bad}:{line}: non-finite entry" in capsys.readouterr().err
+
 
 class TestNumericalFailure:
     """An overflow inside a run is a diverged cell, not a config error.
@@ -571,3 +619,14 @@ class TestModuleLayering:
         for span in ("cli.load_config", "cli.records_csv", "scaling.build_plan",
                      "harness.run_training", "optim.optimizer_step"):
             assert traced["metrics"].get(f"{span}.calls", 0) > 0, span
+
+    def test_every_traced_name_resolves(self, monkeypatch):
+        # the tracer wraps these names; resolving them installs no wrapper
+        monkeypatch.syspath_prepend(str(BENCH))
+        tracer = importlib.import_module("tracer")
+        modules = {m: importlib.import_module(f"mupre.{m}") for m in tracer.LAYERS}
+        targets = [*tracer.SPANS.items(),
+                   *((name, entry[:2]) for name, entry in tracer.COUNTERS.items())]
+        for name, (home, attr) in targets:
+            owner, leaf = tracer._resolve(modules, home, attr)
+            assert callable(getattr(owner, leaf, None)), f"{name}: {home}.{attr}"

@@ -4,7 +4,6 @@ import pytest
 from mupre.models import (
     Batch,
     MlpModel,
-    ResMlpModel,
     coord_probe,
     make_teacher,
     synth_batch,
@@ -33,7 +32,7 @@ def random_resmlp(width=6, depth=3, seed=0):
         weights[f"block{i}"] = rng.standard_normal((width, width)) / np.sqrt(width)
         mults[f"block{i}"] = 1.0 / depth
     weights["readout"] = rng.standard_normal((1, width)) / np.sqrt(width)
-    return ResMlpModel(weights, mults)
+    return MlpModel(weights, residual_mults=mults)
 
 
 def numeric_grads(model, batch, step=1e-5):
@@ -51,6 +50,75 @@ def numeric_grads(model, batch, step=1e-5):
             g[idx] = (lp - lm) / (2.0 * step)
         out[name] = g
     return out
+
+
+def textbook_pass(weights, activation, batch, residual_mults=None):
+    """The network's forward and backward passes written out one layer at a
+    time, independent of MlpModel: {"loss", "f", "hs", "xs", "factors"}.
+
+    plain:    h_l = W_l x_{l-1}, x_l = phi(h_l)
+    residual: x_1 = h_1 = W_1 x_0, then x_l = x_{l-1} + r_l phi(h_l)
+    both:     f = W_out x_{L-1}, loss = mean (f - y)^2
+    """
+    def phi(h):
+        return np.tanh(h) if activation == "tanh" else np.maximum(h, 0.0)
+
+    def dphi(h):
+        if activation == "tanh":
+            t = np.tanh(h)
+            return 1.0 - t * t
+        return (h > 0.0).astype(np.float64)
+
+    names = list(weights)
+    hidden, readout = names[:-1], names[-1]
+    x0 = batch.inputs.reshape(1, -1)
+    y = batch.targets.reshape(1, -1)
+    hs, xs = {}, {}
+    if residual_mults is None:
+        x = x0
+        for name in hidden:
+            hs[name] = weights[name] @ x
+            x = xs[name] = phi(hs[name])
+    else:
+        x = hs[hidden[0]] = xs[hidden[0]] = weights[hidden[0]] @ x0
+        for name in hidden[1:]:
+            hs[name] = weights[name] @ x
+            x = xs[name] = x + residual_mults[name] * phi(hs[name])
+    f = hs[readout] = xs[readout] = weights[readout] @ x
+    loss = float(np.mean((f - y) ** 2))
+
+    ins = dict(zip(names, [x0] + [xs[name] for name in hidden]))
+    delta = 2.0 * (f - y) / f.shape[1]
+    factors = {readout: (delta, ins[readout])}
+    g = weights[readout].T @ delta
+    if residual_mults is None:
+        for name in reversed(hidden):
+            d = g * dphi(hs[name])
+            factors[name] = (d, ins[name])
+            g = weights[name].T @ d
+    else:
+        for name in reversed(hidden[1:]):
+            d = residual_mults[name] * dphi(hs[name]) * g
+            factors[name] = (d, ins[name])
+            g = g + weights[name].T @ d
+        factors[hidden[0]] = (g, x0)
+    return {"loss": loss, "f": f, "hs": hs, "xs": xs, "factors": factors}
+
+
+def random_draw(residual, seed):
+    """(weights, residual multipliers or None, batch) of random shape."""
+    rng = np.random.default_rng(seed)
+    width, depth, size = (int(v) for v in rng.integers((2, 1, 1), (10, 5, 7)))
+    if residual:
+        hidden = ["embed", *(f"block{i}" for i in range(1, depth + 1))]
+    else:
+        hidden = [f"fc{i}" for i in range(1, depth + 2)]
+    weights = {name: rng.standard_normal((width, width)) / np.sqrt(width) for name in hidden}
+    weights[hidden[0]] = rng.standard_normal((width, 1))
+    weights["readout"] = rng.standard_normal((1, width)) / np.sqrt(width)
+    mults = {name: float(rng.uniform(0.1, 1.0)) for name in hidden[1:]}
+    batch = Batch(rng.standard_normal(size), rng.standard_normal(size), seed=seed)
+    return weights, (mults if residual else None), batch
 
 
 class TestForward:
@@ -143,6 +211,43 @@ class TestBackward:
             assert (left @ right.T).tobytes() == grads[name].tobytes()
 
 
+class TestTextbook:
+    """The one network matches the textbook passes of both architectures
+    bit for bit: caches, loss, gradients and factors."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("residual", [False, True], ids=["mlp", "resmlp"])
+    def test_passes_match_bit_for_bit(self, residual, activation, seed):
+        weights, mults, batch = random_draw(residual, seed)
+        ref = textbook_pass(weights, activation, batch, mults)
+        model = MlpModel(weights, activation, mults)
+        loss, cache = model.forward(batch)
+        grads, factors = model.backward(cache)
+        assert loss == ref["loss"]
+        assert np.array_equal(cache.f, ref["f"])
+        for key in ("hs", "xs"):
+            got = getattr(cache, key)
+            assert list(got) == list(ref[key])
+            for name, want in ref[key].items():
+                assert np.array_equal(got[name], want), (key, name)
+        assert list(factors) == list(grads) == list(ref["factors"])
+        for name, (left, right) in ref["factors"].items():
+            assert np.array_equal(factors[name][0], left), name
+            assert np.array_equal(factors[name][1], right), name
+            assert np.array_equal(grads[name], left @ right.T), name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_teacher_labels_are_the_forward_pass(self, seed):
+        teacher = make_teacher(7)
+        inputs = np.random.default_rng(seed).standard_normal(5)
+        batch = Batch(inputs, np.zeros(5), seed=seed)
+        ref = textbook_pass(teacher.weights, "tanh", batch)
+        assert np.array_equal(teacher.predict(inputs), ref["f"].ravel())
+        batch = synth_batch(seed, 5, teacher)
+        assert np.array_equal(batch.targets, teacher.forward(batch)[1].f.ravel())
+
+
 class TestCoordProbe:
     def test_identical_caches(self):
         model = random_mlp()
@@ -196,7 +301,7 @@ class TestResMlp:
             weights[f"block{i}"] = np.zeros((width, width))
             mults[f"block{i}"] = 1.0 / depth
         weights["readout"] = rng.standard_normal((1, width))
-        model = ResMlpModel(weights, mults)
+        model = MlpModel(weights, residual_mults=mults)
         batch = Batch(np.array([0.5, -1.0]), np.zeros(2), seed=0)
         loss, cache = model.forward(batch)
         assert np.array_equal(cache.xs["block3"], cache.xs["embed"])
@@ -205,14 +310,14 @@ class TestResMlp:
 
     def test_residual_update_rule_by_hand(self):
         # width 1, relu, positive everything: x1 = x0 + r*w*x0
-        model = ResMlpModel(
+        model = MlpModel(
             {
                 "embed": np.array([[2.0]]),
                 "block1": np.array([[3.0]]),
                 "readout": np.array([[1.0]]),
             },
-            {"block1": 0.5},
             activation="relu",
+            residual_mults={"block1": 0.5},
         )
         batch = Batch(np.array([1.0]), np.array([0.0]), seed=0)
         _, cache = model.forward(batch)
@@ -224,11 +329,30 @@ class TestResMlp:
         manifest = resmlp_manifest(width=8, depth=4, base_width=8)
         plan = ScalingPlan(param="mup", base_width=8, eta_base=0.1, alpha_depth=1.0)
         table = build_plan(manifest, OptimizerConfig(rule="adam"), plan)
-        model = ResMlpModel.build(manifest, table, seed=0)
-        assert model.block_names == ["block1", "block2", "block3", "block4"]
+        model = MlpModel.build(manifest, table, seed=0)
+        assert list(model.residual_mults) == ["block1", "block2", "block3", "block4"]
         assert model.residual_mults["block2"] == pytest.approx(0.25)
         assert model.weights["readout"].shape == (1, 8)
         assert np.array_equal(model.weights["readout"], np.zeros((1, 8)))
+
+
+    @pytest.mark.parametrize("mults,message", [
+        ({"block1": 0.5}, "residual multipliers"),
+        ({"block1": 0.5, "block2": 0.5, "embed": 0.5}, "residual multipliers"),
+        ({"block1": 0.5, "block2": 0.5, "readout": 0.5}, "residual multipliers"),
+    ], ids=["missing", "on-embedding", "on-readout"])
+    def test_multipliers_name_exactly_the_blocks(self, mults, message):
+        weights = {"embed": np.ones((3, 1)), "block1": np.ones((3, 3)),
+                   "block2": np.ones((3, 3)), "readout": np.ones((1, 3))}
+        with pytest.raises(ValueError, match=message):
+            MlpModel(weights, residual_mults=mults)
+
+    def test_blocks_must_be_square(self):
+        weights = {"embed": np.ones((3, 1)), "block1": np.ones((4, 3)),
+                   "readout": np.ones((1, 4))}
+        MlpModel(weights)  # a plain layer may change width
+        with pytest.raises(ValueError, match="square"):
+            MlpModel(weights, residual_mults={"block1": 1.0})
 
 
 class TestManifests:
