@@ -178,13 +178,15 @@ def _field_error(cfg: RunConfig, exc: FieldError, section: str = "sweep") -> Con
     return cfg.error(f"{section}.{exc.field}", str(exc))
 
 
-def _out_dir(cfg: RunConfig, args) -> Path:
+def _out_dir(args, cfg: RunConfig | None = None) -> Path | None:
+    """MUPRE_OUT, then --out, then the config's output.directory; None
+    without a config when neither is set."""
     env = os.environ.get("MUPRE_OUT")
     if env:
         return Path(env)
     if args.out:
         return Path(args.out)
-    return Path(cfg.sections["output"]["directory"])
+    return None if cfg is None else Path(cfg.sections["output"]["directory"])
 
 
 def _formats(cfg: RunConfig, args) -> tuple[str, ...]:
@@ -256,7 +258,7 @@ def _run_experiment(cfg: RunConfig, args, name: str):
         raise _field_error(cfg, exc)
     for width, depth, eta in dict.fromkeys(cell[:3] for cell in sweep_cfg.cells(name)):
         _cell_plan(cfg, sweep_cfg, width, depth, eta)
-    write = partial(_dump_artifacts, out_dir=_out_dir(cfg, args), formats=_formats(cfg, args))
+    write = partial(_dump_artifacts, out_dir=_out_dir(args, cfg), formats=_formats(cfg, args))
     fn = getattr(_harness(), name)
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -299,14 +301,13 @@ def _slopes_json(result) -> dict:
 
 
 def cmd_plan(cfg: RunConfig, args) -> int:
-    opt, plan, sweep_cfg = build_objects(cfg, args.seed)
+    opt, plan, sweep_cfg = build_objects(cfg, None)
     overrides = cfg.sections["scaling"]["overrides"]
     table = _cell_plan(cfg, sweep_cfg, sweep_cfg.widths[0], sweep_cfg.depths[0],
                        plan.eta_base, overrides or None)
     text = plan_to_json(table)
     print(text)
-    out_dir = _out_dir(cfg, args)
-    write_atomic(out_dir / "plan.json", text + "\n")
+    write_atomic(_out_dir(args, cfg) / "plan.json", text + "\n")
     return 0
 
 
@@ -474,10 +475,39 @@ def cmd_multiplier(args) -> int:
         )
         print(f"{c:>12.4g} {l:>10.4g} {est.value:>11.4f} {flags or '-'}")
         rows.append(f"{c!r},{l!r},{est.value!r},{est.flagged},{est.extrapolated}")
-    if args.out or os.environ.get("MUPRE_OUT"):
-        out_dir = Path(os.environ.get("MUPRE_OUT") or args.out)
+    out_dir = _out_dir(args)
+    if out_dir is not None:
         write_atomic(out_dir / "multiplier.csv", "\n".join(rows) + "\n")
     return 0
+
+
+# flag -> its argparse options
+_FLAGS = {
+    "--config": dict(required=True, help="JSON run config"),
+    "--out": dict(default=None, help="output directory"),
+    "--seed": dict(type=int, default=None, help="override every configured seed"),
+    "--jobs": dict(type=int, default=1, help="parallel grid cells (default 1, deterministic)"),
+    "--format": dict(choices=("csv", "jsonl"), default=None,
+                     help="restrict artifacts to one format"),
+    "baseline": dict(help="baseline CSV (compute,loss)"),
+    "candidate": dict(help="candidate CSV (compute,loss)"),
+}
+
+_EXPERIMENT_FLAGS = ("--config", "--out", "--seed", "--jobs", "--format")
+
+# subcommand -> (handler, help text, the flags it reads); a handler of a
+# command with --config takes the loaded config and the parsed arguments,
+# any other takes the arguments alone
+_COMMANDS = {
+    "plan": (cmd_plan, "emit the per-layer hyperparameter table", ("--config", "--out")),
+    "coordcheck": (cmd_coordcheck, "feature-update growth across width", _EXPERIMENT_FLAGS),
+    "lrsweep": (cmd_lrsweep, "final loss across the width x lr grid", _EXPERIMENT_FLAGS),
+    "rankscan": (cmd_rankscan, "stable rank and spectral norm trajectories", _EXPERIMENT_FLAGS),
+    "depthcheck": (cmd_depthcheck, "feature-update growth across depth", _EXPERIMENT_FLAGS),
+    "oracle": (cmd_oracle, "closed-form oracle agreement report", ("--config", "--seed")),
+    "multiplier": (cmd_multiplier, "compute-multiplier estimation",
+                   ("baseline", "candidate", "--out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,49 +516,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Matrix-preconditioned optimizers with width/depth scaling checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, needs_config: bool = True):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON run config")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override every configured seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel grid cells (default 1, deterministic)")
-        p.add_argument("--format", choices=("csv", "jsonl"), default=None,
-                       help="restrict artifacts to one format")
-        return p
-
-    add("plan", "emit the per-layer hyperparameter table")
-    add("coordcheck", "feature-update growth across width")
-    add("lrsweep", "final loss across the width x lr grid")
-    add("rankscan", "stable rank and spectral norm trajectories")
-    add("depthcheck", "feature-update growth across depth")
-    add("oracle", "closed-form oracle agreement report")
-    mult = add("multiplier", "compute-multiplier estimation", needs_config=False)
-    mult.add_argument("baseline", help="baseline CSV (compute,loss)")
-    mult.add_argument("candidate", help="candidate CSV (compute,loss)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-_COMMANDS = {
-    "plan": cmd_plan,
-    "coordcheck": cmd_coordcheck,
-    "lrsweep": cmd_lrsweep,
-    "rankscan": cmd_rankscan,
-    "depthcheck": cmd_depthcheck,
-    "oracle": cmd_oracle,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, flags = _COMMANDS[args.command]
     try:
-        if args.command == "multiplier":
-            return cmd_multiplier(args)
-        if args.jobs < 1:
+        if "--config" not in flags:
+            return handler(args)
+        if "--jobs" in flags and args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         cfg = load_config(args.config)
         if cfg.sections["scaling"]["overrides"] and args.command != "plan":
@@ -537,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"only `mupre plan` applies overrides; `mupre {args.command}` "
                 "trains with the plan the scaling rules derive",
             )
-        return _COMMANDS[args.command](cfg, args)
+        return handler(cfg, args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

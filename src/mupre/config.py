@@ -14,7 +14,7 @@ from .scaling import (
     FieldError,
     ModelManifest,
     ScalingPlan,
-    check_int_fields,
+    check_numeric_fields,
     mlp_manifest,
     resmlp_manifest,
 )
@@ -73,7 +73,7 @@ class OptimizerConfig:
     rms_align: bool = False
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_numeric_fields(self)
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}, expected one of {RULES}")
         if self.rule == "soap" and not (
@@ -152,7 +152,7 @@ class SweepConfig:
             object.__setattr__(self, name, tuple(vals))
             if not getattr(self, name):
                 raise FieldError(name, f"{name} must be nonempty")
-        check_int_fields(self)
+        check_numeric_fields(self)
         for name in ("seeds", "teacher_seed", "probe_seed"):
             value = getattr(self, name)
             lowest = min(value) if name == "seeds" else value

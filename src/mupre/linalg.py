@@ -26,6 +26,16 @@ NS_POLISH_STEPS = 2
 # Guard added to the Frobenius norm in the pre-normalization step.
 NS_DEFAULT_EPS = 1e-7
 
+# Largest asymmetry sym_eig accepts, relative to the largest entry.
+SYM_TOL = 1e-10
+
+# Eigenvalues of a PSD factor may fall below 0 by round-off down to
+# -NEG_TOL times the top eigenvalue; below that the factor is corrupt.
+NEG_TOL = 1e-6
+
+# power_iter_step keeps its direction while |A^T A v| is below this.
+POWER_ITER_EPS = 1e-8
+
 _SINGULAR = "mat_inv_power is singular: zero eigenvalue with eps=0"
 
 
@@ -70,11 +80,11 @@ class PowerIterState:
     sigma_hat: float = 0.0
 
 
-def sym_eig(a: Matrix, sym_tol: float = 1e-10) -> EigDecomp:
+def sym_eig(a: Matrix) -> EigDecomp:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     Raises ValueError for non-square or asymmetric input (asymmetry measured
-    against sym_tol relative to the largest entry). Non-convergence of the
+    against SYM_TOL relative to the largest entry). Non-convergence of the
     underlying LAPACK solver propagates as numpy.linalg.LinAlgError.
     """
     a = as_matrix(a, "sym_eig input")
@@ -82,7 +92,7 @@ def sym_eig(a: Matrix, sym_tol: float = 1e-10) -> EigDecomp:
     if n != m:
         raise ValueError(f"sym_eig needs a square matrix, got {a.shape}")
     scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
-    if n and float(np.abs(a - a.T).max()) > sym_tol * scale:
+    if n and float(np.abs(a - a.T).max()) > SYM_TOL * scale:
         raise ValueError("sym_eig input is not symmetric within tolerance")
     # Symmetrize to kill representable round-off before factorizing.
     dec = sym_eig_stack(((a + a.T) / 2.0)[np.newaxis])
@@ -105,18 +115,18 @@ def sym_eig_stack(a: np.ndarray) -> EigDecomp:
     return EigDecomp(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
 
 
-def _shifted_powers(lam: np.ndarray, e: float, eps, neg_tol: float) -> np.ndarray:
+def _shifted_powers(lam: np.ndarray, e: float, eps) -> np.ndarray:
     """(lam + eps)^(-e) for descending eigenvalue rows lam of PSD matrices.
 
     Eigenvalues that are slightly negative from accumulated round-off are
-    clamped to 0 first; anything below -neg_tol * lambda_max means the
+    clamped to 0 first; anything below -NEG_TOL * lambda_max means the
     accumulator was corrupted and raises. A zero shift with a clamped zero
     eigenvalue is singular and raises.
     """
     n = lam.shape[-1]
     if n:
         low, top = lam[..., -1], lam[..., 0]
-        bad = low < -neg_tol * np.maximum(np.abs(top), 1e-300)
+        bad = low < -NEG_TOL * np.maximum(np.abs(top), 1e-300)
         if np.any(bad):
             raise ValueError(
                 f"mat_inv_power input is not PSD (min eigenvalue {low[bad].flat[0]:.3e})"
@@ -128,18 +138,18 @@ def _shifted_powers(lam: np.ndarray, e: float, eps, neg_tol: float) -> np.ndarra
     return (lam + eps[..., np.newaxis]) ** (-e)
 
 
-def inv_power(dec: EigDecomp, e: float, eps, neg_tol: float = 1e-6) -> np.ndarray:
+def inv_power(dec: EigDecomp, e: float, eps) -> np.ndarray:
     """(A + eps I)^(-e) for each symmetric PSD A of a stack, from its
     descending decomposition; eps is one shift or one per matrix, e > 0.
     The eigenvalues are checked and clamped as in _shifted_powers.
     """
-    powered = _shifted_powers(dec.eigenvalues, e, eps, neg_tol)
+    powered = _shifted_powers(dec.eigenvalues, e, eps)
     v = dec.eigenvectors
     return (v * powered[..., np.newaxis, :]) @ v.swapaxes(-1, -2)
 
 
 def range_inv_power_apply(
-    dec: EigDecomp, basis: np.ndarray, e: float, eps, m: np.ndarray, neg_tol: float = 1e-6
+    dec: EigDecomp, basis: np.ndarray, e: float, eps, m: np.ndarray
 ) -> np.ndarray:
     """(A + eps I)^(-e) M for each A = Q S Q^T of a stack, without forming
     the n x n root; eps is one shift or one per matrix, e > 0.
@@ -157,7 +167,7 @@ def range_inv_power_apply(
     the caller gives up, and the result is M.
     """
     eps = np.asarray(eps, dtype=float)
-    powered = _shifted_powers(dec.eigenvalues, e, eps, neg_tol)
+    powered = _shifted_powers(dec.eigenvalues, e, eps)
     if np.any(eps == 0.0):
         raise ValueError(_SINGULAR)
     floor = eps ** (-e)
@@ -174,7 +184,7 @@ def range_inv_power_apply(
     return m
 
 
-def mat_inv_power(a: Matrix, e: float, eps: float, neg_tol: float = 1e-6) -> Matrix:
+def mat_inv_power(a: Matrix, e: float, eps: float) -> Matrix:
     """(A + eps I)^(-e) for symmetric PSD A via sym_eig and inv_power.
 
     e == 0 returns the exact identity. eps == 0 with a clamped zero
@@ -184,7 +194,7 @@ def mat_inv_power(a: Matrix, e: float, eps: float, neg_tol: float = 1e-6) -> Mat
         raise ValueError(f"mat_inv_power exponent must be >= 0, got {e}")
     if e == 0:
         return np.eye(as_matrix(a, "mat_inv_power input").shape[0])
-    return inv_power(sym_eig(a), e, eps, neg_tol)
+    return inv_power(sym_eig(a), e, eps)
 
 
 def ns_schedule(iters: int) -> tuple[bool, ...]:
@@ -243,14 +253,14 @@ def newton_schulz(m: Matrix, iters: int = 5, eps: float = NS_DEFAULT_EPS) -> Mat
     return x.T if transposed else x
 
 
-def power_iter_step(a: Matrix, state: PowerIterState, eps: float = 1e-8) -> PowerIterState:
+def power_iter_step(a: Matrix, state: PowerIterState) -> PowerIterState:
     """One online power-iteration step for the top singular pair of A.
 
     sigma_hat is estimated from the incoming direction as |A v|; the new
     direction is A^T A v renormalized. The direction update is skipped when
     renormalizing would produce a vector of norm below 0.5, i.e. when
-    |A^T y| < eps; this keeps v a stale-but-valid unit vector for sparse or
-    vanishing updates instead of amplifying noise.
+    |A^T y| < POWER_ITER_EPS; this keeps v a stale-but-valid unit vector for
+    sparse or vanishing updates instead of amplifying noise.
     """
     a = as_matrix(a, "power_iter input")
     v = np.asarray(state.v, dtype=float).reshape(-1)
@@ -262,7 +272,7 @@ def power_iter_step(a: Matrix, state: PowerIterState, eps: float = 1e-8) -> Powe
     sigma_hat = float(np.linalg.norm(y))
     z = a.T @ y
     norm_z = float(np.linalg.norm(z))
-    if norm_z / (norm_z + eps) < 0.5:
+    if norm_z / (norm_z + POWER_ITER_EPS) < 0.5:
         new_v = v
     else:
         new_v = z / norm_z

@@ -32,7 +32,6 @@ GradientFactors = dict[str, tuple[Matrix, Matrix]]
 class Batch:
     inputs: np.ndarray
     targets: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
@@ -241,4 +240,4 @@ def synth_batch(seed: int, batch_size: int, teacher: MlpModel) -> Batch:
         raise ValueError("batch_size must be positive")
     rng = np.random.default_rng(seed)
     inputs = rng.standard_normal(batch_size)
-    return Batch(inputs=inputs, targets=teacher.predict(inputs), seed=seed)
+    return Batch(inputs=inputs, targets=teacher.predict(inputs))

@@ -17,7 +17,7 @@ Conventions shared by every rule:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -77,7 +77,9 @@ class UpdateReport:
 
 @dataclass
 class BlockState:
-    """Per-tile preconditioner accumulators.
+    """Preconditioner accumulators of a tile group, each field a stack
+    shaped (tiles down, tiles across, rows, cols), or of one tile, each
+    field that tile's matrix (LayerState.blocks).
 
     l and r are the dense EMAs of G G^T and G^T G for Shampoo and SOAP; v
     is SOAP's second moment in the rotated space. For SOAP, q_l and q_r
@@ -85,11 +87,8 @@ class BlockState:
     orthonormal basis of the spanning sets seen on that side (the tile's
     gradient columns, or the row slice of the gradient's factor on that
     side; see _range_basis) while the side takes the range-basis route,
-    and is None after it; l and r stay the dense EMAs either way.
-
-    The step functions keep the tiles of one shape in one stack per field
-    and set each tile's field to its view of that stack, so a step updates
-    every tile of a shape at once and in place.
+    and is None after it; l and r stay the dense EMAs either way. A field
+    is None until its first use.
     """
 
     l: Matrix | None = None
@@ -104,8 +103,9 @@ class LayerState:
     """Mutable per-layer optimizer state shared by all rules.
 
     t counts completed steps. m/v are full-matrix first/second moments
-    (v doubles as the graft reference's second moment). blocks holds the
-    per-tile factor state for shampoo/soap.
+    (v doubles as the graft reference's second moment). groups holds the
+    factor state of shampoo/soap: for each tile group of the layer's
+    partition, one BlockState of stacks, which a step updates in place.
 
     factors is an optional pair (left, right) with left d_out x B, right
     d_in x B and the next gradient equal to left @ right.T, set by the
@@ -118,8 +118,20 @@ class LayerState:
     t: int = 0
     m: Matrix | None = None
     v: Matrix | None = None
-    blocks: list[BlockState] = field(default_factory=list)
+    groups: list[tuple[TileGroup, BlockState]] = field(default_factory=list)
     factors: tuple[Matrix, Matrix] | None = None
+
+    @property
+    def blocks(self) -> list[BlockState]:
+        """Each tile's view of its group's stacks, in row-major tile order;
+        empty before the first shampoo/soap step."""
+        tiles = {}
+        for group, stacks in self.groups:
+            arrays = [getattr(stacks, f.name) for f in fields(BlockState)]
+            for k, i in enumerate(group.indices):
+                at = divmod(k, group.grid[1])
+                tiles[i] = BlockState(*(None if a is None else a[at] for a in arrays))
+        return [tiles[i] for i in sorted(tiles)]
 
 
 def block_partition(g: Matrix, b_out: int | None, b_in: int | None) -> BlockPartition:
@@ -187,50 +199,17 @@ def sgd_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport
     return UpdateReport(m / _bias_correction(cfg.beta1, state.t))
 
 
-def _ensure_blocks(state: LayerState, n: int) -> list[BlockState]:
-    if not state.blocks:
-        state.blocks = [BlockState() for _ in range(n)]
-    if len(state.blocks) != n:
+def _group_states(state: LayerState, part: BlockPartition) -> list[tuple[TileGroup, BlockState]]:
+    """The state's tile groups with their stacks, created empty on first use."""
+    groups = part.groups()
+    if not state.groups:
+        state.groups = [(group, BlockState()) for group in groups]
+    elif [group for group, _ in state.groups] != groups:
         raise ValueError("layer state was created for a different block partition")
-    return state.blocks
+    return state.groups
 
 
-def _group_stack(
-    blocks: list[BlockState], group: TileGroup, name: str, tile_shape=None
-) -> np.ndarray | None:
-    """The stack of the group's tiles whose views the blocks hold in field
-    `name`. An unset field gets a seated stack of zeros of tile_shape, or
-    None without one. Tiles that are not views of one stack (a deep copy, a
-    hand-built state) are copied into one first."""
-    tiles = [getattr(blocks[i], name) for i in group.indices]
-    if tiles[0] is None:
-        if tile_shape is None:
-            return None
-        stack = np.zeros(group.grid + tile_shape)
-        _seat(blocks, group, name, stack)
-        return stack
-    stack = tiles[0].base
-    if (
-        stack is not None
-        and stack.shape == group.grid + tiles[0].shape
-        and all(tile.base is stack for tile in tiles)
-    ):
-        return stack
-    stack = np.empty(group.grid + tiles[0].shape)
-    stack.reshape(-1, *tiles[0].shape)[...] = tiles
-    _seat(blocks, group, name, stack)
-    return stack
-
-
-def _seat(blocks: list[BlockState], group: TileGroup, name: str, stack: np.ndarray) -> None:
-    """Set each tile's field `name` to its view of the group's stack."""
-    for i, tile in zip(group.indices, stack.reshape(-1, *stack.shape[-2:])):
-        setattr(blocks[i], name, tile)
-
-
-def _factor_ema(
-    blocks: list[BlockState], group: TileGroup, side: str, gb: np.ndarray, beta2: float
-) -> np.ndarray:
+def _factor_ema(stacks: BlockState, side: str, gb: np.ndarray, beta2: float) -> np.ndarray:
     """Advance the group's factor EMA on one side in place and return the
     stack: L <- beta2 L + (1 - beta2) G G^T on side "l",
     R <- beta2 R + (1 - beta2) G^T G on side "r".
@@ -240,7 +219,10 @@ def _factor_ema(
     exactly symmetric: it goes to sym_eig_stack as it is.
     """
     gram = gb @ gb.swapaxes(-1, -2) if side == "l" else gb.swapaxes(-1, -2) @ gb
-    acc = _group_stack(blocks, group, side, gram.shape[-2:])
+    acc = getattr(stacks, side)
+    if acc is None:
+        acc = np.zeros(gram.shape)
+        setattr(stacks, side, acc)
     acc *= beta2
     gram *= 1.0 - beta2
     acc += gram
@@ -316,8 +298,7 @@ def _factor_spans(
 
 
 def _range_basis(
-    blocks: list[BlockState], group: TileGroup, side: str, gb: np.ndarray,
-    span: np.ndarray | None, t: int,
+    stacks: BlockState, side: str, gb: np.ndarray, span: np.ndarray | None, t: int
 ) -> np.ndarray | None:
     """The group's orthonormal basis stack for one side at step t, or None
     when the side takes the dense route.
@@ -337,16 +318,14 @@ def _range_basis(
     if span is None or span.shape[-1] >= k:
         span = g_side
     name = "q_" + side
-    q = _group_stack(blocks, group, name) if t > 1 else None
+    q = getattr(stacks, name) if t > 1 else None
     width = span.shape[-1] + (0 if q is None else q.shape[-1])
     if (t == 1 or q is not None) and width <= RANGE_BASIS_MAX_FRACTION * n:
         q = np.linalg.qr(span if q is None else np.concatenate((q, span), axis=-1)).Q
-        _seat(blocks, group, name, q)
-        return q
-    if q is not None:
-        for i in group.indices:
-            setattr(blocks[i], name, None)
-    return None
+    else:
+        q = None
+    setattr(stacks, name, q)
+    return q
 
 
 def _precondition(
@@ -393,20 +372,19 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     state.t += 1
     m = _update_first_moment(state, g, cfg.beta1)
     part = block_partition(g, cfg.block_out, cfg.block_in)
-    blocks = _ensure_blocks(state, len(part))
     corr1 = _bias_correction(cfg.beta1, state.t)
     corr2 = _bias_correction(cfg.beta2, state.t)
-    for group in part.groups():
+    for group, stacks in _group_states(state, part):
         gb = group.view(g)
-        l = _factor_ema(blocks, group, "l", gb, cfg.beta2)
-        r = _factor_ema(blocks, group, "r", gb, cfg.beta2)
+        l = _factor_ema(stacks, "l", gb, cfg.beta2)
+        r = _factor_ema(stacks, "r", gb, cfg.beta2)
         # e == 0 is the exact identity: skip the multiply
         sides = [(side, acc, e) for side, acc, e in (("l", l, cfg.e_l), ("r", r, cfg.e_r))
                  if e > 0.0]
         # every side's basis first, so a side that leaves the route releases
         # its basis before any dense decomposition of this step
         spans = _factor_spans(group, factors)
-        bases = [_range_basis(blocks, group, side, gb, spans[side], state.t)
+        bases = [_range_basis(stacks, side, gb, spans[side], state.t)
                  for side, _, _ in sides]
         upd = group.view(m) / corr1
         zero = np.zeros(group.grid, dtype=bool)
@@ -429,16 +407,15 @@ def _rotate(a: np.ndarray, q_l: np.ndarray | None, q_r: np.ndarray | None) -> np
 
 
 def _soap_basis(
-    blocks: list[BlockState], group: TileGroup, side: str, gb: np.ndarray,
-    beta2: float, corr2: float, refresh: bool,
+    stacks: BlockState, side: str, gb: np.ndarray, beta2: float, corr2: float, refresh: bool
 ) -> np.ndarray:
     """Advance the group's factor EMA on one side and return its eigenbasis
     stack, refreshed from the bias-corrected factor when due."""
-    acc = _factor_ema(blocks, group, side, gb, beta2)
-    q = _group_stack(blocks, group, "q_" + side)
+    acc = _factor_ema(stacks, side, gb, beta2)
+    q = getattr(stacks, "q_" + side)
     if refresh or q is None:
         q = sym_eig_stack(acc / corr2).eigenvectors
-        _seat(blocks, group, "q_" + side, q)
+        setattr(stacks, "q_" + side, q)
     return q
 
 
@@ -454,19 +431,20 @@ def soap_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
     state.t += 1
     m = _update_first_moment(state, g, cfg.beta1)
     part = block_partition(g, cfg.block_out, cfg.block_in)
-    blocks = _ensure_blocks(state, len(part))
     corr1 = _bias_correction(cfg.beta1, state.t)
     corr2 = _bias_correction(cfg.beta2, state.t)
     refresh = state.t == 1 or (state.t - 1) % cfg.precond_freq == 0
     out = np.empty_like(g)
-    for group in part.groups():
+    for group, stacks in _group_states(state, part):
         gb = group.view(g)
         q_l = q_r = None  # an untracked side stays in the coordinate basis
         if cfg.e_l == 1.0:
-            q_l = _soap_basis(blocks, group, "l", gb, cfg.beta2, corr2, refresh)
+            q_l = _soap_basis(stacks, "l", gb, cfg.beta2, corr2, refresh)
         if cfg.e_r == 1.0:
-            q_r = _soap_basis(blocks, group, "r", gb, cfg.beta2, corr2, refresh)
-        v = _group_stack(blocks, group, "v", group.shape)
+            q_r = _soap_basis(stacks, "r", gb, cfg.beta2, corr2, refresh)
+        if stacks.v is None:
+            stacks.v = np.zeros(gb.shape)
+        v = stacks.v
         v *= cfg.beta2
         rot = _rotate(gb, q_l, q_r)
         # square in place unless rot is the caller's gradient (no basis)

@@ -39,9 +39,15 @@ WD_SCALINGS = ("constant", "inv_width")
 HIDDEN_INIT_C = 1.0
 EMBEDDING_INIT_SIGMA = 0.1
 
-# the integer annotations of the config dataclasses -> (tuple of entries, None allowed)
-_INT_ANNOTATIONS = {"int": (False, False), "int | None": (False, True),
-                    "tuple[int, ...]": (True, False)}
+# the numeric annotations of the config dataclasses -> (accepted types, what a
+# value must be, tuple of entries, None allowed); a bool is accepted by none
+_NUMERIC_ANNOTATIONS = {
+    "int": (int, "must be an integer", False, False),
+    "int | None": (int, "must be an integer", False, True),
+    "tuple[int, ...]": (int, "entries must be integers", True, False),
+    "float": ((int, float), "must be a number", False, False),
+    "tuple[float, ...]": ((int, float), "entries must be numbers", True, False),
+}
 
 
 class FieldError(ValueError):
@@ -52,19 +58,20 @@ class FieldError(ValueError):
         self.field = field
 
 
-def check_int_fields(obj) -> None:
+def check_numeric_fields(obj) -> None:
     """Raise FieldError unless every field of the dataclass obj annotated
-    int, int | None or tuple[int, ...] holds ints there; a bool is no int."""
+    int, int | None or tuple[int, ...] holds ints there, and every field
+    annotated float or tuple[float, ...] holds ints or floats; a bool is
+    neither."""
     for f in fields(obj):
-        if f.type not in _INT_ANNOTATIONS:
+        if f.type not in _NUMERIC_ANNOTATIONS:
             continue
-        many, optional = _INT_ANNOTATIONS[f.type]
+        kinds, what, many, optional = _NUMERIC_ANNOTATIONS[f.type]
         value = getattr(obj, f.name)
         if optional and value is None:
             continue
         for v in value if many else (value,):
-            if isinstance(v, bool) or not isinstance(v, int):
-                what = "entries must be integers" if many else "must be an integer"
+            if isinstance(v, bool) or not isinstance(v, kinds):
                 raise FieldError(f.name, f"{f.name} {what}, got {v!r}")
 
 
@@ -204,7 +211,7 @@ class ScalingPlan:
     alpha_depth: float = 0.0
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_numeric_fields(self)
         object.__setattr__(self, "param", self.param.lower())
         if self.param not in PARAMS:
             raise ValueError(f"unknown param {self.param!r}; expected one of {PARAMS}")
@@ -243,6 +250,7 @@ class LayerHyper:
     graft_ref_eps: float = 1e-8
 
     def __post_init__(self) -> None:
+        check_numeric_fields(self)
         for field_name, v in asdict(self).items():
             if not math.isfinite(v):
                 raise ValueError(f"{field_name} must be finite, got {v!r}")
@@ -433,7 +441,7 @@ def _damping(spec: LayerSpec, opt: OptimizerConfig, plan: ScalingPlan) -> dict[s
     return {name: getattr(opt, name) * ratio for name, ratio in scale.items()}
 
 
-def init_sigma(spec: LayerSpec, plan: ScalingPlan) -> float:
+def init_sigma(spec: LayerSpec) -> float:
     if spec.role == "hidden":
         return HIDDEN_INIT_C / math.sqrt(spec.d_in)
     if spec.role == "embedding":
@@ -493,7 +501,7 @@ def build_plan(
         fields = {
             "eta": plan.eta_base * lr_multiplier(spec, opt, plan),
             **_damping(spec, opt, plan),
-            "sigma_init": init_sigma(spec, plan),
+            "sigma_init": init_sigma(spec),
             "residual_mult": (
                 residual_multiplier(spec.depth_l, plan.alpha_depth)
                 if spec.in_residual

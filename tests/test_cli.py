@@ -12,7 +12,7 @@ import pytest
 import mupre
 from mupre.cli import build_objects, load_config, main
 from mupre.config import OptimizerConfig, SweepConfig
-from mupre.scaling import ScalingPlan
+from mupre.scaling import LayerHyper, ScalingPlan
 
 BASE_CONFIG = {
     "model": {"arch": "mlp", "widths": [8, 16, 32], "seeds": [0]},
@@ -58,6 +58,24 @@ NON_INTEGERS = [
     ("sweep", "teacher_seed", 7.5, "teacher_seed must be an integer, got 7.5"),
     ("sweep", "probe_seed", False, "probe_seed must be an integer, got False"),
     ("sweep", "record_every", 0.0, "record_every must be an integer, got 0.0"),
+]
+
+# (section, key, value, message): for each float field of OptimizerConfig,
+# ScalingPlan and SweepConfig, a value of the right JSON shape that is no
+# number
+NON_REALS = [
+    ("optimizer", "e_l", True, "e_l must be a number, got True"),
+    ("optimizer", "e_r", "0.5", "e_r must be a number, got '0.5'"),
+    ("optimizer", "beta1", False, "beta1 must be a number, got False"),
+    ("optimizer", "beta2", None, "beta2 must be a number, got None"),
+    ("optimizer", "eps", True, "eps must be a number, got True"),
+    ("optimizer", "graft_eps", True, "graft_eps must be a number, got True"),
+    ("optimizer", "graft_ref_eps", "1e-8", "graft_ref_eps must be a number, got '1e-8'"),
+    ("scaling", "eta_base", True, "eta_base must be a number, got True"),
+    ("scaling", "wd_base", False, "wd_base must be a number, got False"),
+    ("scaling", "alpha_depth", None, "alpha_depth must be a number, got None"),
+    ("sweep", "lr_grid", [True], "lr_grid entries must be numbers, got True"),
+    ("sweep", "divergence_factor", True, "divergence_factor must be a number, got True"),
 ]
 
 
@@ -192,6 +210,7 @@ class TestConfigValidation:
         ("sweep", "teacher_seed", -1, "teacher_seed must be >= 0, got -1"),
         ("sweep", "probe_seed", -5, "probe_seed must be >= 0, got -5"),
         *NON_INTEGERS,
+        *NON_REALS,
     ])
     def test_sweep_config_error_names_the_owning_key(
         self, tmp_path, capsys, section, key, value, message
@@ -206,6 +225,30 @@ class TestConfigValidation:
         int_fields = {f.name for cls in (OptimizerConfig, ScalingPlan, SweepConfig)
                       for f in fields(cls) if "int" in f.type}
         assert {key for _, key, _, _ in NON_INTEGERS} == int_fields
+
+    def test_non_real_table_covers_every_float_field(self):
+        float_fields = {f.name for cls in (OptimizerConfig, ScalingPlan, SweepConfig)
+                        for f in fields(cls) if "float" in f.type}
+        assert {key for _, key, _, _ in NON_REALS} == float_fields
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("plan", "--seed", "0"),
+        ("plan", "--jobs", "1"),
+        ("plan", "--format", "csv"),
+        ("oracle", "--out", "out"),
+        ("oracle", "--jobs", "1"),
+        ("oracle", "--format", "csv"),
+        ("multiplier", "--seed", "0"),
+        ("multiplier", "--jobs", "1"),
+        ("multiplier", "--format", "csv"),
+    ])
+    def test_flag_the_command_ignores_exits_2(self, tmp_path, capsys, command, flag, value):
+        args = (["base.csv", "cand.csv"] if command == "multiplier"
+                else ["--config", write_config(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         assert main(["oracle", "--config", write_config(tmp_path), "--seed", "-1"]) == 2
@@ -253,6 +296,14 @@ class TestPlanCommand:
         table = json.loads(capsys.readouterr().out)
         assert [row["eta"] for row in table.values()] == [1e308, 1.0, 1.0]
 
+    @pytest.mark.parametrize("key", [f.name for f in fields(LayerHyper)])
+    def test_non_number_override_names_the_overrides(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, scaling={"overrides": {"fc2": {key: True}}})
+        out = tmp_path / "out"
+        assert main(["plan", "--config", path, "--out", str(out)]) == 2
+        assert f"scaling.overrides: {key} must be a number, got True" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_plan_names_the_cell_not_the_overrides(self, tmp_path, capsys):
         path = write_config(tmp_path, **OVERFLOWING_PLAN)
         out = tmp_path / "out"
@@ -270,7 +321,9 @@ class TestPlanCommand:
     def test_overrides_rejected_where_training_ignores_them(self, tmp_path, capsys, command):
         path = write_config(tmp_path, scaling={"overrides": {"fc2": {"eta": 1.0}}})
         out = tmp_path / "out"
-        assert main([command, "--config", path, "--out", str(out)]) == 2
+        # oracle writes no artifacts, so it takes no --out
+        argv = [command, "--config", path] + (["--out", str(out)] if command != "oracle" else [])
+        assert main(argv) == 2
         assert "scaling.overrides" in capsys.readouterr().err
         assert not out.exists()
 

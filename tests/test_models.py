@@ -117,14 +117,14 @@ def random_draw(residual, seed):
     weights[hidden[0]] = rng.standard_normal((width, 1))
     weights["readout"] = rng.standard_normal((1, width)) / np.sqrt(width)
     mults = {name: float(rng.uniform(0.1, 1.0)) for name in hidden[1:]}
-    batch = Batch(rng.standard_normal(size), rng.standard_normal(size), seed=seed)
+    batch = Batch(rng.standard_normal(size), rng.standard_normal(size))
     return weights, (mults if residual else None), batch
 
 
 class TestForward:
     def test_zero_weights_zero_targets(self):
         model = MlpModel({"fc1": np.zeros((4, 1)), "readout": np.zeros((1, 4))})
-        loss, _ = model.forward(Batch(np.array([1.0, -2.0]), np.zeros(2), seed=0))
+        loss, _ = model.forward(Batch(np.array([1.0, -2.0]), np.zeros(2)))
         assert loss == 0.0
 
     def test_hand_computed_relu_forward(self):
@@ -134,7 +134,7 @@ class TestForward:
             {"fc1": np.array([[2.0], [1.0]]), "readout": np.array([[1.0, 3.0]])},
             activation="relu",
         )
-        loss, cache = model.forward(Batch(np.array([1.0]), np.array([1.0]), seed=0))
+        loss, cache = model.forward(Batch(np.array([1.0]), np.array([1.0])))
         assert cache.f[0, 0] == pytest.approx(5.0)
         assert loss == pytest.approx(16.0)
 
@@ -152,13 +152,13 @@ class TestForward:
 
     def test_batch_validation(self):
         with pytest.raises(ValueError, match="equal-length"):
-            Batch(np.zeros(3), np.zeros(2), seed=0)
+            Batch(np.zeros(3), np.zeros(2))
 
 
 class TestBackward:
     def test_single_sample_gradients_are_rank_one(self):
         model = random_mlp()
-        batch = Batch(np.array([0.8]), np.array([1.5]), seed=0)
+        batch = Batch(np.array([0.8]), np.array([1.5]))
         _, cache = model.forward(batch)
         for g in model.backward(cache)[0].values():
             assert UpdateReport(g).srank == pytest.approx(1.0, abs=1e-8)
@@ -189,7 +189,7 @@ class TestBackward:
 
     def test_zero_loss_zero_gradients(self):
         model = MlpModel({"fc1": np.ones((4, 1)), "readout": np.zeros((1, 4))})
-        batch = Batch(np.array([1.0, 2.0]), np.zeros(2), seed=0)
+        batch = Batch(np.array([1.0, 2.0]), np.zeros(2))
         _, cache = model.forward(batch)
         for g in model.backward(cache)[0].values():
             assert np.array_equal(g, np.zeros_like(g))
@@ -241,7 +241,7 @@ class TestTextbook:
     def test_teacher_labels_are_the_forward_pass(self, seed):
         teacher = make_teacher(7)
         inputs = np.random.default_rng(seed).standard_normal(5)
-        batch = Batch(inputs, np.zeros(5), seed=seed)
+        batch = Batch(inputs, np.zeros(5))
         ref = textbook_pass(teacher.weights, "tanh", batch)
         assert np.array_equal(teacher.predict(inputs), ref["f"].ravel())
         batch = synth_batch(seed, 5, teacher)
@@ -266,14 +266,14 @@ class TestCoordProbe:
             {"fc1": np.array([[4.0], [5.0]]), "readout": np.zeros((1, 2))},
             activation="relu",
         )
-        batch = Batch(np.array([1.0]), np.array([0.0]), seed=0)
+        batch = Batch(np.array([1.0]), np.array([0.0]))
         _, c1 = before.forward(batch)
         _, c2 = after.forward(batch)
         assert coord_probe(c1, c2, "fc1") == pytest.approx(3.5355339059327378, rel=1e-12)
 
     def test_linear_in_perturbation(self):
         base = np.array([[1.0], [2.0]])
-        batch = Batch(np.array([1.0]), np.array([0.0]), seed=0)
+        batch = Batch(np.array([1.0]), np.array([0.0]))
         ro = np.ones((1, 2))
         _, c0 = MlpModel({"fc1": base, "readout": ro}, "relu").forward(batch)
         step = np.array([[0.3], [0.4]])
@@ -302,7 +302,7 @@ class TestResMlp:
             mults[f"block{i}"] = 1.0 / depth
         weights["readout"] = rng.standard_normal((1, width))
         model = MlpModel(weights, residual_mults=mults)
-        batch = Batch(np.array([0.5, -1.0]), np.zeros(2), seed=0)
+        batch = Batch(np.array([0.5, -1.0]), np.zeros(2))
         loss, cache = model.forward(batch)
         assert np.array_equal(cache.xs["block3"], cache.xs["embed"])
         f_ref = weights["readout"] @ cache.xs["embed"]
@@ -319,7 +319,7 @@ class TestResMlp:
             activation="relu",
             residual_mults={"block1": 0.5},
         )
-        batch = Batch(np.array([1.0]), np.array([0.0]), seed=0)
+        batch = Batch(np.array([1.0]), np.array([0.0]))
         _, cache = model.forward(batch)
         # x0 = 2, h1 = 6, x1 = 2 + 0.5*6 = 5
         assert cache.xs["block1"][0, 0] == pytest.approx(5.0)
@@ -414,7 +414,7 @@ class TestSynthData:
 class TestFeatureKernel:
     def test_kernel_concentration_with_width(self):
         # variance of x.x'/d across inits shrinks as width grows
-        probe = Batch(np.array([0.7, -0.3]), np.zeros(2), seed=0)
+        probe = Batch(np.array([0.7, -0.3]), np.zeros(2))
         plan = ScalingPlan(param="mup", base_width=64, eta_base=0.1)
         opt = OptimizerConfig(rule="adam")
         cvs = []

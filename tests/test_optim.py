@@ -1,12 +1,16 @@
 import copy
+import importlib
 import math
+from dataclasses import fields, replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mupre
 import mupre.linalg
 import mupre.optim
 from mupre.linalg import (
@@ -20,6 +24,7 @@ from mupre.linalg import (
 from mupre.config import EPS_MODES, GRAFT_RULES, RULES, OptimizerConfig
 from mupre.optim import (
     RANGE_BASIS_MAX_FRACTION,
+    BlockState,
     LayerState,
     UpdateReport,
     adam_step,
@@ -36,6 +41,8 @@ from mupre.optim import (
     spectral_normalize,
 )
 from mupre.scaling import BlockPartition
+
+BENCH = Path(mupre.__file__).resolve().parents[2] / "bench"
 
 
 def cfg(rule, **kw):
@@ -614,8 +621,6 @@ class TestStackedTiles:
         ids=["shampoo", "shampoo-range-basis", "soap"],
     )
     def test_deep_copied_state_continues_bit_identically(self, c, shape):
-        # a copy's tiles are no longer views of one stack; its next step
-        # stacks them again
         rng = np.random.default_rng(27)
         state = LayerState()
         for _ in range(2):
@@ -625,6 +630,96 @@ class TestStackedTiles:
             g = rng.standard_normal(shape)
             assert np.array_equal(optimizer_step(state, g, c).update,
                                   optimizer_step(snap, g, c).update)
+
+
+class TestGroupState:
+    """A layer's state holds one BlockState of stacks per tile group;
+    LayerState.blocks is each tile's view of them."""
+
+    # 32 x 16 tiles of a 70 x 45 layer come in four shapes: 32 x 16, 32 x 13,
+    # 6 x 16 and 6 x 13
+    SHAPE = (70, 45)
+    CONFIGS = [
+        cfg("shampoo", e_l=0.5, e_r=0.25, eps=1e-4, block_out=32, block_in=16),
+        cfg("soap", e_l=1.0, e_r=1.0, precond_freq=2, block_out=32, block_in=16),
+    ]
+
+    def run(self, c, steps=3):
+        # Shampoo gets batch-2 gradient factors, so its sides keep bases
+        rng = np.random.default_rng(41)
+        g_seq, f_seq = factored_gradients(rng, self.SHAPE, 2, steps)
+        state = LayerState()
+        for g, factors in zip(g_seq, f_seq):
+            state.factors = factors
+            optimizer_step(state, g, c)
+        return state
+
+    @pytest.mark.parametrize("c", CONFIGS, ids=["shampoo", "soap"])
+    def test_blocks_are_views_of_the_group_stacks(self, c):
+        state = self.run(c)
+        assert len({group.shape for group, _ in state.groups}) == 4
+        blocks = state.blocks
+        assert len(blocks) == len(block_partition(np.zeros(self.SHAPE), 32, 16))
+        names = [f.name for f in fields(BlockState)]
+        held = set()
+        for group, stacks in state.groups:
+            for k, i in enumerate(group.indices):
+                for name in names:
+                    stack, tile = getattr(stacks, name), getattr(blocks[i], name)
+                    if stack is None:
+                        assert tile is None
+                        continue
+                    held.add(name)
+                    assert np.shares_memory(tile, stack)
+                    assert np.array_equal(tile, stack.reshape(-1, *stack.shape[-2:])[k])
+        assert held == ({"l", "r", "q_l", "q_r"} if c.rule == "shampoo" else set(names))
+
+    @pytest.mark.parametrize("c", CONFIGS, ids=["shampoo", "soap"])
+    def test_deep_copy_copies_the_stacks(self, c):
+        state = self.run(c)
+        snap = copy.deepcopy(state)
+        for tile, copied in zip(state.blocks, snap.blocks, strict=True):
+            for f in fields(BlockState):
+                a, b = getattr(tile, f.name), getattr(copied, f.name)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.tobytes() == b.tobytes() and not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("c", CONFIGS, ids=["shampoo", "soap"])
+    def test_reuse_on_another_tile_shape_raises(self, c):
+        # four 4 x 4 tiles, then four 2 x 8 tiles of the same 8 x 8 layer
+        state = LayerState()
+        g = np.random.default_rng(5).standard_normal((8, 8))
+        optimizer_step(state, g, replace(c, block_out=4, block_in=4))
+        message = "layer state was created for a different block partition"
+        with pytest.raises(ValueError, match=message):
+            optimizer_step(state, g, replace(c, block_out=2, block_in=8))
+
+
+class TestBenchReference:
+    """The benchmark's reference route (bench/reference.py) reads the state
+    a step starts from; it must keep agreeing with the program."""
+
+    @pytest.mark.parametrize("c,shape,b", [
+        (cfg("shampoo", e_l=0.5, e_r=0.5, eps=1e-5, graft_rule="adam", graft_eps=1e-12,
+             block_out=32, block_in=16), (70, 45), 2),
+        (cfg("shampoo", e_l=0.25, e_r=0.25, eps=1e-3), (24, 10), None),
+    ], ids=["blocked-graft-factors", "unblocked-relative"])
+    def test_check_step_passes_on_program_steps(self, monkeypatch, c, shape, b):
+        monkeypatch.syspath_prepend(str(BENCH))
+        reference = importlib.import_module("reference")
+        rng = np.random.default_rng(8)
+        if b is None:
+            g_seq, f_seq = [rng.standard_normal(shape) for _ in range(5)], [None] * 5
+        else:
+            g_seq, f_seq = factored_gradients(rng, shape, b, 5)
+        state = LayerState()
+        for g, factors in zip(g_seq, f_seq):
+            state.factors = factors
+            before = copy.deepcopy((state, g, c))
+            update = optimizer_step(state, g, c).update
+            measure, gap, ok = reference.check_step(*before, update)
+            assert measure == "rel_gap" and ok, gap
 
 
 class TestRangeBasisRoute:
@@ -683,7 +778,7 @@ class TestRangeBasisRoute:
         state = LayerState()
         for g in g_seq[:2]:
             shampoo_step(state, g, c)
-        state.blocks[0].q_l = None
+        state.groups[0][1].q_l = None
         got = shampoo_step(state, g_seq[2], c).update
         want = per_tile_shampoo(g_seq, c, cutoff=0.0)[0][2]
         assert state.blocks[0].q_l is None
@@ -1102,9 +1197,9 @@ class TestFactorSymmetry:
         state = LayerState()
         for _ in range(4):
             optimizer_step(state, 10.0**log_scale * rng.standard_normal(shape), c)
-        stacks = {id(acc.base): acc.base for b in state.blocks for acc in (b.l, b.r)}
-        for acc in stacks.values():
-            assert np.array_equal(acc, acc.swapaxes(-1, -2))
+        for _, stacks in state.groups:
+            for acc in (stacks.l, stacks.r):
+                assert np.array_equal(acc, acc.swapaxes(-1, -2))
 
 
 class TestBlocking:

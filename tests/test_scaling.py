@@ -257,15 +257,15 @@ class TestEpsScale:
 
 class TestInitSigma:
     def test_hidden_inverse_root_fan_in(self):
-        assert init_sigma(hidden(256, 256), mk_plan()) == pytest.approx(0.0625)
+        assert init_sigma(hidden(256, 256)) == pytest.approx(0.0625)
 
     def test_readout_zero(self):
         s = LayerSpec("r", "readout", d_in=64, d_out=1)
-        assert init_sigma(s, mk_plan()) == 0.0
+        assert init_sigma(s) == 0.0
 
     def test_embedding_fixed(self):
         s = LayerSpec("e", "embedding", d_in=1, d_out=64)
-        assert init_sigma(s, mk_plan()) == pytest.approx(0.1)
+        assert init_sigma(s) == pytest.approx(0.1)
 
 
 class TestResidualMultiplier:
