@@ -39,9 +39,13 @@ from .scaling import BlockPartition, TileGroup
 
 # Shampoo decomposes a factor side of size n inside the span of its
 # gradients while that span has at most this fraction of n columns
-# (_range_basis). Timed with one BLAS thread on a 2-vCPU Xeon, the route
-# costs about half the dense route at 0.5 n columns (24.8 ms against
-# 48.7 ms at n = 512) and stops winning between 0.63 n and 0.75 n.
+# (_range_basis), and Muon orthogonalizes inside the spans of both sides
+# under the same rule (muon_step). Timed with one BLAS thread on a 2-vCPU
+# Xeon, Shampoo's route costs about half the dense route at 0.5 n columns
+# (24.8 ms against 48.7 ms at n = 512) and stops winning between 0.63 n
+# and 0.75 n. Muon's route, both sides' QR included, took 50 ms against
+# 99 ms for the dense Newton-Schulz at n = 512 and 0.5 n columns a side,
+# and stops winning near 0.7 n.
 RANGE_BASIS_MAX_FRACTION = 0.5
 
 # Largest relative Frobenius gap between a gradient and the product of the
@@ -52,21 +56,27 @@ FACTOR_PRODUCT_TOL = 1e-12
 class UpdateReport:
     """An update direction plus its norm statistics.
 
-    frob is computed eagerly; the exact spectral norm and the stable rank
-    frob^2 / spec^2 are computed on first access (they need the Gram
-    matrix's eigenvalues, which per-step callers may not want). srank is
-    defined as 0 for an all-zero update.
+    frob is computed eagerly from the update; the exact spectral norm and
+    the stable rank frob^2 / spec^2 are computed on first access (they need
+    a Gram matrix's eigenvalues, which per-step callers may not want). srank
+    is defined as 0 for an all-zero update.
+
+    core, when given, is a smaller matrix with the update's singular values,
+    such as C in update = Q_l C Q_r^T with orthonormal Q_l and Q_r (Muon's
+    range-basis route); spec then takes the Gram of the core instead of the
+    update's.
     """
 
-    def __init__(self, update: Matrix):
+    def __init__(self, update: Matrix, core: Matrix | None = None):
         self.update = update
+        self.core = core
         self.frob = float(np.linalg.norm(update))
 
     @cached_property
     def spec(self) -> float:
         if self.frob == 0.0:
             return 0.0
-        return spectral_norm_exact(self.update)
+        return spectral_norm_exact(self.update if self.core is None else self.core)
 
     @cached_property
     def srank(self) -> float:
@@ -87,8 +97,9 @@ class BlockState:
     orthonormal basis of the spanning sets seen on that side (the tile's
     gradient columns, or the row slice of the gradient's factor on that
     side; see _range_basis) while the side takes the range-basis route,
-    and is None after it; l and r stay the dense EMAs either way. A field
-    is None until its first use.
+    and is None after it; l and r stay the dense EMAs either way. Muon
+    keeps only q_l and q_r, of its one whole-matrix tile, while both sides
+    take the route (_muon_bases). A field is None until its first use.
     """
 
     l: Matrix | None = None
@@ -104,14 +115,15 @@ class LayerState:
 
     t counts completed steps. m/v are full-matrix first/second moments
     (v doubles as the graft reference's second moment). groups holds the
-    factor state of shampoo/soap: for each tile group of the layer's
-    partition, one BlockState of stacks, which a step updates in place.
+    factor state of shampoo/soap, and muon's range bases: for each tile
+    group of the layer's partition, one BlockState of stacks, which a step
+    updates in place.
 
     factors is an optional pair (left, right) with left d_out x B, right
     d_in x B and the next gradient equal to left @ right.T, set by the
-    trainer right before a step. Shampoo takes their row slices as the
-    spanning sets of its range-basis route; every rule clears the field,
-    and a step without factors spans each side with the tile's own
+    trainer right before a step. Shampoo and Muon take their row slices as
+    the spanning sets of their range-basis routes; every rule clears the
+    field, and a step without factors spans each side with the tile's own
     gradient columns.
     """
 
@@ -461,12 +473,55 @@ def soap_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
     return UpdateReport(out)
 
 
+def _muon_bases(
+    state: LayerState, g: Matrix, factors: tuple[Matrix, Matrix] | None
+) -> tuple[Matrix, Matrix] | None:
+    """Orthonormal bases (Q_l, Q_r) of the spanning sets seen so far on
+    both sides of the layer's one whole-matrix tile, or None when the layer
+    takes the dense route, which then holds no basis.
+
+    Each side follows Shampoo's rule (_range_basis). The route needs both
+    sides, and the smaller side's rule is the stricter one (its spanning
+    set is no narrower and its cutoff no larger), so it goes first: a
+    layer it keeps off the route, such as a d x 1 layer, pays no QR.
+    """
+    ((group, stacks),) = _group_states(state, BlockPartition(*g.shape))
+    spans = _factor_spans(group, factors)
+    gb = group.view(g)
+    bases = {}
+    for side in ("l", "r") if g.shape[0] <= g.shape[1] else ("r", "l"):
+        q = _range_basis(stacks, side, gb, spans[side], state.t)
+        if q is None:
+            stacks.q_l = stacks.q_r = None
+            return None
+        bases[side] = q[0, 0]
+    return bases["l"], bases["r"]
+
+
 def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
-    """Orthogonalized momentum: newton_schulz(m_t) with plain EMA momentum."""
+    """Orthogonalized momentum: newton_schulz(m_t) with plain EMA momentum.
+
+    Given the gradients' batch factors, m_t lies in the span of those seen
+    so far on each side. While both sides hold an orthonormal basis of
+    theirs (_muon_bases), the step orthogonalizes the r_l x r_r core
+    Q_l^T m_t Q_r and returns Q_l newton_schulz(core) Q_r^T, which equals
+    newton_schulz(m_t) in exact arithmetic, since the iteration maps X to
+    X p(X^T X); the report keeps the orthogonalized core. Past the cutoff,
+    or without factors, the n x n momentum is orthogonalized.
+    """
     g = as_matrix(g, "gradient")
+    out = np.empty_like(g)  # the factor check's scratch, then the update
+    factors = _take_factors(state, g, out)
     state.t += 1
     m = _update_first_moment(state, g, cfg.beta1)
-    return UpdateReport(newton_schulz(m, cfg.ns_iters, cfg.eps))
+    bases = _muon_bases(state, g, factors)
+    if bases is None:
+        del out  # not alive beside the dense iteration's temporaries
+        return UpdateReport(newton_schulz(m, cfg.ns_iters, cfg.eps))
+    q_l, q_r = bases
+    core = newton_schulz(q_l.T @ m @ q_r, cfg.ns_iters, cfg.eps)
+    np.matmul(q_l @ core, q_r.T, out=out)
+    return UpdateReport(out, core)
 
 
 def adamuon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -525,8 +580,8 @@ def optimizer_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> Update
     because OptimizerConfig rejects an adam reference for SECOND_MOMENT_RULES,
     and the moment is shared because it rejects every graft on adamuon.
     """
-    if cfg.rule != "shampoo":
-        state.factors = None  # only Shampoo's range-basis route reads them
+    if cfg.rule not in ("shampoo", "muon"):
+        state.factors = None  # only the range-basis routes of these two read them
     if cfg.graft_rule is None:
         return _STEP_FNS[cfg.rule](state, g, cfg)
     g = as_matrix(g, "gradient")

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mupre import harness
+from mupre import harness, optim
 from mupre.harness import (
     CSV_HEADER,
     ExponentCheck,
@@ -450,8 +450,8 @@ class TestRunTraining:
         res = run_training(smoke_cfg(), 8, 1, 0.05, seed=0)
         assert not res.diverged and len(seen) == 2 * 3 * 12 and all(seen)
 
-    def test_non_finite_factors_are_a_divergence(self, monkeypatch):
-        # step 3's factors turn non-finite while its gradients stay finite
+    def poison_factors(self, monkeypatch):
+        """Make step 3's fc2 factors non-finite while its gradients stay finite."""
         calls = []
         backward = MlpModel.backward
 
@@ -464,9 +464,36 @@ class TestRunTraining:
             return grads, factors
 
         monkeypatch.setattr(MlpModel, "backward", poisoned)
+
+    def test_non_finite_factors_are_a_divergence(self, monkeypatch):
+        self.poison_factors(monkeypatch)
         shampoo = OptimizerConfig("shampoo", e_l=0.25, e_r=0.25)
         res = run_training(smoke_cfg(opt=shampoo), 8, 1, 0.05, seed=0)
         assert res.diverged and res.steps_completed == 3
+
+    def test_non_finite_muon_factors_are_a_divergence(self, monkeypatch):
+        self.poison_factors(monkeypatch)
+        res = run_training(smoke_cfg(), 8, 1, 0.05, seed=0)
+        assert res.diverged and res.steps_completed == 3
+
+    def test_muon_takes_the_route_while_it_pays(self, monkeypatch):
+        # at width 256 and batch 32, fc2's bases grow 32 columns a step and
+        # leave past 128, so its core is 32 t square for t <= 4; fc1 and
+        # readout, with a side of 1, stay dense. The route tiles nothing.
+        shapes = []
+        ns = optim.newton_schulz
+        monkeypatch.setattr(optim, "newton_schulz", lambda m, *a: shapes.append(m.shape) or ns(m, *a))
+
+        def no_tiles(*args):
+            raise AssertionError("muon_step called block_partition")
+
+        monkeypatch.setattr(optim, "block_partition", no_tiles)
+        cfg = smoke_cfg(widths=(256,), steps=6, batch_size=32, probe_steps=(2, 6))
+        res = run_training(cfg, 256, 1, 0.05, seed=0)
+        assert not res.diverged and len(shapes) == 3 * 6
+        fc2 = [(32 * t, 32 * t) for t in range(1, 5)] + [(256, 256)] * 2
+        assert shapes == [s for t in range(6) for s in ((256, 1), fc2[t], (1, 256))]
+        assert all(math.isfinite(r.spec_norm) for r in res.records)
 
     def test_record_every_densifies(self):
         cfg = smoke_cfg(steps=6, record_every=2, probe_steps=(3,))

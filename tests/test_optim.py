@@ -913,25 +913,32 @@ class TestFactorSpannedRoute:
         assert all(q_l is None and q_r is None for q_l, q_r in seen)
 
 
+# (left, right, gradient shape) triples that do not factor the gradient
+BAD_FACTOR_SHAPES = pytest.mark.parametrize(
+    "left,right,g_shape",
+    [
+        (np.ones((5, 2)), np.ones((4, 2)), (6, 4)),
+        (np.ones((6, 2)), np.ones((3, 2)), (6, 4)),
+        (np.ones((6, 2)), np.ones((4, 3)), (6, 4)),
+        (np.ones(6), np.ones((4, 1)), (6, 4)),
+        (np.ones((6, 0)), np.ones((4, 0)), (6, 4)),
+    ],
+    ids=["left-rows", "right-rows", "column-counts", "one-dimensional", "no-columns"],
+)
+
+# the rules whose range-basis routes read the gradient's factors
+FACTOR_READERS = ("shampoo", "muon")
+
+
 class TestGradientFactors:
     """Factors handed to a step are checked against its gradient and cleared
-    by every rule; only Shampoo reads them."""
+    by every rule; only the FACTOR_READERS read them."""
 
     def step(self, left, right, g):
         state = LayerState(factors=(left, right))
         return shampoo_step(state, g, cfg("shampoo", e_l=0.25, e_r=0.25)), state
 
-    @pytest.mark.parametrize(
-        "left,right,g_shape",
-        [
-            (np.ones((5, 2)), np.ones((4, 2)), (6, 4)),
-            (np.ones((6, 2)), np.ones((3, 2)), (6, 4)),
-            (np.ones((6, 2)), np.ones((4, 3)), (6, 4)),
-            (np.ones(6), np.ones((4, 1)), (6, 4)),
-            (np.ones((6, 0)), np.ones((4, 0)), (6, 4)),
-        ],
-        ids=["left-rows", "right-rows", "column-counts", "one-dimensional", "no-columns"],
-    )
+    @BAD_FACTOR_SHAPES
     def test_wrong_shapes_raise(self, left, right, g_shape):
         with pytest.raises(ValueError) as err:
             self.step(left, right, g=np.zeros(g_shape))
@@ -958,11 +965,12 @@ class TestGradientFactors:
 
     @pytest.mark.parametrize("rule,graft_rule", accepted_graft_pairs())
     def test_every_rule_clears_and_only_shampoo_reads(self, rule, graft_rule, monkeypatch):
-        # a mismatched pair: any rule that read it would raise
+        # a mismatched pair: any rule that read it would raise; the name
+        # predates Muon's route, which reads them too
         c = cfg(rule, graft_rule=graft_rule, **RULE_KW.get(rule, {}))
         g = np.random.default_rng(45).standard_normal((6, 4))
         state = LayerState(factors=(np.ones((6, 1)), np.ones((4, 1))))
-        if rule == "shampoo":
+        if rule in FACTOR_READERS:
             with pytest.raises(ValueError, match="multiply"):
                 optimizer_step(state, g, c)
         else:
@@ -1043,6 +1051,127 @@ class TestMuon:
             muon_step(state, g, c)
             m = 0.9 * m + (1.0 - 0.9) * g
         assert np.max(np.abs(state.m - m)) < 1e-14
+
+
+def close(got, want, tol):
+    return np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+class TestMuonRoute:
+    """Given the gradients' batch factors, Muon orthogonalizes the core
+    Q_l^T m Q_r while the bases of both sides stay within
+    RANGE_BASIS_MAX_FRACTION of their side, and its update is the dense
+    one up to round-off; past the cutoff it is the dense one bit for bit."""
+
+    def test_matches_dense_route_across_the_cutoff(self):
+        # n = 64 and B = 4: both sides take the route while 4 t <= 32; the
+        # left factor is zero at step 1, as a zero-init readout makes fc2's
+        c = cfg("muon")
+        g_seq, f_seq = factored_gradients(np.random.default_rng(51), (64, 64), 4, 12, 1)
+        route, dense = LayerState(), LayerState()
+        for t, (g, factors) in enumerate(zip(g_seq, f_seq), start=1):
+            route.factors = factors
+            got, want = muon_step(route, g, c), muon_step(dense, g, c)
+            block = route.blocks[0]
+            if 4 * t <= RANGE_BASIS_MAX_FRACTION * 64:
+                assert block.q_l.shape == block.q_r.shape == (64, 4 * t)
+                assert got.core.shape == (4 * t, 4 * t)
+                assert close(got.update, want.update, 1e-12)
+                assert abs(got.spec - want.spec) <= 1e-12 * want.spec
+                assert abs(got.srank - want.srank) <= 1e-12 * want.srank
+            else:
+                assert block.q_l is None and block.q_r is None and got.core is None
+                assert got.update.tobytes() == want.update.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        b=st.integers(1, 4),
+        beta1=st.sampled_from((0.0, 0.95)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_dense_route(self, shape, b, beta1, seed):
+        # the run ends two steps past the cutoff of the larger side
+        c = cfg("muon", beta1=beta1)
+        steps = int(RANGE_BASIS_MAX_FRACTION * max(shape)) // b + 2
+        g_seq, f_seq = factored_gradients(np.random.default_rng(seed), shape, b, steps)
+        route, dense = LayerState(), LayerState()
+        for g, factors in zip(g_seq, f_seq):
+            route.factors = factors
+            got, want = muon_step(route, g, c), muon_step(dense, g, c)
+            assert close(got.update, want.update, 1e-12)
+            assert abs(got.spec - want.spec) <= 1e-12 * want.spec
+
+    @pytest.mark.parametrize("shape", [(64, 1), (1, 64), (64, 7), (7, 64)])
+    def test_narrow_layers_stay_dense_without_qr(self, shape, monkeypatch):
+        # B = 4 columns a step exceed half of a side of 1 or 7 from step 1
+        qr_calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: qr_calls.append(a.shape) or qr(a))
+        c = cfg("muon")
+        g_seq, f_seq = factored_gradients(np.random.default_rng(52), shape, 4, 4)
+        route, dense = LayerState(), LayerState()
+        for g, factors in zip(g_seq, f_seq):
+            route.factors = factors
+            got, want = muon_step(route, g, c), muon_step(dense, g, c)
+            assert got.core is None and got.update.tobytes() == want.update.tobytes()
+            assert route.blocks[0].q_l is None and route.blocks[0].q_r is None
+        assert qr_calls == []
+
+    def test_hand_built_state_stays_dense(self):
+        # a basis started at t > 1 would miss the earlier gradients
+        rng = np.random.default_rng(53)
+        c = cfg("muon")
+        g_seq, f_seq = factored_gradients(rng, (40, 40), 2, 3)
+        route = LayerState(t=3, m=rng.standard_normal((40, 40)))
+        dense = copy.deepcopy(route)
+        for g, factors in zip(g_seq, f_seq):
+            route.factors = factors
+            got, want = muon_step(route, g, c), muon_step(dense, g, c)
+            assert got.core is None and got.update.tobytes() == want.update.tobytes()
+            assert route.blocks[0].q_l is None and route.blocks[0].q_r is None
+
+    def test_zero_gradient_gives_zero_update(self):
+        left, right = np.zeros((16, 2)), np.random.default_rng(54).standard_normal((16, 2))
+        state = LayerState(factors=(left, right))
+        report = muon_step(state, left @ right.T, cfg("muon"))
+        assert state.blocks[0].q_l.shape == (16, 2) and report.core.shape == (2, 2)
+        assert not np.any(report.update) and not np.any(report.core)
+        assert report.frob == report.spec == report.srank == 0.0
+
+    @BAD_FACTOR_SHAPES
+    def test_wrong_shapes_raise(self, left, right, g_shape):
+        with pytest.raises(ValueError) as err:
+            muon_step(LayerState(factors=(left, right)), np.zeros(g_shape), cfg("muon"))
+        assert not isinstance(err.value, NonFiniteError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_factors_raise_non_finite(self, bad, side):
+        factors = [np.ones((6, 2)), np.ones((4, 2))]
+        factors[side][1, 1] = bad
+        with pytest.raises(NonFiniteError):
+            muon_step(LayerState(factors=tuple(factors)), np.full((6, 4), 2.0), cfg("muon"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_l=st.integers(1, 30), n_r=st.integers(1, 30), data=st.data(),
+        log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_core_orthogonalizes_as_the_product(self, n_l, n_r, data, log_scale, seed):
+        # newton_schulz maps X to X p(X^T X), so it commutes with orthonormal
+        # bases on both sides, and the core carries the update's spectrum
+        r_l = data.draw(st.integers(1, n_l), label="r_l")
+        r_r = data.draw(st.integers(1, n_r), label="r_r")
+        rng = np.random.default_rng(seed)
+        q_l = np.linalg.qr(rng.standard_normal((n_l, r_l))).Q
+        q_r = np.linalg.qr(rng.standard_normal((n_r, r_r))).Q
+        core = 10.0**log_scale * rng.standard_normal((r_l, r_r))
+        ns_core = mupre.optim.newton_schulz(core)
+        update = q_l @ ns_core @ q_r.T
+        assert close(update, mupre.optim.newton_schulz(q_l @ core @ q_r.T), 1e-12)
+        spec = spectral_norm_exact(update)
+        assert abs(UpdateReport(update, ns_core).spec - spec) <= 1e-13 * spec
 
 
 class TestFirstMoment:
