@@ -39,7 +39,10 @@ class OptimizerConfig:
                  indicators selecting which eigenbases are tracked (soap)
     beta1/beta2  first/second-moment EMA coefficients
     eps          damping; for shampoo interpreted per eps_mode, either an
-                 absolute shift or a fraction of the factor's top eigenvalue
+                 absolute shift or a fraction of the factor's top eigenvalue.
+                 0 is allowed: an Adam entry with a zero history then gets a
+                 zero update, and a Shampoo factor whose shifted root is
+                 singular makes the run diverge
     graft_rule   optional reference rule whose update norm is grafted onto
                  this rule's direction (full-matrix norms); an adam reference
                  is rejected for the adam and adamuon rules, which own the
@@ -49,7 +52,8 @@ class OptimizerConfig:
     graft_ref_eps damping used inside the reference rule's own step
     block_in/out tile sizes for blocked preconditioning (shampoo/soap only)
     normalize    post-step update normalization applied by the trainer
-    precond_freq soap eigenbasis refresh period, in steps
+    precond_freq soap eigenbasis refresh period, in steps; the other rules
+                 refresh every step, so they reject a period above 1
     ns_iters     orthogonalization iteration count for muon/adamuon
     rms_align    adamuon option: rescale the update to a fixed entrywise RMS
                  of 0.2 with a sqrt(d_in * d_out) norm target
@@ -109,6 +113,11 @@ class OptimizerConfig:
             raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
         if self.precond_freq < 1:
             raise ValueError("precond_freq must be >= 1")
+        if self.precond_freq > 1 and self.rule != "soap":
+            raise FieldError(
+                "precond_freq",
+                f"precond_freq {self.precond_freq} > 1 is only read by soap, not {self.rule!r}",
+            )
         if self.ns_iters < 1:
             raise ValueError("ns_iters must be >= 1")
 

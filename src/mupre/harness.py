@@ -136,7 +136,9 @@ def _run_id(cfg: SweepConfig, width: int, depth: int, eta_base: float, seed: int
 def run_training(
     cfg: SweepConfig, width: int, depth: int, eta_base: float, seed: int
 ) -> RunResult:
-    """Train one model, recording probes; stops early on divergence."""
+    """Train one model, recording probes. A NonFiniteError or LinAlgError
+    from any step, probes included, stops the run as diverged; any other
+    error propagates."""
     plan = replace(cfg.plan, eta_base=eta_base)
     manifest = cfg.manifest(width, depth)
     table = build_plan(manifest, cfg.opt, plan)
@@ -157,21 +159,18 @@ def run_training(
     records: list[MetricRecord] = []
     losses: list[float] = []
     diverged = False
-    initial_loss = None
-    for t in range(1, cfg.steps + 1):
-        batch = synth_batch(seed * _SEED_STRIDE + t, cfg.batch_size, teacher)
-        loss, cache = model.forward(batch)
-        if initial_loss is None:
-            initial_loss = loss
-        if not math.isfinite(loss) or loss > cfg.divergence_factor * max(initial_loss, 1e-12):
-            diverged = True
-            break
-        losses.append(loss)
-        grads, factors = model.backward(cache)
-        recording = t in probe_set or (cfg.record_every > 0 and t % cfg.record_every == 0)
-        cache_pre = model.forward(probe)[1] if recording else None
-        applied: dict[str, UpdateReport] = {}
-        try:
+    try:
+        for t in range(1, cfg.steps + 1):
+            batch = synth_batch(seed * _SEED_STRIDE + t, cfg.batch_size, teacher)
+            loss, cache = model.forward(batch)
+            limit = cfg.divergence_factor * max(losses[0] if losses else loss, 1e-12)
+            if not (math.isfinite(loss) and loss <= limit):
+                raise NonFiniteError(f"step {t} loss {loss!r} is non-finite or past {limit!r}")
+            losses.append(loss)
+            grads, factors = model.backward(cache)
+            recording = t in probe_set or (cfg.record_every > 0 and t % cfg.record_every == 0)
+            cache_pre = model.forward(probe)[1] if recording else None
+            applied: dict[str, UpdateReport] = {}
             for name in model.layer_names:
                 spec = specs[name]
                 state = states[name]
@@ -192,20 +191,15 @@ def run_training(
                 del w  # the replaced weights must not outlive this layer's step
                 if recording:
                     applied[name] = report if update is report.update else UpdateReport(update)
-        except (np.linalg.LinAlgError, NonFiniteError):
-            # an overflowed gradient or accumulator, or a failed solver
-            diverged = True
-            break
-        if recording:
+            if not recording:
+                continue
             cache_post = model.forward(probe)[1]
-            step_records = []
-            finite = True
+            step_records = []  # kept only once every layer's probe is finite
             for name in model.layer_names:
                 rms = coord_probe(cache_pre, cache_post, name)
                 rep = applied[name]
                 if not (math.isfinite(rms) and math.isfinite(rep.frob)):
-                    finite = False
-                    break
+                    raise NonFiniteError(f"step {t} {name} probe or update is non-finite")
                 step_records.append(
                     MetricRecord(
                         run_id=run_id, width=width, depth=depth, step=t,
@@ -213,10 +207,11 @@ def run_training(
                         delta_h_rms=rms, srank=rep.srank, spec_norm=rep.spec,
                     )
                 )
-            if not finite:
-                diverged = True
-                break
             records.extend(step_records)
+    except (np.linalg.LinAlgError, NonFiniteError):
+        # a blown-up loss, an overflowed gradient, accumulator, update or
+        # probe, or a failed solver
+        diverged = True
     final_loss = math.inf if diverged else losses[-1]
     return RunResult(
         run_id=run_id, width=width, depth=depth, eta_base=eta_base, seed=seed,
@@ -235,23 +230,22 @@ def _map_cells(cfg: SweepConfig, cells, mapper) -> list[RunResult]:
     return list((mapper or map)(partial(run_cell, cfg), cells))
 
 
-def _probe_slopes(
-    runs: list[RunResult],
-    axis: dict[str, float],
-    probe_steps: tuple[int, ...],
-) -> tuple[dict[int, dict[str, tuple[float, float]]], list[str]]:
-    """Fit log-log slopes of delta_h_rms against the given axis value per run."""
+def _probe_slopes(cfg: SweepConfig, experiment: str, axis: str, mapper) -> CoordCheckResult:
+    """Run the experiment's cells and fit log-log slopes of delta_h_rms
+    against each undiverged run's axis attribute ("width" or "depth")."""
+    cfg.require(experiment)
+    runs = _map_cells(cfg, cfg.cells(experiment), mapper)
     excluded = [r.run_id for r in runs if r.diverged]
     valid = [r for r in runs if not r.diverged]
     slopes: dict[int, dict[str, tuple[float, float]]] = {}
-    for step in probe_steps:
+    for step in cfg.probe_steps:
         per_layer: dict[str, tuple[list[float], list[float]]] = {}
         for run in valid:
             for rec in run.records:
                 if rec.step != step or rec.delta_h_rms <= 0:
                     continue
                 xs, ys = per_layer.setdefault(rec.layer, ([], []))
-                xs.append(axis[run.run_id])
+                xs.append(float(getattr(run, axis)))
                 ys.append(rec.delta_h_rms)
         fitted = {
             layer: exponent_fit(xs, ys)
@@ -260,25 +254,17 @@ def _probe_slopes(
         }
         if fitted:
             slopes[step] = fitted
-    return slopes, excluded
+    return CoordCheckResult(slopes=slopes, runs=runs, excluded=excluded)
 
 
 def coord_check(cfg: SweepConfig, mapper=None) -> CoordCheckResult:
     """Feature-update growth across width at fixed eta_base."""
-    cfg.require("coord_check")
-    runs = _map_cells(cfg, cfg.cells("coord_check"), mapper)
-    axis = {r.run_id: float(r.width) for r in runs}
-    slopes, excluded = _probe_slopes(runs, axis, cfg.probe_steps)
-    return CoordCheckResult(slopes=slopes, runs=runs, excluded=excluded)
+    return _probe_slopes(cfg, "coord_check", "width", mapper)
 
 
 def depth_check(cfg: SweepConfig, mapper=None) -> CoordCheckResult:
     """Feature-update growth across depth at fixed width (residual model)."""
-    cfg.require("depth_check")
-    runs = _map_cells(cfg, cfg.cells("depth_check"), mapper)
-    axis = {r.run_id: float(r.depth) for r in runs}
-    slopes, excluded = _probe_slopes(runs, axis, cfg.probe_steps)
-    return CoordCheckResult(slopes=slopes, runs=runs, excluded=excluded)
+    return _probe_slopes(cfg, "depth_check", "depth", mapper)
 
 
 def lr_sweep(cfg: SweepConfig, mapper=None) -> LrSweepResult:

@@ -41,7 +41,8 @@ _SINGULAR = "mat_inv_power is singular: zero eigenvalue with eps=0"
 
 class NonFiniteError(ValueError):
     """An input holds inf or NaN entries. During training this means the run
-    overflowed, so the trainer records it as a divergence."""
+    overflowed; the trainer raises it too for a loss past its divergence
+    factor, and records it as a divergence."""
 
 
 def as_matrix(a, name: str = "matrix") -> Matrix:
@@ -120,21 +121,22 @@ def _shifted_powers(lam: np.ndarray, e: float, eps) -> np.ndarray:
 
     Eigenvalues that are slightly negative from accumulated round-off are
     clamped to 0 first; anything below -NEG_TOL * lambda_max means the
-    accumulator was corrupted and raises. A zero shift with a clamped zero
-    eigenvalue is singular and raises.
+    accumulator was corrupted, and a zero shift with a clamped zero
+    eigenvalue is singular: both raise numpy.linalg.LinAlgError, which the
+    trainer records as a divergence.
     """
     n = lam.shape[-1]
     if n:
         low, top = lam[..., -1], lam[..., 0]
         bad = low < -NEG_TOL * np.maximum(np.abs(top), 1e-300)
         if np.any(bad):
-            raise ValueError(
+            raise np.linalg.LinAlgError(
                 f"mat_inv_power input is not PSD (min eigenvalue {low[bad].flat[0]:.3e})"
             )
     lam = np.maximum(lam, 0.0)
     eps = np.asarray(eps, dtype=float)
     if n and np.any((eps == 0.0) & (lam[..., -1] == 0.0)):
-        raise ValueError(_SINGULAR)
+        raise np.linalg.LinAlgError(_SINGULAR)
     return (lam + eps[..., np.newaxis]) ** (-e)
 
 
@@ -161,7 +163,7 @@ def range_inv_power_apply(
     the product is eps^(-e) M + U diag(phi) U^T M, taken right to left at
     O(n r k + r^2 k). The eigenvalues are checked and clamped as in
     _shifted_powers; since the complement is never empty, a zero shift is
-    singular.
+    singular and raises numpy.linalg.LinAlgError.
 
     M is consumed: the floor term is formed in place in M, a fresh array
     the caller gives up, and the result is M.
@@ -169,7 +171,7 @@ def range_inv_power_apply(
     eps = np.asarray(eps, dtype=float)
     powered = _shifted_powers(dec.eigenvalues, e, eps)
     if np.any(eps == 0.0):
-        raise ValueError(_SINGULAR)
+        raise np.linalg.LinAlgError(_SINGULAR)
     floor = eps ** (-e)
     w = dec.eigenvectors
     coef = w.swapaxes(-1, -2) @ (basis.swapaxes(-1, -2) @ m)

@@ -166,14 +166,6 @@ def _update_first_moment(state: LayerState, g: Matrix, beta1: float) -> Matrix:
     return state.m
 
 
-def _update_second_moment(state: LayerState, g: Matrix, beta2: float) -> Matrix:
-    """Advance v, the EMA of g * g, and return its bias-corrected copy v^."""
-    if state.v is None:
-        state.v = np.zeros_like(g)
-    state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
-    return state.v / _bias_correction(beta2, state.t)
-
-
 def _adam_ratio(m_hat: Matrix, v_hat: Matrix, eps: float) -> Matrix:
     """Entrywise m_hat / (sqrt(v_hat) + eps), computed in place: both inputs
     are fresh arrays the caller gives up, and the result is m_hat.
@@ -191,16 +183,23 @@ def _adam_ratio(m_hat: Matrix, v_hat: Matrix, eps: float) -> Matrix:
     return m_hat
 
 
+def _adam_update(state: LayerState, x: Matrix, cfg: OptimizerConfig, eps: float) -> Matrix:
+    """Advance v, the EMA of x * x, and return m^ / (sqrt(v^) + eps) from
+    it and state.m, which the caller has advanced to step state.t. An
+    entry with a zero history gets a +0.0 update, also at eps = 0."""
+    if state.v is None:
+        state.v = np.zeros_like(x)
+    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (x * x)
+    v_hat = state.v / _bias_correction(cfg.beta2, state.t)
+    return _adam_ratio(state.m / _bias_correction(cfg.beta1, state.t), v_hat, eps)
+
+
 def adam_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
     """Bias-corrected Adam: m^ / (sqrt(v^) + eps)."""
     g = as_matrix(g, "gradient")
     state.t += 1
-    m = _update_first_moment(state, g, cfg.beta1)
-    v_hat = _update_second_moment(state, g, cfg.beta2)
-    m_hat = m / _bias_correction(cfg.beta1, state.t)
-    if cfg.eps == 0.0 and not np.any(v_hat):
-        raise ZeroDivisionError("adam_step with eps=0 and an all-zero gradient history")
-    return UpdateReport(_adam_ratio(m_hat, v_hat, cfg.eps))
+    _update_first_moment(state, g, cfg.beta1)
+    return UpdateReport(_adam_update(state, g, cfg, cfg.eps))
 
 
 def sgd_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -537,10 +536,8 @@ def adamuon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     # cfg.eps is the Adam denominator guard here; the orthogonalization keeps
     # its own normalization guard.
     o = newton_schulz(g, cfg.ns_iters)
-    m = _update_first_moment(state, o, cfg.beta1)
-    v_hat = _update_second_moment(state, o, cfg.beta2)
-    m_hat = m / _bias_correction(cfg.beta1, state.t)
-    upd = _adam_ratio(m_hat, v_hat, cfg.eps)
+    _update_first_moment(state, o, cfg.beta1)
+    upd = _adam_update(state, o, cfg, cfg.eps)
     if cfg.rms_align:
         fro = float(np.linalg.norm(upd))
         if fro > 0.0:
@@ -586,16 +583,10 @@ def optimizer_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> Update
         return _STEP_FNS[cfg.rule](state, g, cfg)
     g = as_matrix(g, "gradient")
     q2 = _STEP_FNS[cfg.rule](state, g, cfg)  # advances t and the shared moment
-    m_hat = state.m / _bias_correction(cfg.beta1, state.t)
     if cfg.graft_rule == "adam":
-        v_hat = _update_second_moment(state, g, cfg.beta2)
-        if cfg.graft_ref_eps == 0.0 and not np.any(v_hat):
-            raise ZeroDivisionError(
-                "graft reference adam with eps=0 and an all-zero gradient history"
-            )
-        q1 = UpdateReport(_adam_ratio(m_hat, v_hat, cfg.graft_ref_eps))
+        q1 = UpdateReport(_adam_update(state, g, cfg, cfg.graft_ref_eps))
     else:
-        q1 = UpdateReport(m_hat)
+        q1 = UpdateReport(state.m / _bias_correction(cfg.beta1, state.t))
     return graft(q1, q2, cfg.graft_eps)
 
 

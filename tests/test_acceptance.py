@@ -3,7 +3,8 @@
 Each test covers one numbered gate and prints a single
 "ACCEPTANCE <n> (<name>): PASS/FAIL" line; run with -s to see them all.
 The slow coordinate-check sweeps are shared through module-scoped
-fixtures so each one trains only once.
+fixtures so each one trains only once. Every test here carries the
+`acceptance` marker.
 """
 
 import json
@@ -38,6 +39,9 @@ from mupre.optim import (
     spectral_normalize,
 )
 from mupre.scaling import ScalingPlan, wd_scale
+
+# `python3 -m pytest -m "not acceptance"` skips these gates for a fast loop
+pytestmark = pytest.mark.acceptance
 
 COORD_WIDTHS = (64, 128, 256, 512)
 EXPONENT_WIDTHS = (64, 128, 256, 512, 1024)

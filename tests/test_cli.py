@@ -11,7 +11,7 @@ import pytest
 
 import mupre
 from mupre.cli import build_objects, load_config, main
-from mupre.config import OptimizerConfig, SweepConfig
+from mupre.config import RULES, OptimizerConfig, SweepConfig
 from mupre.scaling import LayerHyper, ScalingPlan
 
 BASE_CONFIG = {
@@ -21,14 +21,15 @@ BASE_CONFIG = {
     "sweep": {"steps": 12, "batch_size": 8, "probe_steps": [5, 10], "probe_batch": 8},
 }
 
-# a value for every dataclass field, none of them the field's default
+# a value for every dataclass field, none of them the field's default but
+# precond_freq's, which only soap may raise (test_precond_freq_is_soap_only)
 FULL_CONFIG = {
     "model": {"arch": "resmlp", "widths": [8, 16], "depths": [1, 2], "n_layers": 4,
               "activation": "relu", "seeds": [3, 4]},
     "optimizer": {"rule": "shampoo", "e_l": 0.25, "e_r": 0.75, "beta1": 0.8, "beta2": 0.9,
                   "eps": 1e-6, "eps_mode": "absolute", "graft_rule": "adam",
                   "graft_eps": 1e-12, "graft_ref_eps": 1e-7, "block_in": 4, "block_out": 8,
-                  "normalize": "spectral", "precond_freq": 2, "ns_iters": 3,
+                  "normalize": "spectral", "precond_freq": 1, "ns_iters": 3,
                   "rms_align": True},
     "scaling": {"param": "mup", "base_width": 8, "eta_base": 0.05, "base_depth": 2,
                 "wd_base": 0.01, "wd_mode": "inv_width", "alpha_depth": 0.5},
@@ -249,6 +250,24 @@ class TestConfigValidation:
             main([command, *args, flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_precond_freq_is_soap_only(self, tmp_path, capsys, rule):
+        optimizer = {"rule": rule, "precond_freq": 2}
+        if rule == "soap":
+            optimizer.update(e_l=1.0, e_r=1.0)
+        path = write_config(tmp_path, optimizer=optimizer)
+        if rule == "soap":
+            opt, _, _ = build_objects(load_config(path), seed=None)
+            assert opt.precond_freq == 2
+            return
+        assert main(["plan", "--config", path]) == 2
+        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                    if '"precond_freq"' in text)
+        assert capsys.readouterr().err == (
+            f"{path}:{line}: optimizer.precond_freq: precond_freq 2 > 1 is only read "
+            f"by soap, not {rule!r}\n"
+        )
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         assert main(["oracle", "--config", write_config(tmp_path), "--seed", "-1"]) == 2
@@ -607,6 +626,30 @@ class TestNumericalFailure:
             "eta must be finite, got inf\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("optimizer,diverged", [
+        ({"rule": "adam", "eps": 0}, False),
+        ({"rule": "muon", "graft_rule": "adam", "graft_ref_eps": 0}, False),
+        ({"rule": "shampoo", "eps": 0, "eps_mode": "relative"}, True),
+        ({"rule": "shampoo", "eps": 0, "eps_mode": "absolute"}, True),
+    ], ids=["adam", "muon-adam-graft", "shampoo-relative", "shampoo-absolute"])
+    def test_zero_eps_finishes_the_sweep(self, tmp_path, optimizer, diverged):
+        # every hidden layer's first gradient is zero, since the readout
+        # starts at zero: adam's zero-history entries get a zero update, and
+        # shampoo's root of a rank-deficient factor at eps' = 0 is singular
+        path = write_config(tmp_path, optimizer=optimizer,
+                            sweep={"steps": 3, "batch_size": 4, "probe_steps": [1, 3],
+                                   "probe_batch": 4})
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mupre", "coordcheck", "--config", path, "--out", str(out)],
+            env=_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+        *runs, _ = [json.loads(line) for line in
+                    (out / "coordcheck.jsonl").read_text().splitlines()]
+        assert [run["diverged"] for run in runs] == [diverged] * 3
+        assert all(run["steps_completed"] == (1 if diverged else 3) for run in runs)
 
     def test_two_widths_is_still_a_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, model={"widths": [8, 16]})

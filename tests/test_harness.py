@@ -431,9 +431,30 @@ class TestRunTraining:
         assert res.steps_completed == 3
 
     def test_other_value_errors_propagate(self, monkeypatch):
-        self.failing_step(monkeypatch, ValueError("mat_inv_power input is not PSD"), 7)
-        with pytest.raises(ValueError, match="not PSD"):
+        self.failing_step(monkeypatch, ValueError("gradient factors do not multiply"), 7)
+        with pytest.raises(ValueError, match="do not multiply"):
             run_training(smoke_cfg(), 8, 1, 0.05, seed=0)
+
+    def test_non_finite_probe_spec_is_a_divergence(self, monkeypatch):
+        # the exact spectral norm raises when an update's Gram overflows;
+        # here the first report of the second probe step (step 10) does
+        reports = []
+        spec = optim.UpdateReport.spec
+
+        def overflowing(report):
+            if not any(r is report for r in reports):
+                reports.append(report)
+            if len(reports) > 3:
+                raise NonFiniteError("spectral_norm Gram matrix overflowed")
+            return spec.func(report)
+
+        monkeypatch.setattr(optim.UpdateReport, "spec", property(overflowing))
+        res = run_training(smoke_cfg(), 8, 1, 0.05, seed=0)
+        assert res.diverged and res.final_loss == math.inf
+        assert res.steps_completed == 10
+        assert [(r.step, r.layer) for r in res.records] == [
+            (5, "fc1"), (5, "fc2"), (5, "readout")
+        ]
 
     def test_each_step_gets_its_gradients_factors(self, monkeypatch):
         seen = []

@@ -213,6 +213,26 @@ class TestRangeInvPowerApply:
             range_inv_power_apply(dec, basis, 0.5, 1.0, np.ones((1, 3, 1)))
 
 
+class TestFailedRoots:
+    """A singular or non-PSD root raises numpy.linalg.LinAlgError, the
+    ValueError that the trainer records as a divergence."""
+
+    @pytest.mark.parametrize("a,eps", [(np.diag([1.0, 0.0]), 0.0), (np.diag([1.0, -1.0]), 1.0)],
+                             ids=["singular", "not-psd"])
+    def test_formed_roots(self, a, eps):
+        with pytest.raises(np.linalg.LinAlgError):
+            mat_inv_power(a, 0.5, eps)
+        with pytest.raises(np.linalg.LinAlgError):
+            inv_power(sym_eig_stack(a[np.newaxis]), 0.5, eps)
+
+    @pytest.mark.parametrize("s,eps", [(np.array([[2.0]]), 0.0), (np.diag([1.0, -1.0]), 1.0)],
+                             ids=["singular", "not-psd"])
+    def test_range_roots(self, s, eps):
+        basis = np.eye(3)[np.newaxis, :, :len(s)]
+        with pytest.raises(np.linalg.LinAlgError):
+            range_inv_power_apply(sym_eig_stack(s[np.newaxis]), basis, 0.5, eps, np.ones((1, 3, 1)))
+
+
 class TestNewtonSchulz:
     def test_identity_maps_near_identity(self):
         out = newton_schulz(np.eye(3))

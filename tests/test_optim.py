@@ -138,9 +138,9 @@ class TestAdam:
                 want = np.where(denom > 0.0, (m / (1.0 - 0.9**t)) / denom, 0.0)
             assert adam_step(state, g, c).update.tobytes() == want.tobytes()
 
-    def test_zero_history_zero_eps_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            adam_step(LayerState(), np.zeros((2, 2)), cfg("adam", beta1=0, beta2=0, eps=0))
+    def test_zero_history_zero_eps_gives_zero_update(self):
+        out = adam_step(LayerState(), np.zeros((2, 2)), cfg("adam", beta1=0, beta2=0, eps=0))
+        assert out.update.tobytes() == np.zeros((2, 2)).tobytes()
 
     def test_matches_reference_trajectory(self):
         # plain-numpy reference implementation, independent of the module
@@ -1275,6 +1275,25 @@ class TestGraft:
         out = optimizer_step(LayerState(), g, c)
         cos = np.sum(out.update * base.update) / (out.frob * base.frob)
         assert cos == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_eps_reference_on_zero_history(self, monkeypatch):
+        # every hidden layer's first gradient is exactly zero in training;
+        # at graft_ref_eps = 0 the adam reference maps it to +0.0, then
+        # tracks adam_step at eps = 0
+        refs = []
+        real_graft = mupre.optim.graft
+        monkeypatch.setattr(mupre.optim, "graft",
+                            lambda q1, q2, eps: refs.append(q1) or real_graft(q1, q2, eps))
+        rng = np.random.default_rng(17)
+        c = cfg("muon", graft_rule="adam", graft_ref_eps=0.0)
+        state, adam_state = LayerState(), LayerState()
+        grads = [np.zeros((6, 5))] + [rng.standard_normal((6, 5)) for _ in range(4)]
+        for g in grads:
+            optimizer_step(state, g, c)
+            want = adam_step(adam_state, g, cfg("adam", eps=0.0))
+            assert refs[-1].frob == pytest.approx(want.frob, rel=1e-12)
+        assert refs[0].update.tobytes() == np.zeros((6, 5)).tobytes()
+        assert refs[-1].frob > 0.0
 
     @pytest.mark.parametrize("rule,graft_rule", accepted_graft_pairs())
     def test_grafted_norm_is_reference_rule_norm(self, rule, graft_rule):
