@@ -38,7 +38,7 @@ def _defaults(cls, where=lambda name: True) -> dict:
 
 
 # section -> key -> default. Values construct dataclasses whose own
-# validation produces the semantic errors; here we gate names and shapes.
+# validation checks them; here we gate the names.
 _SCHEMA = {
     "model": _defaults(SweepConfig, lambda name: name in _MODEL_KEYS),
     "optimizer": _defaults(OptimizerConfig),
@@ -130,21 +130,13 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(sections, path, text)
 
 
-def _as_tuple(cfg: RunConfig, dotted: str, value) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise cfg.error(dotted, "must be a list")
-    return tuple(value)
-
-
-def _build(cfg: RunConfig, section: str, cls, **kwargs):
-    """cls(**kwargs), its validation errors as config errors of section; a
-    FieldError names the field's own key."""
+def _build(cfg: RunConfig, section: str, make, **kwargs):
+    """make(**kwargs), its FieldError as the config error of that field's key
+    in section."""
     try:
-        return cls(**kwargs)
+        return make(**kwargs)
     except FieldError as exc:
         raise _field_error(cfg, exc, section)
-    except (ValueError, TypeError) as exc:
-        raise cfg.error(section, str(exc))
 
 
 def build_objects(
@@ -154,18 +146,11 @@ def build_objects(
     scale_kw = dict(cfg.sections["scaling"])
     scale_kw.pop("overrides")
     plan = _build(cfg, "scaling", ScalingPlan, **scale_kw)
-    try:
-        check_pair(opt, plan)
-    except ValueError as exc:
-        raise cfg.error("scaling.param", str(exc))
+    _build(cfg, "scaling", check_pair, opt=opt, plan=plan)
     model = dict(cfg.sections["model"])
     if seed is not None:
         model["seeds"] = (seed,)
     sweep = cfg.sections["sweep"]
-    for key in ("widths", "depths", "seeds"):
-        _as_tuple(cfg, f"model.{key}", model[key])
-    for key in ("lr_grid", "probe_steps"):
-        _as_tuple(cfg, f"sweep.{key}", sweep[key])
     sweep_cfg = _build(cfg, "sweep", SweepConfig, opt=opt, plan=plan, **model, **sweep)
     return opt, plan, sweep_cfg
 
@@ -192,11 +177,13 @@ def _out_dir(args, cfg: RunConfig | None = None) -> Path | None:
 def _formats(cfg: RunConfig, args) -> tuple[str, ...]:
     if args.format:
         return (args.format,)
-    formats = _as_tuple(cfg, "output.formats", cfg.sections["output"]["formats"])
+    formats = cfg.sections["output"]["formats"]
+    if not isinstance(formats, list):
+        raise cfg.error("output.formats", "must be a list")
     for f in formats:
         if f not in ("csv", "jsonl"):
             raise cfg.error("output.formats", f"unknown format {f!r}")
-    return formats
+    return tuple(formats)
 
 
 def write_atomic(path: Path, text: str) -> None:

@@ -14,7 +14,8 @@ from .scaling import (
     FieldError,
     ModelManifest,
     ScalingPlan,
-    check_numeric_fields,
+    check_fields,
+    checked,
     mlp_manifest,
     resmlp_manifest,
 )
@@ -56,135 +57,89 @@ class OptimizerConfig:
                  refresh every step, so they reject a period above 1
     ns_iters     orthogonalization iteration count for muon/adamuon
     rms_align    adamuon option: rescale the update to a fixed entrywise RMS
-                 of 0.2 with a sqrt(d_in * d_out) norm target
+                 of 0.2 with a sqrt(d_in * d_out) norm target; the other
+                 rules reject it
     """
 
-    rule: str
-    e_l: float = 0.5
-    e_r: float = 0.5
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
-    eps_mode: str = "relative"
-    graft_rule: str | None = None
-    graft_eps: float = 0.0
-    graft_ref_eps: float = 1e-8
-    block_in: int | None = None
-    block_out: int | None = None
-    normalize: str = "none"
-    precond_freq: int = 1
-    ns_iters: int = 5
+    rule: str = checked(choices=RULES)
+    e_l: float = checked(0.5, ge=0)
+    e_r: float = checked(0.5, ge=0)
+    beta1: float = checked(0.9, ge=0, lt=1)
+    beta2: float = checked(0.95, ge=0, lt=1)
+    eps: float = checked(1e-8, ge=0)
+    eps_mode: str = checked("relative", choices=EPS_MODES)
+    graft_rule: str | None = checked(None, choices=GRAFT_RULES)
+    graft_eps: float = checked(0.0, ge=0)
+    graft_ref_eps: float = checked(1e-8, ge=0)
+    block_in: int | None = checked(None, ge=1)
+    block_out: int | None = checked(None, ge=1)
+    normalize: str = checked("none", choices=NORMALIZE_MODES)
+    precond_freq: int = checked(1, ge=1)
+    ns_iters: int = checked(5, ge=1)
     rms_align: bool = False
 
     def __post_init__(self):
-        check_numeric_fields(self)
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}, expected one of {RULES}")
-        if self.rule == "soap" and not (
-            self.e_l in (0.0, 1.0) and self.e_r in (0.0, 1.0)
-        ):
-            raise ValueError("soap side exponents must be 0 or 1 (side indicators)")
-        if min(self.e_l, self.e_r) < 0:
-            raise ValueError("side exponents must be >= 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.eps < 0 or self.graft_eps < 0 or self.graft_ref_eps < 0:
-            raise ValueError("eps values must be >= 0")
-        if self.eps_mode not in EPS_MODES:
-            raise ValueError(f"eps_mode must be one of {EPS_MODES}")
-        if self.graft_rule is not None and self.graft_rule not in GRAFT_RULES:
-            raise ValueError(f"graft_rule must be one of {GRAFT_RULES}")
+        check_fields(self)
+        for name in ("e_l", "e_r"):
+            value = getattr(self, name)
+            if self.rule == "soap" and value not in (0.0, 1.0):
+                raise FieldError(
+                    name, f"soap side exponents must be 0 or 1 (side indicators), got {value!r}"
+                )
         if self.graft_rule == "adam" and self.rule in SECOND_MOMENT_RULES:
-            raise ValueError(
+            raise FieldError(
+                "graft_rule",
                 f"graft_rule 'adam' cannot graft onto rule {self.rule!r}: both "
-                "would advance the layer's one second-moment slot"
+                "would advance the layer's one second-moment slot",
             )
         if self.graft_rule is not None and self.rule == "adamuon":
-            raise ValueError(
+            raise FieldError(
+                "graft_rule",
                 "rule 'adamuon' takes no graft_rule: its first moment holds the "
-                "orthogonalized gradient, not the gradient a graft reference reads"
+                "orthogonalized gradient, not the gradient a graft reference reads",
             )
-        if (self.block_in or self.block_out) and self.rule not in ("shampoo", "soap"):
-            raise ValueError("blocking is only defined for shampoo and soap")
-        for b in (self.block_in, self.block_out):
-            if b is not None and b < 1:
-                raise ValueError("block sizes must be >= 1")
-        if self.normalize not in NORMALIZE_MODES:
-            raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
-        if self.precond_freq < 1:
-            raise ValueError("precond_freq must be >= 1")
+        for name in ("block_in", "block_out"):
+            if getattr(self, name) is not None and self.rule not in ("shampoo", "soap"):
+                raise FieldError(name, "blocking is only defined for shampoo and soap")
         if self.precond_freq > 1 and self.rule != "soap":
             raise FieldError(
                 "precond_freq",
                 f"precond_freq {self.precond_freq} > 1 is only read by soap, not {self.rule!r}",
             )
-        if self.ns_iters < 1:
-            raise ValueError("ns_iters must be >= 1")
+        if self.rms_align and self.rule != "adamuon":
+            raise FieldError("rms_align", f"rms_align is only read by adamuon, not {self.rule!r}")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     opt: OptimizerConfig
     plan: ScalingPlan
-    widths: tuple[int, ...]
-    depths: tuple[int, ...] = (1,)
-    arch: str = "mlp"
-    n_layers: int = 3
-    activation: str = "tanh"
-    steps: int = 300
-    batch_size: int = 32
-    lr_grid: tuple[float, ...] = (1.0,)
-    seeds: tuple[int, ...] = (0,)
-    probe_steps: tuple[int, ...] = (10, 200)
-    probe_batch: int = 16
-    teacher_seed: int = 7
-    probe_seed: int = 9999
-    record_every: int = 0
-    divergence_factor: float = 1e4
-    wd_variant: str = "independent"
+    widths: tuple[int, ...] = checked(ge=1)
+    depths: tuple[int, ...] = checked((1,), ge=1)
+    arch: str = checked("mlp", choices=ARCHS)
+    n_layers: int = checked(3, ge=2)
+    activation: str = checked("tanh", choices=ACTIVATIONS)
+    steps: int = checked(300, ge=1)
+    batch_size: int = checked(32, ge=1)
+    lr_grid: tuple[float, ...] = checked((1.0,), gt=0)
+    seeds: tuple[int, ...] = checked((0,), ge=0)
+    probe_steps: tuple[int, ...] = checked((10, 200), ge=1)
+    probe_batch: int = checked(16, ge=1)
+    teacher_seed: int = checked(7, ge=0)
+    probe_seed: int = checked(9999, ge=0)
+    record_every: int = checked(0, ge=0)
+    divergence_factor: float = checked(1e4, gt=1)
+    wd_variant: str = checked("independent", choices=WD_MODES)
 
     def __post_init__(self) -> None:
-        if self.arch not in ARCHS:
-            raise FieldError("arch", f"unknown arch {self.arch!r}; expected one of {ARCHS}")
-        if self.activation not in ACTIVATIONS:
-            raise FieldError(
-                "activation",
-                f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}",
-            )
-        if self.wd_variant not in WD_MODES:
-            raise FieldError(
-                "wd_variant",
-                f"unknown wd_variant {self.wd_variant!r}; expected one of {WD_MODES}",
-            )
+        check_fields(self)
         for name in ("widths", "depths", "lr_grid", "seeds", "probe_steps"):
-            vals = getattr(self, name)
-            object.__setattr__(self, name, tuple(vals))
+            object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise FieldError(name, f"{name} must be nonempty")
-        check_numeric_fields(self)
-        for name in ("seeds", "teacher_seed", "probe_seed"):
-            value = getattr(self, name)
-            lowest = min(value) if name == "seeds" else value
-            if lowest < 0:
-                raise FieldError(name, f"{name} must be >= 0, got {lowest}")
         for name in ("widths", "depths"):
             if list(getattr(self, name)) != sorted(getattr(self, name)):
                 raise FieldError(name, f"{name} must be ascending")
-            if min(getattr(self, name)) < 1:
-                raise FieldError(name, f"{name} must be positive")
-        for name in ("steps", "batch_size", "probe_batch"):
-            if getattr(self, name) < 1:
-                raise FieldError(name, f"{name} must be positive")
-        if min(self.probe_steps) < 1:
-            raise FieldError("probe_steps", "probe steps count from 1")
-        if min(self.lr_grid) <= 0:
-            raise FieldError("lr_grid", "lr grid entries must be positive")
-        if self.record_every < 0:
-            raise FieldError("record_every", "record_every must be >= 0")
-        if self.n_layers < 2:
-            raise FieldError("n_layers", "need at least two layers")
-        if self.divergence_factor <= 1:
-            raise FieldError("divergence_factor", "divergence_factor must exceed 1")
 
     def require(self, experiment: str) -> None:
         """Raise FieldError unless this sweep can run the harness experiment

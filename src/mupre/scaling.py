@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+import operator
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -39,14 +40,19 @@ WD_SCALINGS = ("constant", "inv_width")
 HIDDEN_INIT_C = 1.0
 EMBEDDING_INIT_SIGMA = 0.1
 
-# the numeric annotations of the config dataclasses -> (accepted types, what a
-# value must be, tuple of entries, None allowed); a bool is accepted by none
-_NUMERIC_ANNOTATIONS = {
-    "int": (int, "must be an integer", False, False),
-    "int | None": (int, "must be an integer", False, True),
-    "tuple[int, ...]": (int, "entries must be integers", True, False),
-    "float": ((int, float), "must be a number", False, False),
-    "tuple[float, ...]": ((int, float), "entries must be numbers", True, False),
+# a field's annotation, less any "tuple[...]" and "| None", -> (accepted types,
+# what one value must be, what every entry must be); a bool counts only as a bool
+_KINDS = {
+    "int": (int, "an integer", "integers"),
+    "float": ((int, float), "a number", "numbers"),
+    "str": (str, "a string", "strings"),
+    "bool": (bool, "a boolean", "booleans"),
+}
+_BOUNDS = {
+    "ge": (operator.ge, ">="),
+    "gt": (operator.gt, ">"),
+    "le": (operator.le, "<="),
+    "lt": (operator.lt, "<"),
 }
 
 
@@ -58,21 +64,43 @@ class FieldError(ValueError):
         self.field = field
 
 
-def check_numeric_fields(obj) -> None:
-    """Raise FieldError unless every field of the dataclass obj annotated
-    int, int | None or tuple[int, ...] holds ints there, and every field
-    annotated float or tuple[float, ...] holds ints or floats; a bool is
-    neither."""
+def checked(default=MISSING, **rules):
+    """A dataclass field whose values check_fields tests against rules:
+    choices (the allowed values) and the bounds ge, gt, le and lt."""
+    return field(default=default, metadata=rules)
+
+
+def check_fields(obj) -> None:
+    """Raise FieldError unless every field of the dataclass obj holds a value
+    of its annotated type (a tuple field a list or tuple of such entries, an
+    optional field also None) that is one of the field's choices and
+    satisfies each of its bounds, entry by entry; NaN satisfies no bound, and
+    an infinite bound asks for a finite value."""
     for f in fields(obj):
-        if f.type not in _NUMERIC_ANNOTATIONS:
+        name, value, kind = f.name, getattr(obj, f.name), f.type
+        if kind.endswith(" | None"):
+            if value is None:
+                continue
+            kind = kind.removesuffix(" | None")
+        many = kind.startswith("tuple[")
+        if many:
+            if not isinstance(value, (list, tuple)):
+                raise FieldError(name, f"{name} must be a list, got {value!r}")
+            kind = kind.removeprefix("tuple[").removesuffix(", ...]")
+        if kind not in _KINDS:
             continue
-        kinds, what, many, optional = _NUMERIC_ANNOTATIONS[f.type]
-        value = getattr(obj, f.name)
-        if optional and value is None:
-            continue
+        types, one, every = _KINDS[kind]
+        what = f"entries must be {every}" if many else f"must be {one}"
+        choices = f.metadata.get("choices")
         for v in value if many else (value,):
-            if isinstance(v, bool) or not isinstance(v, kinds):
-                raise FieldError(f.name, f"{f.name} {what}, got {v!r}")
+            if isinstance(v, bool) != (kind == "bool") or not isinstance(v, types):
+                raise FieldError(name, f"{name} {what}, got {v!r}")
+            if choices is not None and v not in choices:
+                raise FieldError(name, f"unknown {name} {v!r}; expected one of {choices}")
+            for rule, bound in f.metadata.items():
+                if rule in _BOUNDS and not _BOUNDS[rule][0](v, bound):
+                    need = "finite" if math.isinf(bound) else f"{_BOUNDS[rule][1]} {bound}"
+                    raise FieldError(name, f"{name} must be {need}, got {v!r}")
 
 
 @dataclass
@@ -202,33 +230,20 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class ScalingPlan:
-    param: str
-    base_width: int
-    eta_base: float
-    base_depth: int = 1
-    wd_base: float = 0.0
-    wd_mode: str = "constant"
-    alpha_depth: float = 0.0
+    param: str = checked(choices=PARAMS)
+    base_width: int = checked(ge=1)
+    eta_base: float = checked(gt=0)
+    base_depth: int = checked(1, ge=1)
+    wd_base: float = checked(0.0, ge=0)
+    wd_mode: str = checked("constant", choices=WD_SCALINGS)
+    alpha_depth: float = checked(0.0, ge=0, le=1)
 
     def __post_init__(self) -> None:
-        check_numeric_fields(self)
-        object.__setattr__(self, "param", self.param.lower())
-        if self.param not in PARAMS:
-            raise ValueError(f"unknown param {self.param!r}; expected one of {PARAMS}")
-        if self.base_width < 1:
-            raise ValueError("base_width must be positive")
-        if self.base_depth < 1:
-            raise ValueError("base_depth must be positive")
-        if not self.eta_base > 0:
-            raise ValueError("eta_base must be positive")
-        if self.wd_base < 0:
-            raise ValueError("wd_base must be >= 0")
-        if self.wd_mode not in WD_SCALINGS:
-            raise ValueError(f"unknown wd_mode {self.wd_mode!r}")
-        if not 0.0 <= self.alpha_depth <= 1.0:
-            raise ValueError("alpha_depth must lie in [0, 1]")
+        if isinstance(self.param, str):  # a non-string is check_fields' to reject
+            object.__setattr__(self, "param", self.param.lower())
+        check_fields(self)
         if self.param == "sp" and self.alpha_depth != 0.0:
-            raise ValueError("sp fixes alpha_depth = 0")
+            raise FieldError("alpha_depth", "sp fixes alpha_depth = 0")
 
 
 @dataclass(frozen=True)
@@ -238,26 +253,19 @@ class LayerHyper:
     eps is the update rule's own damping, graft_eps the guard on the
     direction norm in the graft ratio and graft_ref_eps the damping inside
     the graft reference rule; the graft fields default to OptimizerConfig's
-    defaults and are unused by ungrafted optimizers.
+    defaults and are unused by ungrafted optimizers. Every value is finite.
     """
 
-    eta: float
-    eps: float
-    sigma_init: float
-    residual_mult: float
-    lambda_wd: float
-    graft_eps: float = 0.0
-    graft_ref_eps: float = 1e-8
+    eta: float = checked(gt=0, lt=math.inf)
+    eps: float = checked(ge=0, lt=math.inf)
+    sigma_init: float = checked(ge=0, lt=math.inf)
+    residual_mult: float = checked(gt=-math.inf, lt=math.inf)
+    lambda_wd: float = checked(ge=0, lt=math.inf)
+    graft_eps: float = checked(0.0, ge=0, lt=math.inf)
+    graft_ref_eps: float = checked(1e-8, ge=0, lt=math.inf)
 
     def __post_init__(self) -> None:
-        check_numeric_fields(self)
-        for field_name, v in asdict(self).items():
-            if not math.isfinite(v):
-                raise ValueError(f"{field_name} must be finite, got {v!r}")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if min(self.eps, self.graft_eps, self.graft_ref_eps, self.sigma_init, self.lambda_wd) < 0:
-            raise ValueError("eps values, sigma_init and lambda_wd must be >= 0")
+        check_fields(self)
 
     def optimizer(self, opt: OptimizerConfig) -> OptimizerConfig:
         """opt with every damping value taken from this row."""
@@ -397,7 +405,8 @@ def _ratio(
 def check_pair(opt: OptimizerConfig, plan: ScalingPlan) -> None:
     """Reject a parameterization that does not apply to the optimizer."""
     if plan.param in ALT_MUON_PARAMS and (opt.rule != "muon" or opt.graft_rule):
-        raise ValueError(
+        raise FieldError(
+            "param",
             f"parameterization {plan.param!r} applies only to plain muon, "
             f"got rule {opt.rule!r}"
             + (f" grafted onto {opt.graft_rule!r}" if opt.graft_rule else "")

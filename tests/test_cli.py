@@ -22,7 +22,8 @@ BASE_CONFIG = {
 }
 
 # a value for every dataclass field, none of them the field's default but
-# precond_freq's, which only soap may raise (test_precond_freq_is_soap_only)
+# precond_freq's, which only soap may raise (test_precond_freq_is_soap_only),
+# and rms_align's, which only adamuon may set (test_rms_align_is_adamuon_only)
 FULL_CONFIG = {
     "model": {"arch": "resmlp", "widths": [8, 16], "depths": [1, 2], "n_layers": 4,
               "activation": "relu", "seeds": [3, 4]},
@@ -30,7 +31,7 @@ FULL_CONFIG = {
                   "eps": 1e-6, "eps_mode": "absolute", "graft_rule": "adam",
                   "graft_eps": 1e-12, "graft_ref_eps": 1e-7, "block_in": 4, "block_out": 8,
                   "normalize": "spectral", "precond_freq": 1, "ns_iters": 3,
-                  "rms_align": True},
+                  "rms_align": False},
     "scaling": {"param": "mup", "base_width": 8, "eta_base": 0.05, "base_depth": 2,
                 "wd_base": 0.01, "wd_mode": "inv_width", "alpha_depth": 0.5},
     "sweep": {"steps": 7, "batch_size": 4, "lr_grid": [0.5, 1.0], "probe_steps": [2, 5],
@@ -79,11 +80,37 @@ NON_REALS = [
     ("sweep", "divergence_factor", True, "divergence_factor must be a number, got True"),
 ]
 
+# (section, key, value, message): for each str field of OptimizerConfig,
+# ScalingPlan and SweepConfig, a value that is no string or none of its choices
+NON_STRINGS = [
+    ("optimizer", "rule", 1, "rule must be a string, got 1"),
+    ("optimizer", "eps_mode", None, "eps_mode must be a string, got None"),
+    ("optimizer", "graft_rule", "x", "unknown graft_rule 'x'; expected one of ('sgd', 'adam')"),
+    ("optimizer", "normalize", True, "normalize must be a string, got True"),
+    ("scaling", "param", 5, "param must be a string, got 5"),
+    ("scaling", "wd_mode", "linear", "unknown wd_mode 'linear'"),
+    ("model", "arch", [], "arch must be a string, got []"),
+    ("model", "activation", {}, "activation must be a string, got {}"),
+    ("sweep", "wd_variant", 0, "wd_variant must be a string, got 0"),
+]
+
+# (section, key, value, message): for each bool field, a value that is no bool
+NON_BOOLS = [
+    ("optimizer", "rms_align", "yes", "rms_align must be a boolean, got 'yes'"),
+]
+
+# one JSON value of every shape, at and past the edges of the fields' bounds
+JSON_VALUES = [True, False, None, "x", -1, 0, 0.5, 1, 2, 1e308, float("nan"),
+               [], [1], ["x"], {}, {"a": 1}]
+
 
 CSV_HEADER = "run_id,width,depth,step,eta_base,loss,layer,delta_h_rms,srank,spec_norm"
 
 SRC = Path(mupre.__file__).resolve().parents[1]
 BENCH = SRC.parent / "bench"
+
+# every config the repository ships: the benchmark's and the README's example
+SHIPPED_CONFIGS = [*sorted(BENCH.glob("configs/*.json")), SRC.parent / "README.md"]
 
 
 # adam under mup at widths below the base width: fc2's lr overflows float64
@@ -186,6 +213,32 @@ class TestConfigValidation:
                 value = given[name]
                 assert getattr(obj, name) == (tuple(value) if isinstance(value, list) else value)
 
+    def test_any_json_value_at_any_key_exits_0_or_2_naming_the_key(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        bad = []
+        for section in ("model", "optimizer", "scaling", "sweep"):
+            for key in FULL_CONFIG[section]:
+                for value in JSON_VALUES:
+                    path = write_config(tmp_path, **{section: {key: value}})
+                    try:
+                        code = main(["plan", "--config", path, "--out", out])
+                    except Exception as exc:
+                        bad.append((section, key, value, repr(exc)))
+                        continue
+                    err = capsys.readouterr().err
+                    if code not in (0, 2) or (code == 2 and f": {section}.{key}: " not in err):
+                        bad.append((section, key, value, code, err))
+        assert not bad
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_shipped_configs_build(self, tmp_path, path):
+        text = path.read_text()
+        if path.suffix == ".md":
+            text = text.split("```json\n", 1)[1].split("```", 1)[0]
+            path = tmp_path / "example.json"
+            path.write_text(text)
+        build_objects(load_config(str(path)), seed=None)
+
     @pytest.mark.parametrize("command", ["plan", "coordcheck"])
     @pytest.mark.parametrize("section,key,value", [
         ("model", "activation", "gelu"),
@@ -206,12 +259,21 @@ class TestConfigValidation:
     @pytest.mark.parametrize("section,key,value,message", [
         ("model", "activation", "gelu", "unknown activation 'gelu'"),
         ("model", "widths", [64, 32, 16], "widths must be ascending"),
-        ("sweep", "steps", 0, "steps must be positive"),
+        ("sweep", "steps", 0, "steps must be >= 1, got 0"),
         ("model", "seeds", [0, -1], "seeds must be >= 0, got -1"),
         ("sweep", "teacher_seed", -1, "teacher_seed must be >= 0, got -1"),
         ("sweep", "probe_seed", -5, "probe_seed must be >= 0, got -5"),
         *NON_INTEGERS,
         *NON_REALS,
+        ("model", "widths", 8, "widths must be a list, got 8"),
+        ("optimizer", "ns_iters", 0, "ns_iters must be >= 1, got 0"),
+        ("optimizer", "beta2", 1, "beta2 must be < 1, got 1"),
+        ("scaling", "base_width", 0, "base_width must be >= 1, got 0"),
+        ("scaling", "alpha_depth", 2, "alpha_depth must be <= 1, got 2"),
+        ("sweep", "divergence_factor", float("nan"), "divergence_factor must be > 1, got nan"),
+        ("optimizer", "block_out", 2, "blocking is only defined for shampoo and soap"),
+        *NON_STRINGS,
+        *NON_BOOLS,
     ])
     def test_sweep_config_error_names_the_owning_key(
         self, tmp_path, capsys, section, key, value, message
@@ -269,6 +331,24 @@ class TestConfigValidation:
             f"by soap, not {rule!r}\n"
         )
 
+    @pytest.mark.parametrize("rule", RULES)
+    def test_rms_align_is_adamuon_only(self, tmp_path, capsys, rule):
+        optimizer = {"rule": rule, "rms_align": True}
+        if rule == "soap":
+            optimizer.update(e_l=1.0, e_r=1.0)
+        path = write_config(tmp_path, optimizer=optimizer)
+        if rule == "adamuon":
+            opt, _, _ = build_objects(load_config(path), seed=None)
+            assert opt.rms_align
+            return
+        assert main(["plan", "--config", path]) == 2
+        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                    if '"rms_align"' in text)
+        assert capsys.readouterr().err == (
+            f"{path}:{line}: optimizer.rms_align: rms_align is only read by adamuon, "
+            f"not {rule!r}\n"
+        )
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         assert main(["oracle", "--config", write_config(tmp_path), "--seed", "-1"]) == 2
         assert "model.seeds: seeds must be >= 0, got -1" in capsys.readouterr().err
@@ -304,7 +384,7 @@ class TestPlanCommand:
         path = write_config(tmp_path, scaling={"overrides": {"fc2": {"eta": -1.0}}})
         out = tmp_path / "out"
         assert main(["plan", "--config", path, "--out", str(out)]) == 2
-        assert "scaling.overrides: eta must be positive" in capsys.readouterr().err
+        assert "scaling.overrides: eta must be > 0, got -1.0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_overrides_can_replace_an_overflowing_value(self, tmp_path, capsys):

@@ -85,7 +85,7 @@ class TestConfigValidation:
         cfg("soap", e_l=1.0, e_r=1.0, block_in=8)
 
     def test_beta_range(self):
-        with pytest.raises(ValueError, match="betas"):
+        with pytest.raises(ValueError, match="beta1 must be < 1, got 1.0"):
             cfg("adam", beta1=1.0)
 
     def test_graft_rule_vocabulary(self):
