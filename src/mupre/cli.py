@@ -163,6 +163,24 @@ def _field_error(cfg: RunConfig, exc: FieldError, section: str = "sweep") -> Con
     return cfg.error(f"{section}.{exc.field}", str(exc))
 
 
+def _checked_overrides(cfg: RunConfig) -> dict:
+    """scaling.overrides, which must map layer names to objects of field ->
+    value; LayerHyper checks the values when the plan is built."""
+    overrides = cfg.sections["scaling"]["overrides"]
+    if not isinstance(overrides, dict):
+        raise cfg.error(
+            "scaling.overrides",
+            f"must be an object of layer name -> {{field: number}}, got {overrides!r}",
+        )
+    for layer, row in overrides.items():
+        if not isinstance(row, dict):
+            raise cfg.error(
+                "scaling.overrides",
+                f"row {layer!r} must be an object of field -> number, got {row!r}",
+            )
+    return overrides
+
+
 def _out_dir(args, cfg: RunConfig | None = None) -> Path | None:
     """MUPRE_OUT, then --out, then the config's output.directory; None
     without a config when neither is set."""
@@ -519,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
         if "--jobs" in flags and args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         cfg = load_config(args.config)
-        if cfg.sections["scaling"]["overrides"] and args.command != "plan":
+        if _checked_overrides(cfg) and args.command != "plan":
             raise cfg.error(
                 "scaling.overrides",
                 f"only `mupre plan` applies overrides; `mupre {args.command}` "

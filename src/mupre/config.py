@@ -137,14 +137,29 @@ class SweepConfig:
             object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise FieldError(name, f"{name} must be nonempty")
+        # a repeated entry would train the same cell again
         for name in ("widths", "depths"):
-            if list(getattr(self, name)) != sorted(getattr(self, name)):
-                raise FieldError(name, f"{name} must be ascending")
+            values = getattr(self, name)
+            if any(a >= b for a, b in zip(values, values[1:])):
+                raise FieldError(
+                    name, f"{name} must be ascending with no repeats, got {list(values)}"
+                )
+        for name in ("lr_grid", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise FieldError(name, f"{name} must have no repeats, got {list(values)}")
 
     def require(self, experiment: str) -> None:
         """Raise FieldError unless this sweep can run the harness experiment
-        of that name: a slope fit needs 3 points along its axis, and
-        depth_check needs the residual architecture."""
+        of that name: a slope fit needs 3 points along its axis, its probe
+        steps must fall within the run, and depth_check needs the residual
+        architecture."""
+        if experiment in ("coord_check", "depth_check"):
+            late = [p for p in self.probe_steps if p > self.steps]
+            if late:
+                raise FieldError(
+                    "probe_steps", f"probe steps {late} come after the last step {self.steps}"
+                )
         if experiment == "coord_check" and len(self.widths) < 3:
             raise FieldError("widths", "coordinate check needs at least 3 widths")
         if experiment == "depth_check":

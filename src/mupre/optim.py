@@ -38,14 +38,15 @@ from .linalg import (
 from .scaling import BlockPartition, TileGroup
 
 # Shampoo decomposes a factor side of size n inside the span of its
-# gradients while that span has at most this fraction of n columns
-# (_range_basis), and Muon orthogonalizes inside the spans of both sides
-# under the same rule (muon_step). Timed with one BLAS thread on a 2-vCPU
-# Xeon, Shampoo's route costs about half the dense route at 0.5 n columns
-# (24.8 ms against 48.7 ms at n = 512) and stops winning between 0.63 n
-# and 0.75 n. Muon's route, both sides' QR included, took 50 ms against
-# 99 ms for the dense Newton-Schulz at n = 512 and 0.5 n columns a side,
-# and stops winning near 0.7 n.
+# gradients while the numerical rank of that span is at most this fraction
+# of n (_range_basis), and Muon orthogonalizes inside the spans of both
+# sides under the same rule (muon_step). Timed with one BLAS thread on a
+# 2-vCPU Xeon at n = 512, growing a basis of 0.5 n columns by 32, best of
+# 7: Shampoo's route, the growth included, took 34-39 ms a side against
+# 59-63 ms for the dense route, and breaks even near 0.75 n; Muon's route,
+# both sides' growth included, took 33-40 ms against 82-87 ms for the
+# dense Newton-Schulz, still won at 0.75 n (70-85 ms against 88-115 ms)
+# and breaks even near 0.8 n.
 RANGE_BASIS_MAX_FRACTION = 0.5
 
 # Largest relative Frobenius gap between a gradient and the product of the
@@ -94,12 +95,15 @@ class BlockState:
     l and r are the dense EMAs of G G^T and G^T G for Shampoo and SOAP; v
     is SOAP's second moment in the rotated space. For SOAP, q_l and q_r
     hold the factors' eigenbases. For Shampoo, q_l or q_r holds an
-    orthonormal basis of the spanning sets seen on that side (the tile's
-    gradient columns, or the row slice of the gradient's factor on that
-    side; see _range_basis) while the side takes the range-basis route,
-    and is None after it; l and r stay the dense EMAs either way. Muon
-    keeps only q_l and q_r, of its one whole-matrix tile, while both sides
-    take the route (_muon_bases). A field is None until its first use.
+    orthonormal basis of the numerical range of the spanning sets seen on
+    that side (the tile's gradient columns, or the row slice of the
+    gradient's factor on that side; see _range_basis), which grows in
+    place, while the side takes the range-basis route, and is None after
+    it. A tile that needs fewer columns than its group's widest holds zero
+    columns in their place, and a zero span gives a basis of width 0. l
+    and r stay the dense EMAs either way. Muon keeps only q_l and q_r, of
+    its one whole-matrix tile, while both sides take the route
+    (_muon_bases). A field is None until its first use.
     """
 
     l: Matrix | None = None
@@ -248,11 +252,12 @@ def _shifts(dec: EigDecomp, eps: float, eps_mode: str) -> tuple[np.ndarray | flo
     eps' is eps times the factor's top eigenvalue, and a top eigenvalue
     <= 0 (a zero factor) has no relative shift: the mask marks the tile,
     whose update is zero, and its root takes eps' = 1 only to keep the
-    stack off the singular check.
+    stack off the singular check. An empty decomposition, of a range
+    basis of width 0, is that of a zero factor.
     """
     zero = np.zeros(dec.eigenvalues.shape[:-1], dtype=bool)
     if eps_mode == "relative":
-        top = dec.eigenvalues[..., 0]
+        top = dec.eigenvalues[..., 0] if dec.eigenvalues.shape[-1] else np.zeros(zero.shape)
         zero = top <= 0.0
         eps = np.where(zero, 1.0, eps * top)
     return eps, zero
@@ -308,6 +313,36 @@ def _factor_spans(
     }
 
 
+def _new_directions(q: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Orthonormal directions that extend the basis stack q to hold each
+    tile's spanning set, as a stack of the largest count over the tiles:
+    a tile with fewer holds zero columns after its own.
+
+    The span is projected out of q twice (block classical Gram-Schmidt
+    with one reorthogonalization) and the remainder is factored as a thin
+    QR whose R has the SVD U S V^T. The directions kept are those of the
+    singular values above max(n, b) eps sigma_max(span), the default
+    tolerance of numpy.linalg.matrix_rank, for n x b spans; what is
+    dropped is round-off, or a span's part in q. The kept directions are
+    projected out of q once more and re-orthonormalized by a thin QR.
+    """
+    n, b = span.shape[-2:]
+    qt = q.swapaxes(-1, -2)
+    rem = span - q @ (qt @ span)
+    rem -= q @ (qt @ rem)
+    rem_q, rem_r = np.linalg.qr(rem)
+    u, s, _ = np.linalg.svd(rem_r, full_matrices=False)
+    top = np.linalg.svd(span, compute_uv=False)[..., :1]
+    keep = s > max(n, b) * np.finfo(float).eps * top
+    count = int(keep.sum(axis=-1).max())
+    keep = keep[..., np.newaxis, :count]
+    d = np.where(keep, rem_q @ u[..., :count], 0.0)
+    d -= q @ (qt @ d)
+    # a QR's column j depends on columns 0..j only: zero columns after a
+    # tile's kept ones leave those alone and are zeroed again after
+    return np.where(keep, np.linalg.qr(d).Q, 0.0)
+
+
 def _range_basis(
     stacks: BlockState, side: str, gb: np.ndarray, span: np.ndarray | None, t: int
 ) -> np.ndarray | None:
@@ -317,24 +352,31 @@ def _range_basis(
     A side of size n whose tile's other side is k gets a spanning set of
     the step's gradient on that side: span, the row slice of the
     gradient's factor, when it has fewer than k columns, else the tile's k
-    gradient columns. While the basis's width, the columns accumulated so
-    far plus this step's, is at most RANGE_BASIS_MAX_FRACTION n, the basis
-    is the thin QR of [Q, spanning set] and is kept in the side's q stack.
-    Past that the basis is released and the side takes the dense route, as
-    it does for a state that holds no basis after step 1 (one built by
-    hand), since a basis started late would miss the earlier gradients.
+    gradient columns. The basis, kept in the side's q stack, holds the
+    numerical range of the spanning sets seen so far. It grows in place:
+    each step appends the directions of the step's set that it lacks
+    (_new_directions) and leaves its columns as they are, so a zero set
+    adds none and a rank-deficient one adds its numerical rank. A side
+    enters the route at step 1 when its spanning set has at most
+    cutoff = floor(RANGE_BASIS_MAX_FRACTION n) columns (a zero set gives a
+    basis of width 0) and stays on it while the basis is at most cutoff
+    wide. Past that the basis is released and the side takes the dense
+    route, as it does for a state that holds no basis after step 1 (one
+    built by hand), since a basis started late would miss the earlier
+    gradients.
     """
     g_side = gb if side == "l" else gb.swapaxes(-1, -2)
     n, k = g_side.shape[-2:]
     if span is None or span.shape[-1] >= k:
         span = g_side
     name = "q_" + side
+    cutoff = int(RANGE_BASIS_MAX_FRACTION * n)
     q = getattr(stacks, name) if t > 1 else None
-    width = span.shape[-1] + (0 if q is None else q.shape[-1])
-    if (t == 1 or q is not None) and width <= RANGE_BASIS_MAX_FRACTION * n:
-        q = np.linalg.qr(span if q is None else np.concatenate((q, span), axis=-1)).Q
-    else:
-        q = None
+    if t == 1 and span.shape[-1] <= cutoff:
+        q = np.empty(span.shape[:-1] + (0,))
+    if q is not None:
+        d = _new_directions(q, span)
+        q = np.concatenate((q, d), axis=-1) if q.shape[-1] + d.shape[-1] <= cutoff else None
     setattr(stacks, name, q)
     return q
 
@@ -372,10 +414,13 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     update = (L^ + eps I)^(-e_l) M (R^ + eps I)^(-e_r). In relative mode the
     eps shift for each factor is eps times that factor's top eigenvalue,
     and a tile with a zero factor (e > 0) gets a zero update. The tiles of
-    one shape go through every stage as one stack. A factor side whose rank
-    is bounded well below its size takes the range-basis route: it is
-    decomposed inside the span of its gradients (_range_basis), which the
-    state's gradient factors, when given, bound by B columns a step.
+    one shape go through every stage as one stack. A factor side whose
+    gradients have a numerical rank well below its size takes the
+    range-basis route: it is decomposed inside a basis of their numerical
+    range (_range_basis), which grows by at most B columns a step when the
+    state's gradient factors are given, and by none for a zero gradient.
+    A basis of width 0 holds a zero factor: in relative mode its tile's
+    update is zero, and in absolute mode the side scales it by eps^(-e).
     """
     g = as_matrix(g, "gradient")
     out = np.empty_like(g)  # every tile group fills its part below
@@ -475,14 +520,15 @@ def soap_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
 def _muon_bases(
     state: LayerState, g: Matrix, factors: tuple[Matrix, Matrix] | None
 ) -> tuple[Matrix, Matrix] | None:
-    """Orthonormal bases (Q_l, Q_r) of the spanning sets seen so far on
-    both sides of the layer's one whole-matrix tile, or None when the layer
-    takes the dense route, which then holds no basis.
+    """Orthonormal bases (Q_l, Q_r) of the numerical range of the spanning
+    sets seen so far on both sides of the layer's one whole-matrix tile,
+    or None when the layer takes the dense route, which then holds no
+    basis.
 
     Each side follows Shampoo's rule (_range_basis). The route needs both
-    sides, and the smaller side's rule is the stricter one (its spanning
-    set is no narrower and its cutoff no larger), so it goes first: a
-    layer it keeps off the route, such as a d x 1 layer, pays no QR.
+    sides, and the smaller side's cutoff is the lower one, so it goes
+    first: a layer it keeps off the route at step 1, such as a d x 1
+    layer, pays for no basis.
     """
     ((group, stacks),) = _group_states(state, BlockPartition(*g.shape))
     spans = _factor_spans(group, factors)
@@ -502,10 +548,12 @@ def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
 
     Given the gradients' batch factors, m_t lies in the span of those seen
     so far on each side. While both sides hold an orthonormal basis of
-    theirs (_muon_bases), the step orthogonalizes the r_l x r_r core
-    Q_l^T m_t Q_r and returns Q_l newton_schulz(core) Q_r^T, which equals
-    newton_schulz(m_t) in exact arithmetic, since the iteration maps X to
-    X p(X^T X); the report keeps the orthogonalized core. Past the cutoff,
+    their numerical range (_muon_bases), r_l and r_r columns wide, the step
+    orthogonalizes the r_l x r_r core Q_l^T m_t Q_r and returns
+    Q_l newton_schulz(core) Q_r^T, which equals newton_schulz(m_t) up to
+    round-off, since the iteration maps X to X p(X^T X); the report keeps
+    the orthogonalized core. A side of width 0, whose spans were all zero,
+    gives a zero core and a zero update, as m_t is zero. Past the cutoff,
     or without factors, the n x n momentum is orthogonalized.
     """
     g = as_matrix(g, "gradient")

@@ -349,6 +349,64 @@ class TestConfigValidation:
             f"not {rule!r}\n"
         )
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("model", "widths", [8, 8, 16], "widths must be ascending with no repeats, got [8, 8, 16]"),
+        ("model", "depths", [1, 2, 2], "depths must be ascending with no repeats, got [1, 2, 2]"),
+        ("model", "seeds", [0, 3, 0], "seeds must have no repeats, got [0, 3, 0]"),
+        ("sweep", "lr_grid", [0.5, 0.5], "lr_grid must have no repeats, got [0.5, 0.5]"),
+    ])
+    def test_repeated_grid_entry_exits_2_at_its_key(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        # a repeated entry would train the same grid cell again
+        path = write_config(tmp_path, **{section: {key: value}})
+        out = tmp_path / "out"
+        assert main(["lrsweep", "--config", path, "--out", str(out)]) == 2
+        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                    if f'"{key}"' in text)
+        assert capsys.readouterr().err == f"{path}:{line}: {section}.{key}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,model", [
+        ("coordcheck", {}),
+        ("depthcheck", {"arch": "resmlp", "widths": [8], "depths": [1, 2, 4]}),
+    ])
+    def test_probe_step_past_the_last_step_exits_2(self, tmp_path, capsys, command, model):
+        # a probe after the last step would record nothing
+        path = write_config(tmp_path, model=model, sweep={"steps": 8, "probe_steps": [5, 10]})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                    if '"probe_steps"' in text)
+        assert capsys.readouterr().err == (
+            f"{path}:{line}: sweep.probe_steps: probe steps [10] come after the last step 8\n"
+        )
+        assert not out.exists()
+
+    def test_probe_steps_past_the_last_step_are_only_a_slope_fit_error(self, tmp_path):
+        # rankscan and lrsweep fit no slope at the probe steps: the default
+        # probe steps (10, 200) stay valid for a shorter run
+        path = write_config(tmp_path, sweep={"steps": 3, "probe_steps": [10, 200]})
+        _, _, sweep_cfg = build_objects(load_config(path), seed=None)
+        for name in ("rank_scan", "lr_sweep"):
+            sweep_cfg.require(name)
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"fc2": 5}, "row 'fc2' must be an object of field -> number, got 5"),
+        ([1], "must be an object of layer name -> {field: number}, got [1]"),
+    ], ids=["row-not-an-object", "not-an-object"])
+    @pytest.mark.parametrize("command", ["plan", "coordcheck"])
+    def test_malformed_overrides_exit_2_naming_the_row(
+        self, tmp_path, capsys, command, overrides, message
+    ):
+        path = write_config(tmp_path, scaling={"overrides": overrides})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                    if '"overrides"' in text)
+        assert capsys.readouterr().err == f"{path}:{line}: scaling.overrides: {message}\n"
+        assert not out.exists()
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         assert main(["oracle", "--config", write_config(tmp_path), "--seed", "-1"]) == 2
         assert "model.seeds: seeds must be >= 0, got -1" in capsys.readouterr().err
@@ -668,7 +726,7 @@ class TestNumericalFailure:
         "model": {"widths": [16, 32, 64], "activation": "relu"},
         "optimizer": {"rule": "soap", "e_l": 1.0, "e_r": 1.0},
         "scaling": {"param": "sp", "base_width": 16, "eta_base": 1e4},
-        "sweep": {"steps": 25, "batch_size": 8, "probe_steps": [10, 200],
+        "sweep": {"steps": 25, "batch_size": 8, "probe_steps": [10, 25],
                   "probe_batch": 16, "divergence_factor": 1e300},
     }
 

@@ -239,6 +239,31 @@ def tile_spans(g, c):
     return list(product(part.row_spans, part.col_spans))
 
 
+def span_directions(q, s):
+    """A tile's candidate directions for extending its orthonormal basis q
+    to hold the spanning set s, and how many of them it keeps: s projected
+    out of q twice, the thin QR of the remainder, the SVD U S V^T of its R,
+    and the count of singular values above max(n, b) eps sigma_max(s)."""
+    n, b = s.shape
+    rem = s - q @ (q.T @ s)
+    rem -= q @ (q.T @ rem)
+    rem_q, rem_r = np.linalg.qr(rem)
+    u, sv, _ = np.linalg.svd(rem_r, full_matrices=False)
+    top = np.linalg.svd(s, compute_uv=False)[:1]
+    return rem_q, u, int(np.sum(sv > max(n, b) * np.finfo(float).eps * top))
+
+
+def appended(q, rem_q, u, count, width):
+    """q with width columns appended: the first count directions of
+    rem_q U, then zero columns, as a tile group pads a tile that keeps
+    fewer than its largest count, projected out of q once more and
+    re-orthonormalized by a thin QR whose zero columns are zeroed again."""
+    keep = np.arange(width) < count
+    d = np.where(keep, rem_q @ u[:, :width], 0.0)
+    d -= q @ (q.T @ d)
+    return np.hstack([q, np.where(keep, np.linalg.qr(d).Q, 0.0)])
+
+
 def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None):
     """Shampoo updates and final per-tile (L, R) by a tile-by-tile route with
     the step's arithmetic written out in the same order.
@@ -247,39 +272,56 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
     for a step without them. A factor side of size n whose tile's other
     side is k is spanned at step t by the row slice of the factor on that
     side when the slice has fewer than k columns, else by the tile's k
-    gradient columns. The side is decomposed inside the orthonormal basis
-    Q of its spanning sets while Q's width, the columns accumulated so
-    far, stays <= cutoff n: Q is the thin QR of [Q, spanning set], the
-    checked sym_eig decomposes S = Q^T L Q / corr2 and the root is applied
-    as eps'^(-e) M + Q W diag(phi) W^T Q^T M. Otherwise the basis is
-    dropped for good and the checked sym_eig decomposes the full factor,
-    once for its top eigenvalue in relative mode and again inside
-    mat_inv_power; cutoff=0 takes that dense route on every side."""
+    gradient columns. The side enters the route at step 1 when that set
+    has at most floor(cutoff n) columns, with a basis Q of width 0. Every
+    step each basis gains its directions (span_directions), as many as the
+    largest count over the tiles of its shape (appended), and stays while
+    its width is at most floor(cutoff n). On the route the checked sym_eig
+    decomposes S = Q^T L Q / corr2 and the root is applied as
+    eps'^(-e) M + Q W diag(phi) W^T Q^T M. Otherwise the basis is dropped
+    for good and the checked sym_eig decomposes the full factor, once for
+    its top eigenvalue in relative mode and again inside mat_inv_power;
+    cutoff=0 takes that dense route on every side."""
     m, acc, basis, updates = 0.0, {}, {}, []
     for t, (g, factors) in enumerate(zip(g_seq, factors_seq or [None] * len(g_seq)), start=1):
         m = c.beta1 * m + (1.0 - c.beta1) * g
         corr1, corr2 = 1.0 - c.beta1**t, 1.0 - c.beta2**t
-        out = np.empty_like(g)
+        # every basis first; the tiles of one shape form one group
+        grown, widths = {}, {}
         for i, ((r0, r1), (c0, c1)) in enumerate(tile_spans(g, c)):
-            gb, mb = g[r0:r1, c0:c1], m[r0:r1, c0:c1]
+            gb = g[r0:r1, c0:c1]
             fl, fr = (None, None) if factors is None else (factors[0][r0:r1], factors[1][c0:c1])
-            l, r = acc.get(i, (0.0, 0.0))
-            l = c.beta2 * l + (1.0 - c.beta2) * (gb @ gb.T)
-            r = c.beta2 * r + (1.0 - c.beta2) * (gb.T @ gb)
-            l, r = (l + l.T) / 2.0, (r + r.T) / 2.0
-            acc[i] = (l, r)
-            upd, zero = mb / corr1, False
-            for side, f, gs, fs, e in (("l", l, gb, fl, c.e_l), ("r", r, gb.T, fr, c.e_r)):
+            for side, gs, fs, e in (("l", gb, fl, c.e_l), ("r", gb.T, fr, c.e_r)):
                 if e == 0.0:
                     continue
                 n, k = gs.shape
                 if fs is not None and fs.shape[1] < k:
                     gs = fs
                 q = basis.pop((i, side), None)
-                width = gs.shape[1] + (0 if q is None else q.shape[1])
-                if (t == 1 or q is not None) and width <= cutoff * n:
-                    q = gs if q is None else np.hstack([q, gs])
-                    q = basis[i, side] = np.linalg.qr(q).Q
+                if t == 1 and gs.shape[1] <= int(cutoff * n):
+                    q = np.zeros((n, 0))
+                if q is not None:
+                    grown[i, side] = (q, gb.shape, *span_directions(q, gs))
+                    key = (gb.shape, side)
+                    widths[key] = max(widths.get(key, 0), grown[i, side][-1])
+        for (i, side), (q, shape, rem_q, u, count) in grown.items():
+            width = widths[shape, side]
+            if q.shape[1] + width <= int(cutoff * q.shape[0]):
+                basis[i, side] = appended(q, rem_q, u, count, width)
+        out = np.empty_like(g)
+        for i, ((r0, r1), (c0, c1)) in enumerate(tile_spans(g, c)):
+            gb, mb = g[r0:r1, c0:c1], m[r0:r1, c0:c1]
+            l, r = acc.get(i, (0.0, 0.0))
+            l = c.beta2 * l + (1.0 - c.beta2) * (gb @ gb.T)
+            r = c.beta2 * r + (1.0 - c.beta2) * (gb.T @ gb)
+            l, r = (l + l.T) / 2.0, (r + r.T) / 2.0
+            acc[i] = (l, r)
+            upd, zero = mb / corr1, False
+            for side, f, e in (("l", l, c.e_l), ("r", r, c.e_r)):
+                if e == 0.0:
+                    continue
+                q = basis.get((i, side))
+                if q is not None:
                     s = q.T @ f @ q
                     dec = sym_eig((s + s.T) / (2.0 * corr2))
                 else:
@@ -287,7 +329,9 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
                     a = f / corr2
                 eps = c.eps
                 if c.eps_mode == "relative":
-                    top = float((sym_eig(a) if dec is None else dec).eigenvalues[0])
+                    lam = (sym_eig(a) if dec is None else dec).eigenvalues
+                    # a basis of width 0 holds a zero factor
+                    top = float(lam[0]) if lam.size else 0.0
                     if top <= 0.0:
                         zero = True
                         continue
@@ -372,6 +416,25 @@ def factored_gradients(rng, shape, b, steps, zero_left_until=0, repeat=False):
         if repeat:
             left[:, -1], right[:, -1] = left[:, 0], right[:, 0]
         if t <= zero_left_until:
+            left[...] = 0.0
+        g_seq.append(left @ right.T)
+        f_seq.append((left, right))
+    return g_seq, f_seq
+
+
+def mup_like_gradients(rng, shape, b, steps):
+    """steps gradients left @ right.T of a d_out x d_in hidden layer under
+    muP, and their factor pairs: the left factor is zero at step 1, as a
+    zero-init readout makes fc2's, and Gaussian after; the right factor
+    holds the features tanh(w x) of a scalar input x at b samples, which
+    are numerically rank deficient. The gradients have unit Frobenius norm
+    in expectation, as in factored_gradients."""
+    w = 3.0 * rng.standard_normal(shape[1])
+    g_seq, f_seq = [], []
+    for t in range(1, steps + 1):
+        right = np.tanh(np.outer(w, rng.standard_normal(b)))
+        left = rng.standard_normal((shape[0], b)) / math.sqrt(b * shape[0] * shape[1])
+        if t == 1:
             left[...] = 0.0
         g_seq.append(left @ right.T)
         f_seq.append((left, right))
@@ -723,9 +786,10 @@ class TestBenchReference:
 
 
 class TestRangeBasisRoute:
-    """A factor side of size n whose tile's other side is k is decomposed
-    inside the span of its gradients while t k <= RANGE_BASIS_MAX_FRACTION n;
-    that route gives the dense route's update up to round-off."""
+    """A factor side of size n is decomposed inside the span of its
+    gradients while their numerical rank, at most t k for a tile whose
+    other side is k, stays <= RANGE_BASIS_MAX_FRACTION n; that route gives
+    the dense route's update up to round-off."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -786,7 +850,8 @@ class TestRangeBasisRoute:
 
     def test_factors_keep_dense_ema_bits(self, monkeypatch):
         # two 40x3 tiles: the left sides take the route while 3 t <= 20,
-        # with a basis of 3 t columns, and drop it after
+        # with a basis of 3 t columns, the numerical rank of the Gaussian
+        # gradients seen, and drop it after
         c = cfg("shampoo", e_l=0.25, e_r=0.5, beta2=0.95, block_in=3)
         rng = np.random.default_rng(32)
         g_seq = [rng.standard_normal((40, 6)) for _ in range(9)]
@@ -877,8 +942,9 @@ class TestFactorSpannedRoute:
             assert shampoo_step(plain, g, c).update.tobytes() == want.tobytes()
 
     def test_square_layer_takes_the_route_on_both_sides(self):
-        # a 40 x 40 gradient of batch 3 is spanned by 3 columns a side: the
-        # bases grow 3 columns a step until 3 t > 20, then both are released
+        # a 40 x 40 gradient of batch 3 is spanned by 3 Gaussian columns a
+        # side, of numerical rank 3: the bases grow 3 columns a step until
+        # 3 t > 20, then both are released
         c = cfg("shampoo", e_l=0.25, e_r=0.25, eps=1e-3)
         g_seq, f_seq = factored_gradients(np.random.default_rng(41), (40, 40), 3, 8)
         state = LayerState()
@@ -911,6 +977,139 @@ class TestFactorSpannedRoute:
         # 2 t <= 8 through step 4; steps 5 and 6 are dense on both sides
         assert len(seen) == 4
         assert all(q_l is None and q_r is None for q_l, q_r in seen)
+
+    @pytest.mark.parametrize("eps_mode", EPS_MODES)
+    @pytest.mark.parametrize("e_l,e_r", [(0.25, 0.25), (0.5, 0.5), (0.5, 0.25)])
+    def test_matches_dense_route_from_a_zero_left_span(self, eps_mode, e_l, e_r):
+        # a 48 x 48 layer with batch 12 (cutoff 24): the left basis has
+        # width 0 after step 1 and the right one the numerical rank of the
+        # tanh features, so the route lasts through step 3, where 12
+        # columns a side seen would end it after step 2
+        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode)
+        g_seq, f_seq = mup_like_gradients(np.random.default_rng(61), (48, 48), 12, 8)
+        dense = per_tile_shampoo(g_seq, c, cutoff=0.0)[0]
+        state, on_route = LayerState(), []
+        for t, (g, factors, want) in enumerate(zip(g_seq, f_seq, dense), start=1):
+            state.factors = factors
+            got = shampoo_step(state, g, c).update
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            block = state.blocks[0]
+            if t == 1:
+                assert not np.any(got)
+                assert block.q_l.shape == (48, 0)
+                assert block.q_r.shape == (48, np.linalg.matrix_rank(factors[1]))
+            on_route.append(block.q_l is not None and block.q_r is not None)
+        assert on_route[:3] == [True] * 3
+
+
+SPAN_KINDS = ("zero", "gauss", "repeat", "tanh")
+
+
+def band_span(kind, rng, w, b):
+    """An n x b spanning set of one row band: zero, Gaussian, Gaussian with
+    the last column repeating the first, or the features tanh(w x) of a
+    scalar x at b samples (numerically rank deficient for large b)."""
+    if kind == "zero":
+        return np.zeros((w.size, b))
+    if kind == "tanh":
+        return np.tanh(np.outer(w, rng.standard_normal(b)))
+    span = rng.standard_normal((w.size, b))
+    if kind == "repeat":
+        span[:, -1] = span[:, 0]
+    return span
+
+
+class TestRangeBasisGrowth:
+    """A range basis grows in place to hold the numerical range of the
+    spanning sets seen on its side: each tile's real columns stay
+    orthonormal, a tile group pads a tile that keeps fewer directions than
+    its others with zero columns, and every spanning set seen lies in its
+    tile's basis up to max(n, b) eps sigma_max(span)."""
+
+    def run(self, n, b, kinds, seed):
+        """Shampoo steps on a layer of len(kinds[0]) row bands of n rows,
+        left side only, whose bands are spanned by kinds[t - 1] at step t;
+        yields (t, left-basis stack, the spans seen so far per band) while
+        the side is on the route."""
+        bands = len(kinds[0])
+        c = cfg("shampoo", e_l=0.25, e_r=0.0, eps=1e-3, block_out=n)
+        rng = np.random.default_rng(seed)
+        w = 3.0 * rng.standard_normal((bands, n))
+        state, seen = LayerState(), [[] for _ in range(bands)]
+        for t, step_kinds in enumerate(kinds, start=1):
+            spans = [band_span(kind, rng, w[i], b) for i, kind in enumerate(step_kinds)]
+            left, right = np.vstack(spans), rng.standard_normal((2 * b + 1, b))
+            state.factors = (left, right)
+            shampoo_step(state, left @ right.T, c)
+            ((_, stacks),) = state.groups
+            if stacks.q_l is None:
+                return
+            for i, span in enumerate(spans):
+                seen[i].append(span)
+            yield t, stacks.q_l, seen
+
+    def check_tile(self, q, spans):
+        """q's nonzero columns are orthonormal to 1e-12 and hold every span
+        up to its rank tolerance; returns how many columns are nonzero."""
+        real = np.any(q != 0.0, axis=0)
+        assert np.abs(q.T @ q - np.diag(real.astype(float))).max(initial=0.0) <= 1e-12
+        for span in spans:
+            n, b = span.shape
+            top = np.linalg.norm(span, 2)
+            gap = np.linalg.norm(span - q @ (q.T @ span), 2)
+            assert gap <= 2.0 * max(n, b) * np.finfo(float).eps * top
+        return int(real.sum())
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(4, 40),
+        b=st.integers(1, 12),
+        bands=st.integers(1, 3),
+        data=st.data(),
+        zero_first=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_basis_holds_every_span_orthonormally(self, n, b, bands, data, zero_first, seed):
+        b = min(b, n // 2)  # enters the route at step 1
+        kinds = data.draw(st.lists(st.lists(st.sampled_from(SPAN_KINDS), min_size=bands,
+                                            max_size=bands), min_size=1, max_size=6))
+        if zero_first:
+            kinds[0] = ["zero"] * bands
+        for t, q, seen in self.run(n, b, kinds, seed):
+            assert q.shape[-1] <= RANGE_BASIS_MAX_FRACTION * n
+            counts = [self.check_tile(q[i, 0], seen[i]) for i in range(bands)]
+            if t == 1 and zero_first:
+                assert q.shape[-1] == 0
+            for count, spans in zip(counts, seen):
+                # no tile holds more directions than its spans' numerical
+                # ranks add up to, so one that saw only zero spans holds none
+                assert count <= sum(np.linalg.matrix_rank(span) for span in spans)
+
+    def test_tiles_of_one_group_differ_in_rank(self):
+        # three 64-row bands, batch 16: one always zero, one of tanh
+        # features, one Gaussian. The group grows by the largest count, the
+        # Gaussian band's 16 a step, until 16 t > 32
+        kinds = [("zero", "tanh", "gauss")] * 3
+        widths = []
+        for t, q, seen in self.run(64, 16, kinds, seed=62):
+            counts = [self.check_tile(q[i, 0], seen[i]) for i in range(3)]
+            assert counts[0] == 0 and 0 < counts[1] < counts[2] == 16 * t
+            widths.append(q.shape[-1])
+        assert widths == [16, 32]
+
+    def test_zero_then_rank_deficient_spans_grow_by_numerical_rank(self):
+        # one 64-row band: a zero span at step 1, then tanh features of 32
+        # samples, whose numerical rank is well below 32; later steps add
+        # a few directions or none, as the features of new samples nearly
+        # lie in the span of the old ones: 128 columns seen, under 32 kept
+        kinds = [("zero",)] + [("tanh",)] * 4
+        widths = []
+        for t, q, seen in self.run(64, 32, kinds, seed=63):
+            assert self.check_tile(q[0, 0], seen[0]) == q.shape[-1]
+            widths.append(q.shape[-1])
+        assert len(widths) == 5 and widths[0] == 0
+        assert 0 < widths[1] == np.linalg.matrix_rank(seen[0][1]) < 32
+        assert widths == sorted(widths) and widths[-1] < 32
 
 
 # (left, right, gradient shape) triples that do not factor the gradient
@@ -1064,8 +1263,9 @@ class TestMuonRoute:
     one up to round-off; past the cutoff it is the dense one bit for bit."""
 
     def test_matches_dense_route_across_the_cutoff(self):
-        # n = 64 and B = 4: both sides take the route while 4 t <= 32; the
-        # left factor is zero at step 1, as a zero-init readout makes fc2's
+        # n = 64 and B = 4: the left factor is zero at step 1, as a
+        # zero-init readout makes fc2's, so the left basis holds 4 (t - 1)
+        # columns and the right one 4 t; both stay while 4 t <= 32
         c = cfg("muon")
         g_seq, f_seq = factored_gradients(np.random.default_rng(51), (64, 64), 4, 12, 1)
         route, dense = LayerState(), LayerState()
@@ -1074,14 +1274,36 @@ class TestMuonRoute:
             got, want = muon_step(route, g, c), muon_step(dense, g, c)
             block = route.blocks[0]
             if 4 * t <= RANGE_BASIS_MAX_FRACTION * 64:
-                assert block.q_l.shape == block.q_r.shape == (64, 4 * t)
-                assert got.core.shape == (4 * t, 4 * t)
+                assert block.q_l.shape == (64, 4 * (t - 1))
+                assert block.q_r.shape == (64, 4 * t)
+                assert got.core.shape == (4 * (t - 1), 4 * t)
                 assert close(got.update, want.update, 1e-12)
                 assert abs(got.spec - want.spec) <= 1e-12 * want.spec
                 assert abs(got.srank - want.srank) <= 1e-12 * want.srank
             else:
                 assert block.q_l is None and block.q_r is None and got.core is None
                 assert got.update.tobytes() == want.update.tobytes()
+
+    @pytest.mark.parametrize("beta1", [0.0, 0.95])
+    def test_matches_dense_route_from_a_zero_left_span(self, beta1):
+        # a 64 x 64 layer with batch 16 (cutoff 32): step 1 has a width-0
+        # left basis and a zero core, and the rank-deficient tanh features
+        # keep the right basis narrow, so the route lasts through step 3,
+        # where 16 columns a side seen would end it after step 2
+        c = cfg("muon", beta1=beta1)
+        g_seq, f_seq = mup_like_gradients(np.random.default_rng(64), (64, 64), 16, 10)
+        route, dense, on_route = LayerState(), LayerState(), []
+        for t, (g, factors) in enumerate(zip(g_seq, f_seq), start=1):
+            route.factors = factors
+            got, want = muon_step(route, g, c), muon_step(dense, g, c)
+            if t == 1:
+                assert got.core.shape == (0, np.linalg.matrix_rank(factors[1]))
+                assert not np.any(got.update) and not np.any(want.update)
+                continue
+            assert close(got.update, want.update, 1e-12)
+            assert abs(got.spec - want.spec) <= 1e-12 * want.spec
+            on_route.append(got.core is not None)
+        assert on_route[:2] == [True] * 2
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1135,7 +1357,8 @@ class TestMuonRoute:
         left, right = np.zeros((16, 2)), np.random.default_rng(54).standard_normal((16, 2))
         state = LayerState(factors=(left, right))
         report = muon_step(state, left @ right.T, cfg("muon"))
-        assert state.blocks[0].q_l.shape == (16, 2) and report.core.shape == (2, 2)
+        # a zero left span gives a left basis of width 0 and a 0 x 2 core
+        assert state.blocks[0].q_l.shape == (16, 0) and report.core.shape == (0, 2)
         assert not np.any(report.update) and not np.any(report.core)
         assert report.frob == report.spec == report.srank == 0.0
 
