@@ -210,6 +210,17 @@ def ns_schedule(iters: int) -> tuple[bool, ...]:
     return (False,) * quintic + (True,) * (iters - quintic)
 
 
+def ns_flop(shape: tuple[int, int], iters: int) -> int:
+    """Matmul flops of newton_schulz on a nonzero input of this shape.
+
+    With X n x k, n >= k after transposing, every iteration forms the Gram
+    X^T X and the product X G, 4 n k^2 together, and a quintic one also
+    squares the Gram, 2 k^3 more (ns_schedule). A side of size 0 gives 0.
+    """
+    n, k = max(shape), min(shape)
+    return sum(4 * n * k * k + (0 if polish else 2 * k**3) for polish in ns_schedule(iters))
+
+
 def newton_schulz(m: Matrix, iters: int = 5, eps: float = NS_DEFAULT_EPS) -> Matrix:
     """Approximate msign(M) = U V^T from the reduced SVD M = U S V^T.
 

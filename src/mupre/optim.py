@@ -30,6 +30,7 @@ from .linalg import (
     as_matrix,
     inv_power,
     newton_schulz,
+    ns_flop,
     power_iter_step,
     range_inv_power_apply,
     spectral_norm_exact,
@@ -37,16 +38,14 @@ from .linalg import (
 )
 from .scaling import BlockPartition, TileGroup
 
-# Shampoo decomposes a factor side of size n inside the span of its
-# gradients while the numerical rank of that span is at most this fraction
-# of n (_range_basis), and Muon orthogonalizes inside the spans of both
-# sides under the same rule (muon_step). Timed with one BLAS thread on a
-# 2-vCPU Xeon at n = 512, growing a basis of 0.5 n columns by 32, best of
-# 7: Shampoo's route, the growth included, took 34-39 ms a side against
-# 59-63 ms for the dense route, and breaks even near 0.75 n; Muon's route,
-# both sides' growth included, took 33-40 ms against 82-87 ms for the
-# dense Newton-Schulz, still won at 0.75 n (70-85 ms against 88-115 ms)
-# and breaks even near 0.8 n.
+# A side of size n enters the range-basis route at step 1 when its first
+# spanning set has at most this fraction of n columns, for Shampoo and
+# Muon alike (_range_basis). Shampoo's side also leaves the route once its
+# basis is wider than this fraction; Muon leaves by its flop count instead
+# (muon_route_flop). Timed with one BLAS thread on a 2-vCPU Xeon at
+# n = 512, growing a basis of 0.5 n columns by 32, best of 7, Shampoo's
+# route, the growth included, took 34-39 ms a side against 59-63 ms for
+# the dense route, and breaks even near 0.75 n.
 RANGE_BASIS_MAX_FRACTION = 0.5
 
 # Largest relative Frobenius gap between a gradient and the product of the
@@ -97,13 +96,14 @@ class BlockState:
     hold the factors' eigenbases. For Shampoo, q_l or q_r holds an
     orthonormal basis of the numerical range of the spanning sets seen on
     that side (the tile's gradient columns, or the row slice of the
-    gradient's factor on that side; see _range_basis), which grows in
+    gradient's factor on that side; see _spans), which grows in
     place, while the side takes the range-basis route, and is None after
     it. A tile that needs fewer columns than its group's widest holds zero
     columns in their place, and a zero span gives a basis of width 0. l
     and r stay the dense EMAs either way. Muon keeps only q_l and q_r, of
-    its one whole-matrix tile, while both sides take the route
-    (_muon_bases). A field is None until its first use.
+    its one whole-matrix tile, while the layer takes the route
+    (_muon_bases); they may grow to the full side there. A field is None
+    until its first use.
     """
 
     l: Matrix | None = None
@@ -293,24 +293,28 @@ def _take_factors(
     return left, right
 
 
-def _factor_spans(
-    group: TileGroup, factors: tuple[Matrix, Matrix] | None
-) -> dict[str, np.ndarray | None]:
-    """Per side, the row slice of the gradient's factor on that side for
-    each tile of the group: left's rows of the tile's row band on side "l",
-    right's rows of its column band on side "r", as broadcast stacks.
-    Without factors both are None."""
+def _spans(
+    group: TileGroup, gb: np.ndarray, factors: tuple[Matrix, Matrix] | None
+) -> dict[str, np.ndarray]:
+    """Per side, a spanning set of each tile's gradient on that side, as a
+    stack: the row slice of the gradient's factor on that side (left's
+    rows of the tile's row band on side "l", right's rows of its column
+    band on side "r") when it has fewer columns than the tile's other
+    side, else the tile's own gradient columns (of G on side "l", of G^T
+    on side "r"). gb is the group's gradient stack."""
+    spans = {"l": gb, "r": gb.swapaxes(-1, -2)}
     if factors is None:
-        return {"l": None, "r": None}
+        return spans
     left, right = factors
     (n_down, n_across), (b_out, b_in) = group.grid, group.shape
     b = left.shape[1]
-    span_l = left[group.row:group.row + n_down * b_out].reshape(n_down, 1, b_out, b)
-    span_r = right[group.col:group.col + n_across * b_in].reshape(1, n_across, b_in, b)
-    return {
-        "l": np.broadcast_to(span_l, (n_down, n_across, b_out, b)),
-        "r": np.broadcast_to(span_r, (n_down, n_across, b_in, b)),
-    }
+    if b < b_in:
+        span_l = left[group.row:group.row + n_down * b_out].reshape(n_down, 1, b_out, b)
+        spans["l"] = np.broadcast_to(span_l, (n_down, n_across, b_out, b))
+    if b < b_out:
+        span_r = right[group.col:group.col + n_across * b_in].reshape(1, n_across, b_in, b)
+        spans["r"] = np.broadcast_to(span_r, (n_down, n_across, b_in, b))
+    return spans
 
 
 def _new_directions(q: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -344,39 +348,34 @@ def _new_directions(q: np.ndarray, span: np.ndarray) -> np.ndarray:
 
 
 def _range_basis(
-    stacks: BlockState, side: str, gb: np.ndarray, span: np.ndarray | None, t: int
+    stacks: BlockState, side: str, span: np.ndarray, t: int, wide: bool = False
 ) -> np.ndarray | None:
     """The group's orthonormal basis stack for one side at step t, or None
     when the side takes the dense route.
 
-    A side of size n whose tile's other side is k gets a spanning set of
-    the step's gradient on that side: span, the row slice of the
-    gradient's factor, when it has fewer than k columns, else the tile's k
-    gradient columns. The basis, kept in the side's q stack, holds the
-    numerical range of the spanning sets seen so far. It grows in place:
-    each step appends the directions of the step's set that it lacks
-    (_new_directions) and leaves its columns as they are, so a zero set
-    adds none and a rank-deficient one adds its numerical rank. A side
+    The basis, kept in the side's q stack, holds the numerical range of
+    the spanning sets seen so far on a side of size n (_spans). It grows in
+    place: each step appends the directions of the step's set that it
+    lacks (_new_directions) and leaves its columns as they are, so a zero
+    set adds none and a rank-deficient one adds its numerical rank. A side
     enters the route at step 1 when its spanning set has at most
     cutoff = floor(RANGE_BASIS_MAX_FRACTION n) columns (a zero set gives a
     basis of width 0) and stays on it while the basis is at most cutoff
-    wide. Past that the basis is released and the side takes the dense
-    route, as it does for a state that holds no basis after step 1 (one
-    built by hand), since a basis started late would miss the earlier
-    gradients.
+    wide, or, when wide is set, for as long as the caller keeps the basis
+    (Muon's rule, _muon_bases). Past that the basis is released and the
+    side takes the dense route, as it does for a state that holds no basis
+    after step 1 (one built by hand), since a basis started late would
+    miss the earlier gradients.
     """
-    g_side = gb if side == "l" else gb.swapaxes(-1, -2)
-    n, k = g_side.shape[-2:]
-    if span is None or span.shape[-1] >= k:
-        span = g_side
     name = "q_" + side
-    cutoff = int(RANGE_BASIS_MAX_FRACTION * n)
+    cutoff = int(RANGE_BASIS_MAX_FRACTION * span.shape[-2])
     q = getattr(stacks, name) if t > 1 else None
     if t == 1 and span.shape[-1] <= cutoff:
         q = np.empty(span.shape[:-1] + (0,))
     if q is not None:
-        d = _new_directions(q, span)
-        q = np.concatenate((q, d), axis=-1) if q.shape[-1] + d.shape[-1] <= cutoff else None
+        q = np.concatenate((q, _new_directions(q, span)), axis=-1)
+        if q.shape[-1] > cutoff and not wide:
+            q = None
     setattr(stacks, name, q)
     return q
 
@@ -439,9 +438,8 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
                  if e > 0.0]
         # every side's basis first, so a side that leaves the route releases
         # its basis before any dense decomposition of this step
-        spans = _factor_spans(group, factors)
-        bases = [_range_basis(stacks, side, gb, spans[side], state.t)
-                 for side, _, _ in sides]
+        spans = _spans(group, gb, factors)
+        bases = [_range_basis(stacks, side, spans[side], state.t) for side, _, _ in sides]
         upd = group.view(m) / corr1
         zero = np.zeros(group.grid, dtype=bool)
         # one side's root is released before the other's is formed
@@ -517,30 +515,61 @@ def soap_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
     return UpdateReport(out)
 
 
+def muon_route_flop(
+    shape: tuple[int, int], before: tuple[int, int], after: tuple[int, int],
+    span_cols: tuple[int, int], iters: int,
+) -> int:
+    """Matmul flops of one muon_step on the range-basis route, for a
+    d_out x d_in layer whose bases (Q_l, Q_r) grow from before to after
+    columns, (r_l, r_r), by spanning sets of span_cols columns.
+
+    Each side's growth (_new_directions) projects its n x b set out of the
+    r columns held twice, 8 n r b, forms the c = after - before kept
+    directions, 2 n b c, and projects them out once more, 4 n r c. The
+    core Q_l^T m Q_r takes 2 r_l d_in (d_out + r_r), newton_schulz on it
+    ns_flop((r_l, r_r), iters), and the update Q_l C Q_r^T
+    2 d_out r_r (r_l + d_in).
+    """
+    growth = sum(n * (8 * r * b + 2 * b * (a - r) + 4 * r * (a - r))
+                 for n, r, a, b in zip(shape, before, after, span_cols))
+    (d_out, d_in), (r_l, r_r) = shape, after
+    return (growth + 2 * r_l * d_in * (d_out + r_r) + ns_flop(after, iters)
+            + 2 * d_out * r_r * (r_l + d_in))
+
+
 def _muon_bases(
-    state: LayerState, g: Matrix, factors: tuple[Matrix, Matrix] | None
+    state: LayerState, g: Matrix, factors: tuple[Matrix, Matrix] | None, iters: int
 ) -> tuple[Matrix, Matrix] | None:
     """Orthonormal bases (Q_l, Q_r) of the numerical range of the spanning
     sets seen so far on both sides of the layer's one whole-matrix tile,
     or None when the layer takes the dense route, which then holds no
     basis.
 
-    Each side follows Shampoo's rule (_range_basis). The route needs both
-    sides, and the smaller side's cutoff is the lower one, so it goes
-    first: a layer it keeps off the route at step 1, such as a d x 1
-    layer, pays for no basis.
+    Each side enters the route at step 1 under Shampoo's rule
+    (_range_basis). The route needs both sides, and the smaller side's
+    cutoff is the lower one, so it goes first: a layer it keeps off the
+    route, such as a d x 1 layer, pays for no basis. After both bases grow,
+    the layer stays on the route while its matmul flops (muon_route_flop)
+    are below those of newton_schulz on the d_out x d_in momentum
+    (ns_flop). Once they are not, both bases are released for good.
     """
     ((group, stacks),) = _group_states(state, BlockPartition(*g.shape))
-    spans = _factor_spans(group, factors)
-    gb = group.view(g)
-    bases = {}
+    spans = _spans(group, group.view(g), factors)
+    widths = {}
     for side in ("l", "r") if g.shape[0] <= g.shape[1] else ("r", "l"):
-        q = _range_basis(stacks, side, gb, spans[side], state.t)
+        held = getattr(stacks, "q_" + side)
+        before = 0 if held is None or state.t == 1 else held.shape[-1]
+        q = _range_basis(stacks, side, spans[side], state.t, wide=True)
         if q is None:
-            stacks.q_l = stacks.q_r = None
-            return None
-        bases[side] = q[0, 0]
-    return bases["l"], bases["r"]
+            break
+        widths[side] = (before, q.shape[-1])
+    else:
+        before, after = zip(widths["l"], widths["r"])
+        cols = (spans["l"].shape[-1], spans["r"].shape[-1])
+        if muon_route_flop(g.shape, before, after, cols, iters) < ns_flop(g.shape, iters):
+            return stacks.q_l[0, 0], stacks.q_r[0, 0]
+    stacks.q_l = stacks.q_r = None
+    return None
 
 
 def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -553,15 +582,17 @@ def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
     Q_l newton_schulz(core) Q_r^T, which equals newton_schulz(m_t) up to
     round-off, since the iteration maps X to X p(X^T X); the report keeps
     the orthogonalized core. A side of width 0, whose spans were all zero,
-    gives a zero core and a zero update, as m_t is zero. Past the cutoff,
-    or without factors, the n x n momentum is orthogonalized.
+    gives a zero core and a zero update, as m_t is zero. Once that route
+    would cost no fewer matmul flops than the dense iteration, and from
+    then on, or without factors, the d_out x d_in momentum is
+    orthogonalized.
     """
     g = as_matrix(g, "gradient")
     out = np.empty_like(g)  # the factor check's scratch, then the update
     factors = _take_factors(state, g, out)
     state.t += 1
     m = _update_first_moment(state, g, cfg.beta1)
-    bases = _muon_bases(state, g, factors)
+    bases = _muon_bases(state, g, factors, cfg.ns_iters)
     if bases is None:
         del out  # not alive beside the dense iteration's temporaries
         return UpdateReport(newton_schulz(m, cfg.ns_iters, cfg.eps))

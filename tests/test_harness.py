@@ -26,9 +26,9 @@ from mupre.harness import (
     run_training,
 )
 from mupre.config import FieldError, OptimizerConfig, SweepConfig
-from mupre.linalg import NonFiniteError
+from mupre.linalg import NonFiniteError, ns_flop
 from mupre.models import MlpModel
-from mupre.optim import LayerState, optimizer_step
+from mupre.optim import LayerState, muon_route_flop, optimizer_step
 from mupre.scaling import (
     LayerHyper,
     LayerSpec,
@@ -497,30 +497,49 @@ class TestRunTraining:
         res = run_training(smoke_cfg(), 8, 1, 0.05, seed=0)
         assert res.diverged and res.steps_completed == 3
 
+    @staticmethod
+    def muon_ns_shapes(monkeypatch, width, steps):
+        """The input shape of every newton_schulz call of a Muon mup run at
+        this width with batch 32, in call order, and the run's result."""
+        shapes = []
+        ns = optim.newton_schulz
+        monkeypatch.setattr(optim, "newton_schulz", lambda m, *a: shapes.append(m.shape) or ns(m, *a))
+        cfg = smoke_cfg(widths=(width,), steps=steps, batch_size=32, probe_steps=(2, steps))
+        res = run_training(cfg, width, 1, 0.05, seed=0)
+        assert not res.diverged and len(shapes) == 3 * steps
+        return shapes, res
+
     def test_muon_takes_the_route_while_it_pays(self, monkeypatch):
         # at width 256 and batch 32, fc2's bases hold the numerical range of
         # its batch factors: the zero-init readout makes the left factor
         # zero at step 1, each step adds at most 32 columns a side, and the
         # tanh features of the scalar input are numerically rank deficient,
-        # so both bases stay within 128 columns for all 6 steps. fc1 and
-        # readout, with a side of 1, stay dense. The route tiles nothing.
-        shapes = []
-        ns = optim.newton_schulz
-        monkeypatch.setattr(optim, "newton_schulz", lambda m, *a: shapes.append(m.shape) or ns(m, *a))
-
+        # so the route's flops stay below the dense iteration's for all 6
+        # steps. fc1 and readout, with a side of 1, stay dense. The route
+        # tiles nothing.
         def no_tiles(*args):
             raise AssertionError("muon_step called block_partition")
 
         monkeypatch.setattr(optim, "block_partition", no_tiles)
-        cfg = smoke_cfg(widths=(256,), steps=6, batch_size=32, probe_steps=(2, 6))
-        res = run_training(cfg, 256, 1, 0.05, seed=0)
-        assert not res.diverged and len(shapes) == 3 * 6
+        shapes, res = self.muon_ns_shapes(monkeypatch, 256, 6)
         assert shapes[0::3] == [(256, 1)] * 6 and shapes[2::3] == [(1, 256)] * 6
         cores = shapes[1::3]
         assert cores[0][0] == 0 and 0 < cores[0][1] <= 32
-        for before, after in zip(cores, cores[1:]):
-            assert all(a <= b <= min(a + 32, 128) for a, b in zip(before, after))
+        dense = ns_flop((256, 256), 5)
+        for before, after in zip([(0, 0)] + cores, cores):
+            assert all(a <= b <= a + 32 for a, b in zip(before, after))
+            assert muon_route_flop((256, 256), before, after, (32, 32), 5) < dense
         assert all(math.isfinite(r.spec_norm) for r in res.records)
+
+    def test_muon_route_lasts_at_rankscan_shape(self, monkeypatch):
+        # rankscan-muon's widest run, width 512 with batch 32 for 20 steps:
+        # fc2 never orthogonalizes its 512 x 512 momentum, and each side of
+        # its core grows by at most the 32 columns of a step's factors
+        shapes, _ = self.muon_ns_shapes(monkeypatch, 512, 20)
+        cores = shapes[1::3]
+        assert (512, 512) not in cores
+        for before, after in zip([(0, 0)] + cores, cores):
+            assert all(a <= b <= a + 32 for a, b in zip(before, after))
 
     def test_record_every_densifies(self):
         cfg = smoke_cfg(steps=6, record_every=2, probe_steps=(3,))

@@ -13,7 +13,9 @@ from mupre.linalg import (
     inv_power,
     mat_inv_power,
     range_inv_power_apply,
+    NS_POLISH_STEPS,
     newton_schulz,
+    ns_flop,
     ns_schedule,
     power_iter_step,
     spectral_norm_exact,
@@ -324,6 +326,39 @@ def textbook_newton_schulz(m, iters, eps=NS_DEFAULT_EPS):
         else:
             x = a * x + x @ (b * g + c * (g @ g))
     return x.T if transposed else x
+
+
+class Tally(np.ndarray):
+    """An array that adds the flops of each matrix product it takes to
+    Tally.flop."""
+
+    flop = 0
+
+    def __matmul__(self, other):
+        Tally.flop += 2 * self.shape[0] * self.shape[1] * other.shape[1]
+        return np.matmul(self.view(np.ndarray), np.asarray(other)).view(Tally)
+
+
+class TestNsFlop:
+    """ns_flop counts the matmul flops of the iteration from its shape and
+    schedule."""
+
+    @pytest.mark.parametrize("shape", [(12, 5), (5, 12), (7, 7), (9, 1)])
+    @pytest.mark.parametrize("iters", range(1, 7))
+    def test_counts_the_textbook_products(self, shape, iters):
+        Tally.flop = 0
+        m = np.random.default_rng(iters).standard_normal(shape)
+        textbook_newton_schulz(m.view(Tally), iters)
+        assert ns_flop(shape, iters) == Tally.flop
+
+    @pytest.mark.parametrize("iters", range(1, NS_POLISH_STEPS + 1))
+    def test_short_runs_are_all_quintic(self, iters):
+        n, k = 12, 5
+        assert ns_flop((n, k), iters) == ns_flop((k, n), iters) == iters * (4 * n * k * k + 2 * k**3)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_zero_size_side_costs_nothing(self, shape):
+        assert ns_flop(shape, 5) == 0
 
 
 class TestNewtonSchulzInPlace:

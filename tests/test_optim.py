@@ -17,6 +17,7 @@ from mupre.linalg import (
     NonFiniteError,
     PowerIterState,
     mat_inv_power,
+    ns_flop,
     spectral_norm_exact,
     sym_eig,
     sym_eig_stack,
@@ -32,6 +33,7 @@ from mupre.optim import (
     apply_weight_decay,
     block_partition,
     graft,
+    muon_route_flop,
     muon_step,
     optimizer_step,
     rms_normalize,
@@ -1258,31 +1260,56 @@ def close(got, want, tol):
 
 class TestMuonRoute:
     """Given the gradients' batch factors, Muon orthogonalizes the core
-    Q_l^T m Q_r while the bases of both sides stay within
-    RANGE_BASIS_MAX_FRACTION of their side, and its update is the dense
-    one up to round-off; past the cutoff it is the dense one bit for bit."""
+    Q_l^T m Q_r while that costs fewer flops than the dense iteration, and
+    its update is the dense one up to round-off; after that it is the
+    dense one bit for bit."""
 
     def test_matches_dense_route_across_the_cutoff(self):
         # n = 64 and B = 4: the left factor is zero at step 1, as a
         # zero-init readout makes fc2's, so the left basis holds 4 (t - 1)
-        # columns and the right one 4 t; both stay while 4 t <= 32
+        # columns and the right one 4 t while the route's flops stay below
+        # the dense iteration's 6.82e6. At step 15 the bases (56, 60)
+        # would cost 6.96e6, so that step and every one after it is dense
         c = cfg("muon")
-        g_seq, f_seq = factored_gradients(np.random.default_rng(51), (64, 64), 4, 12, 1)
-        route, dense = LayerState(), LayerState()
+        dense_flop = ns_flop((64, 64), c.ns_iters)
+        g_seq, f_seq = factored_gradients(np.random.default_rng(51), (64, 64), 4, 20, 1)
+        route, dense, exits = LayerState(), LayerState(), []
         for t, (g, factors) in enumerate(zip(g_seq, f_seq), start=1):
             route.factors = factors
             got, want = muon_step(route, g, c), muon_step(dense, g, c)
             block = route.blocks[0]
-            if 4 * t <= RANGE_BASIS_MAX_FRACTION * 64:
-                assert block.q_l.shape == (64, 4 * (t - 1))
-                assert block.q_r.shape == (64, 4 * t)
-                assert got.core.shape == (4 * (t - 1), 4 * t)
+            before, after = (max(4 * t - 8, 0), 4 * t - 4), (4 * t - 4, 4 * t)
+            if not exits and muon_route_flop((64, 64), before, after, (4, 4), c.ns_iters) < dense_flop:
+                assert block.q_l.shape == (64, after[0]) and block.q_r.shape == (64, after[1])
+                assert got.core.shape == after
                 assert close(got.update, want.update, 1e-12)
                 assert abs(got.spec - want.spec) <= 1e-12 * want.spec
                 assert abs(got.srank - want.srank) <= 1e-12 * want.srank
             else:
+                exits.append(t)
                 assert block.q_l is None and block.q_r is None and got.core is None
                 assert got.update.tobytes() == want.update.tobytes()
+        assert exits == list(range(15, 21))
+
+    def test_lopsided_bases_stay_on_the_route(self):
+        # the left factors share two directions and the right ones add 4 a
+        # step, so by step 16 the right basis is the whole side while the
+        # left one holds 2 columns: a 2 x 64 core costs far fewer flops
+        # than the dense iteration, and the route lasts all 20 steps
+        c = cfg("muon")
+        rng = np.random.default_rng(55)
+        shared = rng.standard_normal((64, 2)) / 64.0
+        route, dense = LayerState(), LayerState()
+        for t in range(1, 21):
+            left, right = shared @ rng.standard_normal((2, 4)), rng.standard_normal((64, 4))
+            g = left @ right.T
+            route.factors = (left, right)
+            got, want = muon_step(route, g, c), muon_step(dense, g, c)
+            assert got.core.shape == (2, min(4 * t, 64))
+            assert close(got.update, want.update, 1e-12)
+            assert abs(got.spec - want.spec) <= 1e-12 * want.spec
+        q_r = route.blocks[0].q_r
+        assert np.allclose(q_r.T @ q_r, np.eye(64), atol=1e-12)
 
     @pytest.mark.parametrize("beta1", [0.0, 0.95])
     def test_matches_dense_route_from_a_zero_left_span(self, beta1):
@@ -1313,9 +1340,11 @@ class TestMuonRoute:
         seed=st.integers(0, 2**16),
     )
     def test_matches_dense_route(self, shape, b, beta1, seed):
-        # the run ends two steps past the cutoff of the larger side
+        # the run lasts until both bases would hold their whole side, where
+        # the route costs more flops than the dense iteration, so every
+        # example that takes the route leaves it by the last step
         c = cfg("muon", beta1=beta1)
-        steps = int(RANGE_BASIS_MAX_FRACTION * max(shape)) // b + 2
+        steps = -(-max(shape) // b) + 1
         g_seq, f_seq = factored_gradients(np.random.default_rng(seed), shape, b, steps)
         route, dense = LayerState(), LayerState()
         for g, factors in zip(g_seq, f_seq):
@@ -1323,6 +1352,7 @@ class TestMuonRoute:
             got, want = muon_step(route, g, c), muon_step(dense, g, c)
             assert close(got.update, want.update, 1e-12)
             assert abs(got.spec - want.spec) <= 1e-12 * want.spec
+        assert got.core is None
 
     @pytest.mark.parametrize("shape", [(64, 1), (1, 64), (64, 7), (7, 64)])
     def test_narrow_layers_stay_dense_without_qr(self, shape, monkeypatch):
