@@ -186,6 +186,23 @@ def range_inv_power_apply(
     return m
 
 
+def range_inv_power(dec: EigDecomp, e: float, eps) -> np.ndarray:
+    """Q^T (A + eps I)^(-e) Q for each A = Q S Q^T of a stack, with Q and
+    dec as in range_inv_power_apply; eps is one shift or one per matrix,
+    e > 0.
+
+    The root leaves Q's range invariant, so this r x r compression is
+    W diag((lam + eps)^(-e)) W^T, and (A + eps I)^(-e) M = Q P Q^T M for
+    any M whose columns lie in that range. As in range_inv_power_apply,
+    the complement of Q is never empty, so a zero shift is singular and
+    raises numpy.linalg.LinAlgError.
+    """
+    p = inv_power(dec, e, eps)
+    if np.any(np.asarray(eps) == 0.0):
+        raise np.linalg.LinAlgError(_SINGULAR)
+    return p
+
+
 def mat_inv_power(a: Matrix, e: float, eps: float) -> Matrix:
     """(A + eps I)^(-e) for symmetric PSD A via sym_eig and inv_power.
 

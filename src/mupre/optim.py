@@ -32,6 +32,7 @@ from .linalg import (
     newton_schulz,
     ns_flop,
     power_iter_step,
+    range_inv_power,
     range_inv_power_apply,
     spectral_norm_exact,
     sym_eig_stack,
@@ -42,10 +43,12 @@ from .scaling import BlockPartition, TileGroup
 # spanning set has at most this fraction of n columns, for Shampoo and
 # Muon alike (_range_basis). Shampoo's side also leaves the route once its
 # basis is wider than this fraction; Muon leaves by its flop count instead
-# (muon_route_flop). Timed with one BLAS thread on a 2-vCPU Xeon at
-# n = 512, growing a basis of 0.5 n columns by 32, best of 7, Shampoo's
-# route, the growth included, took 34-39 ms a side against 59-63 ms for
-# the dense route, and breaks even near 0.75 n.
+# (muon_route_flop). Timed with one BLAS thread on a 2-vCPU Xeon, one
+# Shampoo step of a 512 x 512 layer given B = 32 factors, both bases
+# square and grown by 32 columns to r, best of 7: the route, with its
+# compressed factors and r x r core, took 46 ms at r = 0.5 n against
+# 115 ms for the dense step, and breaks even near 0.9 n (106 ms at
+# r = 0.875 n, 131 ms at r = 0.94 n).
 RANGE_BASIS_MAX_FRACTION = 0.5
 
 # Largest relative Frobenius gap between a gradient and the product of the
@@ -91,19 +94,21 @@ class BlockState:
     shaped (tiles down, tiles across, rows, cols), or of one tile, each
     field that tile's matrix (LayerState.blocks).
 
-    l and r are the dense EMAs of G G^T and G^T G for Shampoo and SOAP; v
-    is SOAP's second moment in the rotated space. For SOAP, q_l and q_r
-    hold the factors' eigenbases. For Shampoo, q_l or q_r holds an
-    orthonormal basis of the numerical range of the spanning sets seen on
-    that side (the tile's gradient columns, or the row slice of the
-    gradient's factor on that side; see _spans), which grows in
-    place, while the side takes the range-basis route, and is None after
-    it. A tile that needs fewer columns than its group's widest holds zero
-    columns in their place, and a zero span gives a basis of width 0. l
-    and r stay the dense EMAs either way. Muon keeps only q_l and q_r, of
-    its one whole-matrix tile, while the layer takes the route
-    (_muon_bases); they may grow to the full side there. A field is None
-    until its first use.
+    For SOAP, l and r are the dense EMAs of G G^T and G^T G, q_l and q_r
+    hold their eigenbases, and v is the second moment in the rotated
+    space. For Shampoo, q_l or q_r holds an orthonormal basis Q of the
+    numerical range of the spanning sets seen on that side (the tile's
+    gradient columns, or the row slice of the gradient's factor on that
+    side; see _spans), which grows in place, while the side takes the
+    range-basis route, and is None after it. A tile that needs fewer
+    columns than its group's widest holds zero columns in their place, and
+    a zero span gives a basis of width 0. While a side holds a basis, its
+    l or r is the EMA compressed to it, S = Q^T A Q, r x r for Q's r
+    columns; otherwise it is the dense n x n EMA A, which a side leaving
+    the route expands once from Q S Q^T (_advance_factor). A side with
+    exponent 0 keeps no factor. Muon keeps only q_l and q_r, of its one
+    whole-matrix tile, while the layer takes the route (_muon_bases); they
+    may grow to the full side there. A field is None until its first use.
     """
 
     l: Matrix | None = None
@@ -140,10 +145,13 @@ class LayerState:
     @property
     def blocks(self) -> list[BlockState]:
         """Each tile's view of its group's stacks, in row-major tile order;
-        empty before the first shampoo/soap step."""
+        empty before the first shampoo/soap step. A Shampoo factor
+        compressed to its range basis is given dense, as the new array
+        Q S Q^T (_expanded), so every tile's l and r are n x n EMAs."""
         tiles = {}
         for group, stacks in self.groups:
-            arrays = [getattr(stacks, f.name) for f in fields(BlockState)]
+            dense = {side: _dense_factor(stacks, side, n) for side, n in zip("lr", group.shape)}
+            arrays = [dense.get(f.name, getattr(stacks, f.name)) for f in fields(BlockState)]
             for k, i in enumerate(group.indices):
                 at = divmod(k, group.grid[1])
                 tiles[i] = BlockState(*(None if a is None else a[at] for a in arrays))
@@ -224,16 +232,16 @@ def _group_states(state: LayerState, part: BlockPartition) -> list[tuple[TileGro
     return state.groups
 
 
-def _factor_ema(stacks: BlockState, side: str, gb: np.ndarray, beta2: float) -> np.ndarray:
-    """Advance the group's factor EMA on one side in place and return the
-    stack: L <- beta2 L + (1 - beta2) G G^T on side "l",
-    R <- beta2 R + (1 - beta2) G^T G on side "r".
+def _factor_ema(stacks: BlockState, side: str, root: np.ndarray, beta2: float) -> np.ndarray:
+    """Advance the group's factor stack on one side in place and return it:
+    acc <- beta2 acc + (1 - beta2) K K^T for the stack K = root, such as G
+    on side "l" and G^T on side "r".
 
-    NumPy forms G G^T and G^T G with a symmetric rank-k update that mirrors
-    one triangle, and the EMA scales and adds entrywise, so the stack stays
+    NumPy forms K K^T with a symmetric rank-k update that mirrors one
+    triangle, and the EMA scales and adds entrywise, so the stack stays
     exactly symmetric: it goes to sym_eig_stack as it is.
     """
-    gram = gb @ gb.swapaxes(-1, -2) if side == "l" else gb.swapaxes(-1, -2) @ gb
+    gram = root @ root.swapaxes(-1, -2)
     acc = getattr(stacks, side)
     if acc is None:
         acc = np.zeros(gram.shape)
@@ -242,6 +250,36 @@ def _factor_ema(stacks: BlockState, side: str, gb: np.ndarray, beta2: float) -> 
     gram *= 1.0 - beta2
     acc += gram
     return acc
+
+
+def _expanded(s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The dense factor stack Q S Q^T of a factor S compressed to the basis
+    stack Q, made exactly symmetric."""
+    a = q @ s @ q.swapaxes(-1, -2)
+    return (a + a.swapaxes(-1, -2)) / 2.0
+
+
+def _checked_factor(stacks: BlockState, side: str, width: int) -> np.ndarray | None:
+    """The side's factor stack, which must be width x width or None; a
+    factor of another size, such as one compressed to a basis the state
+    no longer holds, raises ValueError naming the side."""
+    acc = getattr(stacks, side)
+    if acc is not None and acc.shape[-1] != width:
+        w = acc.shape[-1]
+        raise ValueError(
+            f"layer state's factor on side {side!r} is {w}x{w} where the step expects "
+            f"{width}x{width}; a factor compressed to a range basis needs that basis in q_{side}"
+        )
+    return acc
+
+
+def _dense_factor(stacks: BlockState, side: str, n: int) -> np.ndarray | None:
+    """The side's n x n factor stack: the stack itself, or, when it is
+    compressed to the side's range basis, its expansion (_expanded). A
+    SOAP eigenbasis is n columns wide, so its factor is never expanded."""
+    q = getattr(stacks, "q_" + side)
+    acc = _checked_factor(stacks, side, n if q is None else q.shape[-1])
+    return acc if acc is None or acc.shape[-1] == n else _expanded(acc, q)
 
 
 def _shifts(dec: EigDecomp, eps: float, eps_mode: str) -> tuple[np.ndarray | float, np.ndarray]:
@@ -347,37 +385,100 @@ def _new_directions(q: np.ndarray, span: np.ndarray) -> np.ndarray:
     return np.where(keep, np.linalg.qr(d).Q, 0.0)
 
 
+def _gram_root(
+    group: TileGroup, span: np.ndarray, side: str, factors: tuple[Matrix, Matrix] | None
+) -> np.ndarray:
+    """A stack X with X X^T equal to each tile's G G^T on side "l" and G^T G
+    on side "r", from the side's spanning set (_spans). A set of the
+    tile's own gradient columns is such a stack. A row slice L of the
+    side's factor, with G = L R^T and the thin QR R = U T of the other
+    factor's slice, gives X = L T^T, B columns."""
+    (n_down, n_across), (b_out, b_in) = group.grid, group.shape
+    if span.shape[-1] == (b_in if side == "l" else b_out):
+        return span
+    left, right = factors
+    b = left.shape[1]
+    if side == "l":
+        other = right[group.col:group.col + n_across * b_in].reshape(1, n_across, b_in, b)
+    else:
+        other = left[group.row:group.row + n_down * b_out].reshape(n_down, 1, b_out, b)
+    return span @ np.linalg.qr(other, mode="r").swapaxes(-1, -2)
+
+
 def _range_basis(
     stacks: BlockState, side: str, span: np.ndarray, t: int, wide: bool = False
-) -> np.ndarray | None:
-    """The group's orthonormal basis stack for one side at step t, or None
-    when the side takes the dense route.
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The group's orthonormal basis stack for one side before and after
+    step t grows it: after is None when the side takes the dense route,
+    and before is None when the side held no basis to grow, as it took the
+    dense route at step t - 1 or takes it from step 1.
 
     The basis, kept in the side's q stack, holds the numerical range of
     the spanning sets seen so far on a side of size n (_spans). It grows in
     place: each step appends the directions of the step's set that it
     lacks (_new_directions) and leaves its columns as they are, so a zero
     set adds none and a rank-deficient one adds its numerical rank. A side
-    enters the route at step 1 when its spanning set has at most
-    cutoff = floor(RANGE_BASIS_MAX_FRACTION n) columns (a zero set gives a
-    basis of width 0) and stays on it while the basis is at most cutoff
-    wide, or, when wide is set, for as long as the caller keeps the basis
-    (Muon's rule, _muon_bases). Past that the basis is released and the
-    side takes the dense route, as it does for a state that holds no basis
-    after step 1 (one built by hand), since a basis started late would
-    miss the earlier gradients.
+    enters the route at step 1, from a basis of width 0, when its spanning
+    set has at most cutoff = floor(RANGE_BASIS_MAX_FRACTION n) columns and
+    stays on it while the basis is at most cutoff wide, or, when wide is
+    set, for as long as the caller keeps the basis (Muon's rule,
+    _muon_bases); such a basis may fill its side, and a full basis, which
+    only Muon's one-tile groups reach, no longer grows. Past that the
+    basis is released and the side takes the dense route, as it does for a
+    state that holds no basis after step 1 (one built by hand), since a
+    basis started late would miss the earlier gradients.
     """
     name = "q_" + side
-    cutoff = int(RANGE_BASIS_MAX_FRACTION * span.shape[-2])
-    q = getattr(stacks, name) if t > 1 else None
+    n = span.shape[-2]
+    cutoff = int(RANGE_BASIS_MAX_FRACTION * n)
+    held = getattr(stacks, name) if t > 1 else None
     if t == 1 and span.shape[-1] <= cutoff:
-        q = np.empty(span.shape[:-1] + (0,))
-    if q is not None:
+        held = np.empty(span.shape[:-1] + (0,))
+    q = held
+    if q is not None and q.shape[-1] < n:
         q = np.concatenate((q, _new_directions(q, span)), axis=-1)
-        if q.shape[-1] > cutoff and not wide:
-            q = None
+    if q is not None and q.shape[-1] > cutoff and not wide:
+        q = None
     setattr(stacks, name, q)
-    return q
+    return held, q
+
+
+def _advance_factor(
+    stacks: BlockState, side: str, n: int, root: np.ndarray,
+    held: np.ndarray | None, q: np.ndarray | None, beta2: float,
+) -> np.ndarray:
+    """Advance the group's factor EMA on one side of size n in place and
+    return its stack, given the step's Gram root (_gram_root) and the basis
+    before and after growth (_range_basis).
+
+    On the route the stack is the compression S = Q^T A Q: zero rows and
+    columns pad it to the grown basis, which is exact, since A's range lies
+    in the old basis, and it advances by K K^T for K = Q^T X. A side that
+    leaves the route expands S once to the dense Q S Q^T (_expanded), and
+    a dense side advances by X X^T. The stack held must be r x r for a
+    held basis of r columns and n x n without one (_checked_factor).
+    """
+    acc = _checked_factor(stacks, side, n if held is None else held.shape[-1])
+    if q is None:
+        if acc is not None and held is not None:
+            setattr(stacks, side, _expanded(acc, held))
+        return _factor_ema(stacks, side, root, beta2)
+    r_held, r = held.shape[-1], q.shape[-1]
+    if acc is None or r > r_held:
+        padded = np.zeros(q.shape[:-2] + (r, r))
+        if acc is not None:
+            padded[..., :r_held, :r_held] = acc
+        setattr(stacks, side, padded)
+    return _factor_ema(stacks, side, q.swapaxes(-1, -2) @ root, beta2)
+
+
+def _decomposed(
+    acc: np.ndarray, corr2: float, cfg: OptimizerConfig
+) -> tuple[EigDecomp, np.ndarray | float, np.ndarray]:
+    """The decomposition of each bias-corrected factor acc / corr2 of a
+    stack, with its shift and zero mask (_shifts)."""
+    dec = sym_eig_stack(acc / corr2)
+    return (dec, *_shifts(dec, cfg.eps, cfg.eps_mode))
 
 
 def _precondition(
@@ -388,22 +489,40 @@ def _precondition(
     A = acc / corr2, and the mask of tiles whose update is zero (_shifts).
     upd is a fresh stack the caller gives up.
 
-    With a range basis Q (_range_basis), which holds A's range, the factor
-    is decomposed as S = Q^T A Q, r x r for Q's r columns, and
+    With a range basis Q (_range_basis), which holds A's range, acc is the
+    compression S = Q^T A Q, r x r for Q's r columns, and
     range_inv_power_apply applies the root without forming it. Without
     one the n x n factor is decomposed and its root formed.
     """
+    dec, eps, zero = _decomposed(acc, corr2, cfg)
     if q is not None:
-        s = q.swapaxes(-1, -2) @ acc @ q
-        dec = sym_eig_stack((s + s.swapaxes(-1, -2)) / (2.0 * corr2))
-        eps, zero = _shifts(dec, cfg.eps, cfg.eps_mode)
         if side == "l":
             return range_inv_power_apply(dec, q, e, eps, upd), zero
         return range_inv_power_apply(dec, q, e, eps, upd.swapaxes(-1, -2)).swapaxes(-1, -2), zero
-    dec = sym_eig_stack(acc / corr2)
-    eps, zero = _shifts(dec, cfg.eps, cfg.eps_mode)
     p = inv_power(dec, e, eps)
     return (p @ upd if side == "l" else upd @ p), zero
+
+
+def _precondition_core(
+    accs: dict[str, np.ndarray], bases: dict[str, np.ndarray], upd: np.ndarray,
+    corr2: float, cfg: OptimizerConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides' roots applied to the group's update stack M while both
+    hold a range basis, and the mask of tiles whose update is zero.
+
+    M's columns lie in Q_l's range and its rows in Q_r's, since every
+    gradient's do, so (L + eps_l I)^(-e_l) M (R + eps_r I)^(-e_r) is
+    Q_l P_l (Q_l^T M Q_r) P_r Q_r^T with the r x r compressed roots
+    P = W diag((lam + eps')^(-e)) W^T (range_inv_power): the eps'^(-e)
+    floor on each complement multiplies zero. accs holds the compressed
+    factors S_l and S_r, and bases Q_l and Q_r, by side.
+    """
+    q_l, q_r = bases["l"], bases["r"]
+    dec_l, eps_l, zero_l = _decomposed(accs["l"], corr2, cfg)
+    dec_r, eps_r, zero_r = _decomposed(accs["r"], corr2, cfg)
+    core = q_l.swapaxes(-1, -2) @ upd @ q_r
+    core = range_inv_power(dec_l, cfg.e_l, eps_l) @ core @ range_inv_power(dec_r, cfg.e_r, eps_r)
+    return q_l @ core @ q_r.swapaxes(-1, -2), zero_l | zero_r
 
 
 def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -412,14 +531,17 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     Per tile: L += GG^T and R += G^T G EMAs (beta2, bias-corrected), then
     update = (L^ + eps I)^(-e_l) M (R^ + eps I)^(-e_r). In relative mode the
     eps shift for each factor is eps times that factor's top eigenvalue,
-    and a tile with a zero factor (e > 0) gets a zero update. The tiles of
-    one shape go through every stage as one stack. A factor side whose
-    gradients have a numerical rank well below its size takes the
-    range-basis route: it is decomposed inside a basis of their numerical
-    range (_range_basis), which grows by at most B columns a step when the
+    and a tile with a zero factor (e > 0) gets a zero update. A side with
+    e = 0 is the identity and keeps no factor. The tiles of one shape go
+    through every stage as one stack. A factor side whose gradients have a
+    numerical rank well below its size takes the range-basis route: its
+    factor is kept and decomposed inside a basis of their numerical range
+    (_range_basis), which grows by at most B columns a step when the
     state's gradient factors are given, and by none for a zero gradient.
-    A basis of width 0 holds a zero factor: in relative mode its tile's
-    update is zero, and in absolute mode the side scales it by eps^(-e).
+    While both sides take the route, the update is formed from the
+    r_l x r_r core Q_l^T M Q_r (_precondition_core). A basis of width 0
+    holds a zero factor: in relative mode its tile's update is zero, and in
+    absolute mode the side scales it by eps^(-e).
     """
     g = as_matrix(g, "gradient")
     out = np.empty_like(g)  # every tile group fills its part below
@@ -431,21 +553,29 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     corr2 = _bias_correction(cfg.beta2, state.t)
     for group, stacks in _group_states(state, part):
         gb = group.view(g)
-        l = _factor_ema(stacks, "l", gb, cfg.beta2)
-        r = _factor_ema(stacks, "r", gb, cfg.beta2)
-        # e == 0 is the exact identity: skip the multiply
-        sides = [(side, acc, e) for side, acc, e in (("l", l, cfg.e_l), ("r", r, cfg.e_r))
-                 if e > 0.0]
-        # every side's basis first, so a side that leaves the route releases
-        # its basis before any dense decomposition of this step
         spans = _spans(group, gb, factors)
-        bases = [_range_basis(stacks, side, spans[side], state.t) for side, _, _ in sides]
+        # every side's basis and factor first, so a side that leaves the
+        # route releases its basis before any dense decomposition of this
+        # step; e == 0 is the exact identity: that side is skipped
+        sides = [(side, e) for side, e in (("l", cfg.e_l), ("r", cfg.e_r)) if e > 0.0]
+        accs, bases = {}, {}
+        for side, _ in sides:
+            held, q = _range_basis(stacks, side, spans[side], state.t)
+            own = gb if side == "l" else gb.swapaxes(-1, -2)
+            # a dense side advances by the tile's own Gram, with or without
+            # factors, so its bits do not depend on them
+            root = own if q is None else _gram_root(group, spans[side], side, factors)
+            accs[side] = _advance_factor(stacks, side, own.shape[-2], root, held, q, cfg.beta2)
+            bases[side] = q
         upd = group.view(m) / corr1
-        zero = np.zeros(group.grid, dtype=bool)
-        # one side's root is released before the other's is formed
-        for (side, acc, e), q in zip(sides, bases):
-            upd, zero_side = _precondition(side, acc, q, upd, corr2, e, cfg)
-            zero |= zero_side
+        if len(sides) == 2 and bases["l"] is not None and bases["r"] is not None:
+            upd, zero = _precondition_core(accs, bases, upd, corr2, cfg)
+        else:
+            zero = np.zeros(group.grid, dtype=bool)
+            # one side's root is released before the other's is formed
+            for side, e in sides:
+                upd, zero_side = _precondition(side, accs[side], bases[side], upd, corr2, e, cfg)
+                zero |= zero_side
         upd[zero] = 0.0
         group.view(out)[...] = upd
     return UpdateReport(out)
@@ -465,7 +595,7 @@ def _soap_basis(
 ) -> np.ndarray:
     """Advance the group's factor EMA on one side and return its eigenbasis
     stack, refreshed from the bias-corrected factor when due."""
-    acc = _factor_ema(stacks, side, gb, beta2)
+    acc = _factor_ema(stacks, side, gb if side == "l" else gb.swapaxes(-1, -2), beta2)
     q = getattr(stacks, "q_" + side)
     if refresh or q is None:
         q = sym_eig_stack(acc / corr2).eigenvectors
@@ -557,12 +687,10 @@ def _muon_bases(
     spans = _spans(group, group.view(g), factors)
     widths = {}
     for side in ("l", "r") if g.shape[0] <= g.shape[1] else ("r", "l"):
-        held = getattr(stacks, "q_" + side)
-        before = 0 if held is None or state.t == 1 else held.shape[-1]
-        q = _range_basis(stacks, side, spans[side], state.t, wide=True)
+        held, q = _range_basis(stacks, side, spans[side], state.t, wide=True)
         if q is None:
             break
-        widths[side] = (before, q.shape[-1])
+        widths[side] = (held.shape[-1], q.shape[-1])
     else:
         before, after = zip(widths["l"], widths["r"])
         cols = (spans["l"].shape[-1], spans["r"].shape[-1])

@@ -12,6 +12,7 @@ from mupre.linalg import (
     PowerIterState,
     inv_power,
     mat_inv_power,
+    range_inv_power,
     range_inv_power_apply,
     NS_POLISH_STEPS,
     newton_schulz,
@@ -167,7 +168,8 @@ class TestInvPower:
 
 class TestRangeInvPowerApply:
     """range_inv_power_apply applies the root of a low-rank matrix from the
-    decomposition of its compression onto a basis of its range."""
+    decomposition of its compression onto a basis of its range, and
+    range_inv_power forms that root's compression."""
 
     @pytest.mark.parametrize("e", [0.25, 0.5, 1.0])
     def test_matches_formed_root(self, e):
@@ -182,9 +184,13 @@ class TestRangeInvPowerApply:
         m = rng.standard_normal((2, 2, 10, 2))
         shifts = np.array([[1e-3, 1e-2], [1e-1, 1.0]])
         out = range_inv_power_apply(dec, basis, e, shifts, m.copy())
+        compressed = range_inv_power(dec, e, shifts)
         for i, j in np.ndindex(2, 2):
-            want = mat_inv_power(a[i, j], e, shifts[i, j]) @ m[i, j]
+            root = mat_inv_power(a[i, j], e, shifts[i, j])
+            want = root @ m[i, j]
             assert np.linalg.norm(out[i, j] - want) <= 1e-12 * np.linalg.norm(want)
+            want = basis[i, j].T @ root @ basis[i, j]
+            assert np.linalg.norm(compressed[i, j] - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_consumes_m(self):
         # the result is M itself, with the bits of the floor term added last
@@ -207,12 +213,16 @@ class TestRangeInvPowerApply:
         dec = sym_eig_stack(np.array([[[2.0]]]))
         with pytest.raises(ValueError, match="singular"):
             range_inv_power_apply(dec, basis, 0.5, 0.0, np.ones((1, 3, 1)))
+        with pytest.raises(ValueError, match="singular"):
+            range_inv_power(dec, 0.5, 0.0)
 
     def test_keeps_psd_check(self):
         basis = np.eye(3)[:, :2][np.newaxis]
         dec = sym_eig_stack(np.diag([1.0, -1.0])[np.newaxis])
         with pytest.raises(ValueError, match="PSD"):
             range_inv_power_apply(dec, basis, 0.5, 1.0, np.ones((1, 3, 1)))
+        with pytest.raises(ValueError, match="PSD"):
+            range_inv_power(dec, 0.5, 1.0)
 
 
 class TestFailedRoots:
@@ -233,6 +243,8 @@ class TestFailedRoots:
         basis = np.eye(3)[np.newaxis, :, :len(s)]
         with pytest.raises(np.linalg.LinAlgError):
             range_inv_power_apply(sym_eig_stack(s[np.newaxis]), basis, 0.5, eps, np.ones((1, 3, 1)))
+        with pytest.raises(np.linalg.LinAlgError):
+            range_inv_power(sym_eig_stack(s[np.newaxis]), 0.5, eps)
 
 
 class TestNewtonSchulz:

@@ -188,6 +188,17 @@ class TestShampoo:
         ref = sgd_step(ref_state, g, cfg("sgd", beta1=0.9))
         assert np.array_equal(out.update, ref.update)
 
+    @pytest.mark.parametrize("e_l,e_r", [(0.0, 0.5), (0.5, 0.0), (0.0, 0.0)])
+    def test_zero_exponent_side_keeps_no_factor(self, e_l, e_r):
+        # e = 0 is the identity, so that side's EMA would never be read
+        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-4, block_out=3, block_in=4)
+        rng = np.random.default_rng(7)
+        state = LayerState()
+        for _ in range(3):
+            shampoo_step(state, rng.standard_normal((7, 9)), c)
+        for _, stacks in state.groups:
+            assert (stacks.l is None) == (e_l == 0.0) and (stacks.r is None) == (e_r == 0.0)
+
     def test_blocked_1x1_is_sign(self):
         g = np.array([[2.0, -3.0], [0.5, -0.25]])
         c = cfg(
@@ -266,9 +277,32 @@ def appended(q, rem_q, u, count, width):
     return np.hstack([q, np.where(keep, np.linalg.qr(d).Q, 0.0)])
 
 
+def gram_root(gb, side, fs, other):
+    """X with X X^T = G G^T (side l) or G^T G (side r) for a tile's
+    gradient gb: with the factor slice fs spanning the side, fs T^T for the
+    thin QR other = U T of the other factor's slice; with fs None, G or
+    G^T."""
+    if fs is not None:
+        return fs @ np.linalg.qr(other, mode="r").T
+    return gb if side == "l" else gb.T
+
+
+def expanded(s, q):
+    """Q S Q^T, made exactly symmetric."""
+    a = q @ s @ q.T
+    return (a + a.T) / 2.0
+
+
+def compressed_root(dec, e, eps):
+    """W diag((lam + eps)^(-e)) W^T from the decomposition of a compressed
+    factor; the array power, as in the kernel."""
+    powered = (np.maximum(dec.eigenvalues, 0.0) + np.asarray(eps)) ** (-e)
+    return (dec.eigenvectors * powered[np.newaxis, :]) @ dec.eigenvectors.T
+
+
 def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None):
-    """Shampoo updates and final per-tile (L, R) by a tile-by-tile route with
-    the step's arithmetic written out in the same order.
+    """Shampoo updates and final per-tile dense (L, R) by a tile-by-tile
+    route with the step's arithmetic written out in the same order.
 
     factors_seq gives each step's gradient factors (left, right), or None
     for a step without them. A factor side of size n whose tile's other
@@ -278,32 +312,40 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
     has at most floor(cutoff n) columns, with a basis Q of width 0. Every
     step each basis gains its directions (span_directions), as many as the
     largest count over the tiles of its shape (appended), and stays while
-    its width is at most floor(cutoff n). On the route the checked sym_eig
-    decomposes S = Q^T L Q / corr2 and the root is applied as
-    eps'^(-e) M + Q W diag(phi) W^T Q^T M. Otherwise the basis is dropped
-    for good and the checked sym_eig decomposes the full factor, once for
-    its top eigenvalue in relative mode and again inside mat_inv_power;
-    cutoff=0 takes that dense route on every side."""
+    its width is at most floor(cutoff n). On the route the side keeps
+    S = Q^T A Q: padded with zeros to the grown basis and advanced by
+    K K^T with K = Q^T X (gram_root); a side that leaves expands it once
+    to Q S Q^T, and a dense side advances by the tile's own Gram. The
+    checked sym_eig decomposes S / corr2, and the root is applied as
+    eps'^(-e) M + Q W diag(phi) W^T Q^T M, or, while both sides are on
+    the route, as Q_l P_l (Q_l^T M Q_r) P_r Q_r^T. Off the route the
+    checked sym_eig decomposes the full factor, once for its top
+    eigenvalue in relative mode and again inside mat_inv_power; cutoff=0
+    takes that dense route on every side. A side with e = 0 keeps no
+    factor (None)."""
     m, acc, basis, updates = 0.0, {}, {}, []
+    sides = [(side, e) for side, e in (("l", c.e_l), ("r", c.e_r)) if e > 0.0]
     for t, (g, factors) in enumerate(zip(g_seq, factors_seq or [None] * len(g_seq)), start=1):
         m = c.beta1 * m + (1.0 - c.beta1) * g
         corr1, corr2 = 1.0 - c.beta1**t, 1.0 - c.beta2**t
         # every basis first; the tiles of one shape form one group
-        grown, widths = {}, {}
+        grown, widths, held, roots = {}, {}, {}, {}
         for i, ((r0, r1), (c0, c1)) in enumerate(tile_spans(g, c)):
             gb = g[r0:r1, c0:c1]
             fl, fr = (None, None) if factors is None else (factors[0][r0:r1], factors[1][c0:c1])
-            for side, gs, fs, e in (("l", gb, fl, c.e_l), ("r", gb.T, fr, c.e_r)):
-                if e == 0.0:
-                    continue
+            for side, e in sides:
+                gs, fs, other = (gb, fl, fr) if side == "l" else (gb.T, fr, fl)
                 n, k = gs.shape
-                if fs is not None and fs.shape[1] < k:
-                    gs = fs
+                if fs is None or fs.shape[1] >= k:
+                    fs = None
+                span = gs if fs is None else fs
                 q = basis.pop((i, side), None)
-                if t == 1 and gs.shape[1] <= int(cutoff * n):
+                if t == 1 and span.shape[1] <= int(cutoff * n):
                     q = np.zeros((n, 0))
+                held[i, side] = q
+                roots[i, side] = (fs, other)
                 if q is not None:
-                    grown[i, side] = (q, gb.shape, *span_directions(q, gs))
+                    grown[i, side] = (q, gb.shape, *span_directions(q, span))
                     key = (gb.shape, side)
                     widths[key] = max(widths.get(key, 0), grown[i, side][-1])
         for (i, side), (q, shape, rem_q, u, count) in grown.items():
@@ -313,22 +355,24 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
         out = np.empty_like(g)
         for i, ((r0, r1), (c0, c1)) in enumerate(tile_spans(g, c)):
             gb, mb = g[r0:r1, c0:c1], m[r0:r1, c0:c1]
-            l, r = acc.get(i, (0.0, 0.0))
-            l = c.beta2 * l + (1.0 - c.beta2) * (gb @ gb.T)
-            r = c.beta2 * r + (1.0 - c.beta2) * (gb.T @ gb)
-            l, r = (l + l.T) / 2.0, (r + r.T) / 2.0
-            acc[i] = (l, r)
-            upd, zero = mb / corr1, False
-            for side, f, e in (("l", l, c.e_l), ("r", r, c.e_r)):
-                if e == 0.0:
-                    continue
-                q = basis.get((i, side))
+            facs = acc.setdefault(i, {})
+            for side, e in sides:
+                q, old = basis.get((i, side)), held[i, side]
+                f = facs.get(side)
                 if q is not None:
-                    s = q.T @ f @ q
-                    dec = sym_eig((s + s.T) / (2.0 * corr2))
+                    s = np.zeros((q.shape[1],) * 2)
+                    if f is not None:
+                        s[:f.shape[0], :f.shape[1]] = f
+                    root = q.T @ gram_root(gb, side, *roots[i, side])
                 else:
-                    dec = None
-                    a = f / corr2
+                    s = 0.0 if f is None else (f if old is None else expanded(f, old))
+                    root = gb if side == "l" else gb.T
+                facs[side] = c.beta2 * s + (1.0 - c.beta2) * (root @ root.T)
+            upd, zero = mb / corr1, False
+            decs = {}
+            for side, e in sides:
+                q, a = basis.get((i, side)), facs[side] / corr2
+                dec = sym_eig(a) if q is not None else None
                 eps = c.eps
                 if c.eps_mode == "relative":
                     lam = (sym_eig(a) if dec is None else dec).eigenvalues
@@ -336,24 +380,44 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
                     top = float(lam[0]) if lam.size else 0.0
                     if top <= 0.0:
                         zero = True
+                        eps = 1.0
+                    else:
+                        eps = c.eps * top
+                decs[side] = (dec, a, eps, e, q)
+            if len(decs) == 2 and all(q is not None for *_, q in decs.values()):
+                (dec_l, _, eps_l, e_l, q_l), (dec_r, _, eps_r, e_r, q_r) = decs["l"], decs["r"]
+                core = q_l.T @ upd @ q_r
+                core = compressed_root(dec_l, e_l, eps_l) @ core @ compressed_root(dec_r, e_r, eps_r)
+                upd = q_l @ core @ q_r.T
+            elif not zero:
+                for side, (dec, a, eps, e, q) in decs.items():
+                    if dec is None:
+                        p = mat_inv_power(a, e, eps)
+                        upd = p @ upd if side == "l" else upd @ p
                         continue
-                    eps = c.eps * top
-                if dec is None:
-                    p = mat_inv_power(a, e, eps)
-                    upd = p @ upd if side == "l" else upd @ p
-                    continue
-                # the array power, as in the kernel: NumPy's scalar power has other bits
-                floor = np.asarray(eps) ** (-e)
-                phi = (np.maximum(dec.eigenvalues, 0.0) + eps) ** (-e) - floor
-                w, mm = dec.eigenvectors, upd if side == "l" else upd.T
-                coef = w.T @ (q.T @ mm)
-                coef *= phi[:, np.newaxis]
-                applied = q @ (w @ coef)
-                applied += floor * mm
-                upd = applied if side == "l" else applied.T
+                    # the array power, as in the kernel: NumPy's scalar power has other bits
+                    floor = np.asarray(eps) ** (-e)
+                    phi = (np.maximum(dec.eigenvalues, 0.0) + eps) ** (-e) - floor
+                    w, mm = dec.eigenvectors, upd if side == "l" else upd.T
+                    coef = w.T @ (q.T @ mm)
+                    coef *= phi[:, np.newaxis]
+                    applied = q @ (w @ coef)
+                    applied += floor * mm
+                    upd = applied if side == "l" else applied.T
             out[r0:r1, c0:c1] = np.zeros_like(mb) if zero else upd
         updates.append(out)
-    return updates, acc
+    def dense(i, side):
+        f, q = acc[i].get(side), basis.get((i, side))
+        return f if f is None or q is None else expanded(f, q)
+
+    return updates, {i: (dense(i, "l"), dense(i, "r")) for i in acc}
+
+
+def same_factor(got, want):
+    """Both None (a side with e = 0 keeps no factor) or the same bytes."""
+    if got is None or want is None:
+        return got is None and want is None
+    return got.tobytes() == want.tobytes()
 
 
 def per_tile_soap(g_seq, c):
@@ -581,8 +645,8 @@ class TestStackedTiles:
             # bytes, so a zero tile's signed zeros count too
             assert shampoo_step(state, g, c).update.tobytes() == expected.tobytes()
         # the per-tile factors stay readable in row-major tile order
-        for block, (l, r) in zip(state.blocks, (acc[i] for i in range(len(spans)))):
-            assert np.array_equal(block.l, l) and np.array_equal(block.r, r)
+        for block, (l, r) in zip(state.blocks, (acc[i] for i in range(len(spans))), strict=True):
+            assert same_factor(block.l, l) and same_factor(block.r, r)
         if zero_from == 1:
             (r0, r1), (c0, c1) = spans[zero]
             assert not np.any(expected[r0:r1, c0:c1])
@@ -620,7 +684,7 @@ class TestStackedTiles:
         for got, expected in zip(factored_steps(state, g_seq, f_seq, c), want):
             assert got.tobytes() == expected.tobytes()
         for i, block in enumerate(state.blocks):
-            assert np.array_equal(block.l, acc[i][0]) and np.array_equal(block.r, acc[i][1])
+            assert same_factor(block.l, acc[i][0]) and same_factor(block.r, acc[i][1])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -721,12 +785,17 @@ class TestGroupState:
 
     @pytest.mark.parametrize("c", CONFIGS, ids=["shampoo", "soap"])
     def test_blocks_are_views_of_the_group_stacks(self, c):
+        # a Shampoo side still on the range-basis route after these steps
+        # (all but the left sides of the 6-row tiles, whose bases outgrow
+        # 6 / 2 columns at step 2) holds its factor compressed to its basis,
+        # which a tile gets expanded, as a new array; every other field is
+        # a view
         state = self.run(c)
         assert len({group.shape for group, _ in state.groups}) == 4
         blocks = state.blocks
         assert len(blocks) == len(block_partition(np.zeros(self.SHAPE), 32, 16))
         names = [f.name for f in fields(BlockState)]
-        held = set()
+        held, compressed = set(), 0
         for group, stacks in state.groups:
             for k, i in enumerate(group.indices):
                 for name in names:
@@ -735,9 +804,19 @@ class TestGroupState:
                         assert tile is None
                         continue
                     held.add(name)
+                    own = stack.reshape(-1, *stack.shape[-2:])[k]
+                    q = getattr(stacks, "q_" + name, None) if c.rule == "shampoo" else None
+                    if q is not None:
+                        q = q.reshape(-1, *q.shape[-2:])[k]
+                        assert own.shape == (q.shape[1], q.shape[1]) < tile.shape
+                        compressed += 1
+                        assert not np.shares_memory(tile, stack)
+                        assert tile.tobytes() == expanded(own, q).tobytes()
+                        continue
                     assert np.shares_memory(tile, stack)
-                    assert np.array_equal(tile, stack.reshape(-1, *stack.shape[-2:])[k])
+                    assert np.array_equal(tile, own)
         assert held == ({"l", "r", "q_l", "q_r"} if c.rule == "shampoo" else set(names))
+        assert (compressed > 0) == (c.rule == "shampoo")
 
     @pytest.mark.parametrize("c", CONFIGS, ids=["shampoo", "soap"])
     def test_deep_copy_copies_the_stacks(self, c):
@@ -837,23 +916,48 @@ class TestRangeBasisRoute:
         assert str(route.value) == str(dense.value)
 
     def test_state_without_basis_takes_dense_route(self):
-        # a basis started after step 1 would miss the earlier gradients
+        # a basis started after step 1 would miss the earlier gradients: a
+        # side whose state holds its dense factor and no basis stays dense
         c = cfg("shampoo", e_l=0.5, e_r=0.25, eps=1e-3)
         rng = np.random.default_rng(33)
         g_seq = [rng.standard_normal((30, 1)) for _ in range(3)]
         state = LayerState()
         for g in g_seq[:2]:
             shampoo_step(state, g, c)
-        state.groups[0][1].q_l = None
+        stacks = state.groups[0][1]
+        assert stacks.l.shape == (1, 1, 2, 2)
+        dense_l = per_tile_shampoo(g_seq[:2], c, cutoff=0.0)[1][0][0]
+        stacks.q_l, stacks.l = None, dense_l[np.newaxis, np.newaxis].copy()
         got = shampoo_step(state, g_seq[2], c).update
         want = per_tile_shampoo(g_seq, c, cutoff=0.0)[0][2]
         assert state.blocks[0].q_l is None
         assert got.tobytes() == want.tobytes()
 
-    def test_factors_keep_dense_ema_bits(self, monkeypatch):
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_compressed_factor_without_basis_raises(self, side):
+        # both sides of a 30 x 30 layer given batch-2 factors hold 4 x 4
+        # compressed factors after two steps; without its basis a side's
+        # factor fits neither route
+        c = cfg("shampoo", e_l=0.5, e_r=0.25, eps=1e-3)
+        g_seq, f_seq = factored_gradients(np.random.default_rng(34), (30, 30), 2, 3)
+        state = LayerState()
+        factored_steps(state, g_seq[:2], f_seq[:2], c)
+        stacks = state.groups[0][1]
+        assert stacks.l.shape == stacks.r.shape == (1, 1, 4, 4)
+        setattr(stacks, "q_" + side, None)
+        message = f"factor on side '{side}' is 4x4 where the step expects 30x30"
+        with pytest.raises(ValueError, match=message):
+            state.blocks
+        state.factors = f_seq[2]
+        with pytest.raises(ValueError, match=message):
+            shampoo_step(state, g_seq[2], c)
+
+    def test_factors_match_dense_ema(self, monkeypatch):
         # two 40x3 tiles: the left sides take the route while 3 t <= 20,
         # with a basis of 3 t columns, the numerical rank of the Gaussian
-        # gradients seen, and drop it after
+        # gradients seen, and a compressed 3t x 3t factor, and drop it
+        # after, expanding the factor once; the dense 3 x 3 right sides
+        # keep the dense route's bits
         c = cfg("shampoo", e_l=0.25, e_r=0.5, beta2=0.95, block_in=3)
         rng = np.random.default_rng(32)
         g_seq = [rng.standard_normal((40, 6)) for _ in range(9)]
@@ -862,8 +966,10 @@ class TestRangeBasisRoute:
         for t, g in enumerate(g_seq, start=1):
             shampoo_step(route, g, c)
             on_route = 3 * t <= RANGE_BASIS_MAX_FRACTION * 40
+            ((_, stacks),) = route.groups
+            assert stacks.l.shape[-1] == (3 * t if on_route else 40)
             for block in route.blocks:
-                assert block.q_r is None
+                assert block.q_r is None and block.l.shape == (40, 40)
                 if on_route:
                     assert block.q_l.shape == (40, 3 * t)
                     assert np.allclose(block.q_l.T @ block.q_l, np.eye(3 * t), atol=1e-12)
@@ -876,47 +982,56 @@ class TestRangeBasisRoute:
             shampoo_step(dense, g, c)
             for block, (l, r) in zip(dense.blocks, want):
                 assert block.q_l is None
-                assert block.l.tobytes() == l.tobytes() and block.r.tobytes() == r.tobytes()
+                assert close(block.l, l, 1e-13) and block.r.tobytes() == r.tobytes()
 
 
 class TestFactorSpannedRoute:
     """Given the gradient's batch factors, a side takes the row slice of its
     factor as the spanning set of the range-basis route when the slice is
-    narrower than the tile's other side, and the route still gives the
-    dense route's update up to round-off."""
+    narrower than the tile's other side. A route side keeps its factor
+    compressed to its basis, and while both sides take the route the
+    r_l x r_r core is preconditioned; the update is still the dense
+    route's up to round-off."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
         b=st.integers(1, 4),
-        blocked=st.booleans(),
-        e_l=st.sampled_from((0.25, 0.5)),
-        e_r=st.sampled_from((0.25, 0.5)),
+        blocked=st.sampled_from(("no", "columns", "both")),
+        e_l=st.sampled_from((0.0, 0.25, 0.5)),
+        e_r=st.sampled_from((0.0, 0.25, 0.5)),
         eps_mode=st.sampled_from(EPS_MODES),
         beta2=st.sampled_from((0.0, 0.95)),
         zero_left_until=st.integers(0, 2),
         repeat=st.booleans(),
+        given_factors=st.booleans(),
         bare_step=st.integers(0, 3),
         seed=st.integers(0, 2**16),
     )
     def test_matches_dense_route(
         self, shape, b, blocked, e_l, e_r, eps_mode, beta2, zero_left_until, repeat,
-        bare_step, seed,
+        given_factors, bare_step, seed,
     ):
-        # the run ends two steps past the cutoff of the larger side; step
-        # bare_step (if any) comes without factors and spans with G's columns
-        block_in = -(-shape[1] // 2) if blocked else None
+        # the run ends two steps past the cutoff of the larger side, so the
+        # sides that take the route leave it and expand their factors; step
+        # bare_step (if any), or every step when the factors are not given,
+        # spans with G's columns. Blocked layers have tiles of half a side
+        # or less, and trailing ones
+        half = (-(-shape[0] // 2) if blocked == "both" else None,
+                -(-shape[1] // 2) if blocked != "no" else None)
         c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode, beta2=beta2,
-                block_in=block_in)
+                block_out=half[0], block_in=half[1])
         steps = int(RANGE_BASIS_MAX_FRACTION * max(shape)) // b + 2
         g_seq, f_seq = factored_gradients(
             np.random.default_rng(seed), shape, b, steps, zero_left_until, repeat and b > 1
         )
-        if bare_step:
+        if not given_factors:
+            f_seq = [None] * steps
+        elif bare_step:
             f_seq[min(bare_step, len(f_seq)) - 1] = None
         dense = per_tile_shampoo(g_seq, c, cutoff=0.0)[0]
-        for got, want in zip(factored_steps(LayerState(), g_seq, f_seq, c), dense):
-            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        for got, want in zip(factored_steps(LayerState(), g_seq, f_seq, c), dense, strict=True):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1311,6 +1426,27 @@ class TestMuonRoute:
         q_r = route.blocks[0].q_r
         assert np.allclose(q_r.T @ q_r, np.eye(64), atol=1e-12)
 
+    def test_full_basis_stops_growing(self, monkeypatch):
+        # the lopsided run above: the right basis holds all 64 columns from
+        # step 16, and a full basis has no direction left to find, so its
+        # growth is skipped while the flop count still charges it
+        grown = []
+        new_directions = mupre.optim._new_directions
+        monkeypatch.setattr(mupre.optim, "_new_directions",
+                            lambda q, span: grown.append(q.shape[-2:]) or new_directions(q, span))
+        c = cfg("muon")
+        rng = np.random.default_rng(55)
+        shared = rng.standard_normal((64, 2)) / 64.0
+        state, exits = LayerState(), []
+        for t in range(1, 21):
+            left, right = shared @ rng.standard_normal((2, 4)), rng.standard_normal((64, 4))
+            state.factors = (left, right)
+            report = muon_step(state, left @ right.T, c)
+            assert report.core.shape == (2, min(4 * t, 64))
+        # both sides grow at steps 1-16, the left one alone at 17-20
+        assert [shape for shape in grown if shape[1] == 64] == []
+        assert len(grown) == 2 * 16 + 4
+
     @pytest.mark.parametrize("beta1", [0.0, 0.95])
     def test_matches_dense_route_from_a_zero_left_span(self, beta1):
         # a 64 x 64 layer with batch 16 (cutoff 32): step 1 has a width-0
@@ -1581,26 +1717,40 @@ class TestGraft:
 
 
 class TestFactorSymmetry:
-    """The factor EMAs go to sym_eig_stack as they are, so every step must
-    leave them exactly symmetric."""
+    """The factor stacks go to sym_eig_stack as they are, so every step must
+    leave them exactly symmetric: the dense EMAs, the factors compressed to
+    a range basis, and the dense factors LayerState.blocks expands from
+    those."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
         blocks=st.tuples(st.integers(1, 16), st.integers(1, 16)),
         rule=st.sampled_from(("shampoo", "soap")),
+        b=st.integers(0, 3),
         log_scale=st.floats(-3.0, 3.0),
         seed=st.integers(0, 2**16),
     )
-    def test_factor_stacks_stay_exactly_symmetric(self, shape, blocks, rule, log_scale, seed):
+    def test_factor_stacks_stay_exactly_symmetric(self, shape, blocks, rule, b, log_scale, seed):
+        # b > 0 hands Shampoo the gradients' factors of b columns
         c = cfg(rule, block_out=blocks[0], block_in=blocks[1], **RULE_KW.get(rule, {}))
         rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        if b:
+            g_seq, f_seq = factored_gradients(rng, shape, b, 4)
+            f_seq = [(scale * left, right) for left, right in f_seq]
+        else:
+            g_seq, f_seq = [rng.standard_normal(shape) for _ in range(4)], [None] * 4
         state = LayerState()
-        for _ in range(4):
-            optimizer_step(state, 10.0**log_scale * rng.standard_normal(shape), c)
+        for g, factors in zip(g_seq, f_seq):
+            state.factors = factors
+            optimizer_step(state, scale * g, c)
         for _, stacks in state.groups:
             for acc in (stacks.l, stacks.r):
                 assert np.array_equal(acc, acc.swapaxes(-1, -2))
+        for block in state.blocks:
+            for acc in (block.l, block.r):
+                assert np.array_equal(acc, acc.T)
 
 
 class TestBlocking:
