@@ -159,6 +159,7 @@ def run_training(
     records: list[MetricRecord] = []
     losses: list[float] = []
     diverged = False
+    cache_post = None  # the probe cache of the current weights, if taken
     try:
         for t in range(1, cfg.steps + 1):
             batch = synth_batch(seed * _SEED_STRIDE + t, cfg.batch_size, teacher)
@@ -169,7 +170,12 @@ def run_training(
             losses.append(loss)
             grads, factors = model.backward(cache)
             recording = t in probe_set or (cfg.record_every > 0 and t % cfg.record_every == 0)
-            cache_pre = model.forward(probe)[1] if recording else None
+            cache_pre = None
+            if recording:
+                # the weights have not changed since step t - 1's probe, if
+                # that step took one
+                cache_pre = model.forward(probe)[1] if cache_post is None else cache_post
+            cache_post = None
             applied: dict[str, UpdateReport] = {}
             for name in model.layer_names:
                 spec = specs[name]

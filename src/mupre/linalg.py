@@ -150,59 +150,6 @@ def inv_power(dec: EigDecomp, e: float, eps) -> np.ndarray:
     return (v * powered[..., np.newaxis, :]) @ v.swapaxes(-1, -2)
 
 
-def range_inv_power_apply(
-    dec: EigDecomp, basis: np.ndarray, e: float, eps, m: np.ndarray
-) -> np.ndarray:
-    """(A + eps I)^(-e) M for each A = Q S Q^T of a stack, without forming
-    the n x n root; eps is one shift or one per matrix, e > 0.
-
-    Q is an orthonormal n x r basis with r < n that holds A's range, dec is
-    the descending decomposition S = W diag(lam) W^T of the compressed r x r
-    matrix, and M is n x k. On the complement of Q, A is zero and the root
-    is eps^(-e), so with U = Q W and phi = (lam + eps)^(-e) - eps^(-e)
-    the product is eps^(-e) M + U diag(phi) U^T M, taken right to left at
-    O(n r k + r^2 k). The eigenvalues are checked and clamped as in
-    _shifted_powers; since the complement is never empty, a zero shift is
-    singular and raises numpy.linalg.LinAlgError.
-
-    M is consumed: the floor term is formed in place in M, a fresh array
-    the caller gives up, and the result is M.
-    """
-    eps = np.asarray(eps, dtype=float)
-    powered = _shifted_powers(dec.eigenvalues, e, eps)
-    if np.any(eps == 0.0):
-        raise np.linalg.LinAlgError(_SINGULAR)
-    floor = eps ** (-e)
-    w = dec.eigenvectors
-    coef = w.swapaxes(-1, -2) @ (basis.swapaxes(-1, -2) @ m)
-    coef *= (powered - floor[..., np.newaxis])[..., np.newaxis]
-    coef = w @ coef  # one r x k temporary alive beside the n x k product
-    low_rank = basis @ coef
-    del coef
-    # floor M + low_rank in place; IEEE addition commutes, so these are the
-    # bits of low_rank + floor M
-    m *= floor[..., np.newaxis, np.newaxis]
-    m += low_rank
-    return m
-
-
-def range_inv_power(dec: EigDecomp, e: float, eps) -> np.ndarray:
-    """Q^T (A + eps I)^(-e) Q for each A = Q S Q^T of a stack, with Q and
-    dec as in range_inv_power_apply; eps is one shift or one per matrix,
-    e > 0.
-
-    The root leaves Q's range invariant, so this r x r compression is
-    W diag((lam + eps)^(-e)) W^T, and (A + eps I)^(-e) M = Q P Q^T M for
-    any M whose columns lie in that range. As in range_inv_power_apply,
-    the complement of Q is never empty, so a zero shift is singular and
-    raises numpy.linalg.LinAlgError.
-    """
-    p = inv_power(dec, e, eps)
-    if np.any(np.asarray(eps) == 0.0):
-        raise np.linalg.LinAlgError(_SINGULAR)
-    return p
-
-
 def mat_inv_power(a: Matrix, e: float, eps: float) -> Matrix:
     """(A + eps I)^(-e) for symmetric PSD A via sym_eig and inv_power.
 
@@ -225,17 +172,6 @@ def ns_schedule(iters: int) -> tuple[bool, ...]:
     """
     quintic = iters - NS_POLISH_STEPS if iters > NS_POLISH_STEPS else iters
     return (False,) * quintic + (True,) * (iters - quintic)
-
-
-def ns_flop(shape: tuple[int, int], iters: int) -> int:
-    """Matmul flops of newton_schulz on a nonzero input of this shape.
-
-    With X n x k, n >= k after transposing, every iteration forms the Gram
-    X^T X and the product X G, 4 n k^2 together, and a quintic one also
-    squares the Gram, 2 k^3 more (ns_schedule). A side of size 0 gives 0.
-    """
-    n, k = max(shape), min(shape)
-    return sum(4 * n * k * k + (0 if polish else 2 * k**3) for polish in ns_schedule(iters))
 
 
 def newton_schulz(m: Matrix, iters: int = 5, eps: float = NS_DEFAULT_EPS) -> Matrix:

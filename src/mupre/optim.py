@@ -30,10 +30,7 @@ from .linalg import (
     as_matrix,
     inv_power,
     newton_schulz,
-    ns_flop,
     power_iter_step,
-    range_inv_power,
-    range_inv_power_apply,
     spectral_norm_exact,
     sym_eig_stack,
 )
@@ -41,14 +38,13 @@ from .scaling import BlockPartition, TileGroup
 
 # A side of size n enters the range-basis route at step 1 when its first
 # spanning set has at most this fraction of n columns, for Shampoo and
-# Muon alike (_range_basis). Shampoo's side also leaves the route once its
-# basis is wider than this fraction; Muon leaves by its flop count instead
-# (muon_route_flop). Timed with one BLAS thread on a 2-vCPU Xeon, one
-# Shampoo step of a 512 x 512 layer given B = 32 factors, both bases
-# square and grown by 32 columns to r, best of 7: the route, with its
-# compressed factors and r x r core, took 46 ms at r = 0.5 n against
-# 115 ms for the dense step, and breaks even near 0.9 n (106 ms at
-# r = 0.875 n, 131 ms at r = 0.94 n).
+# Muon alike (_range_basis); a wider set would fill the side's basis within
+# a step or two. Once on the route, a side stays until its basis fills the
+# side. Timed with one BLAS thread on a 2-vCPU Xeon, one Shampoo step of a
+# 512 x 512 layer given B = 32 factors, both bases square and grown by 32
+# columns to r, best of 7: the route, with its compressed factors and
+# r x r core, took 46 ms at r = 0.5 n against 115 ms for the dense step,
+# and breaks even near 0.9 n (106 ms at r = 0.875 n, 131 ms at r = 0.94 n).
 RANGE_BASIS_MAX_FRACTION = 0.5
 
 # Largest relative Frobenius gap between a gradient and the product of the
@@ -107,8 +103,9 @@ class BlockState:
     columns; otherwise it is the dense n x n EMA A, which a side leaving
     the route expands once from Q S Q^T (_advance_factor). A side with
     exponent 0 keeps no factor. Muon keeps only q_l and q_r, of its one
-    whole-matrix tile, while the layer takes the route (_muon_bases); they
-    may grow to the full side there. A field is None until its first use.
+    whole-matrix tile, while the layer takes the route (_muon_bases). A
+    basis that fills its side is released (_range_basis). A field is None
+    until its first use.
     """
 
     l: Matrix | None = None
@@ -406,7 +403,7 @@ def _gram_root(
 
 
 def _range_basis(
-    stacks: BlockState, side: str, span: np.ndarray, t: int, wide: bool = False
+    stacks: BlockState, side: str, span: np.ndarray, t: int
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The group's orthonormal basis stack for one side before and after
     step t grows it: after is None when the side takes the dense route,
@@ -419,26 +416,22 @@ def _range_basis(
     lacks (_new_directions) and leaves its columns as they are, so a zero
     set adds none and a rank-deficient one adds its numerical rank. A side
     enters the route at step 1, from a basis of width 0, when its spanning
-    set has at most cutoff = floor(RANGE_BASIS_MAX_FRACTION n) columns and
-    stays on it while the basis is at most cutoff wide, or, when wide is
-    set, for as long as the caller keeps the basis (Muon's rule,
-    _muon_bases); such a basis may fill its side, and a full basis, which
-    only Muon's one-tile groups reach, no longer grows. Past that the
-    basis is released and the side takes the dense route, as it does for a
-    state that holds no basis after step 1 (one built by hand), since a
-    basis started late would miss the earlier gradients.
+    set has at most floor(RANGE_BASIS_MAX_FRACTION n) columns, and stays on
+    it until the basis fills the side, n columns wide. Then the basis is
+    released and the side takes the dense route, as it does for a state
+    that holds no basis after step 1 (one built by hand), since a basis
+    started late would miss the earlier gradients.
     """
     name = "q_" + side
     n = span.shape[-2]
-    cutoff = int(RANGE_BASIS_MAX_FRACTION * n)
     held = getattr(stacks, name) if t > 1 else None
-    if t == 1 and span.shape[-1] <= cutoff:
+    if t == 1 and span.shape[-1] <= int(RANGE_BASIS_MAX_FRACTION * n):
         held = np.empty(span.shape[:-1] + (0,))
     q = held
-    if q is not None and q.shape[-1] < n:
+    if q is not None:
         q = np.concatenate((q, _new_directions(q, span)), axis=-1)
-    if q is not None and q.shape[-1] > cutoff and not wide:
-        q = None
+        if q.shape[-1] >= n:
+            q = None
     setattr(stacks, name, q)
     return held, q
 
@@ -481,48 +474,62 @@ def _decomposed(
     return (dec, *_shifts(dec, cfg.eps, cfg.eps_mode))
 
 
+def _rotate(a: np.ndarray, q_l: np.ndarray | None, q_r: np.ndarray | None) -> np.ndarray:
+    """Q_l^T A Q_r, skipping a side without a basis."""
+    if q_l is not None:
+        a = q_l.swapaxes(-1, -2) @ a
+    if q_r is not None:
+        a = a @ q_r
+    return a
+
+
+def _rotate_back(a: np.ndarray, q_l: np.ndarray | None, q_r: np.ndarray | None) -> np.ndarray:
+    """Q_l A Q_r^T, skipping a side without a basis; it undoes _rotate on
+    a matrix whose columns lie in Q_l's range and rows in Q_r's."""
+    if q_l is not None:
+        a = q_l @ a
+    if q_r is not None:
+        a = a @ q_r.swapaxes(-1, -2)
+    return a
+
+
 def _precondition(
-    side: str, acc: np.ndarray, q: np.ndarray | None, upd: np.ndarray,
-    corr2: float, e: float, cfg: OptimizerConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(A + eps' I)^(-e) applied to the group's update stack on one side,
-    A = acc / corr2, and the mask of tiles whose update is zero (_shifts).
-    upd is a fresh stack the caller gives up.
-
-    With a range basis Q (_range_basis), which holds A's range, acc is the
-    compression S = Q^T A Q, r x r for Q's r columns, and
-    range_inv_power_apply applies the root without forming it. Without
-    one the n x n factor is decomposed and its root formed.
-    """
-    dec, eps, zero = _decomposed(acc, corr2, cfg)
-    if q is not None:
-        if side == "l":
-            return range_inv_power_apply(dec, q, e, eps, upd), zero
-        return range_inv_power_apply(dec, q, e, eps, upd.swapaxes(-1, -2)).swapaxes(-1, -2), zero
-    p = inv_power(dec, e, eps)
-    return (p @ upd if side == "l" else upd @ p), zero
-
-
-def _precondition_core(
-    accs: dict[str, np.ndarray], bases: dict[str, np.ndarray], upd: np.ndarray,
+    accs: dict[str, np.ndarray], bases: dict[str, np.ndarray | None], upd: np.ndarray,
     corr2: float, cfg: OptimizerConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides' roots applied to the group's update stack M while both
-    hold a range basis, and the mask of tiles whose update is zero.
+) -> np.ndarray:
+    """(L + eps_l' I)^(-e_l) M (R + eps_r' I)^(-e_r) for the group's update
+    stack M, a fresh stack the caller gives up, with L = accs["l"] / corr2
+    and R = accs["r"] / corr2; a side missing from accs (e = 0) is the
+    identity. A tile with a zero factor gets a zero update (_shifts).
 
-    M's columns lie in Q_l's range and its rows in Q_r's, since every
-    gradient's do, so (L + eps_l I)^(-e_l) M (R + eps_r I)^(-e_r) is
-    Q_l P_l (Q_l^T M Q_r) P_r Q_r^T with the r x r compressed roots
-    P = W diag((lam + eps')^(-e)) W^T (range_inv_power): the eps'^(-e)
-    floor on each complement multiplies zero. accs holds the compressed
-    factors S_l and S_r, and bases Q_l and Q_r, by side.
+    M is rotated into the sides that hold a range basis Q (_range_basis,
+    _rotate), where the side's factor is the compression S = Q^T A Q and
+    its root the r x r W diag((lam + eps')^(-e)) W^T; a dense side's root
+    is n x n. The product is rotated back (_rotate_back). This is exact: M's columns lie in Q_l's range and its rows in Q_r's, as
+    every gradient's do, and the root leaves that range invariant. On Q's
+    complement, which is never empty, the root is eps'^(-e), so a zero
+    shift on a route side is singular and raises numpy.linalg.LinAlgError,
+    as a dense factor with a zero eigenvalue does. Each side's
+    decomposition and root are released before the next side's are formed.
     """
-    q_l, q_r = bases["l"], bases["r"]
-    dec_l, eps_l, zero_l = _decomposed(accs["l"], corr2, cfg)
-    dec_r, eps_r, zero_r = _decomposed(accs["r"], corr2, cfg)
-    core = q_l.swapaxes(-1, -2) @ upd @ q_r
-    core = range_inv_power(dec_l, cfg.e_l, eps_l) @ core @ range_inv_power(dec_r, cfg.e_r, eps_r)
-    return q_l @ core @ q_r.swapaxes(-1, -2), zero_l | zero_r
+    q_l, q_r = bases.get("l"), bases.get("r")
+    rot = _rotate(upd, q_l, q_r)
+    del upd  # not alive beside the roots
+    zero = np.zeros(rot.shape[:-2], dtype=bool)
+    for side, acc in accs.items():
+        dec, eps, zero_side = _decomposed(acc, corr2, cfg)
+        if bases[side] is not None and np.any(np.asarray(eps) == 0.0):
+            raise np.linalg.LinAlgError(
+                f"inverse root on side {side!r} is singular: zero shift on a range basis's complement"
+            )
+        p = inv_power(dec, getattr(cfg, "e_" + side), eps)
+        del dec
+        rot = p @ rot if side == "l" else rot @ p
+        del p
+        zero |= zero_side
+    upd = _rotate_back(rot, q_l, q_r)
+    upd[zero] = 0.0
+    return upd
 
 
 def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -537,11 +544,10 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     numerical rank well below its size takes the range-basis route: its
     factor is kept and decomposed inside a basis of their numerical range
     (_range_basis), which grows by at most B columns a step when the
-    state's gradient factors are given, and by none for a zero gradient.
-    While both sides take the route, the update is formed from the
-    r_l x r_r core Q_l^T M Q_r (_precondition_core). A basis of width 0
-    holds a zero factor: in relative mode its tile's update is zero, and in
-    absolute mode the side scales it by eps^(-e).
+    state's gradient factors are given, and by none for a zero gradient,
+    until it fills the side. The update is preconditioned inside the
+    bases the sides hold (_precondition). A basis of width 0 holds a zero
+    factor, and its tile's update is zero.
     """
     g = as_matrix(g, "gradient")
     out = np.empty_like(g)  # every tile group fills its part below
@@ -557,9 +563,10 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
         # every side's basis and factor first, so a side that leaves the
         # route releases its basis before any dense decomposition of this
         # step; e == 0 is the exact identity: that side is skipped
-        sides = [(side, e) for side, e in (("l", cfg.e_l), ("r", cfg.e_r)) if e > 0.0]
         accs, bases = {}, {}
-        for side, _ in sides:
+        for side in ("l", "r"):
+            if getattr(cfg, "e_" + side) == 0.0:
+                continue
             held, q = _range_basis(stacks, side, spans[side], state.t)
             own = gb if side == "l" else gb.swapaxes(-1, -2)
             # a dense side advances by the tile's own Gram, with or without
@@ -567,27 +574,8 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
             root = own if q is None else _gram_root(group, spans[side], side, factors)
             accs[side] = _advance_factor(stacks, side, own.shape[-2], root, held, q, cfg.beta2)
             bases[side] = q
-        upd = group.view(m) / corr1
-        if len(sides) == 2 and bases["l"] is not None and bases["r"] is not None:
-            upd, zero = _precondition_core(accs, bases, upd, corr2, cfg)
-        else:
-            zero = np.zeros(group.grid, dtype=bool)
-            # one side's root is released before the other's is formed
-            for side, e in sides:
-                upd, zero_side = _precondition(side, accs[side], bases[side], upd, corr2, e, cfg)
-                zero |= zero_side
-        upd[zero] = 0.0
-        group.view(out)[...] = upd
+        group.view(out)[...] = _precondition(accs, bases, group.view(m) / corr1, corr2, cfg)
     return UpdateReport(out)
-
-
-def _rotate(a: np.ndarray, q_l: np.ndarray | None, q_r: np.ndarray | None) -> np.ndarray:
-    """Q_l^T A Q_r, skipping a side without a basis."""
-    if q_l is not None:
-        a = q_l.swapaxes(-1, -2) @ a
-    if q_r is not None:
-        a = a @ q_r
-    return a
 
 
 def _soap_basis(
@@ -637,67 +625,32 @@ def soap_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
         v += rot
         del rot
         upd = _adam_ratio(_rotate(group.view(m), q_l, q_r) / corr1, v / corr2, cfg.eps)
-        if q_l is not None:
-            upd = q_l @ upd
-        if q_r is not None:
-            upd = upd @ q_r.swapaxes(-1, -2)
-        group.view(out)[...] = upd
+        group.view(out)[...] = _rotate_back(upd, q_l, q_r)
     return UpdateReport(out)
 
 
-def muon_route_flop(
-    shape: tuple[int, int], before: tuple[int, int], after: tuple[int, int],
-    span_cols: tuple[int, int], iters: int,
-) -> int:
-    """Matmul flops of one muon_step on the range-basis route, for a
-    d_out x d_in layer whose bases (Q_l, Q_r) grow from before to after
-    columns, (r_l, r_r), by spanning sets of span_cols columns.
-
-    Each side's growth (_new_directions) projects its n x b set out of the
-    r columns held twice, 8 n r b, forms the c = after - before kept
-    directions, 2 n b c, and projects them out once more, 4 n r c. The
-    core Q_l^T m Q_r takes 2 r_l d_in (d_out + r_r), newton_schulz on it
-    ns_flop((r_l, r_r), iters), and the update Q_l C Q_r^T
-    2 d_out r_r (r_l + d_in).
-    """
-    growth = sum(n * (8 * r * b + 2 * b * (a - r) + 4 * r * (a - r))
-                 for n, r, a, b in zip(shape, before, after, span_cols))
-    (d_out, d_in), (r_l, r_r) = shape, after
-    return (growth + 2 * r_l * d_in * (d_out + r_r) + ns_flop(after, iters)
-            + 2 * d_out * r_r * (r_l + d_in))
-
-
 def _muon_bases(
-    state: LayerState, g: Matrix, factors: tuple[Matrix, Matrix] | None, iters: int
+    state: LayerState, g: Matrix, factors: tuple[Matrix, Matrix] | None
 ) -> tuple[Matrix, Matrix] | None:
     """Orthonormal bases (Q_l, Q_r) of the numerical range of the spanning
     sets seen so far on both sides of the layer's one whole-matrix tile,
     or None when the layer takes the dense route, which then holds no
     basis.
 
-    Each side enters the route at step 1 under Shampoo's rule
-    (_range_basis). The route needs both sides, and the smaller side's
-    cutoff is the lower one, so it goes first: a layer it keeps off the
-    route, such as a d x 1 layer, pays for no basis. After both bases grow,
-    the layer stays on the route while its matmul flops (muon_route_flop)
-    are below those of newton_schulz on the d_out x d_in momentum
-    (ns_flop). Once they are not, both bases are released for good.
+    Each side enters the route at step 1 and leaves it once its basis
+    fills the side, under Shampoo's rule (_range_basis). The route needs
+    both sides, so the layer leaves it for good, releasing both bases, as
+    soon as either side leaves. The smaller side's entry cutoff is the
+    lower one, so it goes first: a layer it keeps off the route, such as a
+    d x 1 layer, pays for no basis.
     """
     ((group, stacks),) = _group_states(state, BlockPartition(*g.shape))
     spans = _spans(group, group.view(g), factors)
-    widths = {}
     for side in ("l", "r") if g.shape[0] <= g.shape[1] else ("r", "l"):
-        held, q = _range_basis(stacks, side, spans[side], state.t, wide=True)
-        if q is None:
-            break
-        widths[side] = (held.shape[-1], q.shape[-1])
-    else:
-        before, after = zip(widths["l"], widths["r"])
-        cols = (spans["l"].shape[-1], spans["r"].shape[-1])
-        if muon_route_flop(g.shape, before, after, cols, iters) < ns_flop(g.shape, iters):
-            return stacks.q_l[0, 0], stacks.q_r[0, 0]
-    stacks.q_l = stacks.q_r = None
-    return None
+        if _range_basis(stacks, side, spans[side], state.t)[1] is None:
+            stacks.q_l = stacks.q_r = None
+            return None
+    return stacks.q_l[0, 0], stacks.q_r[0, 0]
 
 
 def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -706,28 +659,23 @@ def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
     Given the gradients' batch factors, m_t lies in the span of those seen
     so far on each side. While both sides hold an orthonormal basis of
     their numerical range (_muon_bases), r_l and r_r columns wide, the step
-    orthogonalizes the r_l x r_r core Q_l^T m_t Q_r and returns
-    Q_l newton_schulz(core) Q_r^T, which equals newton_schulz(m_t) up to
-    round-off, since the iteration maps X to X p(X^T X); the report keeps
-    the orthogonalized core. A side of width 0, whose spans were all zero,
-    gives a zero core and a zero update, as m_t is zero. Once that route
-    would cost no fewer matmul flops than the dense iteration, and from
-    then on, or without factors, the d_out x d_in momentum is
-    orthogonalized.
+    orthogonalizes the r_l x r_r core Q_l^T m_t Q_r (_rotate) and returns
+    Q_l newton_schulz(core) Q_r^T (_rotate_back), which equals
+    newton_schulz(m_t) up to round-off, since the iteration maps X to
+    X p(X^T X); the report keeps the orthogonalized core. A side of width
+    0, whose spans were all zero, gives a zero core and a zero update, as
+    m_t is zero. Once either basis fills its side, and from then on, or
+    without factors, the d_out x d_in momentum is orthogonalized.
     """
     g = as_matrix(g, "gradient")
-    out = np.empty_like(g)  # the factor check's scratch, then the update
-    factors = _take_factors(state, g, out)
+    factors = _take_factors(state, g, np.empty_like(g))
     state.t += 1
     m = _update_first_moment(state, g, cfg.beta1)
-    bases = _muon_bases(state, g, factors, cfg.ns_iters)
+    bases = _muon_bases(state, g, factors)
     if bases is None:
-        del out  # not alive beside the dense iteration's temporaries
         return UpdateReport(newton_schulz(m, cfg.ns_iters, cfg.eps))
-    q_l, q_r = bases
-    core = newton_schulz(q_l.T @ m @ q_r, cfg.ns_iters, cfg.eps)
-    np.matmul(q_l @ core, q_r.T, out=out)
-    return UpdateReport(out, core)
+    core = newton_schulz(_rotate(m, *bases), cfg.ns_iters, cfg.eps)
+    return UpdateReport(_rotate_back(core, *bases), core)
 
 
 def adamuon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:

@@ -26,9 +26,9 @@ from mupre.harness import (
     run_training,
 )
 from mupre.config import FieldError, OptimizerConfig, SweepConfig
-from mupre.linalg import NonFiniteError, ns_flop
+from mupre.linalg import NonFiniteError
 from mupre.models import MlpModel
-from mupre.optim import LayerState, muon_route_flop, optimizer_step
+from mupre.optim import LayerState, optimizer_step
 from mupre.scaling import (
     LayerHyper,
     LayerSpec,
@@ -514,9 +514,9 @@ class TestRunTraining:
         # its batch factors: the zero-init readout makes the left factor
         # zero at step 1, each step adds at most 32 columns a side, and the
         # tanh features of the scalar input are numerically rank deficient,
-        # so the route's flops stay below the dense iteration's for all 6
-        # steps. fc1 and readout, with a side of 1, stay dense. The route
-        # tiles nothing.
+        # so neither basis fills its side in 6 steps and the route lasts
+        # through all of them. fc1 and readout, with a side of 1, stay
+        # dense. The route tiles nothing.
         def no_tiles(*args):
             raise AssertionError("muon_step called block_partition")
 
@@ -525,10 +525,9 @@ class TestRunTraining:
         assert shapes[0::3] == [(256, 1)] * 6 and shapes[2::3] == [(1, 256)] * 6
         cores = shapes[1::3]
         assert cores[0][0] == 0 and 0 < cores[0][1] <= 32
-        dense = ns_flop((256, 256), 5)
         for before, after in zip([(0, 0)] + cores, cores):
             assert all(a <= b <= a + 32 for a, b in zip(before, after))
-            assert muon_route_flop((256, 256), before, after, (32, 32), 5) < dense
+            assert max(after) < 256
         assert all(math.isfinite(r.spec_norm) for r in res.records)
 
     def test_muon_route_lasts_at_rankscan_shape(self, monkeypatch):
@@ -545,6 +544,22 @@ class TestRunTraining:
         cfg = smoke_cfg(steps=6, record_every=2, probe_steps=(3,))
         res = run_training(cfg, 8, 1, 0.05, seed=0)
         assert {r.step for r in res.records} == {2, 3, 4, 6}
+
+    def test_consecutive_probes_share_a_forward_pass(self, monkeypatch):
+        # probes at steps 3-6: step t's pre-update probe is step t - 1's
+        # post-update one, so 6 steps take 6 training passes and 1 + 4
+        # probe passes, and each record has the bits of a run that probes
+        # that step alone, with two probe passes of its own
+        calls = []
+        forward = MlpModel.forward
+        monkeypatch.setattr(MlpModel, "forward",
+                            lambda model, batch: calls.append(batch) or forward(model, batch))
+        cfg = smoke_cfg(steps=6, probe_steps=(3, 4, 5, 6))
+        res = run_training(cfg, 8, 1, 0.05, seed=0)
+        assert len(calls) == 6 + 1 + 4
+        for step in (3, 4, 5, 6):
+            alone = run_training(replace(cfg, probe_steps=(step,)), 8, 1, 0.05, seed=0)
+            assert alone.records == [r for r in res.records if r.step == step]
 
     def test_weight_decay_changes_weights(self):
         a = run_training(smoke_cfg(), 8, 1, 0.05, seed=0)

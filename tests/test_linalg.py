@@ -1,4 +1,6 @@
+import importlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,17 +14,16 @@ from mupre.linalg import (
     PowerIterState,
     inv_power,
     mat_inv_power,
-    range_inv_power,
-    range_inv_power_apply,
     NS_POLISH_STEPS,
     newton_schulz,
-    ns_flop,
     ns_schedule,
     power_iter_step,
     spectral_norm_exact,
     sym_eig,
     sym_eig_stack,
 )
+from mupre.config import OptimizerConfig
+from mupre.optim import _precondition
 
 
 def rand_symmetric(n, seed):
@@ -166,65 +167,6 @@ class TestInvPower:
             inv_power(sym_eig_stack(indefinite), 0.5, 1.0)
 
 
-class TestRangeInvPowerApply:
-    """range_inv_power_apply applies the root of a low-rank matrix from the
-    decomposition of its compression onto a basis of its range, and
-    range_inv_power forms that root's compression."""
-
-    @pytest.mark.parametrize("e", [0.25, 0.5, 1.0])
-    def test_matches_formed_root(self, e):
-        # 2 x 2 stack of rank-3 10 x 10 PSD matrices, with a 4-column basis
-        # that holds each range, applied to 10 x 2 right-hand sides
-        rng = np.random.default_rng(40)
-        b = rng.standard_normal((2, 2, 10, 3))
-        a = b @ b.swapaxes(-1, -2)
-        basis = np.linalg.qr(np.concatenate((b, rng.standard_normal((2, 2, 10, 1))), -1)).Q
-        s = basis.swapaxes(-1, -2) @ a @ basis
-        dec = sym_eig_stack((s + s.swapaxes(-1, -2)) / 2.0)
-        m = rng.standard_normal((2, 2, 10, 2))
-        shifts = np.array([[1e-3, 1e-2], [1e-1, 1.0]])
-        out = range_inv_power_apply(dec, basis, e, shifts, m.copy())
-        compressed = range_inv_power(dec, e, shifts)
-        for i, j in np.ndindex(2, 2):
-            root = mat_inv_power(a[i, j], e, shifts[i, j])
-            want = root @ m[i, j]
-            assert np.linalg.norm(out[i, j] - want) <= 1e-12 * np.linalg.norm(want)
-            want = basis[i, j].T @ root @ basis[i, j]
-            assert np.linalg.norm(compressed[i, j] - want) <= 1e-12 * np.linalg.norm(want)
-
-    def test_consumes_m(self):
-        # the result is M itself, with the bits of the floor term added last
-        rng = np.random.default_rng(41)
-        basis = np.linalg.qr(rng.standard_normal((1, 8, 2))).Q
-        dec = sym_eig_stack(np.diag([2.0, 0.5])[np.newaxis])
-        m = rng.standard_normal((1, 8, 3))
-        eps = np.array([0.1])
-        floor = eps**-0.5  # the array power, as in the kernel
-        coef = dec.eigenvectors.swapaxes(-1, -2) @ (basis.swapaxes(-1, -2) @ m)
-        coef *= ((dec.eigenvalues + eps) ** -0.5 - floor)[..., np.newaxis]
-        want = basis @ (dec.eigenvectors @ coef) + floor * m
-        out = range_inv_power_apply(dec, basis, 0.5, eps, m)
-        assert out is m
-        assert out.tobytes() == want.tobytes()
-
-    def test_zero_shift_is_singular(self):
-        # the complement of the basis is A's null space
-        basis = np.eye(3)[:, :1][np.newaxis]
-        dec = sym_eig_stack(np.array([[[2.0]]]))
-        with pytest.raises(ValueError, match="singular"):
-            range_inv_power_apply(dec, basis, 0.5, 0.0, np.ones((1, 3, 1)))
-        with pytest.raises(ValueError, match="singular"):
-            range_inv_power(dec, 0.5, 0.0)
-
-    def test_keeps_psd_check(self):
-        basis = np.eye(3)[:, :2][np.newaxis]
-        dec = sym_eig_stack(np.diag([1.0, -1.0])[np.newaxis])
-        with pytest.raises(ValueError, match="PSD"):
-            range_inv_power_apply(dec, basis, 0.5, 1.0, np.ones((1, 3, 1)))
-        with pytest.raises(ValueError, match="PSD"):
-            range_inv_power(dec, 0.5, 1.0)
-
-
 class TestFailedRoots:
     """A singular or non-PSD root raises numpy.linalg.LinAlgError, the
     ValueError that the trainer records as a divergence."""
@@ -240,11 +182,14 @@ class TestFailedRoots:
     @pytest.mark.parametrize("s,eps", [(np.array([[2.0]]), 0.0), (np.diag([1.0, -1.0]), 1.0)],
                              ids=["singular", "not-psd"])
     def test_range_roots(self, s, eps):
-        basis = np.eye(3)[np.newaxis, :, :len(s)]
+        # a root of a factor compressed to a basis of 1 or 2 of 3 columns,
+        # as Shampoo's range-basis route forms it: a zero shift is singular
+        # on the basis's complement even though s itself is not
+        basis = np.eye(3)[np.newaxis, np.newaxis, :, :len(s)]
+        c = OptimizerConfig("shampoo", e_l=0.5, e_r=0.0, eps=eps, eps_mode="absolute")
         with pytest.raises(np.linalg.LinAlgError):
-            range_inv_power_apply(sym_eig_stack(s[np.newaxis]), basis, 0.5, eps, np.ones((1, 3, 1)))
-        with pytest.raises(np.linalg.LinAlgError):
-            range_inv_power(sym_eig_stack(s[np.newaxis]), 0.5, eps)
+            _precondition({"l": s[np.newaxis, np.newaxis]}, {"l": basis},
+                          np.ones((1, 1, 3, 1)), 1.0, c)
 
 
 class TestNewtonSchulz:
@@ -351,25 +296,36 @@ class Tally(np.ndarray):
         return np.matmul(self.view(np.ndarray), np.asarray(other)).view(Tally)
 
 
+@pytest.fixture
+def ns_flop(monkeypatch):
+    """The benchmark's newton_schulz flop counter, bench/tracer._ns_flop,
+    the one count of the iteration's flops, as a function of the input's
+    shape and the iteration count; its input is nonzero unless a side has
+    size 0."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracer = importlib.import_module("tracer")
+    return lambda shape, iters: tracer._ns_flop(np.ones(shape), iters)
+
+
 class TestNsFlop:
-    """ns_flop counts the matmul flops of the iteration from its shape and
-    schedule."""
+    """The benchmark counts the matmul flops of the iteration from its
+    input's shape and the schedule."""
 
     @pytest.mark.parametrize("shape", [(12, 5), (5, 12), (7, 7), (9, 1)])
     @pytest.mark.parametrize("iters", range(1, 7))
-    def test_counts_the_textbook_products(self, shape, iters):
+    def test_counts_the_textbook_products(self, shape, iters, ns_flop):
         Tally.flop = 0
         m = np.random.default_rng(iters).standard_normal(shape)
         textbook_newton_schulz(m.view(Tally), iters)
         assert ns_flop(shape, iters) == Tally.flop
 
     @pytest.mark.parametrize("iters", range(1, NS_POLISH_STEPS + 1))
-    def test_short_runs_are_all_quintic(self, iters):
+    def test_short_runs_are_all_quintic(self, iters, ns_flop):
         n, k = 12, 5
         assert ns_flop((n, k), iters) == ns_flop((k, n), iters) == iters * (4 * n * k * k + 2 * k**3)
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
-    def test_zero_size_side_costs_nothing(self, shape):
+    def test_zero_size_side_costs_nothing(self, shape, ns_flop):
         assert ns_flop(shape, 5) == 0
 
 

@@ -17,7 +17,6 @@ from mupre.linalg import (
     NonFiniteError,
     PowerIterState,
     mat_inv_power,
-    ns_flop,
     spectral_norm_exact,
     sym_eig,
     sym_eig_stack,
@@ -33,7 +32,6 @@ from mupre.optim import (
     apply_weight_decay,
     block_partition,
     graft,
-    muon_route_flop,
     muon_step,
     optimizer_step,
     rms_normalize,
@@ -311,18 +309,18 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
     gradient columns. The side enters the route at step 1 when that set
     has at most floor(cutoff n) columns, with a basis Q of width 0. Every
     step each basis gains its directions (span_directions), as many as the
-    largest count over the tiles of its shape (appended), and stays while
-    its width is at most floor(cutoff n). On the route the side keeps
+    largest count over the tiles of its shape (appended), and stays until
+    it would fill the side, n columns wide. On the route the side keeps
     S = Q^T A Q: padded with zeros to the grown basis and advanced by
     K K^T with K = Q^T X (gram_root); a side that leaves expands it once
     to Q S Q^T, and a dense side advances by the tile's own Gram. The
-    checked sym_eig decomposes S / corr2, and the root is applied as
-    eps'^(-e) M + Q W diag(phi) W^T Q^T M, or, while both sides are on
-    the route, as Q_l P_l (Q_l^T M Q_r) P_r Q_r^T. Off the route the
-    checked sym_eig decomposes the full factor, once for its top
-    eigenvalue in relative mode and again inside mat_inv_power; cutoff=0
-    takes that dense route on every side. A side with e = 0 keeps no
-    factor (None)."""
+    update rotates M into the bases the sides hold, applies each side's
+    root, rotates back, and is zero for a tile with a zero factor. A route
+    side's root is W diag((lam + eps')^(-e)) W^T from the checked sym_eig
+    of S / corr2; a dense side's root is mat_inv_power of the full factor,
+    decomposed once more for its top eigenvalue in relative mode. cutoff=0
+    takes the dense route on every side. A side with e = 0 keeps no factor
+    (None)."""
     m, acc, basis, updates = 0.0, {}, {}, []
     sides = [(side, e) for side, e in (("l", c.e_l), ("r", c.e_r)) if e > 0.0]
     for t, (g, factors) in enumerate(zip(g_seq, factors_seq or [None] * len(g_seq)), start=1):
@@ -350,7 +348,7 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
                     widths[key] = max(widths.get(key, 0), grown[i, side][-1])
         for (i, side), (q, shape, rem_q, u, count) in grown.items():
             width = widths[shape, side]
-            if q.shape[1] + width <= int(cutoff * q.shape[0]):
+            if q.shape[1] + width < q.shape[0]:
                 basis[i, side] = appended(q, rem_q, u, count, width)
         out = np.empty_like(g)
         for i, ((r0, r1), (c0, c1)) in enumerate(tile_spans(g, c)):
@@ -368,8 +366,12 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
                     s = 0.0 if f is None else (f if old is None else expanded(f, old))
                     root = gb if side == "l" else gb.T
                 facs[side] = c.beta2 * s + (1.0 - c.beta2) * (root @ root.T)
+            q_l, q_r = basis.get((i, "l")), basis.get((i, "r"))
             upd, zero = mb / corr1, False
-            decs = {}
+            if q_l is not None:
+                upd = q_l.T @ upd
+            if q_r is not None:
+                upd = upd @ q_r
             for side, e in sides:
                 q, a = basis.get((i, side)), facs[side] / corr2
                 dec = sym_eig(a) if q is not None else None
@@ -378,32 +380,14 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
                     lam = (sym_eig(a) if dec is None else dec).eigenvalues
                     # a basis of width 0 holds a zero factor
                     top = float(lam[0]) if lam.size else 0.0
-                    if top <= 0.0:
-                        zero = True
-                        eps = 1.0
-                    else:
-                        eps = c.eps * top
-                decs[side] = (dec, a, eps, e, q)
-            if len(decs) == 2 and all(q is not None for *_, q in decs.values()):
-                (dec_l, _, eps_l, e_l, q_l), (dec_r, _, eps_r, e_r, q_r) = decs["l"], decs["r"]
-                core = q_l.T @ upd @ q_r
-                core = compressed_root(dec_l, e_l, eps_l) @ core @ compressed_root(dec_r, e_r, eps_r)
-                upd = q_l @ core @ q_r.T
-            elif not zero:
-                for side, (dec, a, eps, e, q) in decs.items():
-                    if dec is None:
-                        p = mat_inv_power(a, e, eps)
-                        upd = p @ upd if side == "l" else upd @ p
-                        continue
-                    # the array power, as in the kernel: NumPy's scalar power has other bits
-                    floor = np.asarray(eps) ** (-e)
-                    phi = (np.maximum(dec.eigenvalues, 0.0) + eps) ** (-e) - floor
-                    w, mm = dec.eigenvectors, upd if side == "l" else upd.T
-                    coef = w.T @ (q.T @ mm)
-                    coef *= phi[:, np.newaxis]
-                    applied = q @ (w @ coef)
-                    applied += floor * mm
-                    upd = applied if side == "l" else applied.T
+                    zero |= top <= 0.0
+                    eps = 1.0 if top <= 0.0 else c.eps * top
+                p = mat_inv_power(a, e, eps) if q is None else compressed_root(dec, e, eps)
+                upd = p @ upd if side == "l" else upd @ p
+            if q_l is not None:
+                upd = q_l @ upd
+            if q_r is not None:
+                upd = upd @ q_r.T
             out[r0:r1, c0:c1] = np.zeros_like(mb) if zero else upd
         updates.append(out)
     def dense(i, side):
@@ -867,10 +851,11 @@ class TestBenchReference:
 
 
 class TestRangeBasisRoute:
-    """A factor side of size n is decomposed inside the span of its
-    gradients while their numerical rank, at most t k for a tile whose
-    other side is k, stays <= RANGE_BASIS_MAX_FRACTION n; that route gives
-    the dense route's update up to round-off."""
+    """A factor side of size n whose first gradient columns number at most
+    RANGE_BASIS_MAX_FRACTION n is decomposed inside the span of its
+    gradients until their numerical rank, at most t k for a tile whose
+    other side is k, reaches n; that route gives the dense route's update
+    up to round-off."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -890,13 +875,13 @@ class TestRangeBasisRoute:
     ):
         # n x k tiles (k x n when transposed) side by side; the last tile's
         # gradient goes zero from zero_from on, and the run ends two steps
-        # past the route's cutoff on the size-n side
+        # past the step the size-n side's basis fills it
         shape, blocks = (n, k * tiles), (None, k)
         if transpose:
             shape, blocks = shape[::-1], blocks[::-1]
         c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode, beta2=beta2,
                 block_out=blocks[0], block_in=blocks[1])
-        steps = int(RANGE_BASIS_MAX_FRACTION * n) // k + 2
+        steps = -(-n // k) + 2
         span = tile_spans(np.zeros(shape), c)[-1]
         g_seq = gradients_with_zero_tile(
             np.random.default_rng(seed), shape, span, steps, zero_from
@@ -907,13 +892,35 @@ class TestRangeBasisRoute:
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_zero_absolute_shift_raises_as_dense_route(self):
+        # the 40 x 40 factor of a 40 x 1 gradient is singular, whether it
+        # is formed or kept compressed to its range basis
         g = np.random.default_rng(31).standard_normal((40, 1))
         c = cfg("shampoo", e_l=0.5, e_r=0.0, eps=0.0, eps_mode="absolute")
-        with pytest.raises(ValueError) as dense:
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
             mat_inv_power(g @ g.T, 0.5, 0.0)
-        with pytest.raises(ValueError) as route:
-            shampoo_step(LayerState(), g, c)
-        assert str(route.value) == str(dense.value)
+        state = LayerState()
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            shampoo_step(state, g, c)
+        assert state.groups[0][1].q_l.shape == (1, 1, 40, 1)
+
+    @pytest.mark.parametrize("eps_mode", EPS_MODES)
+    def test_zero_shift_raises_on_a_route_side_only(self, eps_mode):
+        # a 40 x 3 gradient: the left side takes the route, and the right
+        # side's dense 3 x 3 factor is positive definite, so a zero shift
+        # is singular on the left only
+        g = np.random.default_rng(35).standard_normal((40, 3))
+        for e_l, e_r in ((0.0, 0.5), (0.5, 0.0)):
+            c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=0.0, eps_mode=eps_mode)
+            state = LayerState()
+            if e_l == 0.0:
+                got = shampoo_step(state, g, c).update
+                want = g @ mat_inv_power(g.T @ g, 0.5, 0.0)
+                assert close(got, want, 1e-10)
+                assert state.groups[0][1].q_r is None
+            else:
+                with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                    shampoo_step(state, g, c)
+                assert state.groups[0][1].q_l.shape == (1, 1, 40, 3)
 
     def test_state_without_basis_takes_dense_route(self):
         # a basis started after step 1 would miss the earlier gradients: a
@@ -953,19 +960,19 @@ class TestRangeBasisRoute:
             shampoo_step(state, g_seq[2], c)
 
     def test_factors_match_dense_ema(self, monkeypatch):
-        # two 40x3 tiles: the left sides take the route while 3 t <= 20,
+        # two 40x3 tiles: the left sides take the route while 3 t < 40,
         # with a basis of 3 t columns, the numerical rank of the Gaussian
-        # gradients seen, and a compressed 3t x 3t factor, and drop it
-        # after, expanding the factor once; the dense 3 x 3 right sides
-        # keep the dense route's bits
+        # gradients seen, and a compressed 3t x 3t factor, and drop it at
+        # step 14, where it fills the side, expanding the factor once; the
+        # dense 3 x 3 right sides keep the dense route's bits
         c = cfg("shampoo", e_l=0.25, e_r=0.5, beta2=0.95, block_in=3)
         rng = np.random.default_rng(32)
-        g_seq = [rng.standard_normal((40, 6)) for _ in range(9)]
+        g_seq = [rng.standard_normal((40, 6)) for _ in range(16)]
         route = LayerState()
         factors = []
         for t, g in enumerate(g_seq, start=1):
             shampoo_step(route, g, c)
-            on_route = 3 * t <= RANGE_BASIS_MAX_FRACTION * 40
+            on_route = 3 * t < 40
             ((_, stacks),) = route.groups
             assert stacks.l.shape[-1] == (3 * t if on_route else 40)
             for block in route.blocks:
@@ -1012,8 +1019,9 @@ class TestFactorSpannedRoute:
         self, shape, b, blocked, e_l, e_r, eps_mode, beta2, zero_left_until, repeat,
         given_factors, bare_step, seed,
     ):
-        # the run ends two steps past the cutoff of the larger side, so the
-        # sides that take the route leave it and expand their factors; step
+        # the run ends two steps past the step the larger side's basis would
+        # fill it, so the sides that take the route leave it and expand their
+        # factors; step
         # bare_step (if any), or every step when the factors are not given,
         # spans with G's columns. Blocked layers have tiles of half a side
         # or less, and trailing ones
@@ -1021,7 +1029,7 @@ class TestFactorSpannedRoute:
                 -(-shape[1] // 2) if blocked != "no" else None)
         c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode, beta2=beta2,
                 block_out=half[0], block_in=half[1])
-        steps = int(RANGE_BASIS_MAX_FRACTION * max(shape)) // b + 2
+        steps = -(-max(shape) // b) + zero_left_until + 2
         g_seq, f_seq = factored_gradients(
             np.random.default_rng(seed), shape, b, steps, zero_left_until, repeat and b > 1
         )
@@ -1047,10 +1055,10 @@ class TestFactorSpannedRoute:
     def test_wide_factors_keep_todays_bits(self, n, k, extra, transpose, e_l, e_r, eps_mode, seed):
         # n x k gradients (k x n when transposed) with b >= k factor columns:
         # the size-n side keeps the gradient's own columns, and the size-k
-        # side, past its cutoff from step 1, stays dense
+        # side, past its entry cutoff at step 1, stays dense
         shape = (k, n) if transpose else (n, k)
         c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode)
-        steps = int(RANGE_BASIS_MAX_FRACTION * n) // k + 2
+        steps = -(-n // k) + 2
         g_seq, f_seq = factored_gradients(np.random.default_rng(seed), shape, k + extra, steps)
         plain, state = LayerState(), LayerState()
         todays = per_tile_shampoo(g_seq, c)[0]
@@ -1061,16 +1069,16 @@ class TestFactorSpannedRoute:
     def test_square_layer_takes_the_route_on_both_sides(self):
         # a 40 x 40 gradient of batch 3 is spanned by 3 Gaussian columns a
         # side, of numerical rank 3: the bases grow 3 columns a step until
-        # 3 t > 20, then both are released
+        # they fill the side at step 14, then both are released
         c = cfg("shampoo", e_l=0.25, e_r=0.25, eps=1e-3)
-        g_seq, f_seq = factored_gradients(np.random.default_rng(41), (40, 40), 3, 8)
+        g_seq, f_seq = factored_gradients(np.random.default_rng(41), (40, 40), 3, 16)
         state = LayerState()
         for t, (g, factors) in enumerate(zip(g_seq, f_seq), start=1):
             state.factors = factors
             shampoo_step(state, g, c)
             block = state.blocks[0]
             for q in (block.q_l, block.q_r):
-                if 3 * t <= RANGE_BASIS_MAX_FRACTION * 40:
+                if 3 * t < 40:
                     assert q.shape == (40, 3 * t)
                 else:
                     assert q is None
@@ -1079,7 +1087,7 @@ class TestFactorSpannedRoute:
         # on the step both sides of a 16 x 16 layer leave the route, every
         # dense decomposition sees a state that no longer holds a basis
         c = cfg("shampoo", e_l=0.5, e_r=0.5, eps=1e-3)
-        g_seq, f_seq = factored_gradients(np.random.default_rng(42), (16, 16), 2, 6)
+        g_seq, f_seq = factored_gradients(np.random.default_rng(42), (16, 16), 2, 10)
         state = LayerState()
         seen = []
 
@@ -1091,17 +1099,17 @@ class TestFactorSpannedRoute:
 
         monkeypatch.setattr(mupre.optim, "sym_eig_stack", watching)
         factored_steps(state, g_seq, f_seq, c)
-        # 2 t <= 8 through step 4; steps 5 and 6 are dense on both sides
-        assert len(seen) == 4
+        # 2 t < 16 through step 7; the bases fill the sides at step 8, and
+        # steps 8-10 are dense on both sides
+        assert len(seen) == 6
         assert all(q_l is None and q_r is None for q_l, q_r in seen)
 
     @pytest.mark.parametrize("eps_mode", EPS_MODES)
     @pytest.mark.parametrize("e_l,e_r", [(0.25, 0.25), (0.5, 0.5), (0.5, 0.25)])
     def test_matches_dense_route_from_a_zero_left_span(self, eps_mode, e_l, e_r):
-        # a 48 x 48 layer with batch 12 (cutoff 24): the left basis has
-        # width 0 after step 1 and the right one the numerical rank of the
-        # tanh features, so the route lasts through step 3, where 12
-        # columns a side seen would end it after step 2
+        # a 48 x 48 layer with batch 12 (entry cutoff 24): the left basis
+        # has width 0 after step 1 and the right one the numerical rank of
+        # the tanh features, so the route lasts at least through step 3
         c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode)
         g_seq, f_seq = mup_like_gradients(np.random.default_rng(61), (48, 48), 12, 8)
         dense = per_tile_shampoo(g_seq, c, cutoff=0.0)[0]
@@ -1117,6 +1125,78 @@ class TestFactorSpannedRoute:
                 assert block.q_r.shape == (48, np.linalg.matrix_rank(factors[1]))
             on_route.append(block.q_l is not None and block.q_r is not None)
         assert on_route[:3] == [True] * 3
+
+
+def precondition_side(data, rng, n, route):
+    """One side of size n of a 1 x 2 tile group, for _precondition: (its
+    factor stack, its basis stack or None, each tile's dense n x n factor,
+    each tile's n x r span X, so that M = X_l C X_r^T lies in the ranges).
+
+    A route side's basis has w < n columns: each tile's first r are
+    orthonormal and the rest zero, as in a tile that kept fewer directions
+    than its group's widest, and its factor is S = K K^T in the basis, K
+    of j <= r columns, so a basis of width 0 or a zero or rank-deficient S
+    can occur. A dense side's factor is K K^T for K of j <= n columns."""
+    if not route:
+        dense = [k @ k.T for k in (rng.standard_normal((n, data.draw(st.integers(0, n))))
+                                   for _ in range(2))]
+        return np.stack(dense)[np.newaxis], None, dense, [np.eye(n)] * 2
+    w = data.draw(st.integers(0, n - 1))
+    q, s = np.zeros((1, 2, n, w)), np.zeros((1, 2, w, w))
+    for i in range(2):
+        r = data.draw(st.integers(0, w))
+        if r:
+            q[0, i, :, :r] = np.linalg.qr(rng.standard_normal((n, r))).Q
+        k = rng.standard_normal((r, data.draw(st.integers(0, r))))
+        s[0, i, :r, :r] = k @ k.T
+    dense = [expanded(s[0, i], q[0, i]) for i in range(2)]
+    spans = [q[0, i][:, np.any(q[0, i] != 0.0, axis=0)] for i in range(2)]
+    return s, q, dense, spans
+
+
+class TestPrecondition:
+    """_precondition, Shampoo's one preconditioning path, gives
+    (L + eps_l' I)^(-e_l) M (R + eps_r' I)^(-e_r) of the dense factors for
+    an M in the bases' ranges, whichever sides hold a range basis."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_l=st.integers(1, 9),
+        n_r=st.integers(1, 9),
+        e_l=st.sampled_from((0.0, 0.25, 0.5)),
+        e_r=st.sampled_from((0.0, 0.25, 0.5)),
+        route_l=st.booleans(),
+        route_r=st.booleans(),
+        eps_mode=st.sampled_from(EPS_MODES),
+        corr2=st.sampled_from((1.0, 0.19)),
+        data=st.data(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_roots_of_dense_factors(
+        self, n_l, n_r, e_l, e_r, route_l, route_r, eps_mode, corr2, data, seed
+    ):
+        rng = np.random.default_rng(seed)
+        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-2, eps_mode=eps_mode)
+        accs, bases, dense, spans = {}, {}, {}, {}
+        for side, n, e, route in (("l", n_l, e_l, route_l), ("r", n_r, e_r, route_r)):
+            acc, q, dense[side], spans[side] = precondition_side(data, rng, n, route and n > 1)
+            if e > 0.0:
+                accs[side], bases[side] = acc, q
+        m = [x_l @ rng.standard_normal((x_l.shape[1], x_r.shape[1])) @ x_r.T
+             for x_l, x_r in zip(spans["l"], spans["r"])]
+        got = mupre.optim._precondition(accs, bases, np.stack(m)[np.newaxis], corr2, c)
+        for i in range(2):
+            want = m[i]
+            for side in accs:
+                a = dense[side][i] / corr2
+                eps = c.eps
+                if eps_mode == "relative":
+                    top = np.linalg.eigvalsh(a)[-1]
+                    want = want * (top > 0.0)
+                    eps = c.eps * top if top > 0.0 else 1.0
+                root = mat_inv_power(a, getattr(c, "e_" + side), eps)
+                want = root @ want if side == "l" else want @ root
+            assert np.linalg.norm(got[0, i] - want) <= 1e-10 * np.linalg.norm(want)
 
 
 SPAN_KINDS = ("zero", "gauss", "repeat", "tanh")
@@ -1193,7 +1273,7 @@ class TestRangeBasisGrowth:
         if zero_first:
             kinds[0] = ["zero"] * bands
         for t, q, seen in self.run(n, b, kinds, seed):
-            assert q.shape[-1] <= RANGE_BASIS_MAX_FRACTION * n
+            assert q.shape[-1] < n
             counts = [self.check_tile(q[i, 0], seen[i]) for i in range(bands)]
             if t == 1 and zero_first:
                 assert q.shape[-1] == 0
@@ -1205,14 +1285,14 @@ class TestRangeBasisGrowth:
     def test_tiles_of_one_group_differ_in_rank(self):
         # three 64-row bands, batch 16: one always zero, one of tanh
         # features, one Gaussian. The group grows by the largest count, the
-        # Gaussian band's 16 a step, until 16 t > 32
-        kinds = [("zero", "tanh", "gauss")] * 3
+        # Gaussian band's 16 a step, until it fills the 64 rows at step 4
+        kinds = [("zero", "tanh", "gauss")] * 5
         widths = []
         for t, q, seen in self.run(64, 16, kinds, seed=62):
             counts = [self.check_tile(q[i, 0], seen[i]) for i in range(3)]
             assert counts[0] == 0 and 0 < counts[1] < counts[2] == 16 * t
             widths.append(q.shape[-1])
-        assert widths == [16, 32]
+        assert widths == [16, 32, 48]
 
     def test_zero_then_rank_deficient_spans_grow_by_numerical_rank(self):
         # one 64-row band: a zero span at step 1, then tanh features of 32
@@ -1375,26 +1455,24 @@ def close(got, want, tol):
 
 class TestMuonRoute:
     """Given the gradients' batch factors, Muon orthogonalizes the core
-    Q_l^T m Q_r while that costs fewer flops than the dense iteration, and
-    its update is the dense one up to round-off; after that it is the
-    dense one bit for bit."""
+    Q_l^T m Q_r until either basis fills its side, and its update is the
+    dense one up to round-off; after that it is the dense one bit for
+    bit."""
 
     def test_matches_dense_route_across_the_cutoff(self):
         # n = 64 and B = 4: the left factor is zero at step 1, as a
         # zero-init readout makes fc2's, so the left basis holds 4 (t - 1)
-        # columns and the right one 4 t while the route's flops stay below
-        # the dense iteration's 6.82e6. At step 15 the bases (56, 60)
-        # would cost 6.96e6, so that step and every one after it is dense
+        # columns and the right one 4 t until the right one fills the side
+        # at step 16, so that step and every one after it is dense
         c = cfg("muon")
-        dense_flop = ns_flop((64, 64), c.ns_iters)
         g_seq, f_seq = factored_gradients(np.random.default_rng(51), (64, 64), 4, 20, 1)
         route, dense, exits = LayerState(), LayerState(), []
         for t, (g, factors) in enumerate(zip(g_seq, f_seq), start=1):
             route.factors = factors
             got, want = muon_step(route, g, c), muon_step(dense, g, c)
             block = route.blocks[0]
-            before, after = (max(4 * t - 8, 0), 4 * t - 4), (4 * t - 4, 4 * t)
-            if not exits and muon_route_flop((64, 64), before, after, (4, 4), c.ns_iters) < dense_flop:
+            after = (4 * t - 4, 4 * t)
+            if 4 * t < 64:
                 assert block.q_l.shape == (64, after[0]) and block.q_r.shape == (64, after[1])
                 assert got.core.shape == after
                 assert close(got.update, want.update, 1e-12)
@@ -1404,13 +1482,13 @@ class TestMuonRoute:
                 exits.append(t)
                 assert block.q_l is None and block.q_r is None and got.core is None
                 assert got.update.tobytes() == want.update.tobytes()
-        assert exits == list(range(15, 21))
+        assert exits == list(range(16, 21))
 
     def test_lopsided_bases_stay_on_the_route(self):
         # the left factors share two directions and the right ones add 4 a
-        # step, so by step 16 the right basis is the whole side while the
-        # left one holds 2 columns: a 2 x 64 core costs far fewer flops
-        # than the dense iteration, and the route lasts all 20 steps
+        # step: the left basis holds 2 columns throughout, and the layer
+        # stays on the route until the right basis fills the side at step
+        # 16; from then on it is dense
         c = cfg("muon")
         rng = np.random.default_rng(55)
         shared = rng.standard_normal((64, 2)) / 64.0
@@ -1420,16 +1498,20 @@ class TestMuonRoute:
             g = left @ right.T
             route.factors = (left, right)
             got, want = muon_step(route, g, c), muon_step(dense, g, c)
-            assert got.core.shape == (2, min(4 * t, 64))
-            assert close(got.update, want.update, 1e-12)
-            assert abs(got.spec - want.spec) <= 1e-12 * want.spec
-        q_r = route.blocks[0].q_r
-        assert np.allclose(q_r.T @ q_r, np.eye(64), atol=1e-12)
+            if t < 16:
+                assert got.core.shape == (2, 4 * t)
+                q_r = route.blocks[0].q_r
+                assert np.allclose(q_r.T @ q_r, np.eye(4 * t), atol=1e-12)
+                assert close(got.update, want.update, 1e-12)
+                assert abs(got.spec - want.spec) <= 1e-12 * want.spec
+            else:
+                assert got.core is None and route.blocks[0].q_r is None
+                assert got.update.tobytes() == want.update.tobytes()
 
     def test_full_basis_stops_growing(self, monkeypatch):
-        # the lopsided run above: the right basis holds all 64 columns from
-        # step 16, and a full basis has no direction left to find, so its
-        # growth is skipped while the flop count still charges it
+        # the lopsided run above: the right basis would hold all 64 columns
+        # at step 16, so both bases are released there, and no basis grows
+        # after that or ever holds a whole side
         grown = []
         new_directions = mupre.optim._new_directions
         monkeypatch.setattr(mupre.optim, "_new_directions",
@@ -1442,17 +1524,17 @@ class TestMuonRoute:
             left, right = shared @ rng.standard_normal((2, 4)), rng.standard_normal((64, 4))
             state.factors = (left, right)
             report = muon_step(state, left @ right.T, c)
-            assert report.core.shape == (2, min(4 * t, 64))
-        # both sides grow at steps 1-16, the left one alone at 17-20
+            assert (report.core is None) == (t >= 16)
+        # both sides grow at steps 1-16, and neither after
         assert [shape for shape in grown if shape[1] == 64] == []
-        assert len(grown) == 2 * 16 + 4
+        assert len(grown) == 2 * 16
 
     @pytest.mark.parametrize("beta1", [0.0, 0.95])
     def test_matches_dense_route_from_a_zero_left_span(self, beta1):
-        # a 64 x 64 layer with batch 16 (cutoff 32): step 1 has a width-0
-        # left basis and a zero core, and the rank-deficient tanh features
-        # keep the right basis narrow, so the route lasts through step 3,
-        # where 16 columns a side seen would end it after step 2
+        # a 64 x 64 layer with batch 16 (entry cutoff 32): step 1 has a
+        # width-0 left basis and a zero core, and the rank-deficient tanh
+        # features keep the right basis narrow, so the route lasts at least
+        # through step 3
         c = cfg("muon", beta1=beta1)
         g_seq, f_seq = mup_like_gradients(np.random.default_rng(64), (64, 64), 16, 10)
         route, dense, on_route = LayerState(), LayerState(), []
@@ -1476,9 +1558,8 @@ class TestMuonRoute:
         seed=st.integers(0, 2**16),
     )
     def test_matches_dense_route(self, shape, b, beta1, seed):
-        # the run lasts until both bases would hold their whole side, where
-        # the route costs more flops than the dense iteration, so every
-        # example that takes the route leaves it by the last step
+        # the run lasts until both bases would hold their whole side, so
+        # every example that takes the route leaves it by the last step
         c = cfg("muon", beta1=beta1)
         steps = -(-max(shape) // b) + 1
         g_seq, f_seq = factored_gradients(np.random.default_rng(seed), shape, b, steps)
@@ -1561,6 +1642,29 @@ class TestMuonRoute:
         assert close(update, mupre.optim.newton_schulz(q_l @ core @ q_r.T), 1e-12)
         spec = spectral_norm_exact(update)
         assert abs(UpdateReport(update, ns_core).spec - spec) <= 1e-13 * spec
+
+
+class TestExitRule:
+    """A side leaves the range-basis route at the step its basis fills the
+    side: Shampoo's sides leave one at a time, and Muon, which needs both,
+    leaves with the first."""
+
+    @pytest.mark.parametrize("rule", ["shampoo", "muon"])
+    def test_basis_is_released_at_the_step_it_fills_its_side(self, rule):
+        # a 12 x 40 layer given batch-3 Gaussian factors: each side's basis
+        # grows by 3 columns a step, so the 12-row side fills at step 4 and
+        # the 40-column side at step 14
+        c = cfg(rule, **({"e_l": 0.25, "e_r": 0.25} if rule == "shampoo" else {}))
+        g_seq, f_seq = factored_gradients(np.random.default_rng(71), (12, 40), 3, 15)
+        state = LayerState()
+        for t, (g, factors) in enumerate(zip(g_seq, f_seq), start=1):
+            state.factors = factors
+            optimizer_step(state, g, c)
+            ((_, stacks),) = state.groups
+            for side, n in (("l", 12), ("r", 40)):
+                q = getattr(stacks, "q_" + side)
+                released = 3 * t >= (n if rule == "shampoo" else 12)
+                assert q is None if released else q.shape[-1] == 3 * t
 
 
 class TestFirstMoment:
