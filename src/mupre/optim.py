@@ -17,7 +17,7 @@ Conventions shared by every rule:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -61,8 +61,9 @@ class UpdateReport:
     is defined as 0 for an all-zero update.
 
     core, when given, is a smaller matrix with the update's singular values,
-    such as C in update = Q_l C Q_r^T with orthonormal Q_l and Q_r (Muon's
-    range-basis route); spec then takes the Gram of the core instead of the
+    such as C in update = Q_l C Q_r^T with orthonormal Q_l and Q_r, or
+    Q_l C or C Q_r^T (the range-basis routes of Muon and of a one-tile
+    Shampoo layer); spec then takes the Gram of the core instead of the
     update's.
     """
 
@@ -86,9 +87,9 @@ class UpdateReport:
 
 @dataclass
 class BlockState:
-    """Preconditioner accumulators of a tile group, each field a stack
-    shaped (tiles down, tiles across, rows, cols), or of one tile, each
-    field that tile's matrix (LayerState.blocks).
+    """Optimizer state of a tile group, each field a stack shaped (tiles
+    down, tiles across, rows, cols), or of one tile, each field that tile's
+    matrix (LayerState.blocks).
 
     For SOAP, l and r are the dense EMAs of G G^T and G^T G, q_l and q_r
     hold their eigenbases, and v is the second moment in the rotated
@@ -104,8 +105,14 @@ class BlockState:
     the route expands once from Q S Q^T (_advance_factor). A side with
     exponent 0 keeps no factor. Muon keeps only q_l and q_r, of its one
     whole-matrix tile, while the layer takes the route (_muon_bases). A
-    basis that fills its side is released (_range_basis). A field is None
-    until its first use.
+    basis that fills its side is released (_range_basis).
+
+    While either side of a Shampoo or Muon group holds a basis, m is the
+    group's first moment rotated into the bases, C = Q_l^T m Q_r, with a
+    side without a basis left as it is: r_l x r_r, r_l x n_r or n_l x r_r
+    (_advance_moment). Otherwise m is None and the group's first moment is
+    its part of the layer's dense one. A field is None until its first
+    use.
     """
 
     l: Matrix | None = None
@@ -113,6 +120,7 @@ class BlockState:
     q_l: Matrix | None = None
     q_r: Matrix | None = None
     v: Matrix | None = None
+    m: Matrix | None = None
 
 
 @dataclass
@@ -125,6 +133,14 @@ class LayerState:
     group of the layer's partition, one BlockState of stacks, which a step
     updates in place.
 
+    A tile group whose sides hold range bases keeps its first moment
+    rotated into them, in its BlockState's m, and leaves its part of the
+    dense array alone; reading m writes each such group's Q_l C Q_r^T into
+    its part and returns the dense array, the same object from step to
+    step, allocated on first use. Assigning m replaces the whole first
+    moment: the groups' rotated moments are dropped, and a group still on
+    the route rotates the new one into its bases at its next step.
+
     factors is an optional pair (left, right) with left d_out x B, right
     d_in x B and the next gradient equal to left @ right.T, set by the
     trainer right before a step. Shampoo and Muon take their row slices as
@@ -134,20 +150,41 @@ class LayerState:
     """
 
     t: int = 0
-    m: Matrix | None = None
+    m: InitVar[Matrix | None] = None
     v: Matrix | None = None
     groups: list[tuple[TileGroup, BlockState]] = field(default_factory=list)
     factors: tuple[Matrix, Matrix] | None = None
+    _m: Matrix | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self, m: Matrix | None) -> None:
+        self._m = m
+
+    def _get_m(self) -> Matrix | None:
+        for group, stacks in self.groups:
+            if stacks.m is not None:
+                if self._m is None:
+                    self._m = np.zeros(_extent(self.groups))
+                _rotate_back(stacks.m, stacks.q_l, stacks.q_r, out=group.view(self._m))
+        return self._m
+
+    def _set_m(self, m: Matrix | None) -> None:
+        for _, stacks in self.groups:
+            stacks.m = None
+        self._m = m
 
     @property
     def blocks(self) -> list[BlockState]:
         """Each tile's view of its group's stacks, in row-major tile order;
         empty before the first shampoo/soap step. A Shampoo factor
         compressed to its range basis is given dense, as the new array
-        Q S Q^T (_expanded), so every tile's l and r are n x n EMAs."""
+        Q S Q^T (_expanded), so every tile's l and r are n x n EMAs, and a
+        rotated first moment as the new array Q_l C Q_r^T, the tile's part
+        of the layer's m."""
         tiles = {}
         for group, stacks in self.groups:
             dense = {side: _dense_factor(stacks, side, n) for side, n in zip("lr", group.shape)}
+            if stacks.m is not None:
+                dense["m"] = _rotate_back(stacks.m, stacks.q_l, stacks.q_r)
             arrays = [dense.get(f.name, getattr(stacks, f.name)) for f in fields(BlockState)]
             for k, i in enumerate(group.indices):
                 at = divmod(k, group.grid[1])
@@ -155,10 +192,20 @@ class LayerState:
         return [tiles[i] for i in sorted(tiles)]
 
 
-def block_partition(g: Matrix, b_out: int | None, b_in: int | None) -> BlockPartition:
-    """Partition covering g; a missing block size means one full-extent tile."""
-    g = as_matrix(g, "block_partition input")
-    return BlockPartition(*g.shape, b_out, b_in)
+# set after the class body, where the dataclass has taken m's default of None
+LayerState.m = property(LayerState._get_m, LayerState._set_m, doc="The layer's dense first moment.")
+
+
+def _extent(groups: list[tuple[TileGroup, BlockState]]) -> tuple[int, int]:
+    """Rows and columns of the matrix the tile groups cover."""
+    return (max(g.row + g.grid[0] * g.shape[0] for g, _ in groups),
+            max(g.col + g.grid[1] * g.shape[1] for g, _ in groups))
+
+
+def block_partition(shape: tuple[int, int], b_out: int | None, b_in: int | None) -> BlockPartition:
+    """Partition covering a matrix of this shape; a missing block size means
+    one full-extent tile."""
+    return BlockPartition(*shape, b_out, b_in)
 
 
 def _bias_correction(beta: float, t: int) -> float:
@@ -168,11 +215,11 @@ def _bias_correction(beta: float, t: int) -> float:
 
 def _update_first_moment(state: LayerState, g: Matrix, beta1: float) -> Matrix:
     """Advance m, the EMA of g, in place and return it."""
-    if state.m is None:
-        state.m = np.zeros_like(g)
-    state.m *= beta1
-    state.m += (1.0 - beta1) * g
-    return state.m
+    if state._m is None:
+        state._m = np.zeros_like(g)
+    state._m *= beta1
+    state._m += (1.0 - beta1) * g
+    return state._m
 
 
 def _adam_ratio(m_hat: Matrix, v_hat: Matrix, eps: float) -> Matrix:
@@ -328,27 +375,37 @@ def _take_factors(
     return left, right
 
 
+def _factor_slices(
+    group: TileGroup, factors: tuple[Matrix, Matrix]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row slices of the gradient's factors (left, right) that each
+    tile of the group sees, with G = L R^T per tile: left's rows of the
+    tile's row band, shaped (tiles down, 1, rows, B), and right's rows of
+    its column band, shaped (1, tiles across, cols, B)."""
+    left, right = factors
+    (n_down, n_across), (b_out, b_in) = group.grid, group.shape
+    b = left.shape[1]
+    return (left[group.row:group.row + n_down * b_out].reshape(n_down, 1, b_out, b),
+            right[group.col:group.col + n_across * b_in].reshape(1, n_across, b_in, b))
+
+
 def _spans(
     group: TileGroup, gb: np.ndarray, factors: tuple[Matrix, Matrix] | None
 ) -> dict[str, np.ndarray]:
     """Per side, a spanning set of each tile's gradient on that side, as a
-    stack: the row slice of the gradient's factor on that side (left's
-    rows of the tile's row band on side "l", right's rows of its column
-    band on side "r") when it has fewer columns than the tile's other
-    side, else the tile's own gradient columns (of G on side "l", of G^T
-    on side "r"). gb is the group's gradient stack."""
+    stack: the row slice of the gradient's factor on that side
+    (_factor_slices) when it has fewer columns than the tile's other side,
+    else the tile's own gradient columns (of G on side "l", of G^T on side
+    "r"). gb is the group's gradient stack."""
     spans = {"l": gb, "r": gb.swapaxes(-1, -2)}
     if factors is None:
         return spans
-    left, right = factors
-    (n_down, n_across), (b_out, b_in) = group.grid, group.shape
-    b = left.shape[1]
-    if b < b_in:
-        span_l = left[group.row:group.row + n_down * b_out].reshape(n_down, 1, b_out, b)
-        spans["l"] = np.broadcast_to(span_l, (n_down, n_across, b_out, b))
-    if b < b_out:
-        span_r = right[group.col:group.col + n_across * b_in].reshape(1, n_across, b_in, b)
-        spans["r"] = np.broadcast_to(span_r, (n_down, n_across, b_in, b))
+    span_l, span_r = _factor_slices(group, factors)
+    b_out, b_in = group.shape
+    if span_l.shape[-1] < b_in:
+        spans["l"] = np.broadcast_to(span_l, gb.shape[:-1] + span_l.shape[-1:])
+    if span_r.shape[-1] < b_out:
+        spans["r"] = np.broadcast_to(span_r, gb.shape[:-2] + span_r.shape[-2:])
     return spans
 
 
@@ -390,15 +447,10 @@ def _gram_root(
     tile's own gradient columns is such a stack. A row slice L of the
     side's factor, with G = L R^T and the thin QR R = U T of the other
     factor's slice, gives X = L T^T, B columns."""
-    (n_down, n_across), (b_out, b_in) = group.grid, group.shape
+    b_out, b_in = group.shape
     if span.shape[-1] == (b_in if side == "l" else b_out):
         return span
-    left, right = factors
-    b = left.shape[1]
-    if side == "l":
-        other = right[group.col:group.col + n_across * b_in].reshape(1, n_across, b_in, b)
-    else:
-        other = left[group.row:group.row + n_down * b_out].reshape(n_down, 1, b_out, b)
+    other = _factor_slices(group, factors)[1 if side == "l" else 0]
     return span @ np.linalg.qr(other, mode="r").swapaxes(-1, -2)
 
 
@@ -456,13 +508,112 @@ def _advance_factor(
         if acc is not None and held is not None:
             setattr(stacks, side, _expanded(acc, held))
         return _factor_ema(stacks, side, root, beta2)
-    r_held, r = held.shape[-1], q.shape[-1]
-    if acc is None or r > r_held:
-        padded = np.zeros(q.shape[:-2] + (r, r))
-        if acc is not None:
-            padded[..., :r_held, :r_held] = acc
-        setattr(stacks, side, padded)
+    r = q.shape[-1]
+    setattr(stacks, side, np.zeros(q.shape[:-2] + (r, r)) if acc is None else _padded(acc, r, r))
     return _factor_ema(stacks, side, q.swapaxes(-1, -2) @ root, beta2)
+
+
+def _padded(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The stack a with zero rows and columns appended to rows x cols; a
+    itself when it has that shape."""
+    if a.shape[-2:] == (rows, cols):
+        return a
+    out = np.zeros(a.shape[:-2] + (rows, cols))
+    out[..., :a.shape[-2], :a.shape[-1]] = a
+    return out
+
+
+def _rotated_gradient(
+    group: TileGroup, gb: np.ndarray, q_l: np.ndarray | None, q_r: np.ndarray | None,
+    factors: tuple[Matrix, Matrix] | None,
+) -> np.ndarray:
+    """Q_l^T G Q_r of each tile, skipping a side without a basis: from the
+    gradient's factors as (Q_l^T L)(Q_r^T R)^T (_factor_slices) when they
+    have fewer columns than either side of the tile, so no tile-sized
+    product is formed, else from gb, the cheaper product then."""
+    if factors is None or factors[0].shape[1] >= min(group.shape):
+        return _rotate(gb, q_l, q_r)
+    left, right = _factor_slices(group, factors)
+    if q_l is not None:
+        left = q_l.swapaxes(-1, -2) @ left
+    if q_r is not None:
+        right = q_r.swapaxes(-1, -2) @ right
+    return left @ right.swapaxes(-1, -2)
+
+
+def _expand_moment(stacks: BlockState, side: str, basis: np.ndarray) -> None:
+    """Expand the group's rotated first moment C on a side that leaves the
+    route, to Q C on side "l" or C Q^T on side "r", with Q the first
+    columns of basis that C's side spans: the side's basis before this
+    step's growth, or after it, whose first columns are the ones before.
+    A C wider than the basis raises ValueError."""
+    c = stacks.m
+    if c is None:
+        return
+    width = c.shape[-2 if side == "l" else -1]
+    if width > basis.shape[-1]:
+        raise ValueError(
+            f"layer state's first moment spans {width} directions on side {side!r}, where "
+            f"its range basis holds {basis.shape[-1]}"
+        )
+    q = basis[..., :width]
+    stacks.m = q @ c if side == "l" else c @ q.swapaxes(-1, -2)
+
+
+def _advance_moment(
+    state: LayerState, group: TileGroup, stacks: BlockState, g: Matrix,
+    bases: dict[str, np.ndarray | None], factors: tuple[Matrix, Matrix] | None,
+    beta1: float,
+) -> np.ndarray:
+    """Advance the group's first moment in place and return its stack in
+    the bases the sides hold after this step's growth; a side missing from
+    bases holds none. A side that left the route this step has expanded
+    the rotated moment already (_expand_moment).
+
+    A group with no basis keeps its moment in its view of the layer's
+    dense m, advanced by beta1 m + (1 - beta1) G entrywise, with the
+    textbook EMA's bits; a group whose last basis went this step writes
+    its expanded C there first. Otherwise the moment is the stack C in
+    BlockState.m, Q_l^T m Q_r with a side without a basis left as it is,
+    padded with zero rows and columns to the grown bases, which is exact,
+    since m lies in the old ones, and advanced by beta1 C + (1 - beta1)
+    Q_l^T G Q_r (_rotated_gradient). A group that holds no C on the
+    route, such as at step 1, rotates its part of the dense m into the
+    bases, or starts from zero. A C that does not fit the bases raises
+    ValueError.
+    """
+    gb = group.view(g)
+    q_l, q_r = bases.get("l"), bases.get("r")
+    sizes = tuple(n if q is None else q.shape[-1] for n, q in zip(gb.shape[-2:], (q_l, q_r)))
+    c = stacks.m
+    if c is None and (q_l is not None or q_r is not None):
+        if state._m is None:
+            c = np.zeros(gb.shape[:-2] + sizes)
+        else:
+            c = _rotate(group.view(state._m), q_l, q_r)
+    # a dense side's extent must match; a route side may be padded
+    if c is not None and not all(
+        w == n if q is None else w <= n
+        for w, n, q in zip(c.shape[-2:], sizes, (q_l, q_r))
+    ):
+        raise ValueError(
+            f"layer state's first moment is {c.shape[-2]}x{c.shape[-1]} where the step expects "
+            f"{sizes[0]}x{sizes[1]}; a first moment rotated into range bases needs those bases"
+        )
+    if q_l is None and q_r is None:
+        stacks.m = None
+        if state._m is None:
+            state._m = np.zeros_like(g)
+        moment = group.view(state._m)
+        if c is not None:
+            moment[...] = c
+    else:
+        moment = stacks.m = _padded(c, *sizes)
+        gb = _rotated_gradient(group, gb, q_l, q_r, factors)
+    del c
+    moment *= beta1
+    moment += (1.0 - beta1) * gb
+    return moment
 
 
 def _decomposed(
@@ -483,38 +634,46 @@ def _rotate(a: np.ndarray, q_l: np.ndarray | None, q_r: np.ndarray | None) -> np
     return a
 
 
-def _rotate_back(a: np.ndarray, q_l: np.ndarray | None, q_r: np.ndarray | None) -> np.ndarray:
-    """Q_l A Q_r^T, skipping a side without a basis; it undoes _rotate on
-    a matrix whose columns lie in Q_l's range and rows in Q_r's."""
+def _rotate_back(
+    a: np.ndarray, q_l: np.ndarray | None, q_r: np.ndarray | None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Q_l A Q_r^T, skipping a side without a basis, written into out when
+    it is given; it undoes _rotate on a matrix whose columns lie in Q_l's
+    range and rows in Q_r's."""
     if q_l is not None:
+        if q_r is None:
+            return np.matmul(q_l, a, out=out)
         a = q_l @ a
     if q_r is not None:
-        a = a @ q_r.swapaxes(-1, -2)
-    return a
+        return np.matmul(a, q_r.swapaxes(-1, -2), out=out)
+    if out is None:
+        return a
+    out[...] = a
+    return out
 
 
 def _precondition(
-    accs: dict[str, np.ndarray], bases: dict[str, np.ndarray | None], upd: np.ndarray,
+    accs: dict[str, np.ndarray], bases: dict[str, np.ndarray | None], rot: np.ndarray,
     corr2: float, cfg: OptimizerConfig,
 ) -> np.ndarray:
     """(L + eps_l' I)^(-e_l) M (R + eps_r' I)^(-e_r) for the group's update
-    stack M, a fresh stack the caller gives up, with L = accs["l"] / corr2
-    and R = accs["r"] / corr2; a side missing from accs (e = 0) is the
+    stack M, given rotated into the bases the sides hold as Q_l^T M Q_r
+    (the rotated first moment of _advance_moment, bias-corrected), a fresh
+    stack the caller gives up; the result comes in the same rotation, for
+    the caller to rotate back (_rotate_back). L = accs["l"] / corr2 and
+    R = accs["r"] / corr2; a side missing from accs (e = 0) is the
     identity. A tile with a zero factor gets a zero update (_shifts).
 
-    M is rotated into the sides that hold a range basis Q (_range_basis,
-    _rotate), where the side's factor is the compression S = Q^T A Q and
-    its root the r x r W diag((lam + eps')^(-e)) W^T; a dense side's root
-    is n x n. The product is rotated back (_rotate_back). This is exact: M's columns lie in Q_l's range and its rows in Q_r's, as
-    every gradient's do, and the root leaves that range invariant. On Q's
-    complement, which is never empty, the root is eps'^(-e), so a zero
-    shift on a route side is singular and raises numpy.linalg.LinAlgError,
-    as a dense factor with a zero eigenvalue does. Each side's
-    decomposition and root are released before the next side's are formed.
+    A side that holds a range basis Q (_range_basis) has the compressed
+    factor S = Q^T A Q and the r x r root W diag((lam + eps')^(-e)) W^T; a
+    dense side's root is n x n. This is exact: M's columns lie in Q_l's
+    range and its rows in Q_r's, as every gradient's do, and the root
+    leaves that range invariant. On Q's complement, which is never empty,
+    the root is eps'^(-e), so a zero shift on a route side is singular and
+    raises numpy.linalg.LinAlgError, as a dense factor with a zero
+    eigenvalue does. Each side's decomposition and root are released
+    before the next side's are formed.
     """
-    q_l, q_r = bases.get("l"), bases.get("r")
-    rot = _rotate(upd, q_l, q_r)
-    del upd  # not alive beside the roots
     zero = np.zeros(rot.shape[:-2], dtype=bool)
     for side, acc in accs.items():
         dec, eps, zero_side = _decomposed(acc, corr2, cfg)
@@ -527,9 +686,8 @@ def _precondition(
         rot = p @ rot if side == "l" else rot @ p
         del p
         zero |= zero_side
-    upd = _rotate_back(rot, q_l, q_r)
-    upd[zero] = 0.0
-    return upd
+    rot[zero] = 0.0
+    return rot
 
 
 def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -545,37 +703,48 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     factor is kept and decomposed inside a basis of their numerical range
     (_range_basis), which grows by at most B columns a step when the
     state's gradient factors are given, and by none for a zero gradient,
-    until it fills the side. The update is preconditioned inside the
-    bases the sides hold (_precondition). A basis of width 0 holds a zero
-    factor, and its tile's update is zero.
+    until it fills the side. The first moment of a group whose sides hold
+    bases is kept rotated into them (_advance_moment), and the update is
+    preconditioned in that rotation (_precondition) and rotated back into
+    the update. A basis of width 0 holds a zero factor, and its tile's
+    update is zero. When the layer is one tile and a side holds a basis,
+    the report keeps the preconditioned moment in the bases as its core.
     """
     g = as_matrix(g, "gradient")
     out = np.empty_like(g)  # every tile group fills its part below
     factors = _take_factors(state, g, out)
     state.t += 1
-    m = _update_first_moment(state, g, cfg.beta1)
-    part = block_partition(g, cfg.block_out, cfg.block_in)
+    part = block_partition(g.shape, cfg.block_out, cfg.block_in)
     corr1 = _bias_correction(cfg.beta1, state.t)
     corr2 = _bias_correction(cfg.beta2, state.t)
+    core = None
     for group, stacks in _group_states(state, part):
         gb = group.view(g)
         spans = _spans(group, gb, factors)
-        # every side's basis and factor first, so a side that leaves the
-        # route releases its basis before any dense decomposition of this
-        # step; e == 0 is the exact identity: that side is skipped
-        accs, bases = {}, {}
+        # every side's basis first, then the first moment and the factors,
+        # so a side that leaves the route releases its basis before any
+        # dense decomposition of this step; e == 0 is the exact identity:
+        # that side is skipped
+        held, bases = {}, {}
         for side in ("l", "r"):
-            if getattr(cfg, "e_" + side) == 0.0:
-                continue
-            held, q = _range_basis(stacks, side, spans[side], state.t)
+            if getattr(cfg, "e_" + side) != 0.0:
+                held[side], bases[side] = _range_basis(stacks, side, spans[side], state.t)
+                if held[side] is not None and bases[side] is None:
+                    _expand_moment(stacks, side, held[side])
+        moment = _advance_moment(state, group, stacks, g, bases, factors, cfg.beta1)
+        accs = {}
+        for side, q in bases.items():
             own = gb if side == "l" else gb.swapaxes(-1, -2)
             # a dense side advances by the tile's own Gram, with or without
             # factors, so its bits do not depend on them
             root = own if q is None else _gram_root(group, spans[side], side, factors)
-            accs[side] = _advance_factor(stacks, side, own.shape[-2], root, held, q, cfg.beta2)
-            bases[side] = q
-        group.view(out)[...] = _precondition(accs, bases, group.view(m) / corr1, corr2, cfg)
-    return UpdateReport(out)
+            accs[side] = _advance_factor(stacks, side, own.shape[-2], root, held[side], q, cfg.beta2)
+        del held  # the bases before growth, not alive beside the roots
+        upd = _precondition(accs, bases, moment / corr1, corr2, cfg)
+        _rotate_back(upd, bases.get("l"), bases.get("r"), out=group.view(out))
+        if len(part) == 1 and stacks.m is not None:
+            core = upd[0, 0]
+    return UpdateReport(out, core)
 
 
 def _soap_basis(
@@ -602,7 +771,7 @@ def soap_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
     g = as_matrix(g, "gradient")
     state.t += 1
     m = _update_first_moment(state, g, cfg.beta1)
-    part = block_partition(g, cfg.block_out, cfg.block_in)
+    part = block_partition(g.shape, cfg.block_out, cfg.block_in)
     corr1 = _bias_correction(cfg.beta1, state.t)
     corr2 = _bias_correction(cfg.beta2, state.t)
     refresh = state.t == 1 or (state.t - 1) % cfg.precond_freq == 0
@@ -630,12 +799,14 @@ def soap_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
 
 
 def _muon_bases(
-    state: LayerState, g: Matrix, factors: tuple[Matrix, Matrix] | None
-) -> tuple[Matrix, Matrix] | None:
-    """Orthonormal bases (Q_l, Q_r) of the numerical range of the spanning
-    sets seen so far on both sides of the layer's one whole-matrix tile,
-    or None when the layer takes the dense route, which then holds no
-    basis.
+    state: LayerState, group: TileGroup, stacks: BlockState, g: Matrix,
+    factors: tuple[Matrix, Matrix] | None,
+) -> dict[str, np.ndarray]:
+    """Orthonormal bases of the numerical range of the spanning sets seen
+    so far on both sides of the layer's one whole-matrix tile group, by
+    side, or no side when the layer takes the dense route, which then
+    holds no basis. The layer leaving the route expands its rotated first
+    moment on both sides (_expand_moment).
 
     Each side enters the route at step 1 and leaves it once its basis
     fills the side, under Shampoo's rule (_range_basis). The route needs
@@ -644,13 +815,19 @@ def _muon_bases(
     lower one, so it goes first: a layer it keeps off the route, such as a
     d x 1 layer, pays for no basis.
     """
-    ((group, stacks),) = _group_states(state, BlockPartition(*g.shape))
     spans = _spans(group, group.view(g), factors)
     for side in ("l", "r") if g.shape[0] <= g.shape[1] else ("r", "l"):
-        if _range_basis(stacks, side, spans[side], state.t)[1] is None:
+        held, q = _range_basis(stacks, side, spans[side], state.t)
+        if q is None:
+            other = "r" if side == "l" else "l"
+            # the other side's basis, grown this step or not, begins with
+            # the columns the moment spans
+            for s, basis in ((side, held), (other, getattr(stacks, "q_" + other))):
+                if basis is not None:
+                    _expand_moment(stacks, s, basis)
             stacks.q_l = stacks.q_r = None
-            return None
-    return stacks.q_l[0, 0], stacks.q_r[0, 0]
+            return {}
+    return {"l": stacks.q_l, "r": stacks.q_r}
 
 
 def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -659,8 +836,9 @@ def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
     Given the gradients' batch factors, m_t lies in the span of those seen
     so far on each side. While both sides hold an orthonormal basis of
     their numerical range (_muon_bases), r_l and r_r columns wide, the step
-    orthogonalizes the r_l x r_r core Q_l^T m_t Q_r (_rotate) and returns
-    Q_l newton_schulz(core) Q_r^T (_rotate_back), which equals
+    keeps the momentum as the r_l x r_r core C = Q_l^T m_t Q_r
+    (_advance_moment), orthogonalizes it and returns Q_l newton_schulz(C)
+    Q_r^T, written into the array that checked the factors, which equals
     newton_schulz(m_t) up to round-off, since the iteration maps X to
     X p(X^T X); the report keeps the orthogonalized core. A side of width
     0, whose spans were all zero, gives a zero core and a zero update, as
@@ -668,14 +846,16 @@ def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
     without factors, the d_out x d_in momentum is orthogonalized.
     """
     g = as_matrix(g, "gradient")
-    factors = _take_factors(state, g, np.empty_like(g))
+    out = np.empty_like(g)
+    factors = _take_factors(state, g, out)
     state.t += 1
-    m = _update_first_moment(state, g, cfg.beta1)
-    bases = _muon_bases(state, g, factors)
-    if bases is None:
-        return UpdateReport(newton_schulz(m, cfg.ns_iters, cfg.eps))
-    core = newton_schulz(_rotate(m, *bases), cfg.ns_iters, cfg.eps)
-    return UpdateReport(_rotate_back(core, *bases), core)
+    ((group, stacks),) = _group_states(state, BlockPartition(*g.shape))
+    bases = _muon_bases(state, group, stacks, g, factors)
+    moment = _advance_moment(state, group, stacks, g, bases, factors, cfg.beta1)
+    orth = newton_schulz(moment[0, 0], cfg.ns_iters, cfg.eps)
+    if not bases:
+        return UpdateReport(orth)
+    return UpdateReport(_rotate_back(orth, bases["l"][0, 0], bases["r"][0, 0], out=out), orth)
 
 
 def adamuon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:

@@ -246,7 +246,7 @@ class TestShampoo:
 
 def tile_spans(g, c):
     """((r0, r1), (c0, c1)) bounds of the config's tiles in row-major order."""
-    part = block_partition(g, c.block_out, c.block_in)
+    part = block_partition(g.shape, c.block_out, c.block_in)
     return list(product(part.row_spans, part.col_spans))
 
 
@@ -299,8 +299,9 @@ def compressed_root(dec, e, eps):
 
 
 def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None):
-    """Shampoo updates and final per-tile dense (L, R) by a tile-by-tile
-    route with the step's arithmetic written out in the same order.
+    """Shampoo updates, final per-tile dense (L, R) and final per-tile dense
+    first moments by a tile-by-tile route with the step's arithmetic
+    written out in the same order.
 
     factors_seq gives each step's gradient factors (left, right), or None
     for a step without them. A factor side of size n whose tile's other
@@ -320,11 +321,13 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
     of S / corr2; a dense side's root is mat_inv_power of the full factor,
     decomposed once more for its top eigenvalue in relative mode. cutoff=0
     takes the dense route on every side. A side with e = 0 keeps no factor
-    (None)."""
-    m, acc, basis, updates = 0.0, {}, {}, []
+    (None). A tile whose sides hold bases keeps its first moment rotated
+    into them (moment): a leaving side expands it, a growing one pads it,
+    and it advances by the rotated gradient, from the factor slices when
+    they have fewer columns than either side of the tile."""
+    acc, basis, moments, updates = {}, {}, {}, []
     sides = [(side, e) for side, e in (("l", c.e_l), ("r", c.e_r)) if e > 0.0]
     for t, (g, factors) in enumerate(zip(g_seq, factors_seq or [None] * len(g_seq)), start=1):
-        m = c.beta1 * m + (1.0 - c.beta1) * g
         corr1, corr2 = 1.0 - c.beta1**t, 1.0 - c.beta2**t
         # every basis first; the tiles of one shape form one group
         grown, widths, held, roots = {}, {}, {}, {}
@@ -352,7 +355,7 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
                 basis[i, side] = appended(q, rem_q, u, count, width)
         out = np.empty_like(g)
         for i, ((r0, r1), (c0, c1)) in enumerate(tile_spans(g, c)):
-            gb, mb = g[r0:r1, c0:c1], m[r0:r1, c0:c1]
+            gb = g[r0:r1, c0:c1]
             facs = acc.setdefault(i, {})
             for side, e in sides:
                 q, old = basis.get((i, side)), held[i, side]
@@ -367,11 +370,27 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
                     root = gb if side == "l" else gb.T
                 facs[side] = c.beta2 * s + (1.0 - c.beta2) * (root @ root.T)
             q_l, q_r = basis.get((i, "l")), basis.get((i, "r"))
+            h_l, h_r = held.get((i, "l")), held.get((i, "r"))
+            mb = moments.get(i)
+            if mb is None:
+                mb = np.zeros((gb.shape[0] if h_l is None else h_l.shape[1],
+                               gb.shape[1] if h_r is None else h_r.shape[1]))
+            if h_l is not None and q_l is None:
+                mb = h_l @ mb
+            if h_r is not None and q_r is None:
+                mb = mb @ h_r.T
+            rot = gb
+            if q_l is not None or q_r is not None:
+                mb = moment_padded(mb, gb.shape[0] if q_l is None else q_l.shape[1],
+                                   gb.shape[1] if q_r is None else q_r.shape[1])
+                if factors is None or factors[0].shape[1] >= min(gb.shape):
+                    rot = gb if q_l is None else q_l.T @ gb
+                    rot = rot if q_r is None else rot @ q_r
+                else:
+                    fl, fr = factors[0][r0:r1], factors[1][c0:c1]
+                    rot = (fl if q_l is None else q_l.T @ fl) @ (fr if q_r is None else q_r.T @ fr).T
+            mb = moments[i] = c.beta1 * mb + (1.0 - c.beta1) * rot
             upd, zero = mb / corr1, False
-            if q_l is not None:
-                upd = q_l.T @ upd
-            if q_r is not None:
-                upd = upd @ q_r
             for side, e in sides:
                 q, a = basis.get((i, side)), facs[side] / corr2
                 dec = sym_eig(a) if q is not None else None
@@ -384,17 +403,32 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
                     eps = 1.0 if top <= 0.0 else c.eps * top
                 p = mat_inv_power(a, e, eps) if q is None else compressed_root(dec, e, eps)
                 upd = p @ upd if side == "l" else upd @ p
-            if q_l is not None:
-                upd = q_l @ upd
-            if q_r is not None:
-                upd = upd @ q_r.T
-            out[r0:r1, c0:c1] = np.zeros_like(mb) if zero else upd
+            if zero:
+                upd = np.zeros_like(upd)
+            out[r0:r1, c0:c1] = rotated_back(upd, q_l, q_r)
         updates.append(out)
     def dense(i, side):
         f, q = acc[i].get(side), basis.get((i, side))
         return f if f is None or q is None else expanded(f, q)
 
-    return updates, {i: (dense(i, "l"), dense(i, "r")) for i in acc}
+    dense_moments = {i: rotated_back(mb, basis.get((i, "l")), basis.get((i, "r")))
+                     for i, mb in moments.items()}
+    return updates, {i: (dense(i, "l"), dense(i, "r")) for i in acc}, dense_moments
+
+
+def moment_padded(mb, rows, cols):
+    """A tile's rotated first moment with zero rows and columns appended."""
+    out = np.zeros((rows, cols))
+    out[:mb.shape[0], :mb.shape[1]] = mb
+    return out
+
+
+def rotated_back(a, q_l, q_r):
+    """Q_l A Q_r^T, of a matrix or of every entry of a stack, skipping a
+    side without a basis."""
+    if q_l is not None:
+        a = q_l @ a
+    return a if q_r is None else a @ q_r.swapaxes(-1, -2)
 
 
 def same_factor(got, want):
@@ -546,7 +580,7 @@ class TestRelativeDamping:
         # per factor side and tile
         b_out, b_in = blocks
         c = cfg("shampoo", e_l=0.25, e_r=e_r, eps=1e-3, block_out=b_out, block_in=b_in)
-        tiles = len(block_partition(np.zeros(shape), b_out, b_in))
+        tiles = len(block_partition(shape, b_out, b_in))
         sides = 2 if e_r > 0.0 else 1
         rng = np.random.default_rng(16)
         state = LayerState()
@@ -616,14 +650,14 @@ class TestStackedTiles:
         rows, cols, b_out, b_in = tiling
         c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode, beta2=beta2,
                 block_out=b_out, block_in=b_in)
-        part = block_partition(np.zeros((rows, cols)), b_out, b_in)
+        part = block_partition((rows, cols), b_out, b_in)
         assert 2 <= len(part.groups()) <= 4
         spans = tile_spans(np.zeros((rows, cols)), c)
         zero = zero_tile % len(spans)
         g_seq = gradients_with_zero_tile(
             np.random.default_rng(seed), (rows, cols), spans[zero], 4, zero_from
         )
-        want, acc = per_tile_shampoo(g_seq, c)
+        want, acc, moments = per_tile_shampoo(g_seq, c)
         state = LayerState()
         for g, expected in zip(g_seq, want):
             # bytes, so a zero tile's signed zeros count too
@@ -631,6 +665,9 @@ class TestStackedTiles:
         # the per-tile factors stay readable in row-major tile order
         for block, (l, r) in zip(state.blocks, (acc[i] for i in range(len(spans))), strict=True):
             assert same_factor(block.l, l) and same_factor(block.r, r)
+        # the layer's first moment reads back dense, with the route's bits
+        for i, ((r0, r1), (c0, c1)) in enumerate(spans):
+            assert state.m[r0:r1, c0:c1].tobytes() == moments[i].tobytes()
         if zero_from == 1:
             (r0, r1), (c0, c1) = spans[zero]
             assert not np.any(expected[r0:r1, c0:c1])
@@ -663,12 +700,14 @@ class TestStackedTiles:
         )
         if bare_step:
             f_seq[min(bare_step, len(f_seq)) - 1] = None
-        want, acc = per_tile_shampoo(g_seq, c, factors_seq=f_seq)
+        want, acc, moments = per_tile_shampoo(g_seq, c, factors_seq=f_seq)
         state = LayerState()
         for got, expected in zip(factored_steps(state, g_seq, f_seq, c), want):
             assert got.tobytes() == expected.tobytes()
         for i, block in enumerate(state.blocks):
             assert same_factor(block.l, acc[i][0]) and same_factor(block.r, acc[i][1])
+        for i, ((r0, r1), (c0, c1)) in enumerate(tile_spans(g_seq[0], c)):
+            assert state.m[r0:r1, c0:c1].tobytes() == moments[i].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -772,12 +811,12 @@ class TestGroupState:
         # a Shampoo side still on the range-basis route after these steps
         # (all but the left sides of the 6-row tiles, whose bases outgrow
         # 6 / 2 columns at step 2) holds its factor compressed to its basis,
-        # which a tile gets expanded, as a new array; every other field is
-        # a view
+        # and each group its first moment rotated into its bases, which a
+        # tile gets expanded, as new arrays; every other field is a view
         state = self.run(c)
         assert len({group.shape for group, _ in state.groups}) == 4
         blocks = state.blocks
-        assert len(blocks) == len(block_partition(np.zeros(self.SHAPE), 32, 16))
+        assert len(blocks) == len(block_partition(self.SHAPE, 32, 16))
         names = [f.name for f in fields(BlockState)]
         held, compressed = set(), 0
         for group, stacks in state.groups:
@@ -789,6 +828,13 @@ class TestGroupState:
                         continue
                     held.add(name)
                     own = stack.reshape(-1, *stack.shape[-2:])[k]
+                    if name == "m":
+                        q_l, q_r = (None if q is None else q.reshape(-1, *q.shape[-2:])[k]
+                                    for q in (stacks.q_l, stacks.q_r))
+                        assert q_l is not None or q_r is not None
+                        assert not np.shares_memory(tile, stack)
+                        assert tile.tobytes() == rotated_back(own, q_l, q_r).tobytes()
+                        continue
                     q = getattr(stacks, "q_" + name, None) if c.rule == "shampoo" else None
                     if q is not None:
                         q = q.reshape(-1, *q.shape[-2:])[k]
@@ -799,7 +845,7 @@ class TestGroupState:
                         continue
                     assert np.shares_memory(tile, stack)
                     assert np.array_equal(tile, own)
-        assert held == ({"l", "r", "q_l", "q_r"} if c.rule == "shampoo" else set(names))
+        assert held == {"l", "r", "q_l", "q_r", "m" if c.rule == "shampoo" else "v"}
         assert (compressed > 0) == (c.rule == "shampoo")
 
     @pytest.mark.parametrize("c", CONFIGS, ids=["shampoo", "soap"])
@@ -924,7 +970,8 @@ class TestRangeBasisRoute:
 
     def test_state_without_basis_takes_dense_route(self):
         # a basis started after step 1 would miss the earlier gradients: a
-        # side whose state holds its dense factor and no basis stays dense
+        # side whose state holds its dense factor, a dense first moment and
+        # no basis stays dense
         c = cfg("shampoo", e_l=0.5, e_r=0.25, eps=1e-3)
         rng = np.random.default_rng(33)
         g_seq = [rng.standard_normal((30, 1)) for _ in range(3)]
@@ -932,9 +979,12 @@ class TestRangeBasisRoute:
         for g in g_seq[:2]:
             shampoo_step(state, g, c)
         stacks = state.groups[0][1]
-        assert stacks.l.shape == (1, 1, 2, 2)
-        dense_l = per_tile_shampoo(g_seq[:2], c, cutoff=0.0)[1][0][0]
-        stacks.q_l, stacks.l = None, dense_l[np.newaxis, np.newaxis].copy()
+        assert stacks.l.shape == (1, 1, 2, 2) and stacks.m.shape == (1, 1, 2, 1)
+        _, dense_factors, dense_moments = per_tile_shampoo(g_seq[:2], c, cutoff=0.0)
+        stacks.q_l, stacks.l = None, dense_factors[0][0][np.newaxis, np.newaxis].copy()
+        # assigning m drops the rotated moment, as a state without basis holds none
+        state.m = dense_moments[0].copy()
+        assert stacks.m is None
         got = shampoo_step(state, g_seq[2], c).update
         want = per_tile_shampoo(g_seq, c, cutoff=0.0)[0][2]
         assert state.blocks[0].q_l is None
@@ -951,13 +1001,51 @@ class TestRangeBasisRoute:
         factored_steps(state, g_seq[:2], f_seq[:2], c)
         stacks = state.groups[0][1]
         assert stacks.l.shape == stacks.r.shape == (1, 1, 4, 4)
+        # the first moment goes dense, so only the factor misfits
+        dense_m = state.m.copy()
         setattr(stacks, "q_" + side, None)
+        state.m = dense_m
         message = f"factor on side '{side}' is 4x4 where the step expects 30x30"
         with pytest.raises(ValueError, match=message):
             state.blocks
         state.factors = f_seq[2]
         with pytest.raises(ValueError, match=message):
             shampoo_step(state, g_seq[2], c)
+
+    def test_rotated_moment_without_basis_raises(self):
+        # a 30 x 30 layer given batch-2 factors, left side only: after two
+        # steps its first moment is kept as the 4 x 30 Q_l^T m, which
+        # without the basis fits neither route
+        c = cfg("shampoo", e_l=0.5, e_r=0.0, eps=1e-3)
+        g_seq, f_seq = factored_gradients(np.random.default_rng(36), (30, 30), 2, 3)
+        state = LayerState()
+        factored_steps(state, g_seq[:2], f_seq[:2], c)
+        stacks = state.groups[0][1]
+        assert stacks.m.shape == (1, 1, 4, 30)
+        stacks.l = state.blocks[0].l[np.newaxis, np.newaxis].copy()
+        stacks.q_l = None
+        state.factors = f_seq[2]
+        message = "first moment is 4x30 where the step expects 30x30"
+        with pytest.raises(ValueError, match=message):
+            shampoo_step(state, g_seq[2], c)
+
+    @pytest.mark.parametrize("shape,e_r,blocks", [
+        ((40, 40), 0.25, None), ((40, 3), 0.25, None), ((40, 40), 0.0, None), ((40, 40), 0.25, 20),
+    ], ids=["both-sides", "left-side", "right-exponent-zero", "blocked"])
+    def test_report_core_carries_the_update_spectrum(self, shape, e_r, blocks):
+        # a one-tile layer on the route keeps its preconditioned moment in
+        # the bases as the report's core, whose Gram gives spec; a blocked
+        # layer's report has none
+        c = cfg("shampoo", e_l=0.25, e_r=e_r, eps=1e-3, block_out=blocks)
+        g_seq, f_seq = factored_gradients(np.random.default_rng(39), shape, 3, 5)
+        state = LayerState()
+        for g, factors in zip(g_seq, f_seq):
+            state.factors = factors
+            report = shampoo_step(state, g, c)
+            assert (report.core is not None) == (blocks is None)
+            spec = spectral_norm_exact(report.update)
+            assert abs(report.spec - spec) <= 1e-12 * spec
+            assert abs(report.srank - report.frob**2 / spec**2) <= 1e-12 * report.srank
 
     def test_factors_match_dense_ema(self, monkeypatch):
         # two 40x3 tiles: the left sides take the route while 3 t < 40,
@@ -1157,7 +1245,8 @@ def precondition_side(data, rng, n, route):
 class TestPrecondition:
     """_precondition, Shampoo's one preconditioning path, gives
     (L + eps_l' I)^(-e_l) M (R + eps_r' I)^(-e_r) of the dense factors for
-    an M in the bases' ranges, whichever sides hold a range basis."""
+    an M in the bases' ranges, whichever sides hold a range basis, taking
+    and giving it rotated into those bases."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1184,7 +1273,11 @@ class TestPrecondition:
                 accs[side], bases[side] = acc, q
         m = [x_l @ rng.standard_normal((x_l.shape[1], x_r.shape[1])) @ x_r.T
              for x_l, x_r in zip(spans["l"], spans["r"])]
-        got = mupre.optim._precondition(accs, bases, np.stack(m)[np.newaxis], corr2, c)
+        # _precondition takes M rotated into the bases and returns its
+        # result in them
+        q_l, q_r = bases.get("l"), bases.get("r")
+        rot = mupre.optim._rotate(np.stack(m)[np.newaxis], q_l, q_r)
+        got = rotated_back(mupre.optim._precondition(accs, bases, rot, corr2, c), q_l, q_r)
         for i in range(2):
             want = m[i]
             for side in accs:
@@ -1454,10 +1547,11 @@ def close(got, want, tol):
 
 
 class TestMuonRoute:
-    """Given the gradients' batch factors, Muon orthogonalizes the core
-    Q_l^T m Q_r until either basis fills its side, and its update is the
-    dense one up to round-off; after that it is the dense one bit for
-    bit."""
+    """Given the gradients' batch factors, Muon keeps its momentum as the
+    core Q_l^T m Q_r and orthogonalizes it until either basis fills its
+    side, and its update is the dense one up to round-off; after that it
+    orthogonalizes the expanded momentum, still the dense one up to
+    round-off. A layer that never takes the route keeps the dense bits."""
 
     def test_matches_dense_route_across_the_cutoff(self):
         # n = 64 and B = 4: the left factor is zero at step 1, as a
@@ -1481,7 +1575,8 @@ class TestMuonRoute:
             else:
                 exits.append(t)
                 assert block.q_l is None and block.q_r is None and got.core is None
-                assert got.update.tobytes() == want.update.tobytes()
+                assert close(got.update, want.update, 1e-12)
+                assert close(route.m, dense.m, 1e-13)
         assert exits == list(range(16, 21))
 
     def test_lopsided_bases_stay_on_the_route(self):
@@ -1506,7 +1601,7 @@ class TestMuonRoute:
                 assert abs(got.spec - want.spec) <= 1e-12 * want.spec
             else:
                 assert got.core is None and route.blocks[0].q_r is None
-                assert got.update.tobytes() == want.update.tobytes()
+                assert close(got.update, want.update, 1e-12)
 
     def test_full_basis_stops_growing(self, monkeypatch):
         # the lopsided run above: the right basis would hold all 64 columns
@@ -1668,26 +1763,95 @@ class TestExitRule:
 
 
 class TestFirstMoment:
-    """Every rule advances the first moment in place, with the bits of the
-    textbook EMA beta1 m + (1 - beta1) g, and never aliases the gradient."""
+    """Every rule advances the first moment in place, and never aliases the
+    gradient. Without range bases it has the bits of the textbook EMA
+    beta1 m + (1 - beta1) g; a tile group whose sides hold bases keeps it
+    rotated into them, and LayerState.m reads it back dense, the textbook
+    EMA up to round-off."""
 
-    @pytest.mark.parametrize("rule,kw", [
-        ("sgd", {}), ("adam", {}), ("shampoo", {}), ("soap", {"e_l": 1.0, "e_r": 1.0}),
-        ("muon", {}), ("shampoo", {"graft_rule": "adam", "block_in": 2}),
+    @pytest.mark.parametrize("rule,kw,route", [
+        ("sgd", {}, False), ("adam", {}, False), ("shampoo", {}, False),
+        ("soap", {"e_l": 1.0, "e_r": 1.0}, False), ("muon", {}, False),
+        # 6 x 2 and 6 x 1 tiles, whose left sides take the route
+        ("shampoo", {"graft_rule": "adam", "block_in": 2}, True),
     ], ids=["sgd", "adam", "shampoo", "soap", "muon", "blocked-graft"])
     @pytest.mark.parametrize("beta1", [0.0, 0.9, 0.37])
-    def test_bits_match_textbook_ema(self, rule, kw, beta1):
+    def test_bits_match_textbook_ema(self, rule, kw, route, beta1):
         rng = np.random.default_rng(31)
         c = cfg(rule, beta1=beta1, **kw)
-        state = LayerState()
+        state, routed = LayerState(), False
         m = np.zeros((6, 5))
         for _ in range(6):
             g = rng.standard_normal((6, 5)) * 10.0 ** rng.uniform(-3, 3)
             kept = g.copy()
             optimizer_step(state, g, c)
             m = beta1 * m + (1.0 - beta1) * g
-            assert np.array_equal(state.m, m)
+            routed |= any(stacks.m is not None for _, stacks in state.groups)
+            if route:
+                assert close(state.m, m, 1e-13)
+            else:
+                assert np.array_equal(state.m, m)
             assert np.array_equal(g, kept) and not np.shares_memory(state.m, g)
+        assert routed == route
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+        b=st.integers(1, 4),
+        rule=st.sampled_from(("shampoo", "muon")),
+        sides=st.sampled_from(((0.25, 0.25), (0.25, 0.0), (0.0, 0.25))),
+        blocked=st.booleans(),
+        beta1=st.sampled_from((0.0, 0.9)),
+        zero_left_until=st.integers(0, 2),
+        bare_step=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rotated_moment_expands_to_dense_ema(
+        self, shape, b, rule, sides, blocked, beta1, zero_left_until, bare_step, seed
+    ):
+        # the run ends two steps past the last step a basis, growing by at
+        # least one direction a step, could fill its side, so groups enter
+        # the route at step 1, grow, and leave it;
+        # zero left factors give left bases of width 0, a Shampoo side with
+        # e = 0 keeps no basis, so the moment is rotated on one side only,
+        # and step bare_step (if any) spans with G's columns
+        kw = dict(beta1=beta1)
+        if rule == "shampoo":
+            half = -(-shape[1] // 2) if blocked else None
+            kw.update(e_l=sides[0], e_r=sides[1], eps=1e-3, block_in=half)
+        c = cfg(rule, **kw)
+        steps = max(shape) + zero_left_until + 2
+        g_seq, f_seq = factored_gradients(
+            np.random.default_rng(seed), shape, b, steps, zero_left_until
+        )
+        if bare_step:
+            f_seq[min(bare_step, steps) - 1] = None
+        state, m, read = LayerState(), np.zeros(shape), None
+        for g, factors in zip(g_seq, f_seq):
+            state.factors = factors
+            optimizer_step(state, g, c)
+            m = beta1 * m + (1.0 - beta1) * g
+            # LayerState.m reads back dense, always into the same array
+            assert np.linalg.norm(state.m - m) <= 1e-13 * np.linalg.norm(m)
+            assert read is None or state.m is read
+            read = state.m
+        assert all(stacks.m is None for _, stacks in state.groups)
+
+    def test_grafted_blocked_shampoo_keeps_one_dense_moment(self):
+        # the Adam graft reads the dense m every step; the layer keeps one
+        # array for it, and its route groups write their part into it. The
+        # 8 x 8 and 8 x 4 tiles' sides take the route through step 3
+        c = cfg("shampoo", e_l=0.25, e_r=0.25, graft_rule="adam", block_out=8, block_in=8)
+        g_seq, f_seq = factored_gradients(np.random.default_rng(38), (24, 20), 2, 6)
+        state, first, m, routed = LayerState(), None, np.zeros((24, 20)), []
+        for g, factors in zip(g_seq, f_seq):
+            state.factors = factors
+            optimizer_step(state, g, c)
+            m = c.beta1 * m + (1.0 - c.beta1) * g
+            first = state.m if first is None else first
+            assert state.m is first and close(state.m, m, 1e-13)
+            routed.append(all(stacks.m is not None for _, stacks in state.groups))
+        assert routed == [True] * 3 + [False] * 3
 
     def test_moment_array_is_reused(self):
         state = LayerState()
@@ -1862,10 +2026,10 @@ class TestBlocking:
         assert BlockPartition(7, 5) == BlockPartition(7, 5, 7, 5) == BlockPartition(7, 5, 70, 9)
         part = BlockPartition(7, 5, None, 2)
         assert (part.b_out, part.b_in, part.col_spans) == (7, 2, [(0, 2), (2, 4), (4, 5)])
-        assert block_partition(np.zeros((7, 5)), 70, None) == BlockPartition(7, 5)
+        assert block_partition((7, 5), 70, None) == BlockPartition(7, 5)
 
     def test_partition_counts_and_trailing_blocks(self):
-        part = block_partition(np.zeros((70, 33)), b_out=32, b_in=32)
+        part = block_partition((70, 33), b_out=32, b_in=32)
         assert (part.n_out, part.n_in) == (3, 2)
         shapes = {grp.shape: grp.indices for grp in part.groups()}
         assert shapes[(32, 32)] == (0, 2)
@@ -1876,7 +2040,7 @@ class TestBlocking:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(15)
         g = rng.standard_normal((37, 21))
-        part = block_partition(g, 8, 5)
+        part = block_partition(g.shape, 8, 5)
         out = np.full_like(g, np.nan)
         for grp in part.groups():
             grp.view(out)[...] = grp.view(g)
