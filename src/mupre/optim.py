@@ -17,7 +17,7 @@ Conventions shared by every rule:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -101,18 +101,17 @@ class BlockState:
     columns than its group's widest holds zero columns in their place, and
     a zero span gives a basis of width 0. While a side holds a basis, its
     l or r is the EMA compressed to it, S = Q^T A Q, r x r for Q's r
-    columns; otherwise it is the dense n x n EMA A, which a side leaving
-    the route expands once from Q S Q^T (_advance_factor). A side with
-    exponent 0 keeps no factor. Muon keeps only q_l and q_r, of its one
-    whole-matrix tile, while the layer takes the route (_muon_bases). A
-    basis that fills its side is released (_range_basis).
+    columns; otherwise it is the dense n x n EMA A. A side with exponent 0
+    keeps no factor. Muon keeps only q_l and q_r, of its one whole-matrix
+    tile, while the layer takes the route (_muon_bases). A basis that
+    fills its side is released (_range_basis).
 
     While either side of a Shampoo or Muon group holds a basis, m is the
     group's first moment rotated into the bases, C = Q_l^T m Q_r, with a
-    side without a basis left as it is: r_l x r_r, r_l x n_r or n_l x r_r
-    (_advance_moment). Otherwise m is None and the group's first moment is
-    its part of the layer's dense one. A field is None until its first
-    use.
+    side without a basis left as it is: r_l x r_r, r_l x n_r or n_l x r_r.
+    Otherwise m is None and the group's first moment is its part of the
+    layer's dense one. A field is None until its first use. Each array
+    held in a range basis follows its bases from step to step by _rebase.
     """
 
     l: Matrix | None = None
@@ -150,24 +149,24 @@ class LayerState:
     """
 
     t: int = 0
-    m: InitVar[Matrix | None] = None
     v: Matrix | None = None
     groups: list[tuple[TileGroup, BlockState]] = field(default_factory=list)
     factors: tuple[Matrix, Matrix] | None = None
     _m: Matrix | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self, m: Matrix | None) -> None:
-        self._m = m
-
-    def _get_m(self) -> Matrix | None:
+    @property
+    def m(self) -> Matrix | None:
+        """The layer's dense first moment."""
         for group, stacks in self.groups:
             if stacks.m is not None:
                 if self._m is None:
                     self._m = np.zeros(_extent(self.groups))
-                _rotate_back(stacks.m, stacks.q_l, stacks.q_r, out=group.view(self._m))
+                _rebase(stacks.m, (stacks.q_l, stacks.q_r), (None, None), group.shape,
+                        "first moment", out=group.view(self._m))
         return self._m
 
-    def _set_m(self, m: Matrix | None) -> None:
+    @m.setter
+    def m(self, m: Matrix | None) -> None:
         for _, stacks in self.groups:
             stacks.m = None
         self._m = m
@@ -175,25 +174,25 @@ class LayerState:
     @property
     def blocks(self) -> list[BlockState]:
         """Each tile's view of its group's stacks, in row-major tile order;
-        empty before the first shampoo/soap step. A Shampoo factor
-        compressed to its range basis is given dense, as the new array
-        Q S Q^T (_expanded), so every tile's l and r are n x n EMAs, and a
-        rotated first moment as the new array Q_l C Q_r^T, the tile's part
-        of the layer's m."""
+        empty before the first shampoo/soap step. Arrays held in a range
+        basis are given dense, as new arrays: a compressed Shampoo factor as
+        Q S Q^T (_factor), so every tile's l and r are n x n EMAs, and a
+        rotated first moment as Q_l C Q_r^T, the tile's part of the layer's
+        m. A SOAP eigenbasis is as wide as its side, and its factors are
+        dense already."""
         tiles = {}
         for group, stacks in self.groups:
-            dense = {side: _dense_factor(stacks, side, n) for side, n in zip("lr", group.shape)}
+            bases = [None if q is None or q.shape[-1] == n else q
+                     for q, n in zip((stacks.q_l, stacks.q_r), group.shape)]
+            dense = {side: _factor(getattr(stacks, side), q, None, n, f"factor on side {side!r}")
+                     for side, q, n in zip("lr", bases, group.shape)}
             if stacks.m is not None:
-                dense["m"] = _rotate_back(stacks.m, stacks.q_l, stacks.q_r)
+                dense["m"] = _rebase(stacks.m, bases, (None, None), group.shape, "first moment")
             arrays = [dense.get(f.name, getattr(stacks, f.name)) for f in fields(BlockState)]
             for k, i in enumerate(group.indices):
                 at = divmod(k, group.grid[1])
                 tiles[i] = BlockState(*(None if a is None else a[at] for a in arrays))
         return [tiles[i] for i in sorted(tiles)]
-
-
-# set after the class body, where the dataclass has taken m's default of None
-LayerState.m = property(LayerState._get_m, LayerState._set_m, doc="The layer's dense first moment.")
 
 
 def _extent(groups: list[tuple[TileGroup, BlockState]]) -> tuple[int, int]:
@@ -296,34 +295,67 @@ def _factor_ema(stacks: BlockState, side: str, root: np.ndarray, beta2: float) -
     return acc
 
 
-def _expanded(s: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The dense factor stack Q S Q^T of a factor S compressed to the basis
-    stack Q, made exactly symmetric."""
-    a = q @ s @ q.swapaxes(-1, -2)
-    return (a + a.swapaxes(-1, -2)) / 2.0
+Bases = tuple[np.ndarray | None, np.ndarray | None]
 
 
-def _checked_factor(stacks: BlockState, side: str, width: int) -> np.ndarray | None:
-    """The side's factor stack, which must be width x width or None; a
-    factor of another size, such as one compressed to a basis the state
-    no longer holds, raises ValueError naming the side."""
-    acc = getattr(stacks, side)
-    if acc is not None and acc.shape[-1] != width:
-        w = acc.shape[-1]
+def _rebase(
+    x: np.ndarray, now: Bases, nxt: Bases, shape: tuple[int, int], what: str,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The stack x, held with its rows in the basis now[0] and its columns
+    in now[1], expressed in the bases nxt instead; None is the coordinate
+    basis of an axis of the extent in shape. The result is written into
+    out when it is given.
+
+    Per axis, a basis that goes expands x (Q x on the rows, x Q^T on the
+    columns), and a new one rotates x in (Q^T x, x Q). A basis that grew
+    pads x with zeros, after the products: this is exact, since x lies in
+    the old range and the grown basis begins with the old columns. x
+    itself comes back when no axis changes, so an EMA can advance it in
+    place. An x that does not fit now raises ValueError naming what.
+    """
+    widths = (shape[0] if now[0] is None else now[0].shape[-1],
+              shape[1] if now[1] is None else now[1].shape[-1])
+    if x.shape[-2:] != widths:
         raise ValueError(
-            f"layer state's factor on side {side!r} is {w}x{w} where the step expects "
-            f"{width}x{width}; a factor compressed to a range basis needs that basis in q_{side}"
+            f"layer state's {what} is {x.shape[-2]}x{x.shape[-1]} where the step expects "
+            f"{widths[0]}x{widths[1]}; state kept in range bases needs those bases"
         )
-    return acc
+    products, grows = [], False
+    for axis in (0, 1):
+        q, q_nxt = now[axis], nxt[axis]
+        if q is not None and q_nxt is not None:
+            grows |= q_nxt.shape[-1] != q.shape[-1]
+        elif q is not None or q_nxt is not None:
+            # x becomes p x on the rows and x p^T on the columns, for p = Q
+            # to expand and p = Q^T to rotate in
+            products.append((axis, q if q_nxt is None else q_nxt.swapaxes(-1, -2)))
+    for i, (axis, p) in enumerate(products):
+        dest = out if i == len(products) - 1 and not grows else None
+        x = np.matmul(p, x, out=dest) if axis == 0 else np.matmul(x, p.swapaxes(-1, -2), out=dest)
+    if grows:
+        size = tuple(w if q is None else q.shape[-1] for w, q in zip(x.shape[-2:], nxt))
+        grown = np.zeros(x.shape[:-2] + size)
+        grown[..., :x.shape[-2], :x.shape[-1]] = x
+        x = grown
+    if out is None or x is out:
+        return x
+    out[...] = x
+    return out
 
 
-def _dense_factor(stacks: BlockState, side: str, n: int) -> np.ndarray | None:
-    """The side's n x n factor stack: the stack itself, or, when it is
-    compressed to the side's range basis, its expansion (_expanded). A
-    SOAP eigenbasis is n columns wide, so its factor is never expanded."""
-    q = getattr(stacks, "q_" + side)
-    acc = _checked_factor(stacks, side, n if q is None else q.shape[-1])
-    return acc if acc is None or acc.shape[-1] == n else _expanded(acc, q)
+def _factor(
+    acc: np.ndarray | None, now: np.ndarray | None, nxt: np.ndarray | None, n: int, what: str
+) -> np.ndarray | None:
+    """The factor stack acc of a side of size n, held in the basis now, in
+    the basis nxt (_rebase); an expansion Q S Q^T is made exactly
+    symmetric."""
+    if acc is None:
+        return None
+    a = _rebase(acc, (now, now), (nxt, nxt), (n, n), what)
+    if now is not None and nxt is None:
+        a = (a + a.swapaxes(-1, -2)) / 2.0
+    return a
 
 
 def _shifts(dec: EigDecomp, eps: float, eps_mode: str) -> tuple[np.ndarray | float, np.ndarray]:
@@ -490,50 +522,34 @@ def _range_basis(
 
 def _advance_factor(
     stacks: BlockState, side: str, n: int, root: np.ndarray,
-    held: np.ndarray | None, q: np.ndarray | None, beta2: float,
+    now: np.ndarray | None, nxt: np.ndarray | None, beta2: float,
 ) -> np.ndarray:
     """Advance the group's factor EMA on one side of size n in place and
-    return its stack, given the step's Gram root (_gram_root) and the basis
-    before and after growth (_range_basis).
+    return its stack, given the step's Gram root (_gram_root) and the
+    side's basis before and after this step's growth (_range_basis).
 
-    On the route the stack is the compression S = Q^T A Q: zero rows and
-    columns pad it to the grown basis, which is exact, since A's range lies
-    in the old basis, and it advances by K K^T for K = Q^T X. A side that
-    leaves the route expands S once to the dense Q S Q^T (_expanded), and
-    a dense side advances by X X^T. The stack held must be r x r for a
-    held basis of r columns and n x n without one (_checked_factor).
+    The stack held follows the basis (_factor): on the route it is the
+    compression S = Q^T A Q, padded when the basis grows and advanced by
+    K K^T for K = Q^T X; a side that leaves the route expands it once to
+    the dense Q S Q^T, and a dense side advances by X X^T.
     """
-    acc = _checked_factor(stacks, side, n if held is None else held.shape[-1])
-    if q is None:
-        if acc is not None and held is not None:
-            setattr(stacks, side, _expanded(acc, held))
-        return _factor_ema(stacks, side, root, beta2)
-    r = q.shape[-1]
-    setattr(stacks, side, np.zeros(q.shape[:-2] + (r, r)) if acc is None else _padded(acc, r, r))
-    return _factor_ema(stacks, side, q.swapaxes(-1, -2) @ root, beta2)
-
-
-def _padded(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The stack a with zero rows and columns appended to rows x cols; a
-    itself when it has that shape."""
-    if a.shape[-2:] == (rows, cols):
-        return a
-    out = np.zeros(a.shape[:-2] + (rows, cols))
-    out[..., :a.shape[-2], :a.shape[-1]] = a
-    return out
+    setattr(stacks, side, _factor(getattr(stacks, side), now, nxt, n, f"factor on side {side!r}"))
+    if nxt is not None:
+        root = nxt.swapaxes(-1, -2) @ root
+    return _factor_ema(stacks, side, root, beta2)
 
 
 def _rotated_gradient(
-    group: TileGroup, gb: np.ndarray, q_l: np.ndarray | None, q_r: np.ndarray | None,
-    factors: tuple[Matrix, Matrix] | None,
+    group: TileGroup, gb: np.ndarray, bases: Bases, factors: tuple[Matrix, Matrix] | None,
 ) -> np.ndarray:
     """Q_l^T G Q_r of each tile, skipping a side without a basis: from the
     gradient's factors as (Q_l^T L)(Q_r^T R)^T (_factor_slices) when they
     have fewer columns than either side of the tile, so no tile-sized
     product is formed, else from gb, the cheaper product then."""
     if factors is None or factors[0].shape[1] >= min(group.shape):
-        return _rotate(gb, q_l, q_r)
+        return _rebase(gb, (None, None), bases, group.shape, "gradient")
     left, right = _factor_slices(group, factors)
+    q_l, q_r = bases
     if q_l is not None:
         left = q_l.swapaxes(-1, -2) @ left
     if q_r is not None:
@@ -541,66 +557,33 @@ def _rotated_gradient(
     return left @ right.swapaxes(-1, -2)
 
 
-def _expand_moment(stacks: BlockState, side: str, basis: np.ndarray) -> None:
-    """Expand the group's rotated first moment C on a side that leaves the
-    route, to Q C on side "l" or C Q^T on side "r", with Q the first
-    columns of basis that C's side spans: the side's basis before this
-    step's growth, or after it, whose first columns are the ones before.
-    A C wider than the basis raises ValueError."""
-    c = stacks.m
-    if c is None:
-        return
-    width = c.shape[-2 if side == "l" else -1]
-    if width > basis.shape[-1]:
-        raise ValueError(
-            f"layer state's first moment spans {width} directions on side {side!r}, where "
-            f"its range basis holds {basis.shape[-1]}"
-        )
-    q = basis[..., :width]
-    stacks.m = q @ c if side == "l" else c @ q.swapaxes(-1, -2)
-
-
 def _advance_moment(
     state: LayerState, group: TileGroup, stacks: BlockState, g: Matrix,
-    bases: dict[str, np.ndarray | None], factors: tuple[Matrix, Matrix] | None,
-    beta1: float,
+    now: Bases, nxt: Bases, factors: tuple[Matrix, Matrix] | None, beta1: float,
 ) -> np.ndarray:
     """Advance the group's first moment in place and return its stack in
-    the bases the sides hold after this step's growth; a side missing from
-    bases holds none. A side that left the route this step has expanded
-    the rotated moment already (_expand_moment).
+    the bases nxt (q_l, q_r) that the sides hold after this step's growth,
+    given those they held before it, now.
 
-    A group with no basis keeps its moment in its view of the layer's
-    dense m, advanced by beta1 m + (1 - beta1) G entrywise, with the
-    textbook EMA's bits; a group whose last basis went this step writes
-    its expanded C there first. Otherwise the moment is the stack C in
-    BlockState.m, Q_l^T m Q_r with a side without a basis left as it is,
-    padded with zero rows and columns to the grown bases, which is exact,
-    since m lies in the old ones, and advanced by beta1 C + (1 - beta1)
-    Q_l^T G Q_r (_rotated_gradient). A group that holds no C on the
-    route, such as at step 1, rotates its part of the dense m into the
-    bases, or starts from zero. A C that does not fit the bases raises
+    A group with no basis in nxt keeps its moment in its view of the
+    layer's dense m, advanced by beta1 m + (1 - beta1) G entrywise, with
+    the textbook EMA's bits; a group whose last basis went this step
+    writes its expanded C there first. Otherwise the moment is the stack C
+    in BlockState.m, Q_l^T m Q_r with a side without a basis left as it
+    is, carried from now to nxt (_rebase) and advanced by beta1 C +
+    (1 - beta1) Q_l^T G Q_r (_rotated_gradient). A group that holds no C
+    on the route, such as at step 1, rotates its part of the dense m into
+    the bases, or starts from zero. A C that does not fit now raises
     ValueError.
     """
     gb = group.view(g)
-    q_l, q_r = bases.get("l"), bases.get("r")
-    sizes = tuple(n if q is None else q.shape[-1] for n, q in zip(gb.shape[-2:], (q_l, q_r)))
+    dense = nxt[0] is None and nxt[1] is None
     c = stacks.m
-    if c is None and (q_l is not None or q_r is not None):
-        if state._m is None:
-            c = np.zeros(gb.shape[:-2] + sizes)
-        else:
-            c = _rotate(group.view(state._m), q_l, q_r)
-    # a dense side's extent must match; a route side may be padded
-    if c is not None and not all(
-        w == n if q is None else w <= n
-        for w, n, q in zip(c.shape[-2:], sizes, (q_l, q_r))
-    ):
-        raise ValueError(
-            f"layer state's first moment is {c.shape[-2]}x{c.shape[-1]} where the step expects "
-            f"{sizes[0]}x{sizes[1]}; a first moment rotated into range bases needs those bases"
-        )
-    if q_l is None and q_r is None:
+    if c is not None:
+        c = _rebase(c, now, nxt, group.shape, "first moment")
+    elif not dense and state._m is not None:
+        c = _rebase(group.view(state._m), (None, None), nxt, group.shape, "first moment")
+    if dense:
         stacks.m = None
         if state._m is None:
             state._m = np.zeros_like(g)
@@ -608,8 +591,11 @@ def _advance_moment(
         if c is not None:
             moment[...] = c
     else:
-        moment = stacks.m = _padded(c, *sizes)
-        gb = _rotated_gradient(group, gb, q_l, q_r, factors)
+        if c is None:
+            c = np.zeros(gb.shape[:-2] + tuple(
+                n if q is None else q.shape[-1] for n, q in zip(group.shape, nxt)))
+        moment = stacks.m = c
+        gb = _rotated_gradient(group, gb, nxt, factors)
     del c
     moment *= beta1
     moment += (1.0 - beta1) * gb
@@ -625,33 +611,6 @@ def _decomposed(
     return (dec, *_shifts(dec, cfg.eps, cfg.eps_mode))
 
 
-def _rotate(a: np.ndarray, q_l: np.ndarray | None, q_r: np.ndarray | None) -> np.ndarray:
-    """Q_l^T A Q_r, skipping a side without a basis."""
-    if q_l is not None:
-        a = q_l.swapaxes(-1, -2) @ a
-    if q_r is not None:
-        a = a @ q_r
-    return a
-
-
-def _rotate_back(
-    a: np.ndarray, q_l: np.ndarray | None, q_r: np.ndarray | None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Q_l A Q_r^T, skipping a side without a basis, written into out when
-    it is given; it undoes _rotate on a matrix whose columns lie in Q_l's
-    range and rows in Q_r's."""
-    if q_l is not None:
-        if q_r is None:
-            return np.matmul(q_l, a, out=out)
-        a = q_l @ a
-    if q_r is not None:
-        return np.matmul(a, q_r.swapaxes(-1, -2), out=out)
-    if out is None:
-        return a
-    out[...] = a
-    return out
-
-
 def _precondition(
     accs: dict[str, np.ndarray], bases: dict[str, np.ndarray | None], rot: np.ndarray,
     corr2: float, cfg: OptimizerConfig,
@@ -660,7 +619,7 @@ def _precondition(
     stack M, given rotated into the bases the sides hold as Q_l^T M Q_r
     (the rotated first moment of _advance_moment, bias-corrected), a fresh
     stack the caller gives up; the result comes in the same rotation, for
-    the caller to rotate back (_rotate_back). L = accs["l"] / corr2 and
+    the caller to expand (_rebase). L = accs["l"] / corr2 and
     R = accs["r"] / corr2; a side missing from accs (e = 0) is the
     identity. A tile with a zero factor gets a zero update (_shifts).
 
@@ -705,8 +664,8 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     state's gradient factors are given, and by none for a zero gradient,
     until it fills the side. The first moment of a group whose sides hold
     bases is kept rotated into them (_advance_moment), and the update is
-    preconditioned in that rotation (_precondition) and rotated back into
-    the update. A basis of width 0 holds a zero factor, and its tile's
+    preconditioned in that rotation (_precondition) and expanded into the
+    update (_rebase). A basis of width 0 holds a zero factor, and its tile's
     update is zero. When the layer is one tile and a side holds a basis,
     the report keeps the preconditioned moment in the bases as its core.
     """
@@ -725,23 +684,23 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
         # so a side that leaves the route releases its basis before any
         # dense decomposition of this step; e == 0 is the exact identity:
         # that side is skipped
-        held, bases = {}, {}
+        now, bases = {}, {}
         for side in ("l", "r"):
             if getattr(cfg, "e_" + side) != 0.0:
-                held[side], bases[side] = _range_basis(stacks, side, spans[side], state.t)
-                if held[side] is not None and bases[side] is None:
-                    _expand_moment(stacks, side, held[side])
-        moment = _advance_moment(state, group, stacks, g, bases, factors, cfg.beta1)
+                now[side], bases[side] = _range_basis(stacks, side, spans[side], state.t)
+        nxt = (bases.get("l"), bases.get("r"))
+        moment = _advance_moment(state, group, stacks, g, (now.get("l"), now.get("r")), nxt,
+                                 factors, cfg.beta1)
         accs = {}
         for side, q in bases.items():
             own = gb if side == "l" else gb.swapaxes(-1, -2)
             # a dense side advances by the tile's own Gram, with or without
             # factors, so its bits do not depend on them
             root = own if q is None else _gram_root(group, spans[side], side, factors)
-            accs[side] = _advance_factor(stacks, side, own.shape[-2], root, held[side], q, cfg.beta2)
-        del held  # the bases before growth, not alive beside the roots
+            accs[side] = _advance_factor(stacks, side, own.shape[-2], root, now[side], q, cfg.beta2)
+        del now  # the bases before growth, not alive beside the roots
         upd = _precondition(accs, bases, moment / corr1, corr2, cfg)
-        _rotate_back(upd, bases.get("l"), bases.get("r"), out=group.view(out))
+        _rebase(upd, nxt, (None, None), group.shape, "update", out=group.view(out))
         if len(part) == 1 and stacks.m is not None:
             core = upd[0, 0]
     return UpdateReport(out, core)
@@ -787,26 +746,27 @@ def soap_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
             stacks.v = np.zeros(gb.shape)
         v = stacks.v
         v *= cfg.beta2
-        rot = _rotate(gb, q_l, q_r)
+        rot = _rebase(gb, (None, None), (q_l, q_r), group.shape, "gradient")
         # square in place unless rot is the caller's gradient (no basis)
         rot = np.square(rot, out=None if rot is gb else rot)
         rot *= 1.0 - cfg.beta2
         v += rot
         del rot
-        upd = _adam_ratio(_rotate(group.view(m), q_l, q_r) / corr1, v / corr2, cfg.eps)
-        group.view(out)[...] = _rotate_back(upd, q_l, q_r)
+        m_hat = _rebase(group.view(m), (None, None), (q_l, q_r), group.shape, "first moment")
+        upd = _adam_ratio(m_hat / corr1, v / corr2, cfg.eps)
+        group.view(out)[...] = _rebase(upd, (q_l, q_r), (None, None), group.shape, "update")
     return UpdateReport(out)
 
 
 def _muon_bases(
     state: LayerState, group: TileGroup, stacks: BlockState, g: Matrix,
     factors: tuple[Matrix, Matrix] | None,
-) -> dict[str, np.ndarray]:
-    """Orthonormal bases of the numerical range of the spanning sets seen
-    so far on both sides of the layer's one whole-matrix tile group, by
-    side, or no side when the layer takes the dense route, which then
-    holds no basis. The layer leaving the route expands its rotated first
-    moment on both sides (_expand_moment).
+) -> tuple[Bases, Bases]:
+    """The bases (q_l, q_r) of the layer's one whole-matrix tile group
+    before and after this step's growth: orthonormal bases of the
+    numerical range of the spanning sets seen so far on each side, or
+    None on both sides after the step when the layer takes the dense
+    route, which then holds no basis.
 
     Each side enters the route at step 1 and leaves it once its basis
     fills the side, under Shampoo's rule (_range_basis). The route needs
@@ -816,18 +776,17 @@ def _muon_bases(
     d x 1 layer, pays for no basis.
     """
     spans = _spans(group, group.view(g), factors)
+    # a side not reached below holds the basis of the last step, if any
+    now = {side: getattr(stacks, "q_" + side) if state.t > 1 else None for side in "lr"}
     for side in ("l", "r") if g.shape[0] <= g.shape[1] else ("r", "l"):
-        held, q = _range_basis(stacks, side, spans[side], state.t)
+        now[side], q = _range_basis(stacks, side, spans[side], state.t)
         if q is None:
-            other = "r" if side == "l" else "l"
-            # the other side's basis, grown this step or not, begins with
-            # the columns the moment spans
-            for s, basis in ((side, held), (other, getattr(stacks, "q_" + other))):
-                if basis is not None:
-                    _expand_moment(stacks, s, basis)
             stacks.q_l = stacks.q_r = None
-            return {}
-    return {"l": stacks.q_l, "r": stacks.q_r}
+            return (now["l"], now["r"]), (None, None)
+    # the bases before growth as views of the grown ones' first columns,
+    # so the old arrays are not held beside the momentum's
+    nxt = (stacks.q_l, stacks.q_r)
+    return tuple(q[..., :w.shape[-1]] for q, w in zip(nxt, (now["l"], now["r"]))), nxt
 
 
 def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -850,12 +809,14 @@ def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
     factors = _take_factors(state, g, out)
     state.t += 1
     ((group, stacks),) = _group_states(state, BlockPartition(*g.shape))
-    bases = _muon_bases(state, group, stacks, g, factors)
-    moment = _advance_moment(state, group, stacks, g, bases, factors, cfg.beta1)
+    now, nxt = _muon_bases(state, group, stacks, g, factors)
+    moment = _advance_moment(state, group, stacks, g, now, nxt, factors, cfg.beta1)
+    del now  # a released basis, not alive beside the orthogonalization
     orth = newton_schulz(moment[0, 0], cfg.ns_iters, cfg.eps)
-    if not bases:
+    if nxt[0] is None:
         return UpdateReport(orth)
-    return UpdateReport(_rotate_back(orth, bases["l"][0, 0], bases["r"][0, 0], out=out), orth)
+    q_l, q_r = (q[0, 0] for q in nxt)
+    return UpdateReport(_rebase(orth, (q_l, q_r), (None, None), g.shape, "update", out=out), orth)
 
 
 def adamuon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:

@@ -1,11 +1,14 @@
 """tools/audit.py: each of its checks passes on equal artifacts and fails
-on the change it looks for."""
+on the change it looks for; tools/artifacts.py: the runs it makes."""
 
 import importlib
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
+
+from mupre import cli
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -106,3 +109,43 @@ def test_main_exit_status(audit, tmp_path, capsys):
     assert audit.main([str(parent), str(change)]) == 1
     assert audit.main([str(parent), str(change), "--tol", "1e-12"]) == 0
     assert "close       cell/coordcheck.csv" in capsys.readouterr().out
+
+
+@pytest.fixture
+def artifacts(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    return importlib.import_module("artifacts")
+
+
+EXPERIMENTS = {"coordcheck": "coord_check", "depthcheck": "depth_check", "rankscan": "rank_scan"}
+
+
+def test_artifact_configs_build(artifacts):
+    # tools/artifacts.py runs every bench config and every audit config,
+    # each with a command its sweep can run; nothing is trained here
+    root = artifacts.ROOT
+    found = {str(p.relative_to(root)) for d in ("bench/configs", "tools/audit_configs")
+             for p in (root / d).glob("*.json")}
+    assert set(artifacts.RUNS) == found and len(found) == 10
+    for config, command in artifacts.RUNS.items():
+        _, _, sweep = cli.build_objects(cli.load_config(str(root / config)), 0)
+        sweep.require(EXPERIMENTS[command])
+
+
+def test_artifacts_runs_each_config_once(artifacts, monkeypatch, tmp_path):
+    # one failing command fails the tool; every run's stdout is kept
+    calls = []
+
+    def run(argv, env, **_):
+        calls.append((argv, env))
+        code = 1 if "muon-40.json" in argv[argv.index("--config") + 1] else 0
+        return subprocess.CompletedProcess(argv, code, stdout=f"ran {argv[3]}\n")
+
+    monkeypatch.setattr(artifacts.subprocess, "run", run)
+    assert artifacts.main([str(tmp_path / "checkout"), str(tmp_path / "out")]) == 1
+    assert len(calls) == len(artifacts.RUNS)
+    for argv, env in calls:
+        assert argv[argv.index("--seed") + 1] == "0"
+        assert env["PYTHONPATH"] == str(tmp_path / "checkout" / "src")
+        assert env["OPENBLAS_NUM_THREADS"] == env["OMP_NUM_THREADS"] == "1"
+    assert (tmp_path / "out" / "resmlp-muon" / "stdout.txt").read_text() == "ran depthcheck\n"

@@ -22,8 +22,6 @@ from mupre.linalg import (
     sym_eig,
     sym_eig_stack,
 )
-from mupre.config import OptimizerConfig
-from mupre.optim import _precondition
 
 
 def rand_symmetric(n, seed):
@@ -178,18 +176,6 @@ class TestFailedRoots:
             mat_inv_power(a, 0.5, eps)
         with pytest.raises(np.linalg.LinAlgError):
             inv_power(sym_eig_stack(a[np.newaxis]), 0.5, eps)
-
-    @pytest.mark.parametrize("s,eps", [(np.array([[2.0]]), 0.0), (np.diag([1.0, -1.0]), 1.0)],
-                             ids=["singular", "not-psd"])
-    def test_range_roots(self, s, eps):
-        # a root of a factor compressed to a basis of 1 or 2 of 3 columns,
-        # as Shampoo's range-basis route forms it: a zero shift is singular
-        # on the basis's complement even though s itself is not
-        basis = np.eye(3)[np.newaxis, np.newaxis, :, :len(s)]
-        c = OptimizerConfig("shampoo", e_l=0.5, e_r=0.0, eps=eps, eps_mode="absolute")
-        with pytest.raises(np.linalg.LinAlgError):
-            _precondition({"l": s[np.newaxis, np.newaxis]}, {"l": basis},
-                          np.ones((1, 1, 3, 1)), 1.0, c)
 
 
 class TestNewtonSchulz:

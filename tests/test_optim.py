@@ -1276,7 +1276,8 @@ class TestPrecondition:
         # _precondition takes M rotated into the bases and returns its
         # result in them
         q_l, q_r = bases.get("l"), bases.get("r")
-        rot = mupre.optim._rotate(np.stack(m)[np.newaxis], q_l, q_r)
+        rot = mupre.optim._rebase(np.stack(m)[np.newaxis], (None, None), (q_l, q_r), (n_l, n_r),
+                                  "update")
         got = rotated_back(mupre.optim._precondition(accs, bases, rot, corr2, c), q_l, q_r)
         for i in range(2):
             want = m[i]
@@ -1290,6 +1291,85 @@ class TestPrecondition:
                 root = mat_inv_power(a, getattr(c, "e_" + side), eps)
                 want = root @ want if side == "l" else want @ root
             assert np.linalg.norm(got[0, i] - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("s,eps", [(np.array([[2.0]]), 0.0), (np.diag([1.0, -1.0]), 1.0)],
+                             ids=["singular", "not-psd"])
+    def test_range_roots(self, s, eps):
+        # a root of a factor compressed to a basis of 1 or 2 of 3 columns,
+        # as Shampoo's range-basis route forms it: a zero shift is singular
+        # on the basis's complement even though s itself is not
+        basis = np.eye(3)[np.newaxis, np.newaxis, :, :len(s)]
+        c = OptimizerConfig("shampoo", e_l=0.5, e_r=0.0, eps=eps, eps_mode="absolute")
+        with pytest.raises(np.linalg.LinAlgError):
+            mupre.optim._precondition({"l": s[np.newaxis, np.newaxis]}, {"l": basis},
+                                      np.ones((1, 1, len(s), 1)), 1.0, c)
+
+
+AXIS_MOVES = ("coordinate", "enter", "grow", "release")
+
+
+@st.composite
+def rebase_axis(draw, stack, rng):
+    """One axis of a _rebase call: (size n, basis now, basis nxt, move).
+    A basis is a prefix of one orthonormal n x (n - 1) stack per tile, so
+    a grown one begins with the columns of the one before; it can be 0
+    wide and never fills the side, as a range basis."""
+    n, move = draw(st.integers(1, 8)), draw(st.sampled_from(AXIS_MOVES))
+    if move == "coordinate" or n == 1 and move == "enter":
+        return n, None, None, "coordinate"
+    q = np.linalg.qr(rng.standard_normal(stack + (n, n))).Q[..., :n - 1]
+    w0 = draw(st.integers(0, n - 1))
+    w1 = draw(st.integers(w0, n - 1))
+    if move == "enter":
+        return n, None, q[..., :w1].copy(), move
+    if move == "release":
+        return n, q[..., :w0].copy(), None, move
+    return n, q[..., :w0].copy(), q[..., :w1].copy(), move
+
+
+class TestRebase:
+    """_rebase, the one change of basis of every array the range-basis
+    route holds: per axis, a released basis expands, a new one rotates in
+    and a grown one pads with zeros."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack=st.tuples(st.integers(1, 2), st.integers(1, 2)), data=st.data(),
+           seed=st.integers(0, 2**16))
+    def test_moves_between_bases(self, stack, data, seed):
+        rng = np.random.default_rng(seed)
+        (n_l, *row), (n_r, *col) = (data.draw(rebase_axis(stack, rng)) for _ in range(2))
+        shape, now, nxt = (n_l, n_r), (row[0], col[0]), (row[1], col[1])
+        # x lies in the range of every basis it meets: on an axis that
+        # enters a basis, x is expanded from that basis's coordinates
+        widths = [n if q is None else q.shape[-1]
+                  for n, q in zip(shape, (row[1] if row[2] == "enter" else row[0],
+                                          col[1] if col[2] == "enter" else col[0]))]
+        x = rng.standard_normal(stack + tuple(widths))
+        if row[2] == "enter":
+            x = row[1] @ x
+        if col[2] == "enter":
+            x = x @ col[1].swapaxes(-1, -2)
+        rebase = mupre.optim._rebase
+        moved = rebase(x, now, nxt, shape, "x")
+        via = rebase(moved, nxt, (None, None), shape, "x")
+        straight = rebase(x, now, (None, None), shape, "x")
+        assert np.linalg.norm(via - straight) <= 1e-13 * np.linalg.norm(straight)
+        # growth pads the stack moved on the other axes, bit for bit, with zeros
+        held = tuple(a if move == "grow" else b for a, b, move in (row, col))
+        want = np.zeros(moved.shape)
+        block = rebase(x, now, held, shape, "x")
+        want[..., :block.shape[-2], :block.shape[-1]] = block
+        assert moved.tobytes() == want.tobytes()
+        assert rebase(x, now, now, shape, "x") is x
+        out = np.empty(straight.shape)
+        assert rebase(x, now, (None, None), shape, "x", out=out) is out
+        assert out.tobytes() == straight.tobytes()
+        misfit = np.zeros(x.shape[:-2] + (x.shape[-2] + 1, x.shape[-1]))
+        with pytest.raises(ValueError, match=(
+            f"layer state's test stack is {x.shape[-2] + 1}x{x.shape[-1]} "
+            f"where the step expects {x.shape[-2]}x{x.shape[-1]}"
+        )):
+            rebase(misfit, now, nxt, shape, "test stack")
 
 
 SPAN_KINDS = ("zero", "gauss", "repeat", "tanh")
@@ -1687,7 +1767,8 @@ class TestMuonRoute:
         rng = np.random.default_rng(53)
         c = cfg("muon")
         g_seq, f_seq = factored_gradients(rng, (40, 40), 2, 3)
-        route = LayerState(t=3, m=rng.standard_normal((40, 40)))
+        route = LayerState(t=3)
+        route.m = rng.standard_normal((40, 40))
         dense = copy.deepcopy(route)
         for g, factors in zip(g_seq, f_seq):
             route.factors = factors
