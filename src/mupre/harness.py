@@ -466,7 +466,7 @@ def _pseudo_sqrt(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(K^{1/2}, K^{-1/2+}) for a PSD Gram matrix, by eigendecomposition."""
     eig = sym_eig(k)
     w = np.clip(eig.eigenvalues, 0.0, None)
-    cutoff = (w[0] if w.size else 0.0) * 1e-12
+    cutoff = (w[-1] if w.size else 0.0) * 1e-12
     root = np.sqrt(w)
     inv_root = np.where(w > cutoff, 1.0 / np.where(w > cutoff, root, 1.0), 0.0)
     v = eig.eigenvectors

@@ -58,11 +58,13 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
 
 @dataclass
 class EigDecomp:
-    """Symmetric eigendecomposition, eigenvalues sorted descending.
+    """Symmetric eigendecomposition, eigenvalues in LAPACK's ascending
+    order, so the top one is eigenvalues[-1].
 
     eigenvectors[:, i] is the unit eigenvector for eigenvalues[i]; the
     column set is orthonormal. For a stack, both arrays carry the stack's
     leading axes: eigenvectors[..., :, i] belongs to eigenvalues[..., i].
+    Both are LAPACK's own output arrays, not reordered copies.
     """
 
     eigenvalues: np.ndarray
@@ -82,7 +84,7 @@ class PowerIterState:
 
 
 def sym_eig(a: Matrix) -> EigDecomp:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     Raises ValueError for non-square or asymmetric input (asymmetry measured
     against SYM_TOL relative to the largest entry). Non-convergence of the
@@ -102,7 +104,7 @@ def sym_eig(a: Matrix) -> EigDecomp:
 
 def sym_eig_stack(a: np.ndarray) -> EigDecomp:
     """Eigendecompositions of a (..., n, n) stack of symmetric matrices in one
-    LAPACK call, eigenvalues descending along the last axis.
+    LAPACK call, eigenvalues ascending along the last axis (EigDecomp).
 
     There is no symmetry check and no symmetrizing copy: LAPACK reads one
     triangle only, so the caller passes matrices that are exactly symmetric
@@ -113,11 +115,14 @@ def sym_eig_stack(a: np.ndarray) -> EigDecomp:
     if not np.all(np.isfinite(a)):
         raise NonFiniteError("sym_eig_stack input contains non-finite entries")
     w, v = np.linalg.eigh(a)
-    return EigDecomp(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
+    return EigDecomp(eigenvalues=w, eigenvectors=v)
 
 
-def _shifted_powers(lam: np.ndarray, e: float, eps) -> np.ndarray:
-    """(lam + eps)^(-e) for descending eigenvalue rows lam of PSD matrices.
+def shifted_powers(lam: np.ndarray, e: float, eps) -> np.ndarray:
+    """(lam + eps)^(-e) for ascending eigenvalue rows lam of PSD matrices
+    (EigDecomp), eps one shift or one per row: the diagonal of each
+    matrix's inverse root in its eigenbasis, as a new array. mat_inv_power
+    and Shampoo's steps both take their roots' spectra from here.
 
     Eigenvalues that are slightly negative from accumulated round-off are
     clamped to 0 first; anything below -NEG_TOL * lambda_max means the
@@ -127,7 +132,7 @@ def _shifted_powers(lam: np.ndarray, e: float, eps) -> np.ndarray:
     """
     n = lam.shape[-1]
     if n:
-        low, top = lam[..., -1], lam[..., 0]
+        low, top = lam[..., 0], lam[..., -1]
         bad = low < -NEG_TOL * np.maximum(np.abs(top), 1e-300)
         if np.any(bad):
             raise np.linalg.LinAlgError(
@@ -135,17 +140,18 @@ def _shifted_powers(lam: np.ndarray, e: float, eps) -> np.ndarray:
             )
     lam = np.maximum(lam, 0.0)
     eps = np.asarray(eps, dtype=float)
-    if n and np.any((eps == 0.0) & (lam[..., -1] == 0.0)):
+    if n and np.any((eps == 0.0) & (lam[..., 0] == 0.0)):
         raise np.linalg.LinAlgError(_SINGULAR)
     return (lam + eps[..., np.newaxis]) ** (-e)
 
 
 def inv_power(dec: EigDecomp, e: float, eps) -> np.ndarray:
     """(A + eps I)^(-e) for each symmetric PSD A of a stack, from its
-    descending decomposition; eps is one shift or one per matrix, e > 0.
-    The eigenvalues are checked and clamped as in _shifted_powers.
+    decomposition, as V diag((lam + eps)^(-e)) V^T; eps is one shift or one
+    per matrix, e > 0. The eigenvalues are checked and clamped as in
+    shifted_powers.
     """
-    powered = _shifted_powers(dec.eigenvalues, e, eps)
+    powered = shifted_powers(dec.eigenvalues, e, eps)
     v = dec.eigenvectors
     return (v * powered[..., np.newaxis, :]) @ v.swapaxes(-1, -2)
 

@@ -28,9 +28,9 @@ from .linalg import (
     Matrix,
     PowerIterState,
     as_matrix,
-    inv_power,
     newton_schulz,
     power_iter_step,
+    shifted_powers,
     spectral_norm_exact,
     sym_eig_stack,
 )
@@ -360,7 +360,8 @@ def _factor(
 
 def _shifts(dec: EigDecomp, eps: float, eps_mode: str) -> tuple[np.ndarray | float, np.ndarray]:
     """The shift eps' of each bias-corrected factor of a stack, from its
-    decomposition, and the mask of factors whose tile update is zero.
+    decomposition (ascending, so the top eigenvalue is the last), and the
+    mask of factors whose tile update is zero.
 
     In absolute mode eps' = eps and the mask is all False. In relative mode
     eps' is eps times the factor's top eigenvalue, and a top eigenvalue
@@ -371,7 +372,7 @@ def _shifts(dec: EigDecomp, eps: float, eps_mode: str) -> tuple[np.ndarray | flo
     """
     zero = np.zeros(dec.eigenvalues.shape[:-1], dtype=bool)
     if eps_mode == "relative":
-        top = dec.eigenvalues[..., 0] if dec.eigenvalues.shape[-1] else np.zeros(zero.shape)
+        top = dec.eigenvalues[..., -1] if dec.eigenvalues.shape[-1] else np.zeros(zero.shape)
         zero = top <= 0.0
         eps = np.where(zero, 1.0, eps * top)
     return eps, zero
@@ -602,50 +603,68 @@ def _advance_moment(
     return moment
 
 
-def _decomposed(
-    acc: np.ndarray, corr2: float, cfg: OptimizerConfig
-) -> tuple[EigDecomp, np.ndarray | float, np.ndarray]:
-    """The decomposition of each bias-corrected factor acc / corr2 of a
-    stack, with its shift and zero mask (_shifts)."""
-    dec = sym_eig_stack(acc / corr2)
-    return (dec, *_shifts(dec, cfg.eps, cfg.eps_mode))
-
-
 def _precondition(
-    accs: dict[str, np.ndarray], bases: dict[str, np.ndarray | None], rot: np.ndarray,
-    corr2: float, cfg: OptimizerConfig,
+    accs: dict[str, np.ndarray], bases: dict[str, np.ndarray | None], moment: np.ndarray,
+    corr1: float, corr2: float, cfg: OptimizerConfig, out: np.ndarray,
 ) -> np.ndarray:
-    """(L + eps_l' I)^(-e_l) M (R + eps_r' I)^(-e_r) for the group's update
-    stack M, given rotated into the bases the sides hold as Q_l^T M Q_r
-    (the rotated first moment of _advance_moment, bias-corrected), a fresh
-    stack the caller gives up; the result comes in the same rotation, for
-    the caller to expand (_rebase). L = accs["l"] / corr2 and
+    """Write (L + eps_l' I)^(-e_l) M (R + eps_r' I)^(-e_r) for the group's
+    update stack M = moment / corr1 into out, the group's view of the
+    update, and return it in the bases the sides hold. moment is the
+    group's first moment rotated into those bases as Q_l^T m Q_r
+    (_advance_moment), and is only read. L = accs["l"] / corr2 and
     R = accs["r"] / corr2; a side missing from accs (e = 0) is the
-    identity. A tile with a zero factor gets a zero update (_shifts).
+    identity, so with no side out gets M. A tile with a zero factor gets a
+    zero update (_shifts).
+
+    Each side's factor EMA is decomposed as it stands, V diag(lam) V^T,
+    and its root applied inside that eigenbasis: V (p * V^T M) on the left
+    and (M V * p) V^T on the right, for p = (lam / corr2 + eps')^(-e)
+    (shifted_powers), with 1 / corr1 folded into the first side's p. No
+    factor, moment, decomposition or root is copied. When no side holds a
+    basis, each product is written into out, which is returned; otherwise
+    the result, in the bases, is expanded into out (_rebase) and returned.
 
     A side that holds a range basis Q (_range_basis) has the compressed
-    factor S = Q^T A Q and the r x r root W diag((lam + eps')^(-e)) W^T; a
-    dense side's root is n x n. This is exact: M's columns lie in Q_l's
-    range and its rows in Q_r's, as every gradient's do, and the root
-    leaves that range invariant. On Q's complement, which is never empty,
-    the root is eps'^(-e), so a zero shift on a route side is singular and
-    raises numpy.linalg.LinAlgError, as a dense factor with a zero
-    eigenvalue does. Each side's decomposition and root are released
-    before the next side's are formed.
+    factor S = Q^T A Q, r x r for Q's r columns; a dense side's factor is
+    n x n. This is exact: M's columns lie in Q_l's range and its rows in
+    Q_r's, as every gradient's do, and the root leaves that range
+    invariant. On Q's complement, which is never empty, the root is
+    eps'^(-e), so a zero shift on a route side is singular and raises
+    numpy.linalg.LinAlgError, as a dense factor with a zero eigenvalue
+    does. Each side's decomposition is released before the next side's is
+    formed.
     """
-    zero = np.zeros(rot.shape[:-2], dtype=bool)
-    for side, acc in accs.items():
-        dec, eps, zero_side = _decomposed(acc, corr2, cfg)
+    if not accs:
+        return np.divide(moment, corr1, out=out)
+    dest = out if all(q is None for q in bases.values()) else None
+    zero = np.zeros(moment.shape[:-2], dtype=bool)
+    rot = moment
+    for i, (side, acc) in enumerate(accs.items()):
+        dec = sym_eig_stack(acc)
+        dec.eigenvalues /= corr2
+        eps, zero_side = _shifts(dec, cfg.eps, cfg.eps_mode)
         if bases[side] is not None and np.any(np.asarray(eps) == 0.0):
             raise np.linalg.LinAlgError(
                 f"inverse root on side {side!r} is singular: zero shift on a range basis's complement"
             )
-        p = inv_power(dec, getattr(cfg, "e_" + side), eps)
-        del dec
-        rot = p @ rot if side == "l" else rot @ p
-        del p
+        p = shifted_powers(dec.eigenvalues, getattr(cfg, "e_" + side), eps)
+        if i == 0:
+            p /= corr1
+        v = dec.eigenvectors
+        if side == "l":
+            t = v.swapaxes(-1, -2) @ rot
+            t *= p[..., np.newaxis]
+            rot = np.matmul(v, t, out=dest)
+        else:
+            t = rot @ v
+            t *= p[..., np.newaxis, :]
+            rot = np.matmul(t, v.swapaxes(-1, -2), out=dest)
+        del dec, v, t
         zero |= zero_side
     rot[zero] = 0.0
+    if dest is None:
+        _rebase(rot, (bases.get("l"), bases.get("r")), (None, None), out.shape[-2:], "update",
+                out=out)
     return rot
 
 
@@ -699,8 +718,7 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
             root = own if q is None else _gram_root(group, spans[side], side, factors)
             accs[side] = _advance_factor(stacks, side, own.shape[-2], root, now[side], q, cfg.beta2)
         del now  # the bases before growth, not alive beside the roots
-        upd = _precondition(accs, bases, moment / corr1, corr2, cfg)
-        _rebase(upd, nxt, (None, None), group.shape, "update", out=group.view(out))
+        upd = _precondition(accs, bases, moment, corr1, corr2, cfg, group.view(out))
         if len(part) == 1 and stacks.m is not None:
             core = upd[0, 0]
     return UpdateReport(out, core)
@@ -714,7 +732,10 @@ def _soap_basis(
     acc = _factor_ema(stacks, side, gb if side == "l" else gb.swapaxes(-1, -2), beta2)
     q = getattr(stacks, "q_" + side)
     if refresh or q is None:
-        q = sym_eig_stack(acc / corr2).eigenvectors
+        # descending, as the basis has always been ordered: a reordered
+        # basis sums the rotation back in another order, and SOAP's blocked
+        # updates move by percents under such a change of rounding
+        q = sym_eig_stack(acc / corr2).eigenvectors[..., ::-1].copy()
         setattr(stacks, "q_" + side, q)
     return q
 

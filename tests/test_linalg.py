@@ -50,9 +50,11 @@ def rand_psd(n, seed, rank=None):
 
 
 class TestSymEig:
-    def test_diagonal_descending(self):
+    def test_diagonal_ascending(self):
+        # LAPACK's order: the top eigenvalue is the last
         dec = sym_eig(np.diag([1.0, 5.0, 3.0]))
-        assert np.allclose(dec.eigenvalues, [5.0, 3.0, 1.0])
+        assert np.allclose(dec.eigenvalues, [1.0, 3.0, 5.0])
+        assert np.array_equal(np.abs(dec.eigenvectors[:, -1]), [0.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [2, 5, 17])
@@ -60,7 +62,7 @@ class TestSymEig:
         a = rand_symmetric(n, seed)
         dec = sym_eig(a)
         v, w = dec.eigenvectors, dec.eigenvalues
-        assert np.all(np.diff(w) <= 1e-12)
+        assert np.all(np.diff(w) >= -1e-12)
         recon = (v * w) @ v.T
         assert np.max(np.abs(recon - a)) < 1e-10
         assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-12
@@ -134,6 +136,15 @@ class TestSymEigStack:
             one = sym_eig(a[i, j])
             assert np.array_equal(dec.eigenvalues[i, j], one.eigenvalues)
             assert np.array_equal(dec.eigenvectors[i, j], one.eigenvectors)
+
+    def test_is_lapacks_output_as_it_stands(self):
+        # eigh's own arrays, ascending, with no reordered copy
+        a = psd_stack()
+        w, v = np.linalg.eigh(a)
+        dec = sym_eig_stack(a)
+        assert np.array_equal(dec.eigenvalues, w) and np.array_equal(dec.eigenvectors, v)
+        assert np.all(np.diff(dec.eigenvalues, axis=-1) >= 0.0)
+        assert dec.eigenvectors.flags.c_contiguous
 
     def test_rejects_non_finite(self):
         a = psd_stack()

@@ -1,6 +1,7 @@
 import copy
 import importlib
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 import mupre
 import mupre.linalg
@@ -291,11 +293,26 @@ def expanded(s, q):
     return (a + a.T) / 2.0
 
 
-def compressed_root(dec, e, eps):
-    """W diag((lam + eps)^(-e)) W^T from the decomposition of a compressed
-    factor; the array power, as in the kernel."""
-    powered = (np.maximum(dec.eigenvalues, 0.0) + np.asarray(eps)) ** (-e)
-    return (dec.eigenvectors * powered[np.newaxis, :]) @ dec.eigenvectors.T
+def eigenbasis_root(a, upd, side, e, c, corr2, scale):
+    """upd times the root (A / corr2 + eps' I)^(-e) from that side, divided
+    by scale, applied inside the eigenbasis V of the factor A as it stands:
+    V (p * V^T upd) on the left and (upd V * p) V^T on the right, for
+    p = (lam / corr2 + eps')^(-e) / scale. Returns the product and whether
+    the tile's update is zero: a zero factor in relative mode, where eps'
+    is eps times the top eigenvalue of A / corr2."""
+    dec = sym_eig(a)
+    lam = dec.eigenvalues / corr2
+    eps, zero = c.eps, False
+    if c.eps_mode == "relative":
+        # a basis of width 0 holds a zero factor
+        top = float(lam[-1]) if lam.size else 0.0
+        zero = top <= 0.0
+        eps = 1.0 if zero else c.eps * top
+    p = (np.maximum(lam, 0.0) + eps) ** (-e) / scale
+    v = dec.eigenvectors
+    if side == "l":
+        return v @ (p[:, np.newaxis] * (v.T @ upd)), zero
+    return ((upd @ v) * p) @ v.T, zero
 
 
 def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None):
@@ -315,11 +332,10 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
     S = Q^T A Q: padded with zeros to the grown basis and advanced by
     K K^T with K = Q^T X (gram_root); a side that leaves expands it once
     to Q S Q^T, and a dense side advances by the tile's own Gram. The
-    update rotates M into the bases the sides hold, applies each side's
-    root, rotates back, and is zero for a tile with a zero factor. A route
-    side's root is W diag((lam + eps')^(-e)) W^T from the checked sym_eig
-    of S / corr2; a dense side's root is mat_inv_power of the full factor,
-    decomposed once more for its top eigenvalue in relative mode. cutoff=0
+    update takes the first moment rotated into the bases the sides hold,
+    applies each side's root inside the eigenbasis of its factor, S or the
+    dense A, with 1 / corr1 folded into the first side's (eigenbasis_root),
+    rotates back, and is zero for a tile with a zero factor. cutoff=0
     takes the dense route on every side. A side with e = 0 keeps no factor
     (None). A tile whose sides hold bases keeps its first moment rotated
     into them (moment): a leaving side expands it, a growing one pads it,
@@ -390,19 +406,12 @@ def per_tile_shampoo(g_seq, c, cutoff=RANGE_BASIS_MAX_FRACTION, factors_seq=None
                     fl, fr = factors[0][r0:r1], factors[1][c0:c1]
                     rot = (fl if q_l is None else q_l.T @ fl) @ (fr if q_r is None else q_r.T @ fr).T
             mb = moments[i] = c.beta1 * mb + (1.0 - c.beta1) * rot
-            upd, zero = mb / corr1, False
+            upd, zero, scale = mb, False, corr1
             for side, e in sides:
-                q, a = basis.get((i, side)), facs[side] / corr2
-                dec = sym_eig(a) if q is not None else None
-                eps = c.eps
-                if c.eps_mode == "relative":
-                    lam = (sym_eig(a) if dec is None else dec).eigenvalues
-                    # a basis of width 0 holds a zero factor
-                    top = float(lam[0]) if lam.size else 0.0
-                    zero |= top <= 0.0
-                    eps = 1.0 if top <= 0.0 else c.eps * top
-                p = mat_inv_power(a, e, eps) if q is None else compressed_root(dec, e, eps)
-                upd = p @ upd if side == "l" else upd @ p
+                upd, zero_side = eigenbasis_root(facs[side], upd, side, e, c, corr2, scale)
+                zero, scale = zero or zero_side, 1.0
+            if not sides:
+                upd = upd / corr1
             if zero:
                 upd = np.zeros_like(upd)
             out[r0:r1, c0:c1] = rotated_back(upd, q_l, q_r)
@@ -455,7 +464,9 @@ def per_tile_soap(g_seq, c):
                     acc = c.beta2 * tile[side] + (1.0 - c.beta2) * gram
                     tile[side] = (acc + acc.T) / 2.0
                     if refresh:
-                        tile["q_" + side] = sym_eig(tile[side] / corr2).eigenvectors
+                        # descending, as soap_step orders its bases
+                        q = sym_eig(tile[side] / corr2).eigenvectors
+                        tile["q_" + side] = q[:, ::-1].copy()
             q_l, q_r = tile.get("q_l"), tile.get("q_r")
             g_rot, m_rot = gb, mb
             if q_l is not None:
@@ -782,6 +793,112 @@ class TestStackedTiles:
             g = rng.standard_normal(shape)
             assert np.array_equal(optimizer_step(state, g, c).update,
                                   optimizer_step(snap, g, c).update)
+
+
+def exact_root(a, e, eps, eps_mode):
+    """(A + eps' I)^(-e) of a symmetric PSD mpmath matrix A by mp.eigsy,
+    with eps' = eps, or eps times the top eigenvalue in relative mode;
+    None for a zero factor in relative mode, whose tile update is zero."""
+    lam, v = mp.eigsy(a)
+    top = max(lam)
+    if eps_mode == "relative":
+        if top <= 0:
+            return None
+        eps = eps * top
+    # eigsy's round-off negatives count as zero, as the step clamps them
+    powered = mp.diag([(max(x, 0) + eps) ** -mp.mpf(e) for x in lam])
+    return v * powered * v.T
+
+
+def exact_blocked_shampoo(g_seq, c):
+    """Blocked Shampoo's updates recomputed in mpmath at 40 digits from the
+    float64 gradients and settings, each tile on its own:
+    (L^ + eps_l' I)^(-e_l) M^ (R^ + eps_r' I)^(-e_r) with the bias-corrected
+    EMAs L^ of G G^T, R^ of G^T G and M^ of G, rounded to float64 at the
+    end."""
+    with mp.workdps(40):
+        b1, b2 = mp.mpf(c.beta1), mp.mpf(c.beta2)
+        spans = tile_spans(g_seq[0], c)
+        ema = {i: [mp.zeros(r1 - r0, c1 - c0), mp.zeros(r1 - r0), mp.zeros(c1 - c0)]
+               for i, ((r0, r1), (c0, c1)) in enumerate(spans)}
+        updates = []
+        for t, g in enumerate(g_seq, start=1):
+            c1_t, c2_t = 1 - b1**t, 1 - b2**t
+            out = np.zeros_like(g)
+            for i, ((r0, r1), (c0, c1)) in enumerate(spans):
+                gb = mp.matrix(g[r0:r1, c0:c1].tolist())
+                m, l, r = ema[i]
+                m = b1 * m + (1 - b1) * gb
+                l = b2 * l + (1 - b2) * gb * gb.T
+                r = b2 * r + (1 - b2) * gb.T * gb
+                ema[i] = [m, l, r]
+                root_l = exact_root(l / c2_t, c.e_l, mp.mpf(c.eps), c.eps_mode)
+                root_r = exact_root(r / c2_t, c.e_r, mp.mpf(c.eps), c.eps_mode)
+                if root_l is None or root_r is None:
+                    continue
+                upd = root_l * (m / c1_t) * root_r
+                out[r0:r1, c0:c1] = np.array(upd.tolist(), dtype=float)
+            updates.append(out)
+    return updates
+
+
+class TestExactReference:
+    """Blocked Shampoo with dense sides gives the update of exact
+    arithmetic, recomputed in mpmath, within 1e-12 relative on every tile,
+    and exact zeros on a tile whose gradient stays zero."""
+
+    @pytest.mark.parametrize("eps_mode", EPS_MODES)
+    @pytest.mark.parametrize("e", [0.25, 0.5])
+    def test_matches_mpmath_recomputation(self, eps_mode, e):
+        # 3 x 4 tiles of 6 x 8 gradients: both sides of every tile take the
+        # dense route, and the top-left tile's gradient is zero throughout
+        c = cfg("shampoo", e_l=e, e_r=e, eps=1e-3, eps_mode=eps_mode, beta1=0.9, beta2=0.95,
+                block_out=3, block_in=4)
+        spans = tile_spans(np.zeros((6, 8)), c)
+        g_seq = gradients_with_zero_tile(np.random.default_rng(44), (6, 8), spans[0], 3)
+        state = LayerState()
+        for g, want in zip(g_seq, exact_blocked_shampoo(g_seq, c), strict=True):
+            got = shampoo_step(state, g, c).update
+            (r0, r1), (c0, c1) = spans[0]
+            assert not np.any(got[r0:r1, c0:c1])
+            for (r0, r1), (c0, c1) in spans[1:]:
+                gap = np.linalg.norm(got[r0:r1, c0:c1] - want[r0:r1, c0:c1])
+                assert gap <= 1e-12 * np.linalg.norm(want[r0:r1, c0:c1])
+
+
+class TestStepMemory:
+    """A blocked Shampoo step allocates a bounded number of temporary stacks
+    over its inputs and the state it holds: each side's factor is
+    decomposed as it stands and its root applied inside the eigenbasis, so
+    no factor, moment, decomposition or root is copied."""
+
+    # a 256 x 256 layer in 32 x 32 tiles: each stack of its one tile group,
+    # (8, 8, 32, 32), and each layer-sized array is 0.5 MiB
+    STACK = 2**19
+    # measured: 3.25 stacks a step, the update, one side's eigenvectors and
+    # one product, with small arrays; copying each side's bias-corrected
+    # factor, its reordered decomposition and its root took 5.07
+    MAX_STACKS = 4
+
+    def test_blocked_grafted_step_stays_within_its_temporaries(self):
+        # B = 32 factors do not narrow a 32-wide side, so every side is dense
+        c = cfg("shampoo", e_l=0.25, e_r=0.25, eps=1e-3, graft_rule="adam",
+                block_out=32, block_in=32)
+        g_seq, f_seq = factored_gradients(np.random.default_rng(43), (256, 256), 32, 5)
+        state = LayerState()
+        tracemalloc.start()
+        try:
+            for g, factors in zip(g_seq, f_seq):
+                state.factors = factors
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                optimizer_step(state, g, c)
+                after, peak = tracemalloc.get_traced_memory()
+                # the state is allocated at step 1, and held after it
+                assert peak - max(before, after) <= self.MAX_STACKS * self.STACK
+        finally:
+            tracemalloc.stop()
+        assert all(q is None for q in (state.groups[0][1].q_l, state.groups[0][1].q_r))
 
 
 class TestGroupState:
@@ -1243,10 +1360,11 @@ def precondition_side(data, rng, n, route):
 
 
 class TestPrecondition:
-    """_precondition, Shampoo's one preconditioning path, gives
-    (L + eps_l' I)^(-e_l) M (R + eps_r' I)^(-e_r) of the dense factors for
-    an M in the bases' ranges, whichever sides hold a range basis, taking
-    and giving it rotated into those bases."""
+    """_precondition, Shampoo's one preconditioning path, writes
+    (L + eps_l' I)^(-e_l) M (R + eps_r' I)^(-e_r) of the dense factors into
+    the update for an M in the bases' ranges, whichever sides hold a range
+    basis, taking the first moment rotated into those bases and reading it
+    only."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1257,12 +1375,13 @@ class TestPrecondition:
         route_l=st.booleans(),
         route_r=st.booleans(),
         eps_mode=st.sampled_from(EPS_MODES),
+        corr1=st.sampled_from((1.0, 0.271)),
         corr2=st.sampled_from((1.0, 0.19)),
         data=st.data(),
         seed=st.integers(0, 2**16),
     )
     def test_matches_roots_of_dense_factors(
-        self, n_l, n_r, e_l, e_r, route_l, route_r, eps_mode, corr2, data, seed
+        self, n_l, n_r, e_l, e_r, route_l, route_r, eps_mode, corr1, corr2, data, seed
     ):
         rng = np.random.default_rng(seed)
         c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-2, eps_mode=eps_mode)
@@ -1273,14 +1392,18 @@ class TestPrecondition:
                 accs[side], bases[side] = acc, q
         m = [x_l @ rng.standard_normal((x_l.shape[1], x_r.shape[1])) @ x_r.T
              for x_l, x_r in zip(spans["l"], spans["r"])]
-        # _precondition takes M rotated into the bases and returns its
-        # result in them
+        # _precondition takes the moment rotated into the bases, and
+        # returns the result in them after writing it expanded into out
         q_l, q_r = bases.get("l"), bases.get("r")
         rot = mupre.optim._rebase(np.stack(m)[np.newaxis], (None, None), (q_l, q_r), (n_l, n_r),
                                   "update")
-        got = rotated_back(mupre.optim._precondition(accs, bases, rot, corr2, c), q_l, q_r)
+        kept, got = rot.copy(), np.full((1, 2, n_l, n_r), np.nan)
+        held = mupre.optim._precondition(accs, bases, rot, corr1, corr2, c, got)
+        assert rot.tobytes() == kept.tobytes()
+        expanded_held = mupre.optim._rebase(held, (q_l, q_r), (None, None), (n_l, n_r), "update")
+        assert expanded_held.tobytes() == got.tobytes()
         for i in range(2):
-            want = m[i]
+            want = m[i] / corr1
             for side in accs:
                 a = dense[side][i] / corr2
                 eps = c.eps
@@ -1302,7 +1425,8 @@ class TestPrecondition:
         c = OptimizerConfig("shampoo", e_l=0.5, e_r=0.0, eps=eps, eps_mode="absolute")
         with pytest.raises(np.linalg.LinAlgError):
             mupre.optim._precondition({"l": s[np.newaxis, np.newaxis]}, {"l": basis},
-                                      np.ones((1, 1, len(s), 1)), 1.0, c)
+                                      np.ones((1, 1, len(s), 1)), 1.0, 1.0, c,
+                                      np.empty((1, 1, 3, 1)))
 
 
 AXIS_MOVES = ("coordinate", "enter", "grow", "release")

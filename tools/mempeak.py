@@ -17,17 +17,22 @@ stderr, and stdout gets:
   peak_mib P             the largest traced total during the command
   sampled_mib S          the largest total seen between two calls of
                          Python code, near which the site lines were taken
+  minflt N               the minor page faults of the process during the
+                         command, from getrusage before and after it:
+                         pages touched for the first time, such as those
+                         of a large array mapped fresh by the allocator
   site FILE:LINE X MiB   the N source lines (default 1) holding the most
                          memory at that point, most first; an allocation
                          made inside NumPy's Python code counts at the
                          line that called into NumPy
 
-A temporary that lives only inside one call, such as one of an
-expression's intermediate arrays, counts toward P but is never seen
-between calls, so S <= P. The snapshot behind the site lines is retaken
-whenever the total between calls grows past the last snapshot's by
-SAMPLE_STEP, so it holds within that fraction of S. The exit status is the
-command's.
+Faults, unlike the traced figures, follow the allocator's heap layout,
+and they count tracemalloc's own bookkeeping too. A temporary that lives
+only inside one call, such as one of an expression's intermediate arrays,
+counts toward P but is never seen between calls, so S <= P. The snapshot
+behind the site lines is retaken whenever the total between calls grows
+past the last snapshot's by SAMPLE_STEP, so it holds within that fraction
+of S. The exit status is the command's.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import argparse
 import contextlib
 import importlib
 import pkgutil
+import resource
 import sys
 import tracemalloc
 from collections import Counter
@@ -85,9 +91,14 @@ def site(traceback: tracemalloc.Traceback) -> str:
     return f"{frame.filename}:{frame.lineno}"
 
 
-def run(argv: list[str]) -> tuple[int, float, Sampler]:
+def minor_faults() -> int:
+    """The minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def run(argv: list[str]) -> tuple[int, float, int, Sampler]:
     """Run the mupre command argv under tracemalloc: (exit status, peak
-    MiB, the sampler's record)."""
+    MiB, minor page faults, the sampler's record)."""
     import mupre
 
     for module in pkgutil.iter_modules(mupre.__path__):
@@ -98,14 +109,16 @@ def run(argv: list[str]) -> tuple[int, float, Sampler]:
     sampler = Sampler()
     tracemalloc.start(FRAMES)
     sys.setprofile(sampler)
+    faults = minor_faults()
     try:
         with contextlib.redirect_stdout(sys.stderr):
             status = cli.main(argv)
     finally:
+        faults = minor_faults() - faults
         sys.setprofile(None)
         peak = tracemalloc.get_traced_memory()[1] / MIB
         tracemalloc.stop()
-    return status, peak, sampler
+    return status, peak, faults, sampler
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -116,9 +129,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not args.command or args.top < 1:
         parser.error("give a mupre command, and --top of at least 1")
-    status, peak, sampler = run(args.command)
+    status, peak, faults, sampler = run(args.command)
     print(f"peak_mib {peak:.3f}")
     print(f"sampled_mib {sampler.best / MIB:.3f}")
+    print(f"minflt {faults}")
     for where, mib in sampler.sites(args.top):
         print(f"site {where} {mib:.3f} MiB")
     return status
