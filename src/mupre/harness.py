@@ -1,9 +1,9 @@
 """Verification experiments over the testbed models.
 
 Coordinate checks and learning-rate sweeps across width, depth-scaling
-checks, stable-rank scans, closed-form rank-1 and Gram-matrix oracles for
-the optimizer updates, log-log exponent regression, and compute-multiplier
-estimation. Every run is deterministic given its seeds.
+checks, stable-rank scans, closed-form rank-1 oracles for the optimizer
+updates, log-log exponent regression, and compute-multiplier estimation.
+Every run is deterministic given its seeds.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from .linalg import (
     NS_QUINTIC,
     NonFiniteError,
     PowerIterState,
-    mat_inv_power,
     ns_schedule,
-    sym_eig,
 )
 from .models import MlpModel, coord_probe, make_teacher, synth_batch
 from .optim import (
@@ -460,48 +458,6 @@ def rank1_oracle(
     if frob == 0.0:
         return np.zeros_like(out)
     return hyper.eta * (ref_frob / (frob + hyper.graft_eps)) * out
-
-
-def _pseudo_sqrt(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K^{1/2}, K^{-1/2+}) for a PSD Gram matrix, by eigendecomposition."""
-    eig = sym_eig(k)
-    w = np.clip(eig.eigenvalues, 0.0, None)
-    cutoff = (w[-1] if w.size else 0.0) * 1e-12
-    root = np.sqrt(w)
-    inv_root = np.where(w > cutoff, 1.0 / np.where(w > cutoff, root, 1.0), 0.0)
-    v = eig.eigenvectors
-    return (v * root) @ v.T, (v * inv_root) @ v.T
-
-
-def gram_oracle_shampoo(
-    delta: np.ndarray, x: np.ndarray, eps: float, e_l: float, e_r: float
-) -> np.ndarray:
-    """Shampoo update of G = (1/B) Delta X^T through B x B Gram matrices.
-
-    Never forms the d x d factor matrices: both inverse-power factors act
-    inside the B-dimensional column spaces of Delta and X, with pseudo
-    inverse square roots covering rank-deficient batches.
-    """
-    delta = np.asarray(delta, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if delta.ndim != 2 or x.ndim != 2 or delta.shape[1] != x.shape[1]:
-        raise ValueError("expected d_out x B and d_in x B with matching B")
-    b = delta.shape[1]
-    k_d = delta.T @ delta
-    k_x = x.T @ x
-    sqrt_kd, pinv_sqrt_kd = _pseudo_sqrt(k_d)
-    sqrt_kx, pinv_sqrt_kx = _pseudo_sqrt(k_x)
-    s_l = sqrt_kd @ k_x @ sqrt_kd / b**2
-    s_r = sqrt_kx @ k_d @ sqrt_kx / b**2
-    w_l = pinv_sqrt_kd @ mat_inv_power(s_l, e_l, eps) @ sqrt_kd
-    w_r = pinv_sqrt_kx @ mat_inv_power(s_r, e_r, eps) @ sqrt_kx
-    return delta @ (w_l @ w_r.T) @ x.T / b
-
-
-def dense_shampoo(g: np.ndarray, eps: float, e_l: float, e_r: float) -> np.ndarray:
-    """Reference path through the full d x d factor eigendecompositions."""
-    g = np.asarray(g, dtype=np.float64)
-    return mat_inv_power(g @ g.T, e_l, eps) @ g @ mat_inv_power(g.T @ g, e_r, eps)
 
 
 def exponent_fit(xs, ys) -> tuple[float, float]:

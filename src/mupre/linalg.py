@@ -145,19 +145,10 @@ def shifted_powers(lam: np.ndarray, e: float, eps) -> np.ndarray:
     return (lam + eps[..., np.newaxis]) ** (-e)
 
 
-def inv_power(dec: EigDecomp, e: float, eps) -> np.ndarray:
-    """(A + eps I)^(-e) for each symmetric PSD A of a stack, from its
-    decomposition, as V diag((lam + eps)^(-e)) V^T; eps is one shift or one
-    per matrix, e > 0. The eigenvalues are checked and clamped as in
-    shifted_powers.
-    """
-    powered = shifted_powers(dec.eigenvalues, e, eps)
-    v = dec.eigenvectors
-    return (v * powered[..., np.newaxis, :]) @ v.swapaxes(-1, -2)
-
-
 def mat_inv_power(a: Matrix, e: float, eps: float) -> Matrix:
-    """(A + eps I)^(-e) for symmetric PSD A via sym_eig and inv_power.
+    """(A + eps I)^(-e) for symmetric PSD A, as V diag((lam + eps)^(-e)) V^T
+    from sym_eig, with the eigenvalues checked and clamped as in
+    shifted_powers.
 
     e == 0 returns the exact identity. eps == 0 with a clamped zero
     eigenvalue and e > 0 is singular.
@@ -166,7 +157,9 @@ def mat_inv_power(a: Matrix, e: float, eps: float) -> Matrix:
         raise ValueError(f"mat_inv_power exponent must be >= 0, got {e}")
     if e == 0:
         return np.eye(as_matrix(a, "mat_inv_power input").shape[0])
-    return inv_power(sym_eig(a), e, eps)
+    dec = sym_eig(a)
+    v = dec.eigenvectors
+    return (v * shifted_powers(dec.eigenvalues, e, eps)) @ v.T
 
 
 def ns_schedule(iters: int) -> tuple[bool, ...]:

@@ -21,10 +21,8 @@ from mupre.config import OptimizerConfig, SweepConfig
 from mupre.harness import (
     compute_multiplier,
     coord_check,
-    dense_shampoo,
     depth_check,
     exponent_fit,
-    gram_oracle_shampoo,
     mup_exponent_check,
     muon_svd_error,
     oracle_agreement,
@@ -39,6 +37,8 @@ from mupre.optim import (
     spectral_normalize,
 )
 from mupre.scaling import ScalingPlan, wd_scale
+
+from .shampoo_reference import dense_shampoo, gram_oracle_shampoo
 
 # `python3 -m pytest -m "not acceptance"` skips these gates for a fast loop
 pytestmark = pytest.mark.acceptance

@@ -12,10 +12,8 @@ from mupre.harness import (
     RunResult,
     compute_multiplier,
     coord_check,
-    dense_shampoo,
     depth_check,
     exponent_fit,
-    gram_oracle_shampoo,
     lr_sweep,
     mup_exponent_check,
     oracle_agreement,
@@ -38,6 +36,8 @@ from mupre.scaling import (
     mlp_manifest,
     resmlp_manifest,
 )
+
+from .shampoo_reference import dense_shampoo, gram_oracle_shampoo
 
 
 def hyper(eta=1.0, eps=1e-8):

@@ -12,12 +12,12 @@ from mupre.linalg import (
     NS_QUINTIC,
     NonFiniteError,
     PowerIterState,
-    inv_power,
     mat_inv_power,
     NS_POLISH_STEPS,
     newton_schulz,
     ns_schedule,
     power_iter_step,
+    shifted_powers,
     spectral_norm_exact,
     sym_eig,
     sym_eig_stack,
@@ -153,27 +153,19 @@ class TestSymEigStack:
             sym_eig_stack(a)
 
 
-class TestInvPower:
-    """inv_power takes the decompositions of a stack, with one shift per
-    matrix; each matrix gets mat_inv_power's bits and checks."""
+class TestShiftedPowers:
+    """Shampoo's relative mode shifts each factor of a stack by its own eps';
+    the checks apply row by row."""
 
-    @pytest.mark.parametrize("e,eps", [(0.25, 1e-3), (0.5, 0.0), (1.0, 1e-2)])
-    def test_decomposition_input_matches_matrix_bits(self, e, eps):
-        a = psd_stack()
-        shifts = eps * np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = inv_power(sym_eig_stack(a), e, shifts)
-        for i, j in np.ndindex(2, 2):
-            assert np.array_equal(out[i, j], mat_inv_power(a[i, j], e, shifts[i, j]))
-
-    def test_decomposition_input_keeps_checks(self):
-        singular = np.stack([rand_psd(3, 1), np.diag([1.0, 0.0, 0.0])])
-        with pytest.raises(ValueError, match="singular"):
-            inv_power(sym_eig_stack(singular), 0.5, np.array([1e-3, 0.0]))
+    def test_one_shift_per_row_keeps_checks(self):
+        lam = np.array([[0.0, 1.0, 4.0], [1.0, 2.0, 3.0]])
         # a zero shift is fine at full rank
-        inv_power(sym_eig_stack(singular), 0.5, np.array([0.0, 1e-3]))
-        indefinite = np.stack([rand_psd(2, 2), np.diag([1.0, -1.0])])
+        out = shifted_powers(lam, 0.5, np.array([1e-3, 0.0]))
+        assert np.array_equal(out, np.stack([(lam[0] + 1e-3) ** -0.5, lam[1] ** -0.5]))
+        with pytest.raises(ValueError, match="singular"):
+            shifted_powers(lam, 0.5, np.array([0.0, 1e-3]))
         with pytest.raises(ValueError, match="PSD"):
-            inv_power(sym_eig_stack(indefinite), 0.5, 1.0)
+            shifted_powers(np.array([[1.0, 2.0], [-1.0, 1.0]]), 0.5, 1.0)
 
 
 class TestFailedRoots:
@@ -185,8 +177,6 @@ class TestFailedRoots:
     def test_formed_roots(self, a, eps):
         with pytest.raises(np.linalg.LinAlgError):
             mat_inv_power(a, 0.5, eps)
-        with pytest.raises(np.linalg.LinAlgError):
-            inv_power(sym_eig_stack(a[np.newaxis]), 0.5, eps)
 
 
 class TestNewtonSchulz:
