@@ -62,9 +62,9 @@ class UpdateReport:
 
     core, when given, is a smaller matrix with the update's singular values,
     such as C in update = Q_l C Q_r^T with orthonormal Q_l and Q_r, or
-    Q_l C or C Q_r^T (the range-basis routes of Muon and of a one-tile
-    Shampoo layer); spec then takes the Gram of the core instead of the
-    update's.
+    Q_l C or C Q_r^T when one side holds a basis (the range-basis route of
+    Muon and of a one-tile Shampoo layer, whose sides hold bases on their
+    own); spec then takes the Gram of the core instead of the update's.
     """
 
     def __init__(self, update: Matrix, core: Matrix | None = None):
@@ -93,18 +93,19 @@ class BlockState:
 
     For SOAP, l and r are the dense EMAs of G G^T and G^T G, q_l and q_r
     hold their eigenbases, and v is the second moment in the rotated
-    space. For Shampoo, q_l or q_r holds an orthonormal basis Q of the
-    numerical range of the spanning sets seen on that side (the tile's
-    gradient columns, or the row slice of the gradient's factor on that
-    side; see _spans), which grows in place, while the side takes the
-    range-basis route, and is None after it. A tile that needs fewer
-    columns than its group's widest holds zero columns in their place, and
-    a zero span gives a basis of width 0. While a side holds a basis, its
-    l or r is the EMA compressed to it, S = Q^T A Q, r x r for Q's r
-    columns; otherwise it is the dense n x n EMA A. A side with exponent 0
-    keeps no factor. Muon keeps only q_l and q_r, of its one whole-matrix
-    tile, while the layer takes the route (_muon_bases). A basis that
-    fills its side is released (_range_basis).
+    space. For Shampoo and Muon, q_l or q_r holds an orthonormal basis Q
+    of the numerical range of the spanning sets seen on that side (the
+    tile's gradient columns, or the row slice of the gradient's factor on
+    that side; see _spans), which grows in place, while the side takes the
+    range-basis route, and is None after it; each side enters and leaves
+    on its own (_range_basis), and a basis that fills its side is
+    released. A tile that needs fewer columns than its group's widest
+    holds zero columns in their place, and a zero span gives a basis of
+    width 0. While a Shampoo side holds a basis, its l or r is the EMA
+    compressed to it, S = Q^T A Q, r x r for Q's r columns; otherwise it
+    is the dense n x n EMA A. A side with exponent 0 keeps no factor or
+    basis. Muon keeps no factor, only the bases of its one whole-matrix
+    tile.
 
     While either side of a Shampoo or Muon group holds a basis, m is the
     group's first moment rotated into the bases, C = Q_l^T m Q_r, with a
@@ -408,38 +409,33 @@ def _take_factors(
     return left, right
 
 
-def _factor_slices(
-    group: TileGroup, factors: tuple[Matrix, Matrix]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The row slices of the gradient's factors (left, right) that each
-    tile of the group sees, with G = L R^T per tile: left's rows of the
-    tile's row band, shaped (tiles down, 1, rows, B), and right's rows of
-    its column band, shaped (1, tiles across, cols, B)."""
-    left, right = factors
-    (n_down, n_across), (b_out, b_in) = group.grid, group.shape
-    b = left.shape[1]
-    return (left[group.row:group.row + n_down * b_out].reshape(n_down, 1, b_out, b),
-            right[group.col:group.col + n_across * b_in].reshape(1, n_across, b_in, b))
+Slices = tuple[np.ndarray, np.ndarray]
 
 
 def _spans(
     group: TileGroup, gb: np.ndarray, factors: tuple[Matrix, Matrix] | None
-) -> dict[str, np.ndarray]:
+) -> tuple[dict[str, np.ndarray], Slices | None]:
     """Per side, a spanning set of each tile's gradient on that side, as a
-    stack: the row slice of the gradient's factor on that side
-    (_factor_slices) when it has fewer columns than the tile's other side,
-    else the tile's own gradient columns (of G on side "l", of G^T on side
-    "r"). gb is the group's gradient stack."""
-    spans = {"l": gb, "r": gb.swapaxes(-1, -2)}
-    if factors is None:
-        return spans
-    span_l, span_r = _factor_slices(group, factors)
-    b_out, b_in = group.shape
-    if span_l.shape[-1] < b_in:
-        spans["l"] = np.broadcast_to(span_l, gb.shape[:-1] + span_l.shape[-1:])
-    if span_r.shape[-1] < b_out:
-        spans["r"] = np.broadcast_to(span_r, gb.shape[:-2] + span_r.shape[-2:])
-    return spans
+    stack, and the factor slices the sets were taken from, or None. gb is
+    the group's gradient stack.
+
+    When the gradient's factors have fewer columns B than either side of
+    the tile, they span both sides: the slices are the rows of each factor
+    that each tile sees, with G = L R^T per tile, left's rows of the tile's
+    row band, shaped (tiles down, 1, rows, B), and right's rows of its
+    column band, shaped (1, tiles across, cols, B). Otherwise, or without
+    factors, each side is spanned by the tile's own gradient columns, of G
+    on side "l" and of G^T on side "r".
+    """
+    b = 0 if factors is None else factors[0].shape[1]
+    if not 0 < b < min(group.shape):
+        return {"l": gb, "r": gb.swapaxes(-1, -2)}, None
+    left, right = factors
+    (n_down, n_across), (b_out, b_in) = group.grid, group.shape
+    slices = (left[group.row:group.row + n_down * b_out].reshape(n_down, 1, b_out, b),
+              right[group.col:group.col + n_across * b_in].reshape(1, n_across, b_in, b))
+    return {"l": np.broadcast_to(slices[0], gb.shape[:-1] + (b,)),
+            "r": np.broadcast_to(slices[1], gb.shape[:-2] + (b_in, b))}, slices
 
 
 def _new_directions(q: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -472,18 +468,16 @@ def _new_directions(q: np.ndarray, span: np.ndarray) -> np.ndarray:
     return np.where(keep, np.linalg.qr(d).Q, 0.0)
 
 
-def _gram_root(
-    group: TileGroup, span: np.ndarray, side: str, factors: tuple[Matrix, Matrix] | None
-) -> np.ndarray:
+def _gram_root(span: np.ndarray, side: str, slices: Slices | None) -> np.ndarray:
     """A stack X with X X^T equal to each tile's G G^T on side "l" and G^T G
-    on side "r", from the side's spanning set (_spans). A set of the
-    tile's own gradient columns is such a stack. A row slice L of the
-    side's factor, with G = L R^T and the thin QR R = U T of the other
-    factor's slice, gives X = L T^T, B columns."""
-    b_out, b_in = group.shape
-    if span.shape[-1] == (b_in if side == "l" else b_out):
+    on side "r", from the side's spanning set and the factor slices it
+    came from (_spans). A set of the tile's own gradient columns (slices
+    None) is such a stack. A row slice L of the side's factor, with
+    G = L R^T and the thin QR R = U T of the other factor's slice, gives
+    X = L T^T, B columns."""
+    if slices is None:
         return span
-    other = _factor_slices(group, factors)[1 if side == "l" else 0]
+    other = slices[1 if side == "l" else 0]
     return span @ np.linalg.qr(other, mode="r").swapaxes(-1, -2)
 
 
@@ -505,7 +499,13 @@ def _range_basis(
     it until the basis fills the side, n columns wide. Then the basis is
     released and the side takes the dense route, as it does for a state
     that holds no basis after step 1 (one built by hand), since a basis
-    started late would miss the earlier gradients.
+    started late would miss the earlier gradients. Each side follows this
+    rule on its own, for Shampoo and Muon alike, so one side can hold a
+    basis while the other is dense.
+
+    While the side stays on the route, before is a view of after's first
+    columns, so the old array is not held beside the step's arrays; a
+    released basis comes back as before, as it was held, to expand with.
     """
     name = "q_" + side
     n = span.shape[-2]
@@ -517,6 +517,8 @@ def _range_basis(
         q = np.concatenate((q, _new_directions(q, span)), axis=-1)
         if q.shape[-1] >= n:
             q = None
+        else:
+            held = q[..., :held.shape[-1]]
     setattr(stacks, name, q)
     return held, q
 
@@ -540,16 +542,14 @@ def _advance_factor(
     return _factor_ema(stacks, side, root, beta2)
 
 
-def _rotated_gradient(
-    group: TileGroup, gb: np.ndarray, bases: Bases, factors: tuple[Matrix, Matrix] | None,
-) -> np.ndarray:
+def _rotated_gradient(gb: np.ndarray, bases: Bases, slices: Slices | None) -> np.ndarray:
     """Q_l^T G Q_r of each tile, skipping a side without a basis: from the
-    gradient's factors as (Q_l^T L)(Q_r^T R)^T (_factor_slices) when they
-    have fewer columns than either side of the tile, so no tile-sized
-    product is formed, else from gb, the cheaper product then."""
-    if factors is None or factors[0].shape[1] >= min(group.shape):
-        return _rebase(gb, (None, None), bases, group.shape, "gradient")
-    left, right = _factor_slices(group, factors)
+    factor slices that span the tiles (_spans) as (Q_l^T L)(Q_r^T R)^T, so
+    no tile-sized product is formed, else from gb, the cheaper product
+    then."""
+    if slices is None:
+        return _rebase(gb, (None, None), bases, gb.shape[-2:], "gradient")
+    left, right = slices
     q_l, q_r = bases
     if q_l is not None:
         left = q_l.swapaxes(-1, -2) @ left
@@ -560,11 +560,12 @@ def _rotated_gradient(
 
 def _advance_moment(
     state: LayerState, group: TileGroup, stacks: BlockState, g: Matrix,
-    now: Bases, nxt: Bases, factors: tuple[Matrix, Matrix] | None, beta1: float,
+    now: Bases, nxt: Bases, slices: Slices | None, beta1: float,
 ) -> np.ndarray:
     """Advance the group's first moment in place and return its stack in
     the bases nxt (q_l, q_r) that the sides hold after this step's growth,
-    given those they held before it, now.
+    given those they held before it, now, and the step's factor slices
+    (_spans).
 
     A group with no basis in nxt keeps its moment in its view of the
     layer's dense m, advanced by beta1 m + (1 - beta1) G entrywise, with
@@ -596,7 +597,7 @@ def _advance_moment(
             c = np.zeros(gb.shape[:-2] + tuple(
                 n if q is None else q.shape[-1] for n, q in zip(group.shape, nxt)))
         moment = stacks.m = c
-        gb = _rotated_gradient(group, gb, nxt, factors)
+        gb = _rotated_gradient(gb, nxt, slices)
     del c
     moment *= beta1
     moment += (1.0 - beta1) * gb
@@ -698,7 +699,7 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     core = None
     for group, stacks in _group_states(state, part):
         gb = group.view(g)
-        spans = _spans(group, gb, factors)
+        spans, slices = _spans(group, gb, factors)
         # every side's basis first, then the first moment and the factors,
         # so a side that leaves the route releases its basis before any
         # dense decomposition of this step; e == 0 is the exact identity:
@@ -709,13 +710,13 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
                 now[side], bases[side] = _range_basis(stacks, side, spans[side], state.t)
         nxt = (bases.get("l"), bases.get("r"))
         moment = _advance_moment(state, group, stacks, g, (now.get("l"), now.get("r")), nxt,
-                                 factors, cfg.beta1)
+                                 slices, cfg.beta1)
         accs = {}
         for side, q in bases.items():
             own = gb if side == "l" else gb.swapaxes(-1, -2)
             # a dense side advances by the tile's own Gram, with or without
             # factors, so its bits do not depend on them
-            root = own if q is None else _gram_root(group, spans[side], side, factors)
+            root = own if q is None else _gram_root(spans[side], side, slices)
             accs[side] = _advance_factor(stacks, side, own.shape[-2], root, now[side], q, cfg.beta2)
         del now  # the bases before growth, not alive beside the roots
         upd = _precondition(accs, bases, moment, corr1, corr2, cfg, group.view(out))
@@ -779,65 +780,39 @@ def soap_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
     return UpdateReport(out)
 
 
-def _muon_bases(
-    state: LayerState, group: TileGroup, stacks: BlockState, g: Matrix,
-    factors: tuple[Matrix, Matrix] | None,
-) -> tuple[Bases, Bases]:
-    """The bases (q_l, q_r) of the layer's one whole-matrix tile group
-    before and after this step's growth: orthonormal bases of the
-    numerical range of the spanning sets seen so far on each side, or
-    None on both sides after the step when the layer takes the dense
-    route, which then holds no basis.
-
-    Each side enters the route at step 1 and leaves it once its basis
-    fills the side, under Shampoo's rule (_range_basis). The route needs
-    both sides, so the layer leaves it for good, releasing both bases, as
-    soon as either side leaves. The smaller side's entry cutoff is the
-    lower one, so it goes first: a layer it keeps off the route, such as a
-    d x 1 layer, pays for no basis.
-    """
-    spans = _spans(group, group.view(g), factors)
-    # a side not reached below holds the basis of the last step, if any
-    now = {side: getattr(stacks, "q_" + side) if state.t > 1 else None for side in "lr"}
-    for side in ("l", "r") if g.shape[0] <= g.shape[1] else ("r", "l"):
-        now[side], q = _range_basis(stacks, side, spans[side], state.t)
-        if q is None:
-            stacks.q_l = stacks.q_r = None
-            return (now["l"], now["r"]), (None, None)
-    # the bases before growth as views of the grown ones' first columns,
-    # so the old arrays are not held beside the momentum's
-    nxt = (stacks.q_l, stacks.q_r)
-    return tuple(q[..., :w.shape[-1]] for q, w in zip(nxt, (now["l"], now["r"]))), nxt
-
-
 def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
     """Orthogonalized momentum: newton_schulz(m_t) with plain EMA momentum.
 
-    Given the gradients' batch factors, m_t lies in the span of those seen
-    so far on each side. While both sides hold an orthonormal basis of
-    their numerical range (_muon_bases), r_l and r_r columns wide, the step
-    keeps the momentum as the r_l x r_r core C = Q_l^T m_t Q_r
-    (_advance_moment), orthogonalizes it and returns Q_l newton_schulz(C)
-    Q_r^T, written into the array that checked the factors, which equals
+    Each side of the layer's one whole-matrix tile takes the range-basis
+    route under Shampoo's rule (_range_basis): it enters at step 1 when its
+    spanning set (_spans) is narrow, such as the batch factors' slice of a
+    wide layer or the one gradient column of a d x 1 layer's left side,
+    holds an orthonormal basis of the numerical range of the sets seen so
+    far, and releases it at the step it fills the side. The momentum is
+    kept in whichever bases the sides hold (_advance_moment): the r_l x r_r
+    core C = Q_l^T m_t Q_r, or Q_l^T m_t or m_t Q_r with one basis. The step
+    orthogonalizes that core and expands it, Q_l newton_schulz(C) Q_r^T
+    (_rebase), into the array that checked the factors; this equals
     newton_schulz(m_t) up to round-off, since the iteration maps X to
-    X p(X^T X); the report keeps the orthogonalized core. A side of width
-    0, whose spans were all zero, gives a zero core and a zero update, as
-    m_t is zero. Once either basis fills its side, and from then on, or
-    without factors, the d_out x d_in momentum is orthogonalized.
+    X p(X^T X), and the report keeps the orthogonalized core. A basis of
+    width 0, whose spans were all zero, gives a zero core and a zero
+    update, as m_t is zero. With no basis held the d_out x d_in momentum is
+    orthogonalized.
     """
     g = as_matrix(g, "gradient")
     out = np.empty_like(g)
     factors = _take_factors(state, g, out)
     state.t += 1
     ((group, stacks),) = _group_states(state, BlockPartition(*g.shape))
-    now, nxt = _muon_bases(state, group, stacks, g, factors)
-    moment = _advance_moment(state, group, stacks, g, now, nxt, factors, cfg.beta1)
+    spans, slices = _spans(group, group.view(g), factors)
+    now, nxt = zip(*(_range_basis(stacks, side, spans[side], state.t) for side in "lr"))
+    moment = _advance_moment(state, group, stacks, g, now, nxt, slices, cfg.beta1)
     del now  # a released basis, not alive beside the orthogonalization
     orth = newton_schulz(moment[0, 0], cfg.ns_iters, cfg.eps)
-    if nxt[0] is None:
+    if all(q is None for q in nxt):
         return UpdateReport(orth)
-    q_l, q_r = (q[0, 0] for q in nxt)
-    return UpdateReport(_rebase(orth, (q_l, q_r), (None, None), g.shape, "update", out=out), orth)
+    bases = tuple(None if q is None else q[0, 0] for q in nxt)
+    return UpdateReport(_rebase(orth, bases, (None, None), g.shape, "update", out=out), orth)
 
 
 def adamuon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateReport:
@@ -908,16 +883,11 @@ def optimizer_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> Update
 
 
 def spectral_normalize(
-    update: Matrix,
-    state: PowerIterState,
-    d_out: int,
-    d_in: int,
-    exact: bool = False,
+    update: Matrix, state: PowerIterState, d_out: int, d_in: int
 ) -> tuple[Matrix, PowerIterState]:
     """Rescale an update to spectral norm sqrt(d_out / d_in).
 
-    The norm estimate comes from one online power-iteration step (or the
-    dense decomposition when exact=True, for oracle substitution). A zero
+    The norm estimate comes from one online power-iteration step. A zero
     estimate passes the update through unscaled; a zero update leaves the
     state untouched.
     """
@@ -925,10 +895,9 @@ def spectral_normalize(
     if not np.any(update):
         return update, state
     new_state = power_iter_step(update, state)
-    sigma = spectral_norm_exact(update) if exact else new_state.sigma_hat
-    if sigma == 0.0:
+    if new_state.sigma_hat == 0.0:
         return update, new_state
-    return (np.sqrt(d_out / d_in) / sigma) * update, new_state
+    return (np.sqrt(d_out / d_in) / new_state.sigma_hat) * update, new_state
 
 
 def rms_normalize(update: Matrix, d_out: int, d_in: int) -> Matrix:

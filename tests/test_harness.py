@@ -515,14 +515,18 @@ class TestRunTraining:
         # zero at step 1, each step adds at most 32 columns a side, and the
         # tanh features of the scalar input are numerically rank deficient,
         # so neither basis fills its side in 6 steps and the route lasts
-        # through all of them. fc1 and readout, with a side of 1, stay
+        # through all of them. fc1 (256 x 1) and readout (1 x 256) hold a
+        # basis on their size-256 side only, spanned by the gradient's one
+        # column, which adds one column a step (fc1's gradient is zero at
+        # step 1, behind the zero-init readout); their side of 1 stays
         # dense. The route tiles nothing.
         def no_tiles(*args):
             raise AssertionError("muon_step called block_partition")
 
         monkeypatch.setattr(optim, "block_partition", no_tiles)
         shapes, res = self.muon_ns_shapes(monkeypatch, 256, 6)
-        assert shapes[0::3] == [(256, 1)] * 6 and shapes[2::3] == [(1, 256)] * 6
+        assert shapes[0::3] == [(t - 1, 1) for t in range(1, 7)]
+        assert shapes[2::3] == [(1, t) for t in range(1, 7)]
         cores = shapes[1::3]
         assert cores[0][0] == 0 and 0 < cores[0][1] <= 32
         for before, after in zip([(0, 0)] + cores, cores):

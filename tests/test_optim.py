@@ -1098,20 +1098,32 @@ class TestFactorSpannedRoute:
         k=st.integers(1, 3),
         extra=st.integers(0, 2),
         transpose=st.booleans(),
+        blocked=st.booleans(),
         e_l=st.sampled_from((0.25, 0.5)),
         e_r=st.sampled_from((0.25, 0.5)),
         eps_mode=st.sampled_from(EPS_MODES),
         seed=st.integers(0, 2**16),
     )
-    def test_wide_factors_keep_todays_bits(self, n, k, extra, transpose, e_l, e_r, eps_mode, seed):
-        # n x k gradients (k x n when transposed) with b >= k factor columns:
-        # the size-n side keeps the gradient's own columns, and the size-k
-        # side, past its entry cutoff at step 1, stays dense, so the run
-        # has the bits of one given no factors
-        shape = (k, n) if transpose else (n, k)
-        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode)
+    def test_wide_factors_keep_todays_bits(
+        self, n, k, extra, transpose, blocked, e_l, e_r, eps_mode, seed
+    ):
+        # n x k gradients (k x n when transposed) with b >= k factor
+        # columns, or, blocked, gradients of n x k tiles (k x n) and a
+        # trailing row (column) of n // 2 x k tiles with k <= b < n: the
+        # factors are not narrower than both sides of a tile, so each side
+        # keeps the tile's own columns. The size-n side takes the route,
+        # and the size-k side, past its entry cutoff at step 1, stays
+        # dense, so the run has the bits of one given no factors
+        b = k + (min(extra, n - 1 - k) if blocked else extra)
+        shape, blocks = (n, k), (None, None)
+        if blocked:
+            shape, blocks = (2 * n + n // 2, 3 * k), (n, k)
+        if transpose:
+            shape, blocks = shape[::-1], blocks[::-1]
+        c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode,
+                block_out=blocks[0], block_in=blocks[1])
         steps = -(-n // k) + 2
-        g_seq, f_seq = factored_gradients(np.random.default_rng(seed), shape, k + extra, steps)
+        g_seq, f_seq = factored_gradients(np.random.default_rng(seed), shape, b, steps)
         plain = LayerState()
         for g, got in zip(g_seq, run(g_seq, c, f_seq)[0], strict=True):
             assert got.tobytes() == shampoo_step(plain, g, c).update.tobytes()
@@ -1596,43 +1608,42 @@ def close(got, want, tol):
 
 
 class TestMuonRoute:
-    """Given the gradients' batch factors, Muon keeps its momentum as the
-    core Q_l^T m Q_r and orthogonalizes it until either basis fills its
-    side, and its update is the dense one up to round-off; after that it
-    orthogonalizes the expanded momentum, still the dense one up to
-    round-off. A layer that never takes the route keeps the dense bits."""
+    """Given the gradients' batch factors, each side of a Muon layer holds
+    a basis of their numerical range until it fills the side, under
+    Shampoo's rule (_range_basis). Muon keeps its momentum in whichever
+    bases its sides hold, as the core Q_l^T m Q_r, Q_l^T m or m Q_r, and
+    orthogonalizes that core; its update is the dense one up to round-off.
+    With no basis held it orthogonalizes the dense momentum, still the
+    dense update up to round-off, and a layer that never takes the route
+    keeps the dense bits."""
 
     def test_matches_dense_route_across_the_cutoff(self):
         # n = 64 and B = 4: the left factor is zero at step 1, as a
         # zero-init readout makes fc2's, so the left basis holds 4 (t - 1)
-        # columns and the right one 4 t until the right one fills the side
-        # at step 16, so that step and every one after it is dense
+        # columns and the right one 4 t. The right one fills the side at
+        # step 16, which keeps the momentum as Q_l^T m, and the left one at
+        # step 17, so that step and every one after it is dense
         c = cfg("muon")
         g_seq, f_seq = factored_gradients(np.random.default_rng(51), (64, 64), 4, 20, 1)
-        route, dense, exits = LayerState(), LayerState(), []
+        route, dense, cores = LayerState(), LayerState(), []
         for t, (g, factors) in enumerate(zip(g_seq, f_seq), start=1):
             route.factors = factors
             got, want = muon_step(route, g, c), muon_step(dense, g, c)
             block = route.blocks[0]
-            after = (4 * t - 4, 4 * t)
-            if 4 * t < 64:
-                assert block.q_l.shape == (64, after[0]) and block.q_r.shape == (64, after[1])
-                assert got.core.shape == after
-                assert close(got.update, want.update, 1e-12)
-                assert abs(got.spec - want.spec) <= 1e-12 * want.spec
-                assert abs(got.srank - want.srank) <= 1e-12 * want.srank
-            else:
-                exits.append(t)
-                assert block.q_l is None and block.q_r is None and got.core is None
-                assert close(got.update, want.update, 1e-12)
-                assert close(route.m, dense.m, 1e-13)
-        assert exits == list(range(16, 21))
+            for q, width in ((block.q_l, 4 * t - 4), (block.q_r, 4 * t)):
+                assert q is None if width >= 64 else q.shape == (64, width)
+            cores.append(None if got.core is None else got.core.shape)
+            assert close(got.update, want.update, 1e-12)
+            assert abs(got.spec - want.spec) <= 1e-12 * want.spec
+            assert abs(got.srank - want.srank) <= 1e-12 * want.srank
+            assert close(route.m, dense.m, 1e-13)
+        assert cores == [(4 * t - 4, 4 * t) for t in range(1, 16)] + [(60, 64)] + [None] * 4
 
     def test_lopsided_bases_stay_on_the_route(self):
         # the left factors share two directions and the right ones add 4 a
-        # step: the left basis holds 2 columns throughout, and the layer
-        # stays on the route until the right basis fills the side at step
-        # 16; from then on it is dense
+        # step: the left basis holds 2 columns throughout, and the right
+        # one fills the side at step 16. From then on the left basis alone
+        # holds the momentum, as the 2 x 64 core Q_l^T m
         c = cfg("muon")
         rng = np.random.default_rng(55)
         shared = rng.standard_normal((64, 2)) / 64.0
@@ -1642,20 +1653,21 @@ class TestMuonRoute:
             g = left @ right.T
             route.factors = (left, right)
             got, want = muon_step(route, g, c), muon_step(dense, g, c)
+            q_l, q_r = route.blocks[0].q_l, route.blocks[0].q_r
+            assert q_l.shape == (64, 2)
             if t < 16:
                 assert got.core.shape == (2, 4 * t)
-                q_r = route.blocks[0].q_r
                 assert np.allclose(q_r.T @ q_r, np.eye(4 * t), atol=1e-12)
-                assert close(got.update, want.update, 1e-12)
-                assert abs(got.spec - want.spec) <= 1e-12 * want.spec
             else:
-                assert got.core is None and route.blocks[0].q_r is None
-                assert close(got.update, want.update, 1e-12)
+                assert got.core.shape == (2, 64) and q_r is None
+            assert close(got.update, want.update, 1e-12)
+            assert abs(got.spec - want.spec) <= 1e-12 * want.spec
 
     def test_full_basis_stops_growing(self, monkeypatch):
         # the lopsided run above: the right basis would hold all 64 columns
-        # at step 16, so both bases are released there, and no basis grows
-        # after that or ever holds a whole side
+        # at step 16, so it is released there and grows no more, while the
+        # left one, of 2 columns, is grown at every step; no basis ever
+        # holds a whole side
         grown = []
         new_directions = mupre.optim._new_directions
         monkeypatch.setattr(mupre.optim, "_new_directions",
@@ -1663,15 +1675,16 @@ class TestMuonRoute:
         c = cfg("muon")
         rng = np.random.default_rng(55)
         shared = rng.standard_normal((64, 2)) / 64.0
-        state, exits = LayerState(), []
+        state = LayerState()
         for t in range(1, 21):
             left, right = shared @ rng.standard_normal((2, 4)), rng.standard_normal((64, 4))
             state.factors = (left, right)
             report = muon_step(state, left @ right.T, c)
-            assert (report.core is None) == (t >= 16)
-        # both sides grow at steps 1-16, and neither after
+            assert report.core.shape == (2, min(4 * t, 64))
+            assert (state.groups[0][1].q_r is None) == (t >= 16)
+        # the left side grows at steps 1-20, the right one at steps 1-16
         assert [shape for shape in grown if shape[1] == 64] == []
-        assert len(grown) == 2 * 16
+        assert len(grown) == 20 + 16
 
     @pytest.mark.parametrize("beta1", [0.0, 0.95])
     def test_matches_dense_route_from_a_zero_left_span(self, beta1):
@@ -1703,9 +1716,12 @@ class TestMuonRoute:
     )
     def test_matches_dense_route(self, shape, b, beta1, seed):
         # the run lasts until both bases would hold their whole side, so
-        # every example that takes the route leaves it by the last step
+        # every example that takes the route leaves it by the last step.
+        # Each step adds min(b, n_l, n_r) directions a side: b from the
+        # factors, or the rank of the gradient, whose own columns span
+        # both sides when b >= min(n_l, n_r)
         c = cfg("muon", beta1=beta1)
-        steps = -(-max(shape) // b) + 1
+        steps = -(-max(shape) // min(b, *shape)) + 1
         g_seq, f_seq = factored_gradients(np.random.default_rng(seed), shape, b, steps)
         route, dense = LayerState(), LayerState()
         for g, factors in zip(g_seq, f_seq):
@@ -1715,21 +1731,65 @@ class TestMuonRoute:
             assert abs(got.spec - want.spec) <= 1e-12 * want.spec
         assert got.core is None
 
-    @pytest.mark.parametrize("shape", [(64, 1), (1, 64), (64, 7), (7, 64)])
-    def test_narrow_layers_stay_dense_without_qr(self, shape, monkeypatch):
-        # B = 4 columns a step exceed half of a side of 1 or 7 from step 1
-        qr_calls = []
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda a: qr_calls.append(a.shape) or qr(a))
-        c = cfg("muon")
-        g_seq, f_seq = factored_gradients(np.random.default_rng(52), shape, 4, 4)
-        route, dense = LayerState(), LayerState()
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small=st.integers(2, 12),
+        extra=st.integers(1, 4),
+        b=st.integers(1, 3),
+        transpose=st.booleans(),
+        beta1=st.sampled_from((0.0, 0.95)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_dense_route_through_a_one_sided_stretch(
+        self, small, extra, b, transpose, beta1, seed
+    ):
+        # both sides enter at step 1 and grow by b columns a step; the
+        # larger side is extra steps' growth wider, so the smaller side's
+        # basis is released first and the larger one alone holds the
+        # momentum until it fills its side too
+        b = min(b, small // 2)
+        large = small + extra * b
+        shape = (large, small) if transpose else (small, large)
+        c = cfg("muon", beta1=beta1)
+        steps = -(-large // b) + 1
+        g_seq, f_seq = factored_gradients(np.random.default_rng(seed), shape, b, steps)
+        route, dense, one_sided = LayerState(), LayerState(), 0
         for g, factors in zip(g_seq, f_seq):
             route.factors = factors
             got, want = muon_step(route, g, c), muon_step(dense, g, c)
-            assert got.core is None and got.update.tobytes() == want.update.tobytes()
-            assert route.blocks[0].q_l is None and route.blocks[0].q_r is None
-        assert qr_calls == []
+            assert close(got.update, want.update, 1e-12)
+            assert abs(got.spec - want.spec) <= 1e-12 * want.spec
+            bases = (route.blocks[0].q_l, route.blocks[0].q_r)
+            held = [q is not None for q in bases]
+            if held == [transpose, not transpose]:
+                one_sided += 1
+                width = bases[0 if transpose else 1].shape[-1]
+                assert got.core.shape == ((width, small) if transpose else (small, width))
+            else:
+                assert held in ([True, True], [False, False])
+        assert one_sided >= 1 and got.core is None
+
+    @pytest.mark.parametrize("shape", [(64, 1), (1, 64), (64, 7), (7, 64)])
+    def test_narrow_layers_take_a_one_sided_route(self, shape):
+        # the size-64 side takes the route, spanned by the gradient's one
+        # column (d x 1, 1 x d: B = 4 is not below 1) or by the factors'
+        # 4 columns (d x 7, 7 x d); the side of 1 or 7 is past its entry
+        # cutoff from step 1, so the core keeps it whole
+        c = cfg("muon")
+        g_seq, f_seq = factored_gradients(np.random.default_rng(52), shape, 4, 4)
+        route, dense = LayerState(), LayerState()
+        long_side = 0 if shape[0] == 64 else 1
+        for t, (g, factors) in enumerate(zip(g_seq, f_seq), start=1):
+            route.factors = factors
+            got, want = muon_step(route, g, c), muon_step(dense, g, c)
+            bases = (route.blocks[0].q_l, route.blocks[0].q_r)
+            width = t * min(4, min(shape))
+            assert bases[1 - long_side] is None and bases[long_side].shape == (64, width)
+            core = list(shape)
+            core[long_side] = width
+            assert got.core.shape == tuple(core)
+            assert close(got.update, want.update, 1e-12)
+            assert abs(got.spec - want.spec) <= 1e-12 * want.spec
 
     def test_hand_built_state_stays_dense(self):
         # a basis started at t > 1 would miss the earlier gradients
@@ -1791,8 +1851,7 @@ class TestMuonRoute:
 
 class TestExitRule:
     """A side leaves the range-basis route at the step its basis fills the
-    side: Shampoo's sides leave one at a time, and Muon, which needs both,
-    leaves with the first."""
+    side, one side at a time, for Shampoo and Muon alike."""
 
     @pytest.mark.parametrize("rule", ["shampoo", "muon"])
     def test_basis_is_released_at_the_step_it_fills_its_side(self, rule):
@@ -1808,7 +1867,7 @@ class TestExitRule:
             ((_, stacks),) = state.groups
             for side, n in (("l", 12), ("r", 40)):
                 q = getattr(stacks, "q_" + side)
-                released = 3 * t >= (n if rule == "shampoo" else 12)
+                released = 3 * t >= n
                 assert q is None if released else q.shape[-1] == 3 * t
 
 
@@ -2138,10 +2197,11 @@ class TestBlocking:
 
 class TestNormalization:
     def test_spectral_normalize_exact_mode(self):
+        # the exact rescale, by the dense sigma, that the online estimate
+        # stands in for
         rng = np.random.default_rng(19)
         u = rng.standard_normal((6, 4))
-        state = PowerIterState(v=np.ones(4) / 2.0)
-        out, _ = spectral_normalize(u, state, d_out=6, d_in=4, exact=True)
+        out = (np.sqrt(6 / 4) / spectral_norm_exact(u)) * u
         assert spectral_norm_exact(out) == pytest.approx(np.sqrt(6 / 4), rel=1e-10)
 
     def test_spectral_normalize_online_converges(self):

@@ -33,7 +33,9 @@ RUNS = {
     "bench/configs/width-blocked-mup.json": "coordcheck",
     "bench/configs/width-blocked-sp.json": "coordcheck",
     "bench/configs/rankscan-muon-mup.json": "rankscan",
-    # widths 64-256 for 40 steps: Muon's fc2 leaves the range-basis route
+    # widths 64-256 for 40 steps: each side of Muon's fc2 leaves the
+    # range-basis route, the left side at steps 5, 9 and 16 and the right
+    # one at steps 6, 12 and 23, so fc2 keeps m Q_r for a stretch between
     "tools/audit_configs/muon-40.json": "coordcheck",
     "tools/audit_configs/soap-blocked.json": "coordcheck",
     # e_r = 0: the first moment is kept as Q_l^T m, one side in a basis
