@@ -94,12 +94,13 @@ class BlockState:
     For SOAP, l and r are the dense EMAs of G G^T and G^T G, q_l and q_r
     hold their eigenbases, and v is the second moment in the rotated
     space. For Shampoo and Muon, q_l or q_r holds an orthonormal basis Q
-    of the numerical range of the spanning sets seen on that side (the
-    tile's gradient columns, or the row slice of the gradient's factor on
-    that side; see _spans), which grows in place, while the side takes the
-    range-basis route, and is None after it; each side enters and leaves
-    on its own (_range_basis), and a basis that fills its side is
-    released. A tile that needs fewer columns than its group's widest
+    of the numerical range of the spanning sets seen on that side (that
+    side's factor of the step's pair; see _spans), while the side takes
+    the range-basis route, and is None after it; each side enters and
+    leaves on its own (_range_basis), and a basis that fills its side is
+    released. A basis spanned by band slices is held once per band,
+    (tiles down, 1, rows, r) for q_l and (1, tiles across, cols, r) for
+    q_r. A tile or band that needs fewer columns than its group's widest
     holds zero columns in their place, and a zero span gives a basis of
     width 0. While a Shampoo side holds a basis, its l or r is the EMA
     compressed to it, S = Q^T A Q, r x r for Q's r columns; otherwise it
@@ -145,8 +146,8 @@ class LayerState:
     d_in x B and the next gradient equal to left @ right.T, set by the
     trainer right before a step. Shampoo and Muon take their row slices as
     the spanning sets of their range-basis routes; every rule clears the
-    field, and a step without factors spans each side with the tile's own
-    gradient columns.
+    field, and a step without factors takes each tile as its own
+    factorization (_spans).
     """
 
     t: int = 0
@@ -175,7 +176,8 @@ class LayerState:
     @property
     def blocks(self) -> list[BlockState]:
         """Each tile's view of its group's stacks, in row-major tile order;
-        empty before the first shampoo/soap step. Arrays held in a range
+        empty before the first shampoo/soap step. A basis held once per
+        band is broadcast to the band's tiles. Arrays held in a range
         basis are given dense, as new arrays: a compressed Shampoo factor as
         Q S Q^T (_factor), so every tile's l and r are n x n EMAs, and a
         rotated first moment as Q_l C Q_r^T, the tile's part of the layer's
@@ -189,7 +191,9 @@ class LayerState:
                      for side, q, n in zip("lr", bases, group.shape)}
             if stacks.m is not None:
                 dense["m"] = _rebase(stacks.m, bases, (None, None), group.shape, "first moment")
-            arrays = [dense.get(f.name, getattr(stacks, f.name)) for f in fields(BlockState)]
+            arrays = (dense.get(f.name, getattr(stacks, f.name)) for f in fields(BlockState))
+            arrays = [None if a is None else np.broadcast_to(a, group.grid + a.shape[2:])
+                      for a in arrays]
             for k, i in enumerate(group.indices):
                 at = divmod(k, group.grid[1])
                 tiles[i] = BlockState(*(None if a is None else a[at] for a in arrays))
@@ -409,33 +413,30 @@ def _take_factors(
     return left, right
 
 
-Slices = tuple[np.ndarray, np.ndarray]
+Pair = tuple[np.ndarray, np.ndarray]
 
 
-def _spans(
-    group: TileGroup, gb: np.ndarray, factors: tuple[Matrix, Matrix] | None
-) -> tuple[dict[str, np.ndarray], Slices | None]:
-    """Per side, a spanning set of each tile's gradient on that side, as a
-    stack, and the factor slices the sets were taken from, or None. gb is
-    the group's gradient stack.
+def _spans(group: TileGroup, gb: np.ndarray, factors: tuple[Matrix, Matrix] | None) -> Pair:
+    """One factor pair (L, R) of the group's gradient stack gb, with
+    G = L R^T on every tile; L spans side "l" and R side "r".
 
-    When the gradient's factors have fewer columns B than either side of
-    the tile, they span both sides: the slices are the rows of each factor
-    that each tile sees, with G = L R^T per tile, left's rows of the tile's
-    row band, shaped (tiles down, 1, rows, B), and right's rows of its
-    column band, shaped (1, tiles across, cols, B). Otherwise, or without
-    factors, each side is spanned by the tile's own gradient columns, of G
-    on side "l" and of G^T on side "r".
+    When the gradient's factors have fewer columns B than both sides of
+    the tile, the pair is their band slices: left's rows of each row band,
+    shaped (tiles down, 1, rows, B), and right's rows of each column band,
+    shaped (1, tiles across, cols, B), so each band's basis is grown once.
+    Otherwise, or without factors, the tile is its own factorization:
+    G = G I for a tile at least as tall as it is wide, else G = I G. A
+    side spanned by I has as many columns as it is wide, so it is dense.
     """
-    b = 0 if factors is None else factors[0].shape[1]
-    if not 0 < b < min(group.shape):
-        return {"l": gb, "r": gb.swapaxes(-1, -2)}, None
-    left, right = factors
     (n_down, n_across), (b_out, b_in) = group.grid, group.shape
-    slices = (left[group.row:group.row + n_down * b_out].reshape(n_down, 1, b_out, b),
-              right[group.col:group.col + n_across * b_in].reshape(1, n_across, b_in, b))
-    return {"l": np.broadcast_to(slices[0], gb.shape[:-1] + (b,)),
-            "r": np.broadcast_to(slices[1], gb.shape[:-2] + (b_in, b))}, slices
+    b = 0 if factors is None else factors[0].shape[1]
+    if 0 < b < min(b_out, b_in):
+        left, right = factors
+        return (left[group.row:group.row + n_down * b_out].reshape(n_down, 1, b_out, b),
+                right[group.col:group.col + n_across * b_in].reshape(1, n_across, b_in, b))
+    if b_out >= b_in:
+        return gb, np.eye(b_in)
+    return np.eye(b_out), gb.swapaxes(-1, -2)
 
 
 def _new_directions(q: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -468,16 +469,12 @@ def _new_directions(q: np.ndarray, span: np.ndarray) -> np.ndarray:
     return np.where(keep, np.linalg.qr(d).Q, 0.0)
 
 
-def _gram_root(span: np.ndarray, side: str, slices: Slices | None) -> np.ndarray:
+def _gram_root(pair: Pair, side: str) -> np.ndarray:
     """A stack X with X X^T equal to each tile's G G^T on side "l" and G^T G
-    on side "r", from the side's spanning set and the factor slices it
-    came from (_spans). A set of the tile's own gradient columns (slices
-    None) is such a stack. A row slice L of the side's factor, with
-    G = L R^T and the thin QR R = U T of the other factor's slice, gives
-    X = L T^T, B columns."""
-    if slices is None:
-        return span
-    other = slices[1 if side == "l" else 0]
+    on side "r", from the group's factor pair G = L R^T (_spans): with the
+    thin QR R = U T of the other side's factor, X = L T^T on side "l", and
+    X = R T^T for L = U T on side "r"."""
+    span, other = pair if side == "l" else pair[::-1]
     return span @ np.linalg.qr(other, mode="r").swapaxes(-1, -2)
 
 
@@ -490,13 +487,15 @@ def _range_basis(
     dense route at step t - 1 or takes it from step 1.
 
     The basis, kept in the side's q stack, holds the numerical range of
-    the spanning sets seen so far on a side of size n (_spans). It grows in
-    place: each step appends the directions of the step's set that it
-    lacks (_new_directions) and leaves its columns as they are, so a zero
-    set adds none and a rank-deficient one adds its numerical rank. A side
-    enters the route at step 1, from a basis of width 0, when its spanning
-    set has at most floor(RANGE_BASIS_MAX_FRACTION n) columns, and stays on
-    it until the basis fills the side, n columns wide. Then the basis is
+    the spanning sets seen so far on a side of size n (_spans), one per
+    band for band slices. Each step appends, as a new array, the
+    directions of the step's set that it lacks (_new_directions) after its
+    columns, so a zero set adds none and a rank-deficient one adds its
+    numerical rank; a band's basis is broadcast to its tiles when the set
+    is per tile. A side enters the route at step 1, from a basis of width
+    0, when its spanning set has at most floor(RANGE_BASIS_MAX_FRACTION n)
+    columns, and stays on it until the basis fills the side, n columns
+    wide. Then the basis is
     released and the side takes the dense route, as it does for a state
     that holds no basis after step 1 (one built by hand), since a basis
     started late would miss the earlier gradients. Each side follows this
@@ -514,7 +513,8 @@ def _range_basis(
         held = np.empty(span.shape[:-1] + (0,))
     q = held
     if q is not None:
-        q = np.concatenate((q, _new_directions(q, span)), axis=-1)
+        d = _new_directions(q, span)
+        q = np.concatenate((np.broadcast_to(q, d.shape[:-1] + q.shape[-1:]), d), axis=-1)
         if q.shape[-1] >= n:
             q = None
         else:
@@ -542,14 +542,10 @@ def _advance_factor(
     return _factor_ema(stacks, side, root, beta2)
 
 
-def _rotated_gradient(gb: np.ndarray, bases: Bases, slices: Slices | None) -> np.ndarray:
-    """Q_l^T G Q_r of each tile, skipping a side without a basis: from the
-    factor slices that span the tiles (_spans) as (Q_l^T L)(Q_r^T R)^T, so
-    no tile-sized product is formed, else from gb, the cheaper product
-    then."""
-    if slices is None:
-        return _rebase(gb, (None, None), bases, gb.shape[-2:], "gradient")
-    left, right = slices
+def _rotated_gradient(bases: Bases, pair: Pair) -> np.ndarray:
+    """Q_l^T G Q_r of each tile, skipping a side without a basis, from the
+    group's factor pair (_spans) as (Q_l^T L)(Q_r^T R)^T."""
+    left, right = pair
     q_l, q_r = bases
     if q_l is not None:
         left = q_l.swapaxes(-1, -2) @ left
@@ -560,11 +556,11 @@ def _rotated_gradient(gb: np.ndarray, bases: Bases, slices: Slices | None) -> np
 
 def _advance_moment(
     state: LayerState, group: TileGroup, stacks: BlockState, g: Matrix,
-    now: Bases, nxt: Bases, slices: Slices | None, beta1: float,
+    now: Bases, nxt: Bases, pair: Pair, beta1: float,
 ) -> np.ndarray:
     """Advance the group's first moment in place and return its stack in
     the bases nxt (q_l, q_r) that the sides hold after this step's growth,
-    given those they held before it, now, and the step's factor slices
+    given those they held before it, now, and the step's factor pair
     (_spans).
 
     A group with no basis in nxt keeps its moment in its view of the
@@ -597,7 +593,7 @@ def _advance_moment(
             c = np.zeros(gb.shape[:-2] + tuple(
                 n if q is None else q.shape[-1] for n, q in zip(group.shape, nxt)))
         moment = stacks.m = c
-        gb = _rotated_gradient(gb, nxt, slices)
+        gb = _rotated_gradient(nxt, pair)
     del c
     moment *= beta1
     moment += (1.0 - beta1) * gb
@@ -699,24 +695,24 @@ def shampoo_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRe
     core = None
     for group, stacks in _group_states(state, part):
         gb = group.view(g)
-        spans, slices = _spans(group, gb, factors)
+        pair = _spans(group, gb, factors)
         # every side's basis first, then the first moment and the factors,
         # so a side that leaves the route releases its basis before any
         # dense decomposition of this step; e == 0 is the exact identity:
         # that side is skipped
         now, bases = {}, {}
-        for side in ("l", "r"):
+        for side, span in zip("lr", pair):
             if getattr(cfg, "e_" + side) != 0.0:
-                now[side], bases[side] = _range_basis(stacks, side, spans[side], state.t)
+                now[side], bases[side] = _range_basis(stacks, side, span, state.t)
         nxt = (bases.get("l"), bases.get("r"))
         moment = _advance_moment(state, group, stacks, g, (now.get("l"), now.get("r")), nxt,
-                                 slices, cfg.beta1)
+                                 pair, cfg.beta1)
         accs = {}
         for side, q in bases.items():
             own = gb if side == "l" else gb.swapaxes(-1, -2)
             # a dense side advances by the tile's own Gram, with or without
             # factors, so its bits do not depend on them
-            root = own if q is None else _gram_root(spans[side], side, slices)
+            root = own if q is None else _gram_root(pair, side)
             accs[side] = _advance_factor(stacks, side, own.shape[-2], root, now[side], q, cfg.beta2)
         del now  # the bases before growth, not alive beside the roots
         upd = _precondition(accs, bases, moment, corr1, corr2, cfg, group.view(out))
@@ -804,9 +800,9 @@ def muon_step(state: LayerState, g: Matrix, cfg: OptimizerConfig) -> UpdateRepor
     factors = _take_factors(state, g, out)
     state.t += 1
     ((group, stacks),) = _group_states(state, BlockPartition(*g.shape))
-    spans, slices = _spans(group, group.view(g), factors)
-    now, nxt = zip(*(_range_basis(stacks, side, spans[side], state.t) for side in "lr"))
-    moment = _advance_moment(state, group, stacks, g, now, nxt, slices, cfg.beta1)
+    pair = _spans(group, group.view(g), factors)
+    now, nxt = zip(*(_range_basis(stacks, side, span, state.t) for side, span in zip("lr", pair)))
+    moment = _advance_moment(state, group, stacks, g, now, nxt, pair, cfg.beta1)
     del now  # a released basis, not alive beside the orthogonalization
     orth = newton_schulz(moment[0, 0], cfg.ns_iters, cfg.eps)
     if all(q is None for q in nxt):

@@ -126,7 +126,7 @@ def test_artifact_configs_build(artifacts):
     root = artifacts.ROOT
     found = {str(p.relative_to(root)) for d in ("bench/configs", "tools/audit_configs")
              for p in (root / d).glob("*.json")}
-    assert set(artifacts.RUNS) == found and len(found) == 10
+    assert set(artifacts.RUNS) == found and len(found) == 11
     for config, command in artifacts.RUNS.items():
         _, _, sweep = cli.build_objects(cli.load_config(str(root / config)), 0)
         sweep.require(EXPERIMENTS[command])

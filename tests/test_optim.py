@@ -24,6 +24,7 @@ from mupre.linalg import (
 )
 from mupre.config import EPS_MODES, GRAFT_RULES, RULES, OptimizerConfig
 from mupre.optim import (
+    FACTOR_PRODUCT_TOL,
     BlockState,
     LayerState,
     UpdateReport,
@@ -250,6 +251,14 @@ def tile_spans(g, c):
     """((r0, r1), (c0, c1)) bounds of the config's tiles in row-major order."""
     part = block_partition(g.shape, c.block_out, c.block_in)
     return list(product(part.row_spans, part.col_spans))
+
+
+def tile_of(stack, group, k):
+    """The k-th tile's matrix of a group's stack, or None; a band-shaped
+    stack, such as a basis held once per band, broadcasts over its band."""
+    if stack is None:
+        return None
+    return np.broadcast_to(stack, group.grid + stack.shape[2:])[divmod(k, group.grid[1])]
 
 
 def expanded(s, q):
@@ -787,17 +796,16 @@ class TestGroupState:
                         assert tile is None
                         continue
                     held.add(name)
-                    own = stack.reshape(-1, *stack.shape[-2:])[k]
+                    own = tile_of(stack, group, k)
                     if name == "m":
-                        q_l, q_r = (None if q is None else q.reshape(-1, *q.shape[-2:])[k]
-                                    for q in (stacks.q_l, stacks.q_r))
+                        q_l, q_r = (tile_of(q, group, k) for q in (stacks.q_l, stacks.q_r))
                         assert q_l is not None or q_r is not None
                         assert not np.shares_memory(tile, stack)
                         assert tile.tobytes() == rotated_back(own, q_l, q_r).tobytes()
                         continue
                     q = getattr(stacks, "q_" + name, None) if c.rule == "shampoo" else None
                     if q is not None:
-                        q = q.reshape(-1, *q.shape[-2:])[k]
+                        q = tile_of(q, group, k)
                         assert own.shape == (q.shape[1], q.shape[1]) < tile.shape
                         compressed += 1
                         assert not np.shares_memory(tile, stack)
@@ -1074,8 +1082,9 @@ class TestFactorSpannedRoute:
         # the run ends two steps past the step the larger side's basis would
         # fill it, so the sides that take the route leave it and expand their
         # factors; step bare_step (if any), or every step when the factors
-        # are not given, spans with G's columns. Blocked layers have tiles of
-        # half a side or less, and trailing ones
+        # are not given, takes each tile as its own factorization G I or
+        # I G. Blocked layers have tiles of half a side or less, and
+        # trailing ones
         half = (-(-shape[0] // 2) if blocked == "both" else None,
                 -(-shape[1] // 2) if blocked != "no" else None)
         c = cfg("shampoo", e_l=e_l, e_r=e_r, eps=1e-3, eps_mode=eps_mode, beta2=beta2,
@@ -1110,8 +1119,8 @@ class TestFactorSpannedRoute:
         # n x k gradients (k x n when transposed) with b >= k factor
         # columns, or, blocked, gradients of n x k tiles (k x n) and a
         # trailing row (column) of n // 2 x k tiles with k <= b < n: the
-        # factors are not narrower than both sides of a tile, so each side
-        # keeps the tile's own columns. The size-n side takes the route,
+        # factors are not narrower than both sides of a tile, so each tile
+        # is its own factorization. The size-n side takes the route,
         # and the size-k side, past its entry cutoff at step 1, stays
         # dense, so the run has the bits of one given no factors
         b = k + (min(extra, n - 1 - k) if blocked else extra)
@@ -1144,6 +1153,27 @@ class TestFactorSpannedRoute:
                     assert q.shape == (40, 3 * t)
                 else:
                     assert q is None
+
+    def test_each_band_grows_its_basis_once(self, monkeypatch):
+        # a 24 x 16 layer of 3 x 2 tiles of 8 x 8 given batch-2 factors: the
+        # tiles of a row band share its left factor rows, and those of a
+        # column band its right factor rows, so each step grows one left
+        # basis per row band and one right basis per column band
+        grown = []
+        new_directions = mupre.optim._new_directions
+
+        def growing(q, span):
+            grown.append((q.shape[:-1], span.shape[:-1]))
+            return new_directions(q, span)
+
+        monkeypatch.setattr(mupre.optim, "_new_directions", growing)
+        c = cfg("shampoo", e_l=0.25, e_r=0.25, eps=1e-3, block_out=8, block_in=8)
+        g_seq, f_seq = factored_gradients(np.random.default_rng(43), (24, 16), 2, 3)
+        state = run(g_seq, c, f_seq)[2]
+        left, right = ((3, 1, 8), (3, 1, 8)), ((1, 2, 8), (1, 2, 8))
+        assert grown == [left, right] * 3
+        ((_, stacks),) = state.groups
+        assert stacks.q_l.shape == (3, 1, 8, 6) and stacks.q_r.shape == (1, 2, 8, 6)
 
     def test_leaving_sides_release_bases_before_dense_decomposition(self, monkeypatch):
         # on the step both sides of a 16 x 16 layer leave the route, every
@@ -1463,6 +1493,45 @@ class TestRangeBasisGrowth:
         assert widths == sorted(widths) and widths[-1] < 32
 
 
+class TestSpans:
+    """Each tile group's factor pair (_spans) multiplies to every tile's
+    gradient: band slices of the gradient's factors when they are narrower
+    than both sides of the tile, else the tile itself times I."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tiling=uneven_tilings(),
+        b=st.integers(1, 4),
+        given_factors=st.lists(st.booleans(), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pair_multiplies_to_each_tile(self, tiling, b, given_factors, seed):
+        rows, cols, b_out, b_in = tiling
+        c = cfg("shampoo", e_l=0.25, e_r=0.25, eps=1e-3, block_out=b_out, block_in=b_in)
+        steps = len(given_factors)
+        g_seq, f_seq = factored_gradients(np.random.default_rng(seed), (rows, cols), b, steps)
+        state = LayerState()
+        for g, factors, given_step in zip(g_seq, f_seq, given_factors):
+            factors = factors if given_step else None
+            state.factors = factors
+            shampoo_step(state, g, c)
+            for group, stacks in state.groups:
+                gb = group.view(g)
+                left, right = mupre.optim._spans(group, gb, factors)
+                product = left @ right.swapaxes(-1, -2)
+                if factors is not None and b < min(group.shape):
+                    assert left.shape == (group.grid[0], 1, group.shape[0], b)
+                    assert right.shape == (1, group.grid[1], group.shape[1], b)
+                    gap = np.linalg.norm(product - gb, axis=(-2, -1))
+                    assert np.all(gap <= FACTOR_PRODUCT_TOL * np.linalg.norm(gb, axis=(-2, -1)))
+                    continue
+                assert product.tobytes() == np.ascontiguousarray(gb).tobytes()
+                # the side spanned by I is as wide as its size: never on the route
+                (b_out, b_in), q_l, q_r = group.shape, stacks.q_l, stacks.q_r
+                eye, n, q = (right, b_in, q_r) if b_out >= b_in else (left, b_out, q_l)
+                assert np.array_equal(eye, np.eye(n)) and q is None
+
+
 # (left, right, gradient shape) triples that do not factor the gradient
 BAD_FACTOR_SHAPES = pytest.mark.parametrize(
     "left,right,g_shape",
@@ -1514,9 +1583,8 @@ class TestGradientFactors:
         assert np.all(np.isfinite(report.update)) and state.factors is None
 
     @pytest.mark.parametrize("rule,graft_rule", accepted_graft_pairs())
-    def test_every_rule_clears_and_only_shampoo_reads(self, rule, graft_rule, monkeypatch):
-        # a mismatched pair: any rule that read it would raise; the name
-        # predates Muon's route, which reads them too
+    def test_rules_clear_and_only_factor_readers_read(self, rule, graft_rule, monkeypatch):
+        # a mismatched pair: any rule that read it would raise
         c = cfg(rule, graft_rule=graft_rule, **RULE_KW.get(rule, {}))
         g = np.random.default_rng(45).standard_normal((6, 4))
         state = LayerState(factors=(np.ones((6, 1)), np.ones((4, 1))))
@@ -1719,7 +1787,7 @@ class TestMuonRoute:
         # every example that takes the route leaves it by the last step.
         # Each step adds min(b, n_l, n_r) directions a side: b from the
         # factors, or the rank of the gradient, whose own columns span
-        # both sides when b >= min(n_l, n_r)
+        # the longer side when b >= min(n_l, n_r)
         c = cfg("muon", beta1=beta1)
         steps = -(-max(shape) // min(b, *shape)) + 1
         g_seq, f_seq = factored_gradients(np.random.default_rng(seed), shape, b, steps)
@@ -1923,7 +1991,8 @@ class TestFirstMoment:
         # the route at step 1, grow, and leave it;
         # zero left factors give left bases of width 0, a Shampoo side with
         # e = 0 keeps no basis, so the moment is rotated on one side only,
-        # and step bare_step (if any) spans with G's columns
+        # and step bare_step (if any) takes the tile as its own
+        # factorization
         kw = dict(beta1=beta1)
         if rule == "shampoo":
             half = -(-shape[1] // 2) if blocked else None

@@ -43,6 +43,9 @@ RUNS = {
     # 32 x 32 tiles at batch 4 take the route; the SGD graft reads the
     # dense first moment that their rotated moments are expanded into
     "tools/audit_configs/shampoo-blocked-sgd-graft.json": "coordcheck",
+    # 40 x 48 tiles that do not divide the widths: band slices on trailing
+    # tile groups, whose bases are held once per band
+    "tools/audit_configs/shampoo-blocked-uneven.json": "coordcheck",
     "tools/audit_configs/resmlp-muon.json": "depthcheck",
 }
 
