@@ -20,7 +20,7 @@ from dataclasses import MISSING, fields, replace
 from functools import partial
 from pathlib import Path
 
-from .config import FieldError, OptimizerConfig, SweepConfig
+from .config import AXES, EXPERIMENTS, FieldError, OptimizerConfig, SweepConfig
 from .scaling import ScalingPlan, build_plan, check_pair, plan_to_json
 
 
@@ -250,20 +250,18 @@ def _cell_plan(cfg: RunConfig, sweep_cfg: SweepConfig, width: int, depth: int, e
         )
 
 
-def _run_experiment(cfg: RunConfig, args, name: str):
-    """(sweep config, result, artifact writer) of the harness experiment
-    `name`. Its preconditions (architecture, axis sizes), the plan of every
-    cell and the output formats are config errors, checked before any cell
-    runs or NumPy loads; a run that fails numerically is recorded as
-    diverged by the harness."""
+def _run_experiment(cfg: RunConfig, args):
+    """(sweep config, result, artifact writer) of the experiment command
+    args.command, whose harness function and artifacts share its name. Its
+    preconditions (config.EXPERIMENTS), the plan of every cell and the output
+    formats are config errors, checked before any cell runs or NumPy loads; a
+    run that fails numerically is recorded as diverged by the harness."""
+    name = args.command
     _, _, sweep_cfg = build_objects(cfg, args.seed)
-    try:
-        sweep_cfg.require(name)
-    except FieldError as exc:
-        raise _field_error(cfg, exc)
+    _build(cfg, "sweep", sweep_cfg.require, name=name)
     for width, depth, eta in dict.fromkeys(cell[:3] for cell in sweep_cfg.cells(name)):
         _cell_plan(cfg, sweep_cfg, width, depth, eta)
-    write = partial(_dump_artifacts, out_dir=_out_dir(args, cfg), formats=_formats(cfg, args))
+    write = partial(_dump_artifacts, name, out_dir=_out_dir(args, cfg), formats=_formats(cfg, args))
     fn = getattr(_harness(), name)
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -280,31 +278,6 @@ def _check(name: str, value: float, bound: float, *, upper: bool = True) -> bool
     return ok
 
 
-def _slope_checks(result, checks, probe_steps) -> bool:
-    ok = True
-    step = checks["probe_step"] if checks["probe_step"] is not None else probe_steps[0]
-    if step not in result.slopes:
-        if checks["max_abs_slope"] is not None or checks["min_max_slope"] is not None:
-            print(f"CHECK slopes: FAIL (no records at probe step {step})")
-            return False
-        return True
-    layer_slopes = result.slopes[step]
-    peak = max(abs(s) for s, _ in layer_slopes.values())
-    top = max(s for s, _ in layer_slopes.values())
-    if checks["max_abs_slope"] is not None:
-        ok &= _check(f"max_abs_slope@{step}", peak, checks["max_abs_slope"])
-    if checks["min_max_slope"] is not None:
-        ok &= _check(f"min_max_slope@{step}", top, checks["min_max_slope"], upper=False)
-    return ok
-
-
-def _slopes_json(result) -> dict:
-    return {
-        str(step): {layer: list(fit) for layer, fit in layers.items()}
-        for step, layers in result.slopes.items()
-    }
-
-
 def cmd_plan(cfg: RunConfig, args) -> int:
     opt, plan, sweep_cfg = build_objects(cfg, None)
     overrides = cfg.sections["scaling"]["overrides"]
@@ -316,72 +289,69 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_slope_experiment(cfg: RunConfig, args, fn: str, name: str) -> int:
-    sweep_cfg, result, write = _run_experiment(cfg, args, fn)
-    extra = {"slopes": _slopes_json(result), "excluded": result.excluded}
-    write(name, result.runs, extra)
+def cmd_slopes(cfg: RunConfig, args) -> int:
+    """coordcheck and depthcheck: log-log slopes along the command's fit axis."""
+    sweep_cfg, result, write = _run_experiment(cfg, args)
+    slopes = {str(step): {layer: list(fit) for layer, fit in layers.items()}
+              for step, layers in result.slopes.items()}
+    write(result.runs, {"slopes": slopes, "excluded": result.excluded})
     if result.excluded:
         print(f"excluded diverged runs: {', '.join(result.excluded)}")
-    ok = _slope_checks(result, cfg.sections["checks"], sweep_cfg.probe_steps)
+    checks = cfg.sections["checks"]
+    step = checks["probe_step"] if checks["probe_step"] is not None else sweep_cfg.probe_steps[0]
+    if step not in result.slopes:
+        if checks["max_abs_slope"] is not None or checks["min_max_slope"] is not None:
+            print(f"CHECK slopes: FAIL (no records at probe step {step})")
+            return 1
+        return 0
+    layer_slopes = result.slopes[step]
+    peak = max(abs(s) for s, _ in layer_slopes.values())
+    top = max(s for s, _ in layer_slopes.values())
+    ok = True
+    if checks["max_abs_slope"] is not None:
+        ok &= _check(f"max_abs_slope@{step}", peak, checks["max_abs_slope"])
+    if checks["min_max_slope"] is not None:
+        ok &= _check(f"min_max_slope@{step}", top, checks["min_max_slope"], upper=False)
     return 0 if ok else 1
 
 
-def cmd_coordcheck(cfg: RunConfig, args) -> int:
-    return _cmd_slope_experiment(cfg, args, "coord_check", "coordcheck")
-
-
-def cmd_depthcheck(cfg: RunConfig, args) -> int:
-    return _cmd_slope_experiment(cfg, args, "depth_check", "depthcheck")
-
-
 def cmd_lrsweep(cfg: RunConfig, args) -> int:
-    _, result, write = _run_experiment(cfg, args, "lr_sweep")
+    _, result, write = _run_experiment(cfg, args)
     extra = {
         "losses": {str(w): {repr(e): v for e, v in row.items()}
                    for w, row in result.losses.items()},
         "argmin": {str(w): e for w, e in result.argmin.items()},
         "drift_octaves": result.drift_octaves,
     }
-    write("lrsweep", result.runs, extra,
-          per_run=lambda run: {"argmin_eta": result.argmin[run.width]})
+    key = AXES[EXPERIMENTS[args.command].fit]
+    write(result.runs, extra, per_run=lambda run: {"argmin_eta": result.argmin[getattr(run, key)]})
     print(f"argmin per width: {result.argmin}")
     if result.drift_octaves is None:
         diverged = [w for w, eta in result.argmin.items() if eta is None]
         print(f"optimum drift: undefined (every eta diverged at widths {diverged})")
     else:
         print(f"optimum drift: {result.drift_octaves:+.3f} octaves")
-    checks = cfg.sections["checks"]
-    ok = True
-    if checks["max_drift_octaves"] is not None:
-        if result.drift_octaves is None:
-            print("CHECK max_drift_octaves: FAIL (drift undefined)")
-            ok = False
-        else:
-            ok = _check("max_drift_octaves", abs(result.drift_octaves),
-                        checks["max_drift_octaves"])
-    return 0 if ok else 1
+    bound = cfg.sections["checks"]["max_drift_octaves"]
+    if bound is None:
+        return 0
+    if result.drift_octaves is None:
+        print("CHECK max_drift_octaves: FAIL (drift undefined)")
+        return 1
+    return 0 if _check("max_drift_octaves", abs(result.drift_octaves), bound) else 1
 
 
 def cmd_rankscan(cfg: RunConfig, args) -> int:
-    _, result, write = _run_experiment(cfg, args, "rank_scan")
-    extra = {
-        "summary": {
-            str(w): {layer: list(pair) for layer, pair in layers.items()}
-            for w, layers in result.summary.items()
-        }
-    }
-    write("rankscan", result.runs, extra)
+    _, result, write = _run_experiment(cfg, args)
+    summary = {str(w): {layer: list(pair) for layer, pair in layers.items()}
+               for w, layers in result.summary.items()}
+    write(result.runs, {"summary": summary})
     checks = cfg.sections["checks"]
     ok = True
     if checks["max_srank_spread"] is not None and result.summary:
-        layers = result.runs[0].layer_names
         spread = 0.0
-        for layer in layers:
-            finals = [
-                result.summary[w][layer][1]
-                for w in result.summary
-                if layer in result.summary[w] and result.summary[w][layer][1] > 0
-            ]
+        for layer in result.runs[0].layer_names:
+            finals = [row[layer][1] for row in result.summary.values()
+                      if layer in row and row[layer][1] > 0]
             if len(finals) >= 2:
                 spread = max(spread, max(finals) / min(finals))
         ok = _check("max_srank_spread", spread, checks["max_srank_spread"])
@@ -505,10 +475,10 @@ _EXPERIMENT_FLAGS = ("--config", "--out", "--seed", "--jobs", "--format")
 # any other takes the arguments alone
 _COMMANDS = {
     "plan": (cmd_plan, "emit the per-layer hyperparameter table", ("--config", "--out")),
-    "coordcheck": (cmd_coordcheck, "feature-update growth across width", _EXPERIMENT_FLAGS),
+    "coordcheck": (cmd_slopes, "feature-update growth across width", _EXPERIMENT_FLAGS),
     "lrsweep": (cmd_lrsweep, "final loss across the width x lr grid", _EXPERIMENT_FLAGS),
     "rankscan": (cmd_rankscan, "stable rank and spectral norm trajectories", _EXPERIMENT_FLAGS),
-    "depthcheck": (cmd_depthcheck, "feature-update growth across depth", _EXPERIMENT_FLAGS),
+    "depthcheck": (cmd_slopes, "feature-update growth across depth", _EXPERIMENT_FLAGS),
     "oracle": (cmd_oracle, "closed-form oracle agreement report", ("--config", "--seed")),
     "multiplier": (cmd_multiplier, "compute-multiplier estimation",
                    ("baseline", "candidate", "--out")),

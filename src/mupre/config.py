@@ -9,6 +9,8 @@ and config validation never load it. The numeric layers (`linalg`, `optim`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from typing import NamedTuple
 
 from .scaling import (
     FieldError,
@@ -29,6 +31,28 @@ EPS_MODES = ("absolute", "relative")
 WD_MODES = ("independent", "coupled")
 ACTIVATIONS = ("relu", "tanh")
 ARCHS = ("mlp", "resmlp")
+
+# the grid axes in cell order: SweepConfig field -> the RunResult attribute
+AXES = {"widths": "width", "depths": "depth", "lr_grid": "eta_base", "seeds": "seed"}
+
+
+class Experiment(NamedTuple):
+    """One sweep command's grid; every axis it does not sweep holds one value."""
+
+    sweeps: tuple[str, ...]
+    fit: str  # the swept axis its result is keyed and fitted by
+    min_points: int = 1  # the least number of values on the fit axis
+    probes_in_run: bool = False  # every probe step must fall within the run
+    arch: str | None = None  # the architecture it requires
+
+
+# command -> its grid
+EXPERIMENTS = {
+    "coordcheck": Experiment(("widths",), "widths", 3, probes_in_run=True),
+    "depthcheck": Experiment(("depths",), "depths", 3, probes_in_run=True, arch="resmlp"),
+    "lrsweep": Experiment(("widths", "lr_grid", "seeds"), "widths"),
+    "rankscan": Experiment(("widths",), "widths"),
+}
 
 
 @dataclass
@@ -112,6 +136,25 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A grid of training runs, one EXPERIMENTS row per command, and how
+    each run trains and is probed.
+
+    widths       ascending model widths; coordcheck, lrsweep and rankscan
+                 sweep them
+    depths       ascending residual depths, which an mlp ignores; depthcheck
+                 sweeps them
+    lr_grid      base learning rates; lrsweep sweeps them, and the other
+                 commands train at plan.eta_base (scaling.eta_base)
+    seeds        run seeds; lrsweep sweeps them and averages over them
+    probe_steps  steps whose feature updates are recorded; coordcheck and
+                 depthcheck fit their slopes there
+    record_every also record every this many steps (0: never); rankscan
+                 records every step
+
+    A command trains widths[0], depths[0] or seeds[0] on an axis it does not
+    sweep, and rejects a second value there.
+    """
+
     opt: OptimizerConfig
     plan: ScalingPlan
     widths: tuple[int, ...] = checked(ge=1)
@@ -149,37 +192,35 @@ class SweepConfig:
             if len(set(values)) < len(values):
                 raise FieldError(name, f"{name} must have no repeats, got {list(values)}")
 
-    def require(self, experiment: str) -> None:
-        """Raise FieldError unless this sweep can run the harness experiment
-        of that name: a slope fit needs 3 points along its axis, its probe
-        steps must fall within the run, and depth_check needs the residual
-        architecture."""
-        if experiment in ("coord_check", "depth_check"):
-            late = [p for p in self.probe_steps if p > self.steps]
-            if late:
-                raise FieldError(
-                    "probe_steps", f"probe steps {late} come after the last step {self.steps}"
-                )
-        if experiment == "coord_check" and len(self.widths) < 3:
-            raise FieldError("widths", "coordinate check needs at least 3 widths")
-        if experiment == "depth_check":
-            if self.arch != "resmlp":
-                raise FieldError("arch", "depth check requires the residual architecture")
-            if len(self.depths) < 3:
-                raise FieldError("depths", "depth check needs at least 3 depths")
+    def require(self, name: str) -> None:
+        """Raise FieldError unless this sweep can run the command of that
+        name: its probe steps, architecture and fit-axis size as its
+        EXPERIMENTS row asks, and one value on each axis it does not sweep."""
+        row = EXPERIMENTS[name]
+        late = [p for p in self.probe_steps if p > self.steps]
+        if row.probes_in_run and late:
+            raise FieldError(
+                "probe_steps", f"probe steps {late} come after the last step {self.steps}"
+            )
+        if row.arch is not None and self.arch != row.arch:
+            raise FieldError("arch", f"{name} requires arch {row.arch!r}, got {self.arch!r}")
+        if len(getattr(self, row.fit)) < row.min_points:
+            raise FieldError(row.fit, f"{name} needs at least {row.min_points} {row.fit}")
+        for axis in AXES:
+            values = getattr(self, axis)
+            if axis not in row.sweeps and len(values) > 1:
+                raise FieldError(axis, f"{axis} must hold one value, since {name} does not "
+                                       f"sweep it, got {list(values)}")
 
-    def cells(self, experiment: str) -> list[tuple[int, int, float, int]]:
-        """The (width, depth, eta_base, seed) grid cells that the harness
-        experiment of that name trains."""
-        eta, seed = self.plan.eta_base, self.seeds[0]
-        if experiment == "lr_sweep":
-            return [(w, self.depths[0], e, s)
-                    for w in self.widths for e in self.lr_grid for s in self.seeds]
-        if experiment == "depth_check":
-            return [(self.widths[0], d, eta, seed) for d in self.depths]
-        if experiment in ("coord_check", "rank_scan"):
-            return [(w, self.depths[0], eta, seed) for w in self.widths]
-        raise ValueError(f"unknown experiment {experiment!r}")
+    def cells(self, name: str) -> list[tuple[int, int, float, int]]:
+        """The (width, depth, eta_base, seed) grid cells that the command of
+        that name trains: the product of the axes it sweeps, with widths[0],
+        depths[0], plan.eta_base and seeds[0] on the others."""
+        sweeps = EXPERIMENTS[name].sweeps
+        pins = (self.widths[0], self.depths[0], self.plan.eta_base, self.seeds[0])
+        return list(product(*(
+            getattr(self, axis) if axis in sweeps else (pin,) for axis, pin in zip(AXES, pins)
+        )))
 
     def manifest(self, width: int, depth: int) -> ModelManifest:
         """The model of one grid cell; an mlp ignores depth."""

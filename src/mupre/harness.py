@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import OptimizerConfig, SweepConfig
+from .config import AXES, EXPERIMENTS, OptimizerConfig, SweepConfig
 from .linalg import (
     NS_DEFAULT_EPS,
     NS_QUINTIC,
@@ -224,21 +224,18 @@ def run_training(
     )
 
 
-def run_cell(cfg: SweepConfig, cell: tuple[int, int, float, int]) -> RunResult:
-    """One grid cell; top-level so process pools can pickle the call."""
-    width, depth, eta_base, seed = cell
-    return run_training(cfg, width, depth, eta_base, seed)
+def _run_cells(cfg: SweepConfig, name: str, mapper) -> list[RunResult]:
+    """Train every cell of the command `name`, once its preconditions hold;
+    mapper(fn, widths, depths, etas, seeds) works as the builtin map."""
+    cfg.require(name)
+    return list((mapper or map)(partial(run_training, cfg), *zip(*cfg.cells(name))))
 
 
-def _map_cells(cfg: SweepConfig, cells, mapper) -> list[RunResult]:
-    return list((mapper or map)(partial(run_cell, cfg), cells))
-
-
-def _probe_slopes(cfg: SweepConfig, experiment: str, axis: str, mapper) -> CoordCheckResult:
-    """Run the experiment's cells and fit log-log slopes of delta_h_rms
-    against each undiverged run's axis attribute ("width" or "depth")."""
-    cfg.require(experiment)
-    runs = _map_cells(cfg, cfg.cells(experiment), mapper)
+def _probe_slopes(cfg: SweepConfig, name: str, mapper) -> CoordCheckResult:
+    """Run the command's cells and fit log-log slopes of delta_h_rms
+    against each undiverged run's value on the fit axis."""
+    runs = _run_cells(cfg, name, mapper)
+    key = AXES[EXPERIMENTS[name].fit]
     excluded = [r.run_id for r in runs if r.diverged]
     valid = [r for r in runs if not r.diverged]
     slopes: dict[int, dict[str, tuple[float, float]]] = {}
@@ -246,50 +243,40 @@ def _probe_slopes(cfg: SweepConfig, experiment: str, axis: str, mapper) -> Coord
         per_layer: dict[str, tuple[list[float], list[float]]] = {}
         for run in valid:
             for rec in run.records:
-                if rec.step != step or rec.delta_h_rms <= 0:
-                    continue
-                xs, ys = per_layer.setdefault(rec.layer, ([], []))
-                xs.append(float(getattr(run, axis)))
-                ys.append(rec.delta_h_rms)
-        fitted = {
-            layer: exponent_fit(xs, ys)
-            for layer, (xs, ys) in per_layer.items()
-            if len(xs) >= 2
-        }
+                if rec.step == step and rec.delta_h_rms > 0:
+                    xs, ys = per_layer.setdefault(rec.layer, ([], []))
+                    xs.append(float(getattr(run, key)))
+                    ys.append(rec.delta_h_rms)
+        fitted = {layer: exponent_fit(xs, ys)
+                  for layer, (xs, ys) in per_layer.items() if len(xs) >= 2}
         if fitted:
             slopes[step] = fitted
     return CoordCheckResult(slopes=slopes, runs=runs, excluded=excluded)
 
 
-def coord_check(cfg: SweepConfig, mapper=None) -> CoordCheckResult:
+def coordcheck(cfg: SweepConfig, mapper=None) -> CoordCheckResult:
     """Feature-update growth across width at fixed eta_base."""
-    return _probe_slopes(cfg, "coord_check", "width", mapper)
+    return _probe_slopes(cfg, "coordcheck", mapper)
 
 
-def depth_check(cfg: SweepConfig, mapper=None) -> CoordCheckResult:
+def depthcheck(cfg: SweepConfig, mapper=None) -> CoordCheckResult:
     """Feature-update growth across depth at fixed width (residual model)."""
-    return _probe_slopes(cfg, "depth_check", "depth", mapper)
+    return _probe_slopes(cfg, "depthcheck", mapper)
 
 
-def lr_sweep(cfg: SweepConfig, mapper=None) -> LrSweepResult:
-    """Final loss over the width x eta_base grid, plus optimum drift."""
-    runs = _map_cells(cfg, cfg.cells("lr_sweep"), mapper)
-    totals: dict[tuple[int, float], float] = {}
+def lrsweep(cfg: SweepConfig, mapper=None) -> LrSweepResult:
+    """Final loss over the width x eta_base grid, averaged over seeds, plus
+    optimum drift."""
+    runs = _run_cells(cfg, "lrsweep", mapper)
+    fit = EXPERIMENTS["lrsweep"].fit
+    totals = {value: dict.fromkeys(cfg.lr_grid, 0.0) for value in getattr(cfg, fit)}
     for run in runs:
-        key = (run.width, run.eta_base)
-        totals[key] = totals.get(key, 0.0) + run.final_loss
-    losses = {
-        width: {eta: totals[(width, eta)] / len(cfg.seeds) for eta in cfg.lr_grid}
-        for width in cfg.widths
-    }
-    argmin = {
-        width: (
-            min(row, key=lambda eta: (row[eta], eta))
-            if any(math.isfinite(loss) for loss in row.values())
-            else None
-        )
-        for width, row in losses.items()
-    }
+        totals[getattr(run, AXES[fit])][run.eta_base] += run.final_loss
+    losses = {value: {eta: total / len(cfg.seeds) for eta, total in row.items()}
+              for value, row in totals.items()}
+    argmin = {value: min(row, key=lambda eta: (row[eta], eta))
+              if any(math.isfinite(loss) for loss in row.values()) else None
+              for value, row in losses.items()}
     drift = None
     if None not in argmin.values():
         octaves = [math.log2(eta) for eta in argmin.values()]
@@ -297,23 +284,18 @@ def lr_sweep(cfg: SweepConfig, mapper=None) -> LrSweepResult:
     return LrSweepResult(losses=losses, argmin=argmin, drift_octaves=drift, runs=runs)
 
 
-def rank_scan(cfg: SweepConfig, mapper=None) -> RankScanResult:
+def rankscan(cfg: SweepConfig, mapper=None) -> RankScanResult:
     """Per-step stable rank and spectral norm of every layer's update."""
-    scan_cfg = replace(cfg, record_every=1)
-    runs = _map_cells(scan_cfg, cfg.cells("rank_scan"), mapper)
+    runs = _run_cells(replace(cfg, record_every=1), "rankscan", mapper)
+    key = AXES[EXPERIMENTS["rankscan"].fit]
     summary: dict[int, dict[str, tuple[float, float]]] = {}
     for run in runs:
-        if not run.records:
-            continue
-        first = min(r.step for r in run.records)
-        last = max(r.step for r in run.records)
-        layer_summary = {}
-        for layer in run.layer_names:
-            start = [r.srank for r in run.records if r.step == first and r.layer == layer]
-            end = [r.srank for r in run.records if r.step == last and r.layer == layer]
-            if start and end:
-                layer_summary[layer] = (start[0], end[0])
-        summary[run.width] = layer_summary
+        if run.records:  # in step order, each step with every layer
+            srank = {(r.step, r.layer): r.srank for r in run.records}
+            first, last = run.records[0].step, run.records[-1].step
+            summary[getattr(run, key)] = {
+                layer: (srank[first, layer], srank[last, layer]) for layer in run.layer_names
+            }
     return RankScanResult(summary=summary, runs=runs)
 
 

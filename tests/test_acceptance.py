@@ -20,14 +20,14 @@ import pytest
 from mupre.config import OptimizerConfig, SweepConfig
 from mupre.harness import (
     compute_multiplier,
-    coord_check,
-    depth_check,
+    coordcheck,
+    depthcheck,
     exponent_fit,
     mup_exponent_check,
     muon_svd_error,
     oracle_agreement,
     rank1_oracle,
-    rank_scan,
+    rankscan,
 )
 from mupre.linalg import spectral_norm_exact
 from mupre.optim import (
@@ -123,7 +123,7 @@ def coord_results():
     for name, (opt, eta) in COORD_CONFIGS.items():
         for param in ("mup", "sp"):
             cfg = coord_cfg(opt, ScalingPlan(param, 64, eta))
-            out[name, param] = timed(coord_check, cfg)
+            out[name, param] = timed(coordcheck, cfg)
     return out
 
 
@@ -139,7 +139,7 @@ def deviation_results():
         cfg = coord_cfg(
             opt, plan, batch_size=1, widths=DEVIATION_WIDTHS, steps=200,
         )
-        out[name] = timed(coord_check, cfg)
+        out[name] = timed(coordcheck, cfg)
     return out
 
 
@@ -156,7 +156,7 @@ def depth_results():
             opt=opt, plan=plan, widths=(64,), depths=DEPTHS, arch="resmlp",
             steps=12, batch_size=32, probe_steps=(10,), probe_batch=16,
         )
-        out[name] = timed(depth_check, cfg)
+        out[name] = timed(depthcheck, cfg)
     return out
 
 
@@ -293,7 +293,7 @@ def test_5_update_rank_bounds():
             opt=UNBLOCKED_GRAFT, plan=ScalingPlan("mup", 64, DEVIATION_ETA),
             widths=(64,), steps=80, batch_size=1, probe_steps=(10,), probe_batch=16,
         )
-        scan = rank_scan(cfg)
+        scan = rankscan(cfg)
         run = scan.runs[0]
         assert not run.diverged
         by_step = {}

@@ -117,19 +117,16 @@ def artifacts(monkeypatch):
     return importlib.import_module("artifacts")
 
 
-EXPERIMENTS = {"coordcheck": "coord_check", "depthcheck": "depth_check", "rankscan": "rank_scan"}
-
-
 def test_artifact_configs_build(artifacts):
     # tools/artifacts.py runs every bench config and every audit config,
     # each with a command its sweep can run; nothing is trained here
     root = artifacts.ROOT
     found = {str(p.relative_to(root)) for d in ("bench/configs", "tools/audit_configs")
              for p in (root / d).glob("*.json")}
-    assert set(artifacts.RUNS) == found and len(found) == 11
+    assert set(artifacts.RUNS) == found and len(found) == 12
     for config, command in artifacts.RUNS.items():
         _, _, sweep = cli.build_objects(cli.load_config(str(root / config)), 0)
-        sweep.require(EXPERIMENTS[command])
+        sweep.require(command)
 
 
 def test_artifacts_runs_each_config_once(artifacts, monkeypatch, tmp_path):

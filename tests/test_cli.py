@@ -383,12 +383,35 @@ class TestConfigValidation:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,section,key,model,sweep", [
+        ("coordcheck", "model", "seeds", {"seeds": [0, 1]}, {}),
+        ("depthcheck", "model", "widths", {"arch": "resmlp", "widths": [8, 16],
+                                           "depths": [1, 2, 4]}, {}),
+        ("rankscan", "sweep", "lr_grid", {}, {"lr_grid": [0.5, 1.0]}),
+        ("lrsweep", "model", "depths", {"depths": [1, 2]}, {}),
+    ], ids=["coordcheck-seeds", "depthcheck-widths", "rankscan-lr_grid", "lrsweep-depths"])
+    def test_axis_the_command_does_not_sweep_must_hold_one_value(
+        self, tmp_path, capsys, command, section, key, model, sweep
+    ):
+        # the command would train only the first value
+        path = write_config(tmp_path, model=model, sweep=sweep)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                    if f'"{key}"' in text)
+        values = {**model, **sweep}[key]
+        assert capsys.readouterr().err == (
+            f"{path}:{line}: {section}.{key}: {key} must hold one value, since {command} "
+            f"does not sweep it, got {values}\n"
+        )
+        assert not out.exists()
+
     def test_probe_steps_past_the_last_step_are_only_a_slope_fit_error(self, tmp_path):
         # rankscan and lrsweep fit no slope at the probe steps: the default
         # probe steps (10, 200) stay valid for a shorter run
         path = write_config(tmp_path, sweep={"steps": 3, "probe_steps": [10, 200]})
         _, _, sweep_cfg = build_objects(load_config(path), seed=None)
-        for name in ("rank_scan", "lr_sweep"):
+        for name in ("rankscan", "lrsweep"):
             sweep_cfg.require(name)
 
     @pytest.mark.parametrize("overrides,message", [
@@ -793,7 +816,7 @@ class TestNumericalFailure:
         path = write_config(tmp_path, model={"widths": [8, 16]})
         out = tmp_path / "out"
         assert main(["coordcheck", "--config", path, "--out", str(out)]) == 2
-        assert "model.widths: coordinate check needs at least 3 widths" in (
+        assert "model.widths: coordcheck needs at least 3 widths" in (
             capsys.readouterr().err
         )
         assert not out.exists()
@@ -827,8 +850,9 @@ class TestModuleLayering:
         (["lrsweep"], {"output": {"formats": ["yaml"]}}, 2),
         (["rankscan"], {"optimizer": {"rule": "adam"}, "scaling": {"param": "muon_adamexp"}}, 2),
         (["coordcheck"], OVERFLOWING_PLAN, 2),
+        (["coordcheck"], {"model": {"seeds": [0, 1]}}, 2),
     ], ids=["plan", "help", "bad-activation", "two-widths", "mlp-depthcheck", "bad-format",
-            "param-for-muon-only", "overflowing-plan"])
+            "param-for-muon-only", "overflowing-plan", "pinned-seeds"])
     def test_config_layer_never_loads_numpy(self, tmp_path, argv, patch, rc):
         if patch is not None:
             argv = argv + ["--config", write_config(tmp_path, **patch),

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mupre import harness, optim
 from mupre.harness import (
@@ -11,19 +13,19 @@ from mupre.harness import (
     MetricRecord,
     RunResult,
     compute_multiplier,
-    coord_check,
-    depth_check,
+    coordcheck,
+    depthcheck,
     exponent_fit,
-    lr_sweep,
+    lrsweep,
     mup_exponent_check,
     oracle_agreement,
     rank1_oracle,
-    rank_scan,
+    rankscan,
     records_csv,
     run_summary,
     run_training,
 )
-from mupre.config import FieldError, OptimizerConfig, SweepConfig
+from mupre.config import ARCHS, EXPERIMENTS, FieldError, OptimizerConfig, SweepConfig
 from mupre.linalg import NonFiniteError
 from mupre.models import MlpModel
 from mupre.optim import LayerState, optimizer_step
@@ -298,6 +300,22 @@ class TestLayerConfig:
                            graft_ref_eps=opt.graft_ref_eps) == opt
 
 
+@st.composite
+def sweep_configs(draw):
+    """Valid SweepConfigs over the four grid axes, the arch and the probe steps."""
+    def entries(values, ascending, most=3):
+        drawn = draw(st.lists(st.sampled_from(values), min_size=1, max_size=most, unique=True))
+        return tuple(sorted(drawn) if ascending else drawn)
+
+    return SweepConfig(
+        OptimizerConfig("muon"), mup(),
+        widths=entries((8, 16, 32, 64), True), depths=entries((1, 2, 4, 8), True),
+        lr_grid=entries((0.25, 0.5, 1.0), False), seeds=entries((0, 1, 2), False),
+        arch=draw(st.sampled_from(ARCHS)), steps=draw(st.sampled_from((6, 12))),
+        probe_steps=entries((1, 6, 12), False, most=2),
+    )
+
+
 class TestSweepConfigValidation:
     def base(self, **kw):
         args = dict(
@@ -337,17 +355,52 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError):
             self.base(**kw)
 
-    def test_cells_follow_the_experiment(self):
-        cfg = self.base(widths=(8, 16, 32), depths=(1, 2, 4), lr_grid=(0.5, 1.0), seeds=(3, 4))
-        eta = cfg.plan.eta_base
-        by_width = [(8, 1, eta, 3), (16, 1, eta, 3), (32, 1, eta, 3)]
-        assert cfg.cells("coord_check") == cfg.cells("rank_scan") == by_width
-        assert cfg.cells("depth_check") == [(8, 1, eta, 3), (8, 2, eta, 3), (8, 4, eta, 3)]
-        sweep = cfg.cells("lr_sweep")
-        assert len(sweep) == 12
-        assert sweep[:3] == [(8, 1, 0.5, 3), (8, 1, 0.5, 4), (8, 1, 1.0, 3)]
-        with pytest.raises(ValueError, match="experiment"):
-            cfg.cells("oracle")
+    # command -> the axes whose every value it trains
+    SWEPT = {"coordcheck": {"widths"}, "depthcheck": {"depths"},
+             "lrsweep": {"widths", "lr_grid", "seeds"}, "rankscan": {"widths"}}
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=sweep_configs())
+    @example(cfg=SweepConfig(OptimizerConfig("muon"), mup(), widths=(8, 16, 32),
+                             depths=(1, 2, 4), lr_grid=(0.5, 1.0), seeds=(3, 4)))
+    @example(cfg=SweepConfig(OptimizerConfig("muon"), mup(), widths=(8, 16, 32), steps=10))
+    @example(cfg=SweepConfig(OptimizerConfig("muon"), mup(), widths=(8,), depths=(1, 2, 4),
+                             arch="resmlp", steps=200))
+    @example(cfg=SweepConfig(OptimizerConfig("muon"), mup(), widths=(8, 16),
+                             lr_grid=(0.5, 1.0), seeds=(3, 4), steps=1))
+    def test_grid_follows_the_command(self, cfg):
+        # cells: the (width, depth, eta, seed) product of the swept axes, the
+        # others at their first value and eta at eta_base; require: the
+        # row's preconditions, and one value on every axis not swept
+        assert set(EXPERIMENTS) == set(self.SWEPT)
+        for name, row in EXPERIMENTS.items():
+            swept = self.SWEPT[name]
+            assert set(row.sweeps) == swept and row.fit in swept
+
+            def axis(field, first):
+                return getattr(cfg, field) if field in swept else (first,)
+
+            want = [(w, d, e, s)
+                    for w in axis("widths", cfg.widths[0])
+                    for d in axis("depths", cfg.depths[0])
+                    for e in axis("lr_grid", cfg.plan.eta_base)
+                    for s in axis("seeds", cfg.seeds[0])]
+            cells = cfg.cells(name)
+            assert cells == want and len(set(cells)) == len(cells)
+
+            runnable = (
+                len(getattr(cfg, row.fit)) >= row.min_points
+                and not (row.probes_in_run and max(cfg.probe_steps) > cfg.steps)
+                and row.arch in (None, cfg.arch)
+                and all(len(getattr(cfg, f)) == 1 for f in
+                        ("widths", "depths", "lr_grid", "seeds") if f not in swept)
+            )
+            try:
+                cfg.require(name)
+            except FieldError:
+                assert not runnable, name
+            else:
+                assert runnable, name
 
     def test_manifest_follows_arch(self):
         plan = mup(base_depth=2)
@@ -581,7 +634,7 @@ class TestRunTraining:
 
 class TestCoordCheck:
     def test_structure_and_slopes(self):
-        result = coord_check(smoke_cfg())
+        result = coordcheck(smoke_cfg())
         assert [r.width for r in result.runs] == [8, 16, 32]
         assert not result.excluded
         assert set(result.slopes) == {5, 10}
@@ -592,7 +645,7 @@ class TestCoordCheck:
 
     def test_needs_three_widths(self):
         with pytest.raises(FieldError, match="at least 3 widths") as exc:
-            coord_check(smoke_cfg(widths=(8, 16)))
+            coordcheck(smoke_cfg(widths=(8, 16)))
         assert exc.value.field == "widths"
 
     def test_diverged_runs_excluded(self):
@@ -601,19 +654,19 @@ class TestCoordCheck:
             plan=ScalingPlan("sp", base_width=8, eta_base=1e5),
             steps=30,
         )
-        result = coord_check(cfg)
+        result = coordcheck(cfg)
         assert result.excluded
 
 
 class TestDepthCheck:
     def test_requires_resmlp(self):
-        with pytest.raises(FieldError, match="residual") as exc:
-            depth_check(smoke_cfg(depths=(1, 2, 4)))
+        with pytest.raises(FieldError, match="requires arch 'resmlp'") as exc:
+            depthcheck(smoke_cfg(depths=(1, 2, 4)))
         assert exc.value.field == "arch"
 
     def test_needs_three_depths(self):
         with pytest.raises(FieldError, match="at least 3 depths") as exc:
-            depth_check(smoke_cfg(arch="resmlp", widths=(8,), depths=(1, 2)))
+            depthcheck(smoke_cfg(arch="resmlp", widths=(8,), depths=(1, 2)))
         assert exc.value.field == "depths"
 
     def test_structure(self):
@@ -623,7 +676,7 @@ class TestDepthCheck:
             depths=(1, 2, 4),
             plan=mup(alpha_depth=1.0),
         )
-        result = depth_check(cfg)
+        result = depthcheck(cfg)
         assert [r.depth for r in result.runs] == [1, 2, 4]
         assert set(result.slopes) == {5, 10}
         layers = set(result.slopes[10])
@@ -633,7 +686,7 @@ class TestDepthCheck:
 class TestLrSweep:
     def test_grid_and_argmin(self):
         cfg = smoke_cfg(widths=(8, 16), lr_grid=(0.01, 0.05), steps=20)
-        result = lr_sweep(cfg)
+        result = lrsweep(cfg)
         assert set(result.losses) == {8, 16}
         for row in result.losses.values():
             assert set(row) == {0.01, 0.05}
@@ -645,7 +698,7 @@ class TestLrSweep:
         cfg = smoke_cfg(
             opt=OptimizerConfig("sgd"), widths=(8, 16), lr_grid=(0.05, 1e5), steps=30
         )
-        result = lr_sweep(cfg)
+        result = lrsweep(cfg)
         for width in (8, 16):
             assert result.losses[width][1e5] == math.inf
             assert result.argmin[width] == 0.05
@@ -665,7 +718,7 @@ class TestLrSweep:
                 seed=seed, diverged=best is None, final_loss=loss, losses=(),
                 records=[], layer_names=(),
             )
-        return lambda fn, cells: [run(cell) for cell in cells]
+        return lambda fn, *axes: [run(cell) for cell in zip(*axes)]
 
     @pytest.mark.parametrize("optimum,drift", [
         ({8: 2**-6, 16: 2**-4, 32: 2**-6}, 2.0),
@@ -676,7 +729,7 @@ class TestLrSweep:
     ])
     def test_drift_is_spread_over_all_widths(self, optimum, drift):
         cfg = smoke_cfg(widths=(8, 16, 32), lr_grid=tuple(2.0**k for k in range(-8, -3)))
-        result = lr_sweep(cfg, mapper=self.stub_mapper(optimum))
+        result = lrsweep(cfg, mapper=self.stub_mapper(optimum))
         assert result.argmin == optimum
         assert result.drift_octaves == drift
 
@@ -684,15 +737,20 @@ class TestLrSweep:
         cfg = smoke_cfg(
             opt=OptimizerConfig("sgd"), widths=(8, 16), lr_grid=(1e5, 1e6), steps=10
         )
-        result = lr_sweep(cfg)
+        result = lrsweep(cfg)
         assert result.argmin == {8: None, 16: None}
         assert result.drift_octaves is None
+
+    def test_depths_it_does_not_sweep_must_hold_one_value(self):
+        with pytest.raises(FieldError, match="depths must hold one value") as exc:
+            lrsweep(smoke_cfg(depths=(1, 2)))
+        assert exc.value.field == "depths"
 
 
 class TestRankScan:
     def test_summary_covers_probes(self):
         cfg = smoke_cfg(widths=(8, 16), steps=6, probe_steps=(1, 6))
-        result = rank_scan(cfg)
+        result = rankscan(cfg)
         assert set(result.summary) == {8, 16}
         for layer_summary in result.summary.values():
             assert set(layer_summary) == {"fc1", "fc2", "readout"}
@@ -706,7 +764,7 @@ class TestRankScan:
             opt=OptimizerConfig("sgd"), widths=(8,), steps=2, batch_size=1,
             probe_steps=(1, 2),
         )
-        result = rank_scan(cfg)
+        result = rankscan(cfg)
         first, _ = result.summary[8]["readout"]
         assert first == pytest.approx(1.0, abs=1e-6)
         # hidden layers see their first nonzero (rank-1) gradient at step 2,

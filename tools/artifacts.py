@@ -47,6 +47,11 @@ RUNS = {
     # tile groups, whose bases are held once per band
     "tools/audit_configs/shampoo-blocked-uneven.json": "coordcheck",
     "tools/audit_configs/resmlp-muon.json": "depthcheck",
+    # Adam under muP over widths 64-256 and three etas, 50 steps: the width
+    # x eta grid, its argmin per width and the optimum drift. --seed 0 pins
+    # the two configured seeds to one, so the seed average is left to
+    # tests/test_harness.py::TestLrSweep
+    "tools/audit_configs/lrsweep-adam.json": "lrsweep",
 }
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
