@@ -42,12 +42,9 @@ def _defaults(cls, where=lambda name: True) -> dict:
 _SCHEMA = {
     "model": _defaults(SweepConfig, lambda name: name in _MODEL_KEYS),
     "optimizer": _defaults(OptimizerConfig),
-    "scaling": {**_defaults(ScalingPlan), "overrides": {}},
+    "scaling": _defaults(ScalingPlan),
     "sweep": _defaults(SweepConfig, lambda name: name not in ("opt", "plan", *_MODEL_KEYS)),
-    "output": {
-        "directory": ".",
-        "formats": ["csv", "jsonl"],
-    },
+    "output": {"directory": "."},
     "checks": {
         "probe_step": None,
         "max_abs_slope": None,
@@ -75,10 +72,11 @@ def _key_line(text: str, dotted: str) -> str:
 
 
 class RunConfig:
-    def __init__(self, sections: dict, path: str, text: str):
+    def __init__(self, sections: dict, path: str, text: str, given: set[str]):
         self.sections = sections
         self.path = path
         self.text = text
+        self.given = given  # the "section.key" names the file sets
 
     def error(self, dotted: str, message: str) -> ConfigError:
         return ConfigError(f"{self.path}{_key_line(self.text, dotted)}: {dotted}: {message}")
@@ -127,7 +125,7 @@ def load_config(path: str) -> RunConfig:
             else:
                 merged[key] = default
         sections[name] = merged
-    return RunConfig(sections, path, text)
+    return RunConfig(sections, path, text, {f"{name}.{key}" for name in raw for key in raw[name]})
 
 
 def _build(cfg: RunConfig, section: str, make, **kwargs):
@@ -143,9 +141,7 @@ def build_objects(
     cfg: RunConfig, seed: int | None
 ) -> tuple[OptimizerConfig, ScalingPlan, SweepConfig]:
     opt = _build(cfg, "optimizer", OptimizerConfig, **cfg.sections["optimizer"])
-    scale_kw = dict(cfg.sections["scaling"])
-    scale_kw.pop("overrides")
-    plan = _build(cfg, "scaling", ScalingPlan, **scale_kw)
+    plan = _build(cfg, "scaling", ScalingPlan, **cfg.sections["scaling"])
     _build(cfg, "scaling", check_pair, opt=opt, plan=plan)
     model = dict(cfg.sections["model"])
     if seed is not None:
@@ -163,24 +159,6 @@ def _field_error(cfg: RunConfig, exc: FieldError, section: str = "sweep") -> Con
     return cfg.error(f"{section}.{exc.field}", str(exc))
 
 
-def _checked_overrides(cfg: RunConfig) -> dict:
-    """scaling.overrides, which must map layer names to objects of field ->
-    value; LayerHyper checks the values when the plan is built."""
-    overrides = cfg.sections["scaling"]["overrides"]
-    if not isinstance(overrides, dict):
-        raise cfg.error(
-            "scaling.overrides",
-            f"must be an object of layer name -> {{field: number}}, got {overrides!r}",
-        )
-    for layer, row in overrides.items():
-        if not isinstance(row, dict):
-            raise cfg.error(
-                "scaling.overrides",
-                f"row {layer!r} must be an object of field -> number, got {row!r}",
-            )
-    return overrides
-
-
 def _out_dir(args, cfg: RunConfig | None = None) -> Path | None:
     """MUPRE_OUT, then --out, then the config's output.directory; None
     without a config when neither is set."""
@@ -190,18 +168,6 @@ def _out_dir(args, cfg: RunConfig | None = None) -> Path | None:
     if args.out:
         return Path(args.out)
     return None if cfg is None else Path(cfg.sections["output"]["directory"])
-
-
-def _formats(cfg: RunConfig, args) -> tuple[str, ...]:
-    if args.format:
-        return (args.format,)
-    formats = cfg.sections["output"]["formats"]
-    if not isinstance(formats, list):
-        raise cfg.error("output.formats", "must be a list")
-    for f in formats:
-        if f not in ("csv", "jsonl"):
-            raise cfg.error("output.formats", f"unknown format {f!r}")
-    return tuple(formats)
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -219,32 +185,24 @@ def _harness():
     return harness
 
 
-def _dump_artifacts(name, runs, extra, per_run=lambda run: {}, *, out_dir, formats) -> None:
+def _dump_artifacts(name, runs, extra, per_run=lambda run: {}, *, out_dir) -> None:
     """Write <name>.csv and <name>.jsonl; per_run adds fields to each run's summary."""
     harness = _harness()
-    if "csv" in formats:
-        records = [rec for run in runs for rec in run.records]
-        write_atomic(out_dir / f"{name}.csv", harness.records_csv(records))
-    if "jsonl" in formats:
-        lines = [
-            json.dumps({**harness.run_summary(r), **per_run(r)}, sort_keys=True) for r in runs
-        ]
-        lines.append(json.dumps({"experiment": name, **extra}, sort_keys=True))
-        write_atomic(out_dir / f"{name}.jsonl", "\n".join(lines) + "\n")
+    records = [rec for run in runs for rec in run.records]
+    write_atomic(out_dir / f"{name}.csv", harness.records_csv(records))
+    lines = [json.dumps({**harness.run_summary(r), **per_run(r)}, sort_keys=True) for r in runs]
+    lines.append(json.dumps({"experiment": name, **extra}, sort_keys=True))
+    write_atomic(out_dir / f"{name}.jsonl", "\n".join(lines) + "\n")
 
 
-def _cell_plan(cfg: RunConfig, sweep_cfg: SweepConfig, width: int, depth: int, eta: float,
-               overrides: dict | None = None):
+def _cell_plan(cfg: RunConfig, sweep_cfg: SweepConfig, width: int, depth: int, eta: float):
     """The plan of one grid cell. A value the scaling rules cannot represent
     there, such as an lr that overflows float64, is a config error that
-    names the cell; an error that only the overrides cause names them."""
+    names the cell."""
     plan = replace(sweep_cfg.plan, eta_base=eta)
     try:
-        return build_plan(sweep_cfg.manifest(width, depth), sweep_cfg.opt, plan, overrides)
-    except (ValueError, TypeError) as exc:
-        if overrides:
-            _cell_plan(cfg, sweep_cfg, width, depth, eta)
-            raise cfg.error("scaling.overrides", str(exc))
+        return build_plan(sweep_cfg.manifest(width, depth), sweep_cfg.opt, plan)
+    except ValueError as exc:
         raise cfg.error(
             "scaling", f"plan at width {width}, depth {depth}, eta_base {eta!r}: {exc}"
         )
@@ -252,16 +210,20 @@ def _cell_plan(cfg: RunConfig, sweep_cfg: SweepConfig, width: int, depth: int, e
 
 def _run_experiment(cfg: RunConfig, args):
     """(sweep config, result, artifact writer) of the experiment command
-    args.command, whose harness function and artifacts share its name. Its
-    preconditions (config.EXPERIMENTS), the plan of every cell and the output
-    formats are config errors, checked before any cell runs or NumPy loads; a
-    run that fails numerically is recorded as diverged by the harness."""
+    args.command, whose harness function and artifacts share its name; the
+    writer writes both <name>.csv and <name>.jsonl. Its preconditions
+    (config.EXPERIMENTS), an lr_grid that a command training at
+    scaling.eta_base would not read, and the plan of every cell are config
+    errors, checked before any cell runs or NumPy loads; a run that fails
+    numerically is recorded as diverged by the harness."""
     name = args.command
     _, _, sweep_cfg = build_objects(cfg, args.seed)
     _build(cfg, "sweep", sweep_cfg.require, name=name)
+    if "sweep.lr_grid" in cfg.given and "lr_grid" not in EXPERIMENTS[name].sweeps:
+        raise cfg.error("sweep.lr_grid", f"{name} reads no lr_grid; it trains at scaling.eta_base")
     for width, depth, eta in dict.fromkeys(cell[:3] for cell in sweep_cfg.cells(name)):
         _cell_plan(cfg, sweep_cfg, width, depth, eta)
-    write = partial(_dump_artifacts, name, out_dir=_out_dir(args, cfg), formats=_formats(cfg, args))
+    write = partial(_dump_artifacts, name, out_dir=_out_dir(args, cfg))
     fn = getattr(_harness(), name)
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -279,10 +241,9 @@ def _check(name: str, value: float, bound: float, *, upper: bool = True) -> bool
 
 
 def cmd_plan(cfg: RunConfig, args) -> int:
-    opt, plan, sweep_cfg = build_objects(cfg, None)
-    overrides = cfg.sections["scaling"]["overrides"]
-    table = _cell_plan(cfg, sweep_cfg, sweep_cfg.widths[0], sweep_cfg.depths[0],
-                       plan.eta_base, overrides or None)
+    """The plan of widths[0] and depths[0] at scaling.eta_base."""
+    _, plan, sweep_cfg = build_objects(cfg, None)
+    table = _cell_plan(cfg, sweep_cfg, sweep_cfg.widths[0], sweep_cfg.depths[0], plan.eta_base)
     text = plan_to_json(table)
     print(text)
     write_atomic(_out_dir(args, cfg) / "plan.json", text + "\n")
@@ -380,8 +341,11 @@ _ORACLE_BATTERY = {
 
 def cmd_oracle(cfg: RunConfig, args) -> int:
     _, plan, sweep_cfg = build_objects(cfg, args.seed)
+    if len(sweep_cfg.seeds) > 1:
+        raise cfg.error("model.seeds", "seeds must hold one value, since oracle does not "
+                                       f"sweep it, got {list(sweep_cfg.seeds)}")
+    seed = sweep_cfg.seeds[0]
     harness = _harness()
-    seed = args.seed if args.seed is not None else sweep_cfg.seeds[0]
     checks = cfg.sections["checks"]
     tol = checks["oracle_tol"]
     ok = True
@@ -462,13 +426,11 @@ _FLAGS = {
     "--out": dict(default=None, help="output directory"),
     "--seed": dict(type=int, default=None, help="override every configured seed"),
     "--jobs": dict(type=int, default=1, help="parallel grid cells (default 1, deterministic)"),
-    "--format": dict(choices=("csv", "jsonl"), default=None,
-                     help="restrict artifacts to one format"),
     "baseline": dict(help="baseline CSV (compute,loss)"),
     "candidate": dict(help="candidate CSV (compute,loss)"),
 }
 
-_EXPERIMENT_FLAGS = ("--config", "--out", "--seed", "--jobs", "--format")
+_EXPERIMENT_FLAGS = ("--config", "--out", "--seed", "--jobs")
 
 # subcommand -> (handler, help text, the flags it reads); a handler of a
 # command with --config takes the loaded config and the parsed arguments,
@@ -506,14 +468,7 @@ def main(argv: list[str] | None = None) -> int:
             return handler(args)
         if "--jobs" in flags and args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
-        cfg = load_config(args.config)
-        if _checked_overrides(cfg) and args.command != "plan":
-            raise cfg.error(
-                "scaling.overrides",
-                f"only `mupre plan` applies overrides; `mupre {args.command}` "
-                "trains with the plan the scaling rules derive",
-            )
-        return handler(cfg, args)
+        return handler(load_config(args.config), args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -147,9 +147,8 @@ class SweepConfig:
                  commands train at plan.eta_base (scaling.eta_base)
     seeds        run seeds; lrsweep sweeps them and averages over them
     probe_steps  steps whose feature updates are recorded; coordcheck and
-                 depthcheck fit their slopes there
-    record_every also record every this many steps (0: never); rankscan
-                 records every step
+                 depthcheck fit their slopes there, and rankscan records
+                 every step in their place
 
     A command trains widths[0], depths[0] or seeds[0] on an axis it does not
     sweep, and rejects a second value there.
@@ -170,7 +169,6 @@ class SweepConfig:
     probe_batch: int = checked(16, ge=1)
     teacher_seed: int = checked(7, ge=0)
     probe_seed: int = checked(9999, ge=0)
-    record_every: int = checked(0, ge=0)
     divergence_factor: float = checked(1e4, gt=1)
     wd_variant: str = checked("independent", choices=WD_MODES)
 

@@ -167,7 +167,7 @@ def run_training(
                 raise NonFiniteError(f"step {t} loss {loss!r} is non-finite or past {limit!r}")
             losses.append(loss)
             grads, factors = model.backward(cache)
-            recording = t in probe_set or (cfg.record_every > 0 and t % cfg.record_every == 0)
+            recording = t in probe_set
             cache_pre = None
             if recording:
                 # the weights have not changed since step t - 1's probe, if
@@ -285,8 +285,10 @@ def lrsweep(cfg: SweepConfig, mapper=None) -> LrSweepResult:
 
 
 def rankscan(cfg: SweepConfig, mapper=None) -> RankScanResult:
-    """Per-step stable rank and spectral norm of every layer's update."""
-    runs = _run_cells(replace(cfg, record_every=1), "rankscan", mapper)
+    """Per-step stable rank and spectral norm of every layer's update: every
+    step is a probe step."""
+    every_step = tuple(range(1, cfg.steps + 1))
+    runs = _run_cells(replace(cfg, probe_steps=every_step), "rankscan", mapper)
     key = AXES[EXPERIMENTS["rankscan"].fit]
     summary: dict[int, dict[str, tuple[float, float]]] = {}
     for run in runs:

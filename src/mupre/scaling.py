@@ -497,36 +497,22 @@ def build_plan(
     manifest: ModelManifest,
     opt: OptimizerConfig,
     plan: ScalingPlan,
-    overrides: dict[str, dict[str, float]] | None = None,
 ) -> dict[str, LayerHyper]:
     """Assemble the per-layer hyperparameter table for one model."""
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - {s.name for s in manifest.layers}
-    if unknown:
-        raise ValueError(f"overrides name unknown layers: {sorted(unknown)}")
     lam = plan.wd_base * wd_scale(manifest.width, plan.base_width, plan.wd_mode)
     table: dict[str, LayerHyper] = {}
     for spec in manifest.layers:
-        fields = {
-            "eta": plan.eta_base * lr_multiplier(spec, opt, plan),
+        table[spec.name] = LayerHyper(
+            eta=plan.eta_base * lr_multiplier(spec, opt, plan),
             **_damping(spec, opt, plan),
-            "sigma_init": init_sigma(spec),
-            "residual_mult": (
+            sigma_init=init_sigma(spec),
+            residual_mult=(
                 residual_multiplier(spec.depth_l, plan.alpha_depth)
                 if spec.in_residual
                 else 1.0
             ),
-            "lambda_wd": lam,
-        }
-        if spec.name in overrides:
-            patch = overrides[spec.name]
-            bad = set(patch) - set(fields)
-            if bad:
-                raise ValueError(
-                    f"override for {spec.name!r} has unknown fields: {sorted(bad)}"
-                )
-            fields.update(patch)
-        table[spec.name] = LayerHyper(**fields)
+            lambda_wd=lam,
+        )
     return table
 
 

@@ -119,18 +119,23 @@ def artifacts(monkeypatch):
 
 def test_artifact_configs_build(artifacts):
     # tools/artifacts.py runs every bench config and every audit config,
-    # each with a command its sweep can run; nothing is trained here
+    # each with a command its sweep can run, and one oracle battery;
+    # nothing is trained here
     root = artifacts.ROOT
     found = {str(p.relative_to(root)) for d in ("bench/configs", "tools/audit_configs")
              for p in (root / d).glob("*.json")}
-    assert set(artifacts.RUNS) == found and len(found) == 12
-    for config, command in artifacts.RUNS.items():
+    assert {config for config, _ in artifacts.RUNS} == found and len(found) == 12
+    assert len(set(artifacts.RUNS)) == len(artifacts.RUNS) == 13
+    assert [command for _, command in artifacts.RUNS].count("oracle") == 1
+    for config, command in artifacts.RUNS:
         _, _, sweep = cli.build_objects(cli.load_config(str(root / config)), 0)
-        sweep.require(command)
+        if command != "oracle":
+            sweep.require(command)
 
 
 def test_artifacts_runs_each_config_once(artifacts, monkeypatch, tmp_path):
-    # one failing command fails the tool; every run's stdout is kept
+    # one failing command fails the tool; every run's stdout is kept, and
+    # each command gets only the flags it takes
     calls = []
 
     def run(argv, env, **_):
@@ -143,6 +148,9 @@ def test_artifacts_runs_each_config_once(artifacts, monkeypatch, tmp_path):
     assert len(calls) == len(artifacts.RUNS)
     for argv, env in calls:
         assert argv[argv.index("--seed") + 1] == "0"
+        assert ("--out" in argv) == (argv[3] != "oracle")
         assert env["PYTHONPATH"] == str(tmp_path / "checkout" / "src")
         assert env["OPENBLAS_NUM_THREADS"] == env["OMP_NUM_THREADS"] == "1"
-    assert (tmp_path / "out" / "resmlp-muon" / "stdout.txt").read_text() == "ran depthcheck\n"
+    out = tmp_path / "out"
+    assert (out / "depthcheck" / "resmlp-muon" / "stdout.txt").read_text() == "ran depthcheck\n"
+    assert [p.name for p in (out / "oracle" / "width-shampoo-mup").iterdir()] == ["stdout.txt"]

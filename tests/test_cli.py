@@ -35,7 +35,7 @@ FULL_CONFIG = {
     "scaling": {"param": "mup", "base_width": 8, "eta_base": 0.05, "base_depth": 2,
                 "wd_base": 0.01, "wd_mode": "inv_width", "alpha_depth": 0.5},
     "sweep": {"steps": 7, "batch_size": 4, "lr_grid": [0.5, 1.0], "probe_steps": [2, 5],
-              "probe_batch": 4, "teacher_seed": 1, "probe_seed": 2, "record_every": 1,
+              "probe_batch": 4, "teacher_seed": 1, "probe_seed": 2,
               "divergence_factor": 100.0, "wd_variant": "coupled"},
 }
 
@@ -59,7 +59,6 @@ NON_INTEGERS = [
     ("sweep", "probe_batch", 8.0, "probe_batch must be an integer, got 8.0"),
     ("sweep", "teacher_seed", 7.5, "teacher_seed must be an integer, got 7.5"),
     ("sweep", "probe_seed", False, "probe_seed must be an integer, got False"),
-    ("sweep", "record_every", 0.0, "record_every must be an integer, got 0.0"),
 ]
 
 # (section, key, value, message): for each float field of OptimizerConfig,
@@ -144,10 +143,19 @@ class TestConfigValidation:
         assert "unknown section" in capsys.readouterr().err
 
     def test_unknown_key_rejected_with_path(self, tmp_path, capsys):
-        path = write_config(tmp_path, sweep={"stepz": 5})
-        assert main(["plan", "--config", path]) == 2
-        err = capsys.readouterr().err
-        assert "sweep.stepz" in err and "unknown key" in err
+        # a misspelt key, and keys that no run reads
+        for section, key, value in [("sweep", "stepz", 5),
+                                    ("scaling", "overrides", {"fc2": {"eta": 1.0}}),
+                                    ("sweep", "record_every", 1),
+                                    ("output", "formats", ["csv"])]:
+            path = write_config(tmp_path, **{section: {key: value}})
+            out = tmp_path / "out"
+            assert main(["coordcheck", "--config", path, "--out", str(out)]) == 2
+            line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                        if f'"{key}"' in text)
+            err = capsys.readouterr().err
+            assert err.startswith(f"{path}:{line}: {section}.{key}: unknown key; "), err
+            assert not out.exists()
 
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -295,6 +303,7 @@ class TestConfigValidation:
         assert {key for _, key, _, _ in NON_REALS} == float_fields
 
     @pytest.mark.parametrize("command,flag,value", [
+        ("coordcheck", "--format", "csv"),
         ("plan", "--seed", "0"),
         ("plan", "--jobs", "1"),
         ("plan", "--format", "csv"),
@@ -414,20 +423,22 @@ class TestConfigValidation:
         for name in ("rankscan", "lrsweep"):
             sweep_cfg.require(name)
 
-    @pytest.mark.parametrize("overrides,message", [
-        ({"fc2": 5}, "row 'fc2' must be an object of field -> number, got 5"),
-        ([1], "must be an object of layer name -> {field: number}, got [1]"),
-    ], ids=["row-not-an-object", "not-an-object"])
-    @pytest.mark.parametrize("command", ["plan", "coordcheck"])
-    def test_malformed_overrides_exit_2_naming_the_row(
-        self, tmp_path, capsys, command, overrides, message
-    ):
-        path = write_config(tmp_path, scaling={"overrides": overrides})
+    @pytest.mark.parametrize("command,model", [
+        ("coordcheck", {}),
+        ("depthcheck", {"arch": "resmlp", "widths": [8], "depths": [1, 2, 4]}),
+        ("rankscan", {}),
+    ], ids=["coordcheck", "depthcheck", "rankscan"])
+    def test_lr_grid_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, model):
+        # the command trains at scaling.eta_base, whatever lr_grid holds
+        path = write_config(tmp_path, model=model, sweep={"lr_grid": [0.5]})
         out = tmp_path / "out"
         assert main([command, "--config", path, "--out", str(out)]) == 2
         line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
-                    if '"overrides"' in text)
-        assert capsys.readouterr().err == f"{path}:{line}: scaling.overrides: {message}\n"
+                    if '"lr_grid"' in text)
+        assert capsys.readouterr().err == (
+            f"{path}:{line}: sweep.lr_grid: {command} reads no lr_grid; it trains at "
+            "scaling.eta_base\n"
+        )
         assert not out.exists()
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
@@ -446,45 +457,7 @@ class TestPlanCommand:
         on_disk = json.loads((out / "plan.json").read_text())
         assert on_disk == table
 
-    def test_round_trip_through_overrides(self, tmp_path, capsys):
-        path = write_config(tmp_path)
-        assert main(["plan", "--config", path, "--out", str(tmp_path)]) == 0
-        first = capsys.readouterr().out
-        overridden = write_config(
-            tmp_path, name="cfg2.json", scaling={"overrides": json.loads(first)}
-        )
-        assert main(["plan", "--config", overridden, "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().out == first
-
-    def test_bad_override_layer(self, tmp_path, capsys):
-        path = write_config(tmp_path, scaling={"overrides": {"nope": {"eta": 1.0}}})
-        assert main(["plan", "--config", path]) == 2
-        assert "scaling.overrides" in capsys.readouterr().err
-
-    def test_bad_override_value_names_the_overrides(self, tmp_path, capsys):
-        path = write_config(tmp_path, scaling={"overrides": {"fc2": {"eta": -1.0}}})
-        out = tmp_path / "out"
-        assert main(["plan", "--config", path, "--out", str(out)]) == 2
-        assert "scaling.overrides: eta must be > 0, got -1.0" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_overrides_can_replace_an_overflowing_value(self, tmp_path, capsys):
-        finite = {"fc2": {"eta": 1.0}, "readout": {"eta": 1.0}}
-        scaling = {**OVERFLOWING_PLAN["scaling"], "overrides": finite}
-        path = write_config(tmp_path, optimizer={"rule": "adam"}, scaling=scaling)
-        assert main(["plan", "--config", path, "--out", str(tmp_path / "out")]) == 0
-        table = json.loads(capsys.readouterr().out)
-        assert [row["eta"] for row in table.values()] == [1e308, 1.0, 1.0]
-
-    @pytest.mark.parametrize("key", [f.name for f in fields(LayerHyper)])
-    def test_non_number_override_names_the_overrides(self, tmp_path, capsys, key):
-        path = write_config(tmp_path, scaling={"overrides": {"fc2": {key: True}}})
-        out = tmp_path / "out"
-        assert main(["plan", "--config", path, "--out", str(out)]) == 2
-        assert f"scaling.overrides: {key} must be a number, got True" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_overflowing_plan_names_the_cell_not_the_overrides(self, tmp_path, capsys):
+    def test_overflowing_plan_names_the_cell(self, tmp_path, capsys):
         path = write_config(tmp_path, **OVERFLOWING_PLAN)
         out = tmp_path / "out"
         assert main(["plan", "--config", path, "--out", str(out)]) == 2
@@ -493,18 +466,6 @@ class TestPlanCommand:
             r".*cfg\.json:\d+: scaling: plan at width 8, depth 1, eta_base 1e\+308: "
             r"eta must be finite, got inf\n", err
         ), err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command", ["coordcheck", "depthcheck", "lrsweep", "rankscan", "oracle"]
-    )
-    def test_overrides_rejected_where_training_ignores_them(self, tmp_path, capsys, command):
-        path = write_config(tmp_path, scaling={"overrides": {"fc2": {"eta": 1.0}}})
-        out = tmp_path / "out"
-        # oracle writes no artifacts, so it takes no --out
-        argv = [command, "--config", path] + (["--out", str(out)] if command != "oracle" else [])
-        assert main(argv) == 2
-        assert "scaling.overrides" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -552,19 +513,6 @@ class TestCoordcheckCommand:
         assert main(["coordcheck", "--config", path, "--out", str(tmp_path / "flag")]) == 0
         assert (env_dir / "coordcheck.csv").exists()
         assert not (tmp_path / "flag").exists()
-
-    def test_format_restricts_artifacts(self, tmp_path):
-        path = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["coordcheck", "--config", path, "--out", str(out),
-                     "--format", "csv"]) == 0
-        assert (out / "coordcheck.csv").exists()
-        assert not (out / "coordcheck.jsonl").exists()
-
-    def test_bad_config_format_list(self, tmp_path, capsys):
-        path = write_config(tmp_path, output={"formats": ["yaml"]})
-        assert main(["coordcheck", "--config", path, "--out", str(tmp_path)]) == 2
-        assert "output.formats" in capsys.readouterr().err
 
 
 class TestLrSweepCommand:
@@ -678,6 +626,22 @@ class TestOracleCommand:
         path = write_config(tmp_path, checks={"oracle_tol": 1e-18})
         assert main(["oracle", "--config", path, "--seed", "0"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_second_seed_exits_2_without_the_seed_flag(self, tmp_path, capsys):
+        # the battery runs one seed; --seed replaces the configured ones
+        path = write_config(tmp_path, model={"seeds": [0, 1]})
+        assert main(["oracle", "--config", path]) == 2
+        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                    if '"seeds"' in text)
+        assert capsys.readouterr().err == (
+            f"{path}:{line}: model.seeds: seeds must hold one value, since oracle does not "
+            "sweep it, got [0, 1]\n"
+        )
+        assert main(["oracle", "--config", path, "--seed", "1"]) == 0
+        flagged = capsys.readouterr().out
+        one = write_config(tmp_path, name="one.json", model={"seeds": [1]})
+        assert main(["oracle", "--config", one]) == 0
+        assert capsys.readouterr().out == flagged
 
 
 class TestMultiplierCommand:

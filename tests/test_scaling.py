@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -363,35 +363,6 @@ class TestBuildPlan:
         assert table["fc2"].graft_eps == pytest.approx(1e-10)
         assert table["fc2"].graft_ref_eps == pytest.approx(1e-8)
         assert table["fc2"].eps == 1e-8
-
-    def test_override_applies(self):
-        table = build_plan(
-            self.manifest(), opt("adam"), mk_plan(eta_base=0.1),
-            overrides={"fc2": {"eta": 0.42}},
-        )
-        assert table["fc2"].eta == 0.42
-        assert table["fc1"].eta == pytest.approx(0.1)
-
-    def test_override_unknown_layer(self):
-        with pytest.raises(ValueError, match="unknown layer"):
-            build_plan(self.manifest(), opt("adam"), mk_plan(), overrides={"fc9": {}})
-
-    def test_override_unknown_field(self):
-        with pytest.raises(ValueError, match="unknown fields"):
-            build_plan(
-                self.manifest(), opt("adam"), mk_plan(),
-                overrides={"fc2": {"beta": 0.5}},
-            )
-
-    def test_round_trip_as_overrides_is_identity(self):
-        grafted = opt("shampoo", eps_mode="absolute", graft_rule="adam", graft_eps=1e-10)
-        for c in (opt("muon"), grafted):
-            table = build_plan(self.manifest(), c, mk_plan(eta_base=0.2))
-            overrides = {name: asdict(h) for name, h in table.items()}
-            assert set(overrides["fc2"]) >= {"eps", "graft_eps", "graft_ref_eps"}
-            rebuilt = build_plan(self.manifest(), c, mk_plan(eta_base=0.2),
-                                 overrides=overrides)
-            assert rebuilt == table
 
     def test_duplicate_layer_names_rejected(self):
         layers = (hidden(8, 8), hidden(8, 8))
