@@ -514,6 +514,11 @@ class TestCoordcheckCommand:
         assert (env_dir / "coordcheck.csv").exists()
         assert not (tmp_path / "flag").exists()
 
+    def test_bad_config_format_list(self, tmp_path, capsys):
+        path = write_config(tmp_path, output={"formats": ["yaml"]})
+        assert main(["coordcheck", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "output.formats" in capsys.readouterr().err
+
 
 class TestLrSweepCommand:
     def test_argmin_and_drift_emitted(self, tmp_path, capsys):
