@@ -165,10 +165,6 @@ class MlpModel:
         hs[readout] = xs[readout] = f
         return f, hs, xs
 
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        x0 = np.asarray(inputs, dtype=np.float64).reshape(1, -1)
-        return self._propagate(x0)[0].ravel()
-
     def forward(self, batch: Batch) -> tuple[float, ForwardCache]:
         x0 = batch.inputs.reshape(1, -1)
         f, hs, xs = self._propagate(x0)
@@ -240,4 +236,4 @@ def synth_batch(seed: int, batch_size: int, teacher: MlpModel) -> Batch:
         raise ValueError("batch_size must be positive")
     rng = np.random.default_rng(seed)
     inputs = rng.standard_normal(batch_size)
-    return Batch(inputs=inputs, targets=teacher.predict(inputs))
+    return Batch(inputs=inputs, targets=teacher._propagate(inputs.reshape(1, -1))[0].ravel())

@@ -23,9 +23,10 @@ BASE_CONFIG = {
 
 # a value for every dataclass field, none of them the field's default but
 # precond_freq's, which only soap may raise (test_precond_freq_is_soap_only),
-# and rms_align's, which only adamuon may set (test_rms_align_is_adamuon_only)
+# and rms_align's, which only adamuon may set (test_rms_align_is_adamuon_only);
+# n_layers is left out, since a resmlp rejects it (test_n_layers_is_mlp_only)
 FULL_CONFIG = {
-    "model": {"arch": "resmlp", "widths": [8, 16], "depths": [1, 2], "n_layers": 4,
+    "model": {"arch": "resmlp", "widths": [8, 16], "depths": [1, 2],
               "activation": "relu", "seeds": [3, 4]},
     "optimizer": {"rule": "shampoo", "e_l": 0.25, "e_r": 0.75, "beta1": 0.8, "beta2": 0.9,
                   "eps": 1e-6, "eps_mode": "absolute", "graft_rule": "adam",
@@ -119,10 +120,15 @@ OVERFLOWING_PLAN = {
 }
 
 
-def write_config(tmp_path, name="cfg.json", **patches):
+def write_config(tmp_path, name="cfg.json", drop=(), **patches):
+    """BASE_CONFIG with each section of patches merged in and each
+    "section.key" of drop left out."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
     for section, fields in patches.items():
         cfg.setdefault(section, {}).update(fields)
+    for dotted in drop:
+        section, key = dotted.split(".")
+        del cfg[section][key]
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=1))
     return str(path)
@@ -133,7 +139,6 @@ class TestConfigValidation:
         cfg = load_config(write_config(tmp_path))
         assert cfg.sections["model"]["widths"] == [8, 16, 32]
         assert cfg.sections["sweep"]["steps"] == 12
-        assert cfg.sections["output"]["directory"] == "."
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -146,8 +151,7 @@ class TestConfigValidation:
         # a misspelt key, and keys that no run reads
         for section, key, value in [("sweep", "stepz", 5),
                                     ("scaling", "overrides", {"fc2": {"eta": 1.0}}),
-                                    ("sweep", "record_every", 1),
-                                    ("output", "formats", ["csv"])]:
+                                    ("sweep", "record_every", 1)]:
             path = write_config(tmp_path, **{section: {key: value}})
             out = tmp_path / "out"
             assert main(["coordcheck", "--config", path, "--out", str(out)]) == 2
@@ -156,6 +160,32 @@ class TestConfigValidation:
             err = capsys.readouterr().err
             assert err.startswith(f"{path}:{line}: {section}.{key}: unknown key; "), err
             assert not out.exists()
+        # --out alone names the output directory, so output is no section
+        for key, value in [("formats", ["csv"]), ("directory", str(tmp_path / "dir"))]:
+            path = write_config(tmp_path, output={key: value})
+            out = tmp_path / "out"
+            assert main(["coordcheck", "--config", path, "--out", str(out)]) == 2
+            line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                        if '"output"' in text)
+            err = capsys.readouterr().err
+            assert err.startswith(f"{path}:{line}: unknown section(s) ['output']; "), err
+            assert not out.exists() and not (tmp_path / "dir").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("probe_step", 10), ("min_max_slope", 0.0), ("max_srank_spread", 2.0),
+        ("muon_svd_tol", 0.05),
+    ])
+    def test_removed_check_exits_2_as_unknown_key(self, tmp_path, capsys, key, value):
+        # checks holds the three thresholds that commands read
+        path = write_config(tmp_path, checks={key: value})
+        assert main(["plan", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                    if f'"{key}"' in text)
+        assert capsys.readouterr().err == (
+            f"{path}:{line}: checks.{key}: unknown key; expected from "
+            "['max_abs_slope', 'max_drift_octaves', 'oracle_tol']\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -215,7 +245,8 @@ class TestConfigValidation:
         sweep_keys = {**FULL_CONFIG["model"], **FULL_CONFIG["sweep"]}
         for obj, given in ((opt, FULL_CONFIG["optimizer"]), (plan, FULL_CONFIG["scaling"]),
                            (sweep, sweep_keys)):
-            names = {f.name for f in fields(obj)} - {"opt", "plan"}
+            # test_n_layers_is_mlp_only sets n_layers on an mlp
+            names = {f.name for f in fields(obj)} - {"opt", "plan", "n_layers"}
             assert names == set(given)
             for name in names:
                 value = given[name]
@@ -441,6 +472,40 @@ class TestConfigValidation:
         )
         assert not out.exists()
 
+    def test_probe_steps_given_to_rankscan_exits_2(self, tmp_path, capsys):
+        # rankscan records every step, whatever probe_steps holds
+        path = write_config(tmp_path, sweep={"probe_steps": [3]})
+        out = tmp_path / "out"
+        assert main(["rankscan", "--config", path, "--out", str(out)]) == 2
+        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                    if '"probe_steps"' in text)
+        assert capsys.readouterr().err == (
+            f"{path}:{line}: sweep.probe_steps: rankscan reads no probe_steps; it records "
+            "every step\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["plan", "coordcheck", "depthcheck", "lrsweep",
+                                         "rankscan", "oracle"])
+    def test_n_layers_is_mlp_only(self, tmp_path, capsys, command):
+        # a resmlp's blocks come from depths, so it would ignore n_layers
+        model = {"arch": "resmlp", "widths": [8], "depths": [1, 2, 4], "n_layers": 4}
+        path = write_config(tmp_path, model=model)
+        argv = [command, "--config", path]
+        if command != "oracle":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                    if '"n_layers"' in text)
+        assert capsys.readouterr().err == (
+            f"{path}:{line}: model.n_layers: a resmlp reads no n_layers; depths sets its "
+            "blocks\n"
+        )
+        assert not (tmp_path / "out").exists()
+        mlp = write_config(tmp_path, name="mlp.json", model={"n_layers": 4})
+        _, _, sweep_cfg = build_objects(load_config(mlp), seed=None)
+        assert sweep_cfg.n_layers == 4
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         assert main(["oracle", "--config", write_config(tmp_path), "--seed", "-1"]) == 2
         assert "model.seeds: seeds must be >= 0, got -1" in capsys.readouterr().err
@@ -506,18 +571,23 @@ class TestCoordcheckCommand:
         assert (a / "coordcheck.csv").read_bytes() == (b / "coordcheck.csv").read_bytes()
         assert (a / "coordcheck.jsonl").read_bytes() == (b / "coordcheck.jsonl").read_bytes()
 
-    def test_env_overrides_out_flag(self, tmp_path, monkeypatch):
+    def test_out_flag_ignores_mupre_out_env(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
         env_dir = tmp_path / "env"
         monkeypatch.setenv("MUPRE_OUT", str(env_dir))
         assert main(["coordcheck", "--config", path, "--out", str(tmp_path / "flag")]) == 0
-        assert (env_dir / "coordcheck.csv").exists()
-        assert not (tmp_path / "flag").exists()
+        assert (tmp_path / "flag" / "coordcheck.csv").exists()
+        assert not env_dir.exists()
 
     def test_bad_config_format_list(self, tmp_path, capsys):
+        # output is no section, so its formats list exits 2 at the section
         path = write_config(tmp_path, output={"formats": ["yaml"]})
         assert main(["coordcheck", "--config", path, "--out", str(tmp_path)]) == 2
-        assert "output.formats" in capsys.readouterr().err
+        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                    if '"output"' in text)
+        assert capsys.readouterr().err.startswith(
+            f"{path}:{line}: unknown section(s) ['output']; "
+        )
 
 
 class TestLrSweepCommand:
@@ -579,7 +649,8 @@ class TestRankScanCommand:
         path = write_config(
             tmp_path,
             model={"widths": [8, 16]},
-            sweep={"steps": 6, "probe_steps": [1, 6]},
+            sweep={"steps": 6},
+            drop=("sweep.probe_steps",),
         )
         out = tmp_path / "out"
         assert main(["rankscan", "--config", path, "--out", str(out)]) == 0
@@ -741,7 +812,7 @@ class TestNumericalFailure:
 
     @pytest.mark.parametrize("command,patch", [
         ("coordcheck", OVERFLOWING_PLAN),
-        ("rankscan", OVERFLOWING_PLAN),
+        ("rankscan", {**OVERFLOWING_PLAN, "drop": ("sweep.probe_steps",)}),
         ("lrsweep", {"optimizer": {"rule": "adam"}, "scaling": {"base_width": 64},
                      "sweep": {"lr_grid": [1.0, 1e308]}}),
         ("depthcheck", {"model": {"arch": "resmlp", "widths": [8], "depths": [1, 2, 4]},

@@ -240,11 +240,9 @@ class TestTextbook:
     @pytest.mark.parametrize("seed", range(3))
     def test_teacher_labels_are_the_forward_pass(self, seed):
         teacher = make_teacher(7)
-        inputs = np.random.default_rng(seed).standard_normal(5)
-        batch = Batch(inputs, np.zeros(5))
-        ref = textbook_pass(teacher.weights, "tanh", batch)
-        assert np.array_equal(teacher.predict(inputs), ref["f"].ravel())
         batch = synth_batch(seed, 5, teacher)
+        ref = textbook_pass(teacher.weights, "tanh", batch)
+        assert np.array_equal(batch.targets, ref["f"].ravel())
         assert np.array_equal(batch.targets, teacher.forward(batch)[1].f.ravel())
 
 
