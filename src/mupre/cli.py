@@ -206,7 +206,7 @@ def _run_experiment(cfg: RunConfig, args):
     writer writes both <name>.csv and <name>.jsonl. Its preconditions
     (config.EXPERIMENTS), an lr_grid that a command training at
     scaling.eta_base would not read, and the plan of every cell are config
-    errors, and so is a probe_steps given to rankscan, which records every
+    errors, and so is a probe_steps given to a command that records every
     step; all are checked before any cell runs or NumPy loads. A run that
     fails numerically is recorded as diverged by the harness."""
     name = args.command
@@ -214,8 +214,8 @@ def _run_experiment(cfg: RunConfig, args):
     _build(cfg, "sweep", sweep_cfg.require, name=name)
     if "sweep.lr_grid" in cfg.given and "lr_grid" not in EXPERIMENTS[name].sweeps:
         raise cfg.error("sweep.lr_grid", f"{name} reads no lr_grid; it trains at scaling.eta_base")
-    if "sweep.probe_steps" in cfg.given and name == "rankscan":
-        raise cfg.error("sweep.probe_steps", "rankscan reads no probe_steps; it records every step")
+    if "sweep.probe_steps" in cfg.given and EXPERIMENTS[name].every_step:
+        raise cfg.error("sweep.probe_steps", f"{name} reads no probe_steps; it records every step")
     for width, depth, eta in dict.fromkeys(cell[:3] for cell in sweep_cfg.cells(name)):
         _cell_plan(cfg, sweep_cfg, width, depth, eta)
     write = partial(_dump_artifacts, name, out_dir=_out_dir(args))

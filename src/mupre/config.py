@@ -43,6 +43,7 @@ class Experiment(NamedTuple):
     fit: str  # the swept axis its result is keyed and fitted by
     min_points: int = 1  # the least number of values on the fit axis
     probes_in_run: bool = False  # every probe step must fall within the run
+    every_step: bool = False  # every step is probed, so it reads no probe_steps
     arch: str | None = None  # the architecture it requires
 
 
@@ -51,7 +52,7 @@ EXPERIMENTS = {
     "coordcheck": Experiment(("widths",), "widths", 3, probes_in_run=True),
     "depthcheck": Experiment(("depths",), "depths", 3, probes_in_run=True, arch="resmlp"),
     "lrsweep": Experiment(("widths", "lr_grid", "seeds"), "widths"),
-    "rankscan": Experiment(("widths",), "widths"),
+    "rankscan": Experiment(("widths",), "widths", every_step=True),
 }
 
 

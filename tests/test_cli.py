@@ -161,15 +161,15 @@ class TestConfigValidation:
             assert err.startswith(f"{path}:{line}: {section}.{key}: unknown key; "), err
             assert not out.exists()
         # --out alone names the output directory, so output is no section
-        for key, value in [("formats", ["csv"]), ("directory", str(tmp_path / "dir"))]:
-            path = write_config(tmp_path, output={key: value})
-            out = tmp_path / "out"
-            assert main(["coordcheck", "--config", path, "--out", str(out)]) == 2
-            line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
-                        if '"output"' in text)
-            err = capsys.readouterr().err
-            assert err.startswith(f"{path}:{line}: unknown section(s) ['output']; "), err
-            assert not out.exists() and not (tmp_path / "dir").exists()
+        # (test_bad_config_format_list covers output.formats)
+        path = write_config(tmp_path, output={"directory": str(tmp_path / "dir")})
+        out = tmp_path / "out"
+        assert main(["coordcheck", "--config", path, "--out", str(out)]) == 2
+        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                    if '"output"' in text)
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}:{line}: unknown section(s) ['output']; "), err
+        assert not out.exists() and not (tmp_path / "dir").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("probe_step", 10), ("min_max_slope", 0.0), ("max_srank_spread", 2.0),
@@ -256,7 +256,8 @@ class TestConfigValidation:
         out = str(tmp_path / "out")
         bad = []
         for section in ("model", "optimizer", "scaling", "sweep"):
-            for key in FULL_CONFIG[section]:
+            # BASE_CONFIG is an mlp, which reads the n_layers FULL_CONFIG leaves out
+            for key in (*FULL_CONFIG[section], *(("n_layers",) if section == "model" else ())):
                 for value in JSON_VALUES:
                     path = write_config(tmp_path, **{section: {key: value}})
                     try:
